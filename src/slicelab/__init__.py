@@ -8,8 +8,8 @@ from .diagnostics import (MaterialLoop, advect_loop, bkm_bound, circle_loop,
                           circulation, energy, generalized_enstrophy,
                           potential_vorticity)
 from .dynamics import (cfl_number, cutoff, cutoff_factors, mollify,
-                       rhs_deterministic, rhs_truncated, rhs_vorticity,
-                       step_euler, step_rk4)
+                       rhs_deterministic, rhs_truncated, step_euler,
+                       step_rk4)
 from .errors import (CheckpointFormatError, ConfigError,
                      DiagnosticsFormatError, DivergedError, FitError,
                      LoopDomainError, SliceLabError)
@@ -36,8 +36,8 @@ from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, NORM_THRESHOLD,
                          PointwiseNemytskii, StoppingRecord, WienerPath,
                          kappa_margin, lambda_process, noise_eval,
                          refine_path, sample_wiener, step_em,
-                         step_transformed, stopping_monitor,
-                         transform_backward, transform_forward)
+                         step_transformed, transform_backward,
+                         transform_forward)
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,7 @@ __all__ = [
     "MaterialLoop", "advect_loop", "bkm_bound", "circle_loop", "circulation",
     "energy", "generalized_enstrophy", "potential_vorticity",
     "cfl_number", "cutoff", "cutoff_factors", "mollify", "rhs_deterministic",
-    "rhs_truncated", "rhs_vorticity", "step_euler", "step_rk4",
+    "rhs_truncated", "step_euler", "step_rk4",
     "CheckpointFormatError", "ConfigError", "DiagnosticsFormatError",
     "DivergedError", "FitError", "LoopDomainError", "SliceLabError",
     "Geometry", "Grid", "ScalarField", "VectorField", "dealias",
@@ -59,8 +59,7 @@ __all__ = [
     "LinearMultiplicative", "NoiseOff", "OnlineMonitor",
     "PointwiseNemytskii", "StoppingRecord", "WienerPath", "kappa_margin",
     "lambda_process", "noise_eval", "refine_path", "sample_wiener",
-    "step_em", "step_transformed", "stopping_monitor", "transform_backward",
-    "transform_forward",
+    "step_em", "step_transformed", "transform_backward", "transform_forward",
     "AmplitudeBudgetWarning", "GlobalRegularityResult", "McSummary",
     "StrongConvergenceResult", "amplitude_threshold", "decay_rate_fit",
     "gbm_max_oracle", "hitting_fraction_on_paths", "mc_global_regularity",

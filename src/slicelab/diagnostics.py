@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _rk4_arrays
 from .errors import ConfigError, LoopDomainError
 from .grid import (Geometry, Grid, NEUMANN_BASIS, ScalarField, VectorField,
-                   differentiate, integrate, scalar_field)
+                   VX_BASIS, VZ_BASIS, differentiate, integrate,
+                   scalar_field)
 from .incompressible import curl
 from .norms import ZKP_DEFAULT, l2, norm
 from .state import Params, SimState, state_arrays
@@ -125,27 +127,6 @@ def _check_inside(grid: Grid, pts: np.ndarray, slack: float = 0.0):
     return out
 
 
-def _interp_torus(grid: Grid, values: np.ndarray, pts: np.ndarray):
-    hx = grid.lx / grid.nx
-    hz = grid.lz / grid.nz
-    fx = pts[:, 0] / hx
-    fz = pts[:, 1] / hz
-    ix = np.floor(fx).astype(int)
-    iz = np.floor(fz).astype(int)
-    tx = fx - ix
-    tz = fz - iz
-    ix0 = np.mod(ix, grid.nx)
-    ix1 = np.mod(ix + 1, grid.nx)
-    iz0 = np.mod(iz, grid.nz)
-    iz1 = np.mod(iz + 1, grid.nz)
-    v00 = values[iz0, ix0]
-    v01 = values[iz0, ix1]
-    v10 = values[iz1, ix0]
-    v11 = values[iz1, ix1]
-    return ((1 - tz) * ((1 - tx) * v00 + tx * v01)
-            + tz * ((1 - tx) * v10 + tx * v11))
-
-
 def _pad_square(values: np.ndarray, parity_x: str | None,
                 parity_z: str | None):
     """One ghost layer per side: odd parity reflects with sign flip (the
@@ -163,36 +144,34 @@ def _pad_square(values: np.ndarray, parity_x: str | None,
     return np.concatenate([left, v, right], axis=1)
 
 
-def _interp_square(grid: Grid, values: np.ndarray, pts: np.ndarray,
-                   parity_x: str | None = None, parity_z: str | None = None):
-    hx = grid.lx / grid.nx
-    hz = grid.lz / grid.nz
-    padded = _pad_square(values, parity_x, parity_z)
-    # ghost-extended node coordinates start at -h/2, so node i sits at
-    # (i - 1/2) h; a domain point always falls between two nodes
-    fx = pts[:, 0] / hx + 0.5
-    fz = pts[:, 1] / hz + 0.5
-    ix = np.clip(np.floor(fx).astype(int), 0, grid.nx)
-    iz = np.clip(np.floor(fz).astype(int), 0, grid.nz)
-    tx = fx - ix
-    tz = fz - iz
-    v00 = padded[iz, ix]
-    v01 = padded[iz, ix + 1]
-    v10 = padded[iz + 1, ix]
-    v11 = padded[iz + 1, ix + 1]
-    return ((1 - tz) * ((1 - tx) * v00 + tx * v01)
-            + tz * ((1 - tx) * v10 + tx * v11))
-
-
-def _interp_velocity(u: VectorField, pts: np.ndarray):
-    g = u.grid
-    if g.geometry is Geometry.TORUS:
-        vx = _interp_torus(g, u.x.values, pts)
-        vz = _interp_torus(g, u.z.values, pts)
+def _interp(grid: Grid, values: np.ndarray, pts: np.ndarray,
+            parity_x: str | None = None, parity_z: str | None = None):
+    """Bilinear samples of values at pts: periodic on the torus; on the
+    square from the ghost-padded array, whose node i sits at (i - 1/2) h,
+    so a domain point always falls between two nodes."""
+    fx = pts[:, 0] / (grid.lx / grid.nx)
+    fz = pts[:, 1] / (grid.lz / grid.nz)
+    if grid.geometry is Geometry.TORUS:
+        ix, iz = np.floor(fx).astype(int), np.floor(fz).astype(int)
+        ix0, ix1 = np.mod(ix, grid.nx), np.mod(ix + 1, grid.nx)
+        iz0, iz1 = np.mod(iz, grid.nz), np.mod(iz + 1, grid.nz)
     else:
-        vx = _interp_square(g, u.x.values, pts, "sin", "cos")
-        vz = _interp_square(g, u.z.values, pts, "cos", "sin")
-    return np.column_stack([vx, vz])
+        values = _pad_square(values, parity_x, parity_z)
+        fx, fz = fx + 0.5, fz + 0.5
+        ix = ix0 = np.clip(np.floor(fx).astype(int), 0, grid.nx)
+        iz = iz0 = np.clip(np.floor(fz).astype(int), 0, grid.nz)
+        ix1, iz1 = ix + 1, iz + 1
+    tx, tz = fx - ix, fz - iz
+    return ((1 - tz) * ((1 - tx) * values[iz0, ix0] + tx * values[iz0, ix1])
+            + tz * ((1 - tx) * values[iz1, ix0] + tx * values[iz1, ix1]))
+
+
+def _interp_pair(grid: Grid, x_values, z_values, pts: np.ndarray,
+                 bases=((None, None), (None, None))):
+    """Samples of two component fields at pts, shape (n, 2); on the square
+    `bases` are the components' ghost-layer parities."""
+    return np.column_stack([_interp(grid, v, pts, *b) for v, b in
+                            zip((x_values, z_values), bases)])
 
 
 def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
@@ -207,13 +186,7 @@ def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
     coef = state.u_t.values + params.f * g.x_mesh
     vx_vals = params.s * state.u_s.x.values - coef * dx_th
     vz_vals = params.s * state.u_s.z.values - coef * dz_th
-    if g.geometry is Geometry.TORUS:
-        vx = _interp_torus(g, vx_vals, pts)
-        vz = _interp_torus(g, vz_vals, pts)
-    else:
-        vx = _interp_square(g, vx_vals, pts)
-        vz = _interp_square(g, vz_vals, pts)
-    v = np.column_stack([vx, vz])
+    v = _interp_pair(g, vx_vals, vz_vals, pts)
     nxt = np.roll(np.arange(pts.shape[0]), -1)
     seg = pts[nxt] - pts
     mid = 0.5 * (v + v[nxt])
@@ -223,18 +196,15 @@ def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
 def advect_loop(loop: MaterialLoop, u: VectorField, dt: float) -> MaterialLoop:
     """Move every loop point one RK4 step through the frozen velocity."""
     g = u.grid
-    p = loop.points
 
-    def vel(q):
+    def vel(_t, y):
+        (q,) = y
         if g.geometry is Geometry.SQUARE:
             q = np.clip(q, [0.0, 0.0], [g.lx, g.lz])
-        return _interp_velocity(u, q)
+        return (_interp_pair(g, u.x.values, u.z.values, q,
+                             (VX_BASIS, VZ_BASIS)),)
 
-    k1 = vel(p)
-    k2 = vel(p + 0.5 * dt * k1)
-    k3 = vel(p + 0.5 * dt * k2)
-    k4 = vel(p + dt * k3)
-    new = p + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    (new,) = _rk4_arrays((loop.points,), vel, 0.0, dt)
     slack = 1e-9 * max(g.lx, g.lz)
     new = _check_inside(g, new, slack)
     return MaterialLoop(new)

@@ -24,11 +24,10 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DivergedError
-from .grid import (Geometry, Grid, ScalarField, VX_BASIS, VZ_BASIS,
-                   axis_derivative_modes, dealias_values, from_modes,
-                   gaussian_lowpass, scalar_field, to_modes, vector_field)
-from .incompressible import project_values, velocity_from_vorticity
-from .norms import W1INF, norm
+from .grid import (Grid, dealias_values, derivative_values, gaussian_lowpass,
+                   scalar_field, to_modes, vector_field)
+from .incompressible import project_values
+from .norms import W1INF, state_component_norms
 from .state import (Params, SimState, Tendency, make_state, scalar_bases,
                     state_arrays, state_is_finite, tendency_arrays)
 
@@ -37,24 +36,15 @@ from .state import (Params, SimState, Tendency, make_state, scalar_bases,
 # tendencies
 # ---------------------------------------------------------------------------
 
-def _state_bases(grid: Grid):
-    """Bases of (u_x, u_z, u_T, theta_S) value arrays."""
-    if grid.geometry is Geometry.SQUARE:
-        ut_basis, th_basis = scalar_bases(grid)
-        return VX_BASIS, VZ_BASIS, ut_basis, th_basis
-    return None, None, None, None
-
-
 def _advect(grid: Grid, ux, uz, coef, basis):
     """(u.grad) of the field with raw coefficients `coef`, dealiased.
 
     Structural advection preserves the advected field's parity class, so
     the product is transformed back in `basis` itself.
     """
-    cx, bx = axis_derivative_modes(grid, coef, basis, "x")
-    cz, bz = axis_derivative_modes(grid, coef, basis, "z")
-    prod = ux * from_modes(grid, cx, bx) + uz * from_modes(grid, cz, bz)
-    return dealias_values(grid, prod, basis)
+    dx, _ = derivative_values(grid, coef, basis, 1, 0)
+    dz, _ = derivative_values(grid, coef, basis, 0, 1)
+    return dealias_values(grid, ux * dx + uz * dz, basis)
 
 
 def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
@@ -65,7 +55,8 @@ def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
     The scales multiply unconditionally: callers with scale 1.0 get the
     bitwise-plain tendency.
     """
-    bx, bz, bt, bth = _state_bases(grid)
+    # u_T shares the parity class of u_x, theta_S that of u_z
+    bx, bz, bt, bth = 2 * scalar_bases(grid)
     cux = to_modes(grid, ux, bx)
     cuz = to_modes(grid, uz, bz)
     cut = to_modes(grid, ut, bt)
@@ -128,10 +119,14 @@ def _bump(t: float) -> float:
 
 def cutoff_factors(state: SimState, radius: float):
     """The three advection cutoffs (u_S equation, u_T equation, theta_S
-    equation), from W^{1,inf} norms; pair norms combine with max."""
-    n_us = norm(state.u_s, W1INF)
-    n_ut = norm(state.u_t, W1INF)
-    n_th = norm(state.theta_s, W1INF)
+    equation), from the state's W^{1,inf} norms."""
+    return cutoffs_from_norms(state_component_norms(state, W1INF), radius)
+
+
+def cutoffs_from_norms(norms, radius: float):
+    """Cutoffs from (u_S, u_T, theta_S) W^{1,inf} norms already taken; pair
+    norms combine with max."""
+    n_us, n_ut, n_th = norms
     return (cutoff(n_us, radius),
             cutoff(max(n_us, n_ut), radius),
             cutoff(max(n_us, n_th), radius))
@@ -154,37 +149,6 @@ def rhs_truncated(state: SimState, params: Params, radius: float) -> Tendency:
     return _wrap_tendency(g, arrays)
 
 
-def rhs_vorticity(omega: ScalarField, u_t: ScalarField, theta_s: ScalarField,
-                  params: Params):
-    """Vorticity-form tendencies (domega, du_T, dtheta_S).
-
-    u_S is recovered from omega by the Biot-Savart solve; the couplings are
-    the curl of the primitive ones: domega = -(u.grad)omega - f d_z u_T
-    + (g/theta0) d_x theta_S.
-    """
-    g = omega.grid
-    u = velocity_from_vorticity(omega)
-    ux, uz = u.x.values, u.z.values
-
-    co = to_modes(g, omega.values, omega.basis)
-    ct = to_modes(g, u_t.values, u_t.basis)
-    cs = to_modes(g, theta_s.values, theta_s.basis)
-
-    dz_ut, bz = axis_derivative_modes(g, ct, u_t.basis, "z")
-    dx_th, bx = axis_derivative_modes(g, cs, theta_s.basis, "x")
-
-    domega = (-_advect(g, ux, uz, co, omega.basis)
-              - params.f * from_modes(g, dz_ut, bz)
-              + params.buoyancy * from_modes(g, dx_th, bx))
-    dut = (-_advect(g, ux, uz, ct, u_t.basis) - params.f * ux
-           - params.buoyancy * params.s * g.z_weight)
-    dth = -_advect(g, ux, uz, cs, theta_s.basis) - params.s * u_t.values
-
-    return (scalar_field(g, domega, omega.basis),
-            scalar_field(g, dut, u_t.basis),
-            scalar_field(g, dth, theta_s.basis))
-
-
 # ---------------------------------------------------------------------------
 # steppers
 # ---------------------------------------------------------------------------
@@ -196,8 +160,8 @@ def _axpy(y, k, c: float):
 def _rk4_arrays(y, f, t: float, dt: float):
     """Classical RK4 stage combination over tuples of arrays.
 
-    Shared verbatim by the deterministic and transformed steppers; any
-    change here changes both bitwise.
+    Shared verbatim by the deterministic and transformed steppers and by
+    material-loop advection; any change here changes all three bitwise.
     """
     k1 = f(t, y)
     k2 = f(t + 0.5 * dt, _axpy(y, k1, 0.5 * dt))
@@ -238,38 +202,18 @@ def step_rk4(state: SimState, params: Params, dt: float,
     return _finish_step(state, y1, state.t + dt)
 
 
+def _euler_arrays(state: SimState, params: Params, dt: float, rhs):
+    # the drift update of Euler and Euler-Maruyama, before projection
+    _check_dt(dt)
+    y = state_arrays(state)
+    return _axpy(y, _tendency_fn(state.grid, params, rhs)(state.t, y), dt)
+
+
 def step_euler(state: SimState, params: Params, dt: float,
                rhs=rhs_deterministic) -> SimState:
     """One explicit Euler step (the drift half of Euler-Maruyama)."""
-    _check_dt(dt)
-    f = _tendency_fn(state.grid, params, rhs)
-    y1 = _axpy(state_arrays(state), f(state.t, state_arrays(state)), dt)
-    return _finish_step(state, y1, state.t + dt)
-
-
-def step_rk4_vorticity(omega: ScalarField, u_t: ScalarField,
-                       theta_s: ScalarField, params: Params, dt: float):
-    """One RK4 step of the (omega, u_T, theta_S) triple.
-
-    Exists to cross-check the primitive stepper: the two formulations solve
-    the same flow through different discrete operators, so their
-    trajectories agree only to discretization accuracy, not bitwise.
-    """
-    _check_dt(dt)
-    g = omega.grid
-    bases = (omega.basis, u_t.basis, theta_s.basis)
-
-    def f(t, y):
-        fields = [scalar_field(g, v, b) for v, b in zip(y, bases)]
-        out = rhs_vorticity(*fields, params)
-        return tuple(o.values for o in out)
-
-    y0 = (omega.values, u_t.values, theta_s.values)
-    y1 = _rk4_arrays(y0, f, 0.0, dt)
-    if not all(np.isfinite(v).all() for v in y1):
-        raise DivergedError("non-finite vorticity-form state after step",
-                            last_state=None)
-    return tuple(scalar_field(g, v, b) for v, b in zip(y1, bases))
+    return _finish_step(state, _euler_arrays(state, params, dt, rhs),
+                        state.t + dt)
 
 
 def cfl_number(state: SimState, dt: float) -> float:

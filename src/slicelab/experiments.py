@@ -19,15 +19,14 @@ import numpy as np
 
 from .dynamics import mollify, step_rk4
 from .errors import ConfigError, DivergedError, FitError
-from .grid import Grid, scalar_field, vector_field
+from .grid import Grid
 from .norms import NormSpec, ZKP_DEFAULT, combine, norm, state_component_norms
-from .state import (Params, SimState, random_state, scale_state,
-                    state_arrays, zero_state)
+from .state import (Params, SimState, make_state, random_state,
+                    scale_state, state_arrays, zero_state)
 from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, OnlineMonitor,
-                         LinearMultiplicative, StoppingRecord, WienerPath,
-                         refine_path, sample_wiener, step_em,
-                         step_transformed, transform_backward,
-                         transform_forward)
+                         LinearMultiplicative, WienerPath, refine_path,
+                         sample_wiener, step_em, step_transformed,
+                         transform_backward, transform_forward)
 
 
 class AmplitudeBudgetWarning(UserWarning):
@@ -237,22 +236,21 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
                          amplitude: float, n_paths: int, horizon: float,
                          dt: float, seed: int, c_tilde: float = 1.0,
                          data_seed: int = 0, max_mode: int = 2,
-                         amplitude_spec: NormSpec = ZKP_DEFAULT,
-                         bound_spec: NormSpec = ZKP_DEFAULT) -> GlobalRegularityResult:
+                         spec: NormSpec = ZKP_DEFAULT) -> GlobalRegularityResult:
     """Per-path transformed solves with the two stopping monitors.
 
-    amplitude is the bound_spec norm of the (randomly generated, then
+    amplitude is the spec norm of the (randomly generated, then
     rescaled) initial data, so it compares like-for-like with the
     amplitude_threshold budget.  Each path runs until the GBM monitor
     fires (Lambda >= r), the horizon is reached, or the solve diverges.
     Reported: (a) the fraction of non-diverged paths whose amplitude
     monitor (1 + sum of component norms >= |alpha|/(8 c_tilde)) did not
-    fire strictly before the GBM one, and (b) the fraction whose
-    bound_spec norm stayed <= |alpha|/(32 c_tilde) up to the stopping
-    time.  Both monitors and the norm bound are evaluated on the
-    transformed variables, the objects the pathwise argument actually
-    controls.  Diverged paths are counted separately and excluded from
-    both fractions' denominators.
+    fire strictly before the GBM one, and (b) the fraction whose spec
+    norm stayed <= |alpha|/(32 c_tilde) up to the stopping time.  The
+    amplitude monitor and the norm bound share each state's component
+    norms, taken on the transformed variables, the objects the pathwise
+    argument actually controls.  Diverged paths are counted separately
+    and excluded from both fractions' denominators.
     """
     if params.s != 0.0:
         raise ConfigError("the regularity experiment requires s = 0")
@@ -275,11 +273,10 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
     else:
         raw = random_state(grid, seed=data_seed, max_mode=max_mode,
                            amplitude=1.0)
-        data = scale_state(raw, amplitude / norm(raw, bound_spec))
+        data = scale_state(raw, amplitude / norm(raw, spec))
 
     amp_threshold = abs(alpha) / (8.0 * c_tilde)
     norm_bound = abs(alpha) / (32.0 * c_tilde)
-    log_r = math.log(r)
     mu = -(alpha * alpha) / 32.0
 
     amp_records = []
@@ -296,15 +293,16 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
         gbm_mon = OnlineMonitor(GBM_THRESHOLD, r)
         state = transform_forward(data, alpha, 0.0)
         diverged = False
-        bounded_flag = [True]
+        bounded = True
 
         def observe(k: int, s: SimState) -> bool:
             # returns True when the path is finished (GBM monitor fired)
+            nonlocal bounded
             t_k = k * dt
-            if bounded_flag[0] and norm(s, bound_spec) > norm_bound:
-                bounded_flag[0] = False
-            amp_val = 1.0 + sum(state_component_norms(s, amplitude_spec))
-            amp_mon.update(t_k, amp_val)
+            parts = state_component_norms(s, spec)
+            if bounded and combine(parts, spec.p) > norm_bound:
+                bounded = False
+            amp_mon.update(t_k, 1.0 + sum(parts))
             return gbm_mon.update(t_k, math.exp(alpha * w[k] + mu * t_k))
 
         if not observe(0, state):
@@ -317,7 +315,6 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
                     break
                 if observe(k + 1, state):
                     break
-        bounded = bounded_flag[0]
 
         amp_records.append(amp_mon.record())
         gbm_records.append(gbm_mon.record())
@@ -471,15 +468,8 @@ def mollifier_cauchy_study(state0: SimState, params: Params, j_levels,
         if j not in cache:
             cache[j] = solve(j)
 
-    return tuple((j, _state_distance(cache[j], cache[2 * j], spec))
-                 for j in j_levels)
+    def distance(a: SimState, b: SimState) -> float:
+        return norm(make_state(a.grid, a.t, *(x - y for x, y in zip(
+            state_arrays(a), state_arrays(b)))), spec)
 
-
-def _state_distance(a: SimState, b: SimState, spec: NormSpec) -> float:
-    g = a.grid
-    du = vector_field(g, a.u_s.x.values - b.u_s.x.values,
-                      a.u_s.z.values - b.u_s.z.values)
-    dut = scalar_field(g, a.u_t.values - b.u_t.values, a.u_t.basis)
-    dth = scalar_field(g, a.theta_s.values - b.theta_s.values,
-                       a.theta_s.basis)
-    return combine([norm(du, spec), norm(dut, spec), norm(dth, spec)], spec.p)
+    return tuple((j, distance(cache[j], cache[2 * j])) for j in j_levels)

@@ -255,15 +255,6 @@ def vector_field(grid: Grid, x_values, z_values) -> VectorField:
                        ScalarField(grid, z_values))
 
 
-def zero_scalar(grid: Grid, basis: tuple[str, str] | None = None) -> ScalarField:
-    return ScalarField(grid, np.zeros((grid.nz, grid.nx)), basis)
-
-
-def zero_vector(grid: Grid) -> VectorField:
-    return vector_field(grid, np.zeros((grid.nz, grid.nx)),
-                        np.zeros((grid.nz, grid.nx)))
-
-
 # ---------------------------------------------------------------------------
 # transforms (raw coefficient layout)
 # ---------------------------------------------------------------------------
@@ -317,6 +308,10 @@ def axis_derivative_modes(grid: Grid, coef: np.ndarray, basis, axis: str,
     def along(vec):
         return vec[None, :] if ax == 1 else vec[:, None]
 
+    def slots(start, stop):
+        return ((slice(None), slice(start, stop)) if ax == 1
+                else (slice(start, stop), slice(None)))
+
     half, rem = divmod(order, 2)
     out = coef
     if half:
@@ -326,24 +321,25 @@ def axis_derivative_modes(grid: Grid, coef: np.ndarray, basis, axis: str,
         shifted = np.zeros_like(out)
         if parity == SIN:
             # sin mode m -> +k_m * cos mode m: cos slot m <- sin slot m-1
-            src = out[:, :-1] if ax == 1 else out[:-1, :]
-            k = along(kcos[1:])
-            if ax == 1:
-                shifted[:, 1:] = k * src
-            else:
-                shifted[1:, :] = k * src
+            shifted[slots(1, None)] = along(kcos[1:]) * out[slots(None, -1)]
         else:
             # cos mode m -> -k_m * sin mode m: sin slot m-1 <- cos slot m
-            src = out[:, 1:] if ax == 1 else out[1:, :]
-            k = along(ksin[:-1])
-            if ax == 1:
-                shifted[:, :-1] = -k * src
-            else:
-                shifted[:-1, :] = -k * src
+            shifted[slots(None, -1)] = -along(ksin[:-1]) * out[slots(1, None)]
         out = shifted
         parity = _flip(parity)
     new_basis = (parity, basis[1]) if bi == 0 else (basis[0], parity)
     return out, new_basis
+
+
+def derivative_values(grid: Grid, coef: np.ndarray, basis, order_x: int,
+                      order_z: int):
+    """Mixed derivative d^order_x/dx d^order_z/dz of the field with raw
+    coefficients `coef`, as (values, basis): one inverse transform."""
+    if order_x:
+        coef, basis = axis_derivative_modes(grid, coef, basis, "x", order_x)
+    if order_z:
+        coef, basis = axis_derivative_modes(grid, coef, basis, "z", order_z)
+    return from_modes(grid, coef, basis), basis
 
 
 def differentiate(field: ScalarField, axis: str) -> ScalarField:
@@ -352,41 +348,26 @@ def differentiate(field: ScalarField, axis: str) -> ScalarField:
         raise ConfigError(f"axis must be 'x' or 'z', got {axis!r}")
     g = field.grid
     coef = to_modes(g, field.values, field.basis)
-    coef, basis = axis_derivative_modes(g, coef, field.basis, axis)
-    return ScalarField(g, from_modes(g, coef, basis), basis)
-
-
-def derivative_multi(field: ScalarField, order_x: int, order_z: int) -> ScalarField:
-    """Mixed derivative d^ax d^az with a single transform round trip."""
-    g = field.grid
-    coef = to_modes(g, field.values, field.basis)
-    basis = field.basis
-    if order_x:
-        coef, basis = axis_derivative_modes(g, coef, basis, "x", order_x)
-    if order_z:
-        coef, basis = axis_derivative_modes(g, coef, basis, "z", order_z)
-    return ScalarField(g, from_modes(g, coef, basis), basis)
-
-
-def dealias_modes(grid: Grid, coef: np.ndarray, basis) -> np.ndarray:
-    if grid.geometry is Geometry.TORUS:
-        return coef * grid.dealias_mask
-    keep_x = grid.keep_1d("x", basis[0])
-    keep_z = grid.keep_1d("z", basis[1])
-    return coef * (keep_z[:, None] & keep_x[None, :])
-
-
-def dealias(field: ScalarField) -> ScalarField:
-    """2/3-rule truncation: zero every mode with |m_x| > nx/3 or |m_z| > nz/3."""
-    g = field.grid
-    coef = dealias_modes(g, to_modes(g, field.values, field.basis), field.basis)
-    return ScalarField(g, from_modes(g, coef, field.basis), field.basis)
+    order_x = int(axis == "x")
+    values, basis = derivative_values(g, coef, field.basis, order_x,
+                                      1 - order_x)
+    return ScalarField(g, values, basis)
 
 
 def dealias_values(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
     """Array-level dealias for hot paths (no field wrapping)."""
-    return from_modes(grid, dealias_modes(grid, to_modes(grid, values, basis),
-                                          basis), basis)
+    if grid.geometry is Geometry.TORUS:
+        keep = grid.dealias_mask
+    else:
+        keep = (grid.keep_1d("z", basis[1])[:, None]
+                & grid.keep_1d("x", basis[0])[None, :])
+    return from_modes(grid, to_modes(grid, values, basis) * keep, basis)
+
+
+def dealias(field: ScalarField) -> ScalarField:
+    """2/3-rule truncation: zero every mode with |m_x| > nx/3 or |m_z| > nz/3."""
+    return ScalarField(field.grid, dealias_values(field.grid, field.values,
+                                                  field.basis), field.basis)
 
 
 def gaussian_lowpass(field: ScalarField, j: float) -> ScalarField:

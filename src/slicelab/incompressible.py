@@ -12,44 +12,43 @@ problem needs no boundary penalty.
 
 from __future__ import annotations
 
+import operator
 import warnings
 
 import numpy as np
 
-from .grid import (COS, SIN, Geometry, Grid, NEUMANN_BASIS, ScalarField,
-                   VectorField, VX_BASIS, VZ_BASIS, axis_derivative_modes,
-                   from_modes, scalar_field, to_modes, vector_field)
+from .grid import (SIN, Geometry, Grid, ScalarField, VectorField, VX_BASIS,
+                   VZ_BASIS, axis_derivative_modes, from_modes, scalar_field,
+                   to_modes, vector_field)
 
 
 class MeanVorticityWarning(UserWarning):
     """Raised when a torus Biot-Savart drops a nonzero mean vorticity."""
 
 
+def _derivative_pair(g: Grid, a: ScalarField, a_axis: str, op,
+                     b: ScalarField, b_axis: str) -> ScalarField:
+    """op(d_(a_axis) a, d_(b_axis) b), spectrally; op is add or sub."""
+    ca, ba = axis_derivative_modes(g, to_modes(g, a.values, a.basis),
+                                   a.basis, a_axis)
+    cb, bb = axis_derivative_modes(g, to_modes(g, b.values, b.basis),
+                                   b.basis, b_axis)
+    if ba != bb:
+        # mixed-parity input; fall back to physical-space addition
+        return scalar_field(
+            g, op(from_modes(g, ca, ba), from_modes(g, cb, bb)),
+            ba if g.geometry is Geometry.SQUARE else None)
+    return scalar_field(g, from_modes(g, op(ca, cb), ba), ba)
+
+
 def divergence(v: VectorField) -> ScalarField:
     """d_x v_x + d_z v_z, spectrally."""
-    g = v.grid
-    cx, bx = axis_derivative_modes(g, to_modes(g, v.x.values, v.x.basis),
-                                   v.x.basis, "x")
-    cz, bz = axis_derivative_modes(g, to_modes(g, v.z.values, v.z.basis),
-                                   v.z.basis, "z")
-    if bx != bz:
-        # mixed-parity input; fall back to physical-space addition
-        return scalar_field(g, from_modes(g, cx, bx) + from_modes(g, cz, bz),
-                            bx if g.geometry is Geometry.SQUARE else None)
-    return scalar_field(g, from_modes(g, cx + cz, bx), bx)
+    return _derivative_pair(v.grid, v.x, "x", operator.add, v.z, "z")
 
 
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl d_x v_z - d_z v_x (the vorticity operator)."""
-    g = v.grid
-    cz, bz = axis_derivative_modes(g, to_modes(g, v.z.values, v.z.basis),
-                                   v.z.basis, "x")
-    cx, bx = axis_derivative_modes(g, to_modes(g, v.x.values, v.x.basis),
-                                   v.x.basis, "z")
-    if bz != bx:
-        return scalar_field(g, from_modes(g, cz, bz) - from_modes(g, cx, bx),
-                            bz if g.geometry is Geometry.SQUARE else None)
-    return scalar_field(g, from_modes(g, cz - cx, bz), bz)
+    return _derivative_pair(v.grid, v.z, "x", operator.sub, v.x, "z")
 
 
 def _torus_project_modes(grid: Grid, cx, cz):
@@ -123,30 +122,17 @@ def velocity_from_vorticity(omega: ScalarField) -> VectorField:
         k2 = g.kx[None, :] ** 2 + g.kz[:, None] ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             psi = np.where(k2 > 0, -c / k2, 0.0)
-        ux, bux = axis_derivative_modes(g, -psi, None, "z")
-        uz, buz = axis_derivative_modes(g, psi, None, "x")
-        return vector_field(g, from_modes(g, ux, bux), from_modes(g, uz, buz))
-
-    if omega.basis != (SIN, SIN):
-        raise ValueError("square vorticity must live in the sine-sine basis")
-    c = to_modes(g, omega.values, omega.basis)
-    k2 = g.kx_sin[None, :] ** 2 + g.kz_sin[:, None] ** 2
-    psi = -c / k2                                   # all sine modes are >= 1
-    ux, bux = axis_derivative_modes(g, -psi, (SIN, SIN), "z")
-    uz, buz = axis_derivative_modes(g, psi, (SIN, SIN), "x")
-    assert bux == VX_BASIS and buz == VZ_BASIS
+    else:
+        if omega.basis != (SIN, SIN):
+            raise ValueError(
+                "square vorticity must live in the sine-sine basis")
+        c = to_modes(g, omega.values, omega.basis)
+        k2 = g.kx_sin[None, :] ** 2 + g.kz_sin[:, None] ** 2
+        psi = -c / k2                               # all sine modes are >= 1
+    ux, bux = axis_derivative_modes(g, -psi, omega.basis, "z")
+    uz, buz = axis_derivative_modes(g, psi, omega.basis, "x")
     return vector_field(g, from_modes(g, ux, bux), from_modes(g, uz, buz))
 
 
 def max_divergence(u: VectorField) -> float:
     return float(np.max(np.abs(divergence(u).values)))
-
-
-def streamfunction_velocity(psi: ScalarField) -> VectorField:
-    """grad-perp(psi): divergence-free by construction, wall-tangent on the
-    square when psi is sine-sine."""
-    g = psi.grid
-    c = to_modes(g, psi.values, psi.basis)
-    ux, bux = axis_derivative_modes(g, -c, psi.basis, "z")
-    uz, buz = axis_derivative_modes(g, c, psi.basis, "x")
-    return vector_field(g, from_modes(g, ux, bux), from_modes(g, uz, buz))

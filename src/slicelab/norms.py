@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import (Grid, ScalarField, VectorField, axis_derivative_modes,
-                   from_modes, to_modes)
+from .grid import ScalarField, VectorField, derivative_values, to_modes
 from .state import SimState
 
 INF = math.inf
@@ -48,15 +47,6 @@ def _multi_indices(k: int):
     return [(ax, az) for ax in range(k + 1) for az in range(k + 1 - ax)]
 
 
-def _derivative_values(grid: Grid, coef, basis, ax: int, az: int):
-    c, b = coef, basis
-    if ax:
-        c, b = axis_derivative_modes(grid, c, b, "x", ax)
-    if az:
-        c, b = axis_derivative_modes(grid, c, b, "z", az)
-    return from_modes(grid, c, b)
-
-
 def _field_norm(components: list[ScalarField], spec: NormSpec) -> float:
     """W^{k,p} of a scalar (1 component) or vector (2 components) field."""
     grid = components[0].grid
@@ -68,7 +58,7 @@ def _field_norm(components: list[ScalarField], spec: NormSpec) -> float:
         if ax == 0 and az == 0:
             derivs = [f.values for f in components]
         else:
-            derivs = [_derivative_values(grid, c, b, ax, az)
+            derivs = [derivative_values(grid, c, b, ax, az)[0]
                       for c, b in zip(coefs, bases)]
         mag = np.abs(derivs[0]) if len(derivs) == 1 else np.hypot(*derivs)
         if spec.p == INF:
@@ -93,8 +83,7 @@ def norm(obj, spec: NormSpec) -> float:
     if isinstance(obj, VectorField):
         return _field_norm([obj.x, obj.z], spec)
     if isinstance(obj, SimState):
-        return combine((norm(obj.u_s, spec), norm(obj.u_t, spec),
-                        norm(obj.theta_s, spec)), spec.p)
+        return combine(state_component_norms(obj, spec), spec.p)
     raise ConfigError(f"cannot take a norm of {type(obj).__name__}")
 
 

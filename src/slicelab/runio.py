@@ -65,57 +65,36 @@ def _parse_row(line: str, lineno: int) -> DiagnosticsRecord:
     return DiagnosticsRecord(*vals)
 
 
+def _check_header(fh, path) -> None:
+    head = fh.readline().rstrip("\n")
+    if head != CSV_HEADER:
+        raise DiagnosticsFormatError(f"header mismatch in {path}: {head!r}")
+
+
 def append_diagnostics(rec: DiagnosticsRecord, path) -> None:
     """Append one row, writing the header on first use."""
-    line = format_row(rec)
-    if os.path.exists(path) and os.path.getsize(path) > 0:
+    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    if not fresh:
         with open(path, "r", encoding="ascii") as fh:
-            head = fh.readline().rstrip("\n")
-        if head != CSV_HEADER:
-            raise DiagnosticsFormatError(
-                f"header mismatch in {path}: {head!r}")
-        with open(path, "a", encoding="ascii") as fh:
-            fh.write(line + "\n")
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(CSV_HEADER + "\n")
-            fh.write(line + "\n")
+            _check_header(fh, path)
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write((CSV_HEADER + "\n" if fresh else "") + format_row(rec)
+                 + "\n")
 
 
 def read_diagnostics(path) -> list[DiagnosticsRecord]:
     with open(path, "r", encoding="ascii") as fh:
-        head = fh.readline().rstrip("\n")
-        if head != CSV_HEADER:
-            raise DiagnosticsFormatError(
-                f"header mismatch in {path}: {head!r}")
+        _check_header(fh, path)
         return [_parse_row(line.rstrip("\n"), i)
                 for i, line in enumerate(fh, start=2) if line.strip()]
 
 
 def write_stopping_record(rec: StoppingRecord, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"kind = {rec.kind}\n")
-        fh.write(f"threshold = {rec.threshold!r}\n")
-        fh.write(f"triggered = {'yes' if rec.triggered else 'no'}\n")
-        if rec.trigger_time is not None:
-            fh.write(f"trigger_time = {rec.trigger_time!r}\n")
-        fh.write(f"trigger_value = {rec.trigger_value!r}\n")
-
-
-def read_stopping_record(path) -> StoppingRecord:
-    kv = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if "=" in line:
-                key, _, val = line.partition("=")
-                kv[key.strip()] = val.strip()
-    return StoppingRecord(
-        kind=kv["kind"],
-        threshold=float(kv["threshold"]),
-        triggered=kv["triggered"] == "yes",
-        trigger_time=(float(kv["trigger_time"])
-                      if "trigger_time" in kv else None),
-        trigger_value=float(kv["trigger_value"]))
+    time = ([] if rec.trigger_time is None
+            else [("trigger_time", rec.trigger_time)])
+    write_key_values([("kind", rec.kind), ("threshold", rec.threshold),
+                      ("triggered", "yes" if rec.triggered else "no")]
+                     + time + [("trigger_value", rec.trigger_value)], path)
 
 
 def write_key_values(pairs, path) -> None:

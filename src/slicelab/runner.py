@@ -10,16 +10,19 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from . import experiments as experiments_mod
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, render_config
 from .diagnostics import (circulation, energy, generalized_enstrophy)
-from .dynamics import (cutoff_factors, rhs_deterministic, rhs_truncated,
+from .dynamics import (cutoffs_from_norms, rhs_deterministic, rhs_truncated,
                        step_rk4)
 from .errors import ConfigError, DivergedError
 from .incompressible import max_divergence
-from .norms import W1INF as _W1INF, l2, norm
+from .norms import W1INF, l2, norm, state_component_norms
 from .runio import (DiagnosticsRecord, append_diagnostics,
                     write_key_values, write_stopping_record)
 from .state import random_state, state_is_finite
@@ -48,54 +51,33 @@ class RunResult:
 
 
 def run(cfg: RunConfig) -> RunResult:
+    runner = _RUNNERS.get(cfg.mode)
+    if runner is None:
+        raise ConfigError(f"unknown mode {cfg.mode!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, ECHO_FILE), "w",
               encoding="ascii") as fh:
         fh.write(render_config(cfg))
-    if cfg.mode in ("sim-det", "sim-sde", "sim-transform"):
-        return _run_sim(cfg)
-    if cfg.mode == "mc-hitting":
-        return _run_mc_hitting(cfg)
-    if cfg.mode == "mc-global":
-        return _run_mc_global(cfg)
-    if cfg.mode == "convergence":
-        return _run_convergence(cfg)
-    if cfg.mode == "diag":
-        return _run_diag(cfg)
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+    return runner(cfg)
 
 
-def _q2(q):
-    return q * q
-
-
-def _record(cfg, state, params, loop, lam=None, w_t=None, cutoffs=None):
-    c_us = c_ut = c_th = None
-    if cutoffs is not None:
-        c_us, c_ut, c_th = cutoffs
+def _record(cfg, state, params, loop, w1inf, lam=None, w_t=None,
+            cutoffs=(None, None, None)):
+    """One row; w1inf are the state's (u_S, u_T, theta_S) W^{1,inf} norms."""
     return DiagnosticsRecord(
         t=state.t,
         energy=energy(state, params),
         l2_us=l2(state.u_s),
         l2_ut=l2(state.u_t),
         l2_th=l2(state.theta_s),
-        w1inf_us=norm(state.u_s, _W1INF),
-        w1inf_ut=norm(state.u_t, _W1INF),
-        w1inf_th=norm(state.theta_s, _W1INF),
+        w1inf_us=w1inf[0], w1inf_ut=w1inf[1], w1inf_th=w1inf[2],
         zkp=norm(state, cfg.norm_spec),
         max_div=max_divergence(state.u_s),
-        enstrophy_q2=generalized_enstrophy(state, params, _q2),
+        enstrophy_q2=generalized_enstrophy(state, params, np.square),
         circulation=(None if loop is None
                      else circulation(state, params, loop)),
         lambda_=lam, w_t=w_t,
-        cutoff_us=c_us, cutoff_ut=c_ut, cutoff_th=c_th)
-
-
-def _monitor_value(state) -> float:
-    # the quantity the advection cutoff measures; the stopping time is its
-    # first crossing of the configured radius
-    return max(norm(state.u_s, _W1INF), norm(state.u_t, _W1INF),
-               norm(state.theta_s, _W1INF))
+        cutoff_us=cutoffs[0], cutoff_ut=cutoffs[1], cutoff_th=cutoffs[2])
 
 
 def _initial_state(cfg, grid, params):
@@ -123,60 +105,76 @@ def _run_sim(cfg: RunConfig) -> RunResult:
     truncated = math.isfinite(cfg.radius)
     diag_path = os.path.join(cfg.out_dir, DIAG_FILE)
     ck_path = os.path.join(cfg.out_dir, CHECKPOINT_FILE)
+    stop_path = os.path.join(cfg.out_dir, STOPPING_FILE)
 
     state = _initial_state(cfg, grid, params)
     n = cfg.n_steps()
+    for stale in (diag_path, stop_path):
+        if os.path.exists(stale):
+            os.remove(stale)  # a re-run replaces, never extends, its outputs
 
-    stochastic = cfg.mode in ("sim-sde", "sim-transform")
-    path = None
+    rhs = (partial(rhs_truncated, radius=cfg.radius) if truncated
+           else rhs_deterministic)
+
     w = None
-    if stochastic:
+    if cfg.mode == "sim-det":
+        def advance(s, i):
+            return step_rk4(s, params, cfg.dt, rhs=rhs)
+    else:
         path = sample_wiener(cfg.dt, n, 1, cfg.seed)
         w = path.w_series()
-        model = LinearMultiplicative(cfg.alpha)
-    if cfg.mode == "sim-transform":
-        state = transform_forward(state, cfg.alpha, 0.0)
+        if cfg.mode == "sim-sde":
+            model = LinearMultiplicative(cfg.alpha)
 
-    if truncated:
-        def rhs(s, p):
-            return rhs_truncated(s, p, cfg.radius)
-    else:
-        rhs = rhs_deterministic
+            def advance(s, i):
+                return step_em(s, params, cfg.dt, path.increments[:, i],
+                               model, rhs=rhs)
+        else:
+            state = transform_forward(state, cfg.alpha, 0.0)
+
+            def advance(s, i):
+                return step_transformed(s, params, cfg.dt, cfg.alpha,
+                                        float(w[i]), float(w[i + 1]))
     monitor = OnlineMonitor(NORM_THRESHOLD, cfg.radius) if truncated else None
+    row_cutoffs = truncated and cfg.mode != "sim-transform"
 
     mu = -cfg.alpha * cfg.alpha / 32.0
 
-    def emit(s, step):
+    def emit(s, step, w1inf):
         lam = w_t = None
-        if stochastic:
+        if w is not None:
             w_t = float(w[step])
             lam = math.exp(cfg.alpha * w_t + mu * s.t)
-        cut = cutoff_factors(s, cfg.radius) if (
-            truncated and cfg.mode != "sim-transform") else None
-        append_diagnostics(_record(cfg, s, params, loop, lam, w_t, cut),
-                           diag_path)
+        cut = (cutoffs_from_norms(w1inf, cfg.radius) if row_cutoffs
+               else (None, None, None))
+        append_diagnostics(_record(cfg, s, params, loop, w1inf, lam, w_t,
+                                   cut), diag_path)
+
+    def observe(s, step, row_due) -> bool:
+        # one W^{1,inf} evaluation per state feeds the row and the monitor,
+        # whose stopping time is the first crossing of the cutoff radius;
+        # a state that stops the run always gets its row
+        if not row_due and monitor is None:
+            return False
+        w1inf = state_component_norms(s, W1INF)
+        stop = monitor is not None and monitor.update(s.t, max(w1inf))
+        if row_due or stop:
+            emit(s, step, w1inf)
+        return stop
 
     def finish_stopped(s):
         write_checkpoint(s, params, ck_path, alpha=cfg.alpha)
         rec = monitor.record()
-        write_stopping_record(rec, os.path.join(cfg.out_dir, STOPPING_FILE))
+        write_stopping_record(rec, stop_path)
         return RunResult(EXIT_STOPPED, cfg.out_dir, s, stopping=rec)
 
-    emit(state, 0)
-    if monitor is not None and monitor.update(state.t, _monitor_value(state)):
+    if observe(state, 0, True):
         return finish_stopped(state)
 
     for i in range(n):
         prev = state
         try:
-            if cfg.mode == "sim-det":
-                state = step_rk4(state, params, cfg.dt, rhs=rhs)
-            elif cfg.mode == "sim-sde":
-                state = step_em(state, params, cfg.dt,
-                                path.increments[:, i], model, rhs=rhs)
-            else:
-                state = step_transformed(state, params, cfg.dt, cfg.alpha,
-                                         float(w[i]), float(w[i + 1]))
+            state = advance(state, i)
             if not state_is_finite(state):
                 raise DivergedError(
                     f"non-finite state after step to t={state.t:.6g}",
@@ -185,12 +183,7 @@ def _run_sim(cfg: RunConfig) -> RunResult:
             last = err.last_state if err.last_state is not None else prev
             write_checkpoint(last, params, ck_path, alpha=cfg.alpha)
             return RunResult(EXIT_DIVERGED, cfg.out_dir, last)
-        if (i + 1) % cfg.stride == 0 or i + 1 == n:
-            emit(state, i + 1)
-        if monitor is not None and monitor.update(state.t,
-                                                 _monitor_value(state)):
-            if (i + 1) % cfg.stride != 0 and i + 1 != n:
-                emit(state, i + 1)
+        if observe(state, i + 1, (i + 1) % cfg.stride == 0 or i + 1 == n):
             return finish_stopped(state)
 
     write_checkpoint(state, params, ck_path, alpha=cfg.alpha)
@@ -218,12 +211,11 @@ def _run_mc_hitting(cfg: RunConfig) -> RunResult:
 
 
 def _run_mc_global(cfg: RunConfig) -> RunResult:
-    spec = cfg.norm_spec
     res = experiments_mod.mc_global_regularity(
         cfg.grid(), cfg.params, cfg.alpha, cfg.threshold, cfg.amplitude,
         cfg.n_paths, cfg.t_final, cfg.dt, cfg.seed, c_tilde=cfg.c_tilde,
         data_seed=cfg.data_seed, max_mode=cfg.max_mode,
-        amplitude_spec=spec, bound_spec=spec)
+        spec=cfg.norm_spec)
     budget = experiments_mod.amplitude_threshold(cfg.alpha, cfg.threshold,
                                                  cfg.c_tilde)
     write_key_values([
@@ -240,18 +232,15 @@ def _run_mc_global(cfg: RunConfig) -> RunResult:
         ("alpha", cfg.alpha), ("threshold", cfg.threshold),
         ("c_tilde", cfg.c_tilde), ("seed", cfg.seed),
     ], os.path.join(cfg.out_dir, SUMMARY_FILE))
+    def cols(rec):
+        return ["1" if rec.triggered else "0",
+                "" if rec.trigger_time is None else repr(rec.trigger_time),
+                repr(rec.trigger_value)]
+
     lines = ["path, gbm_triggered, gbm_time, gbm_peak, amp_triggered, "
              "amp_time, amp_peak"]
-    for idx, (gr, ar) in enumerate(zip(res.gbm_records,
-                                       res.amplitude_records)):
-        lines.append(",".join([
-            str(idx),
-            "1" if gr.triggered else "0",
-            "" if gr.trigger_time is None else repr(gr.trigger_time),
-            repr(gr.trigger_value),
-            "1" if ar.triggered else "0",
-            "" if ar.trigger_time is None else repr(ar.trigger_time),
-            repr(ar.trigger_value)]))
+    lines.extend(",".join([str(idx)] + cols(gr) + cols(ar)) for idx, (gr, ar)
+                 in enumerate(zip(res.gbm_records, res.amplitude_records)))
     with open(os.path.join(cfg.out_dir, "paths.csv"), "w",
               encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -282,6 +271,13 @@ def _run_convergence(cfg: RunConfig) -> RunResult:
 def _run_diag(cfg: RunConfig) -> RunResult:
     expect = cfg.grid() if cfg.nx is not None else None
     state, params, _alpha = read_checkpoint(cfg.restart, expect_grid=expect)
-    rec = _record(cfg, state, params, cfg.loop())
+    rec = _record(cfg, state, params, cfg.loop(),
+                  state_component_norms(state, W1INF))
     append_diagnostics(rec, os.path.join(cfg.out_dir, DIAG_FILE))
     return RunResult(EXIT_COMPLETED, cfg.out_dir, state, payload=rec)
+
+
+_RUNNERS = {"sim-det": _run_sim, "sim-sde": _run_sim,
+            "sim-transform": _run_sim, "mc-hitting": _run_mc_hitting,
+            "mc-global": _run_mc_global, "convergence": _run_convergence,
+            "diag": _run_diag}

@@ -8,14 +8,14 @@ grid, plus the model time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import (Grid, Geometry, ScalarField, VectorField, VX_BASIS,
-                   VZ_BASIS, from_modes, scalar_field, vector_field,
-                   zero_scalar, zero_vector)
+                   VZ_BASIS, differentiate, from_modes, scalar_field,
+                   vector_field)
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,8 @@ def make_state(grid: Grid, t, ux, uz, ut, theta) -> SimState:
 
 
 def zero_state(grid: Grid, t: float = 0.0) -> SimState:
-    ut_basis, th_basis = scalar_bases(grid)
-    return SimState(float(t), zero_vector(grid), zero_scalar(grid, ut_basis),
-                    zero_scalar(grid, th_basis))
+    return make_state(grid, t, *(np.zeros((grid.nz, grid.nx))
+                                 for _ in range(4)))
 
 
 def state_arrays(state: SimState):
@@ -109,20 +108,6 @@ def scale_state(state: SimState, factor: float) -> SimState:
     ux, uz, ut, th = state_arrays(state)
     return make_state(state.grid, state.t, factor * ux, factor * uz,
                       factor * ut, factor * th)
-
-
-def states_close(a: SimState, b: SimState, tol: float) -> bool:
-    return all(np.max(np.abs(x - y)) <= tol
-               for x, y in zip(state_arrays(a), state_arrays(b)))
-
-
-def state_max_abs_diff(a: SimState, b: SimState) -> float:
-    return max(float(np.max(np.abs(x - y))) if x.size else 0.0
-               for x, y in zip(state_arrays(a), state_arrays(b)))
-
-
-def with_time(state: SimState, t: float) -> SimState:
-    return replace(state, t=float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +146,11 @@ def random_state(grid: Grid, seed: int, max_mode: int = 3,
                  amplitude: float = 0.5, t: float = 0.0) -> SimState:
     """Random band-limited state: u_S = grad-perp of a random streamfunction
     (divergence-free and wall-tangent by construction), random u_T, theta_S."""
-    from .grid import derivative_multi  # local import keeps module load light
-
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     psi_vals = random_scalar_values(grid, rng, max_mode, 1.0)
     psi = scalar_field(grid, psi_vals)
-    ux = -derivative_multi(psi, 0, 1).values
-    uz = derivative_multi(psi, 1, 0).values
+    ux = -differentiate(psi, "z").values
+    uz = differentiate(psi, "x").values
     speed = np.max(np.hypot(ux, uz))
     if speed > 0:
         ux = ux * (amplitude / speed)

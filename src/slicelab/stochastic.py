@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (_axpy, _check_dt, _finish_step, _rhs_arrays,
-                       _rk4_arrays, _tendency_fn, rhs_deterministic)
+from .dynamics import (_axpy, _check_dt, _euler_arrays, _finish_step,
+                       _rhs_arrays, _rk4_arrays, rhs_deterministic)
 from .errors import ConfigError, DivergedError
 from .grid import dealias, scalar_field, vector_field
 from .incompressible import leray_project
@@ -229,10 +229,7 @@ def step_em(state: SimState, params: Params, dt: float, dw, model,
     start.  With NoiseOff the noise loop is skipped entirely, which keeps
     the result bit-identical to step_euler.
     """
-    _check_dt(dt)
-    f = _tendency_fn(state.grid, params, rhs)
-    y = state_arrays(state)
-    y1 = _axpy(y, f(state.t, y), dt)
+    y1 = _euler_arrays(state, params, dt, rhs)
     diffs = noise_eval(model, state)
     if diffs:
         dw_arr = np.atleast_1d(np.asarray(dw, dtype=float))
@@ -259,8 +256,7 @@ def transform_forward(state: SimState, alpha: float, w_t: float) -> SimState:
 
 def transform_backward(state: SimState, alpha: float, w_t: float) -> SimState:
     """Inverse of transform_forward."""
-    _exp_guard(alpha, w_t)
-    return scale_state(state, math.exp(alpha * w_t))
+    return transform_forward(state, -alpha, w_t)
 
 
 def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
@@ -321,22 +317,6 @@ class StoppingRecord:
     triggered: bool
     trigger_time: float | None
     trigger_value: float
-
-
-def stopping_monitor(times, values, kind: str, threshold: float) -> StoppingRecord:
-    """Batch first-crossing scan of a recorded series (the oracle form)."""
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown monitor kind {kind!r}")
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape:
-        raise ConfigError("times and values must have matching shapes")
-    for t, v in zip(times, values):
-        if v >= threshold:
-            return StoppingRecord(kind, float(threshold), True, float(t),
-                                  float(v))
-    peak = float(values.max()) if values.size else 0.0
-    return StoppingRecord(kind, float(threshold), False, None, peak)
 
 
 class OnlineMonitor:

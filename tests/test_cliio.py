@@ -14,10 +14,10 @@ from slicelab.cli import build_parser, main as cli_main
 from slicelab.config import MODES, parse_config, render_config
 from slicelab.errors import DiagnosticsFormatError
 from slicelab.runio import (DiagnosticsRecord, append_diagnostics,
-                            format_row, read_diagnostics,
-                            read_stopping_record)
+                            format_row, read_diagnostics)
 from slicelab.runner import run
-from slicelab.state import state_max_abs_diff
+
+from helpers import read_stopping_record, state_max_abs_diff
 
 
 def _sim_text(out, *, extra="", t_final="0.05", dt="5e-3", s="0",
@@ -272,6 +272,24 @@ def test_restart_param_mismatch_refused(tmp_path):
         run(bad)
 
 
+def test_rerun_replaces_diagnostics(tmp_path):
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    run(parse_config(_sim_text(once), mode="sim-det"))
+    for _ in range(2):
+        run(parse_config(_sim_text(twice), mode="sim-det"))
+    csv = (twice / "diagnostics.csv").read_bytes()
+    assert csv == (once / "diagnostics.csv").read_bytes()
+    assert len(read_diagnostics(twice / "diagnostics.csv")) == 11
+
+
+def test_rerun_that_completes_drops_an_old_stopping_record(tmp_path):
+    out = tmp_path / "run"
+    for radius, status in (("1e-6", 2), ("1e9", 0)):
+        assert run(parse_config(_sde_text(out, radius),
+                                mode="sim-sde")).status == status
+    assert not (out / "stopping.txt").exists()
+
+
 def _sde_text(out, radius, alpha="0.4"):
     return (f"[grid]\nnx = 16\n[params]\ns = 0\n[noise]\nalpha = {alpha}\n"
             f"[time]\ndt = 5e-3\nt_final = 0.05\n[monitor]\n"
@@ -313,6 +331,30 @@ def test_huge_dt_diverges_with_last_valid_checkpoint(tmp_path):
     st, _, _ = read_checkpoint(out / "checkpoint.bin")
     from slicelab.state import state_is_finite
     assert state_is_finite(st)
+
+
+@pytest.mark.parametrize("mode,alpha,radius,status", [
+    ("sim-det", "0", "1.0", 0),       # inside the plateau throughout
+    ("sim-det", "0", "0.6", 2),       # the norm grows past the radius
+    ("sim-det", "0", "0.3", 2),       # the first row's cut-offs are < 1
+    ("sim-sde", "1.5", "0.7", 2),     # noise carries it over
+])
+def test_row_cutoffs_and_stop_value_come_from_the_row_norms(
+        tmp_path, mode, alpha, radius, status):
+    out, r = tmp_path / "run", float(radius)
+    text = _sde_text(out, radius, alpha).replace("t_final = 0.05",
+                                                  "t_final = 0.5")
+    assert run(parse_config(text, mode=mode, seed=11)).status == status
+    rows = read_diagnostics(out / "diagnostics.csv")
+    for row in rows:
+        n_us, n_ut, n_th = row.w1inf_us, row.w1inf_ut, row.w1inf_th
+        assert (row.cutoff_us, row.cutoff_ut, row.cutoff_th) == (
+            sl.cutoff(n_us, r), sl.cutoff(max(n_us, n_ut), r),
+            sl.cutoff(max(n_us, n_th), r))
+    if status == 2:
+        last, rec = rows[-1], read_stopping_record(out / "stopping.txt")
+        assert (rec.trigger_time, rec.trigger_value) == (last.t, max(
+            last.w1inf_us, last.w1inf_ut, last.w1inf_th))
 
 
 def test_sde_outputs_deterministic_for_fixed_seed(tmp_path):

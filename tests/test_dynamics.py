@@ -3,11 +3,14 @@ import pytest
 
 from slicelab import dynamics as dyn
 from slicelab.errors import ConfigError, DivergedError
-from slicelab.grid import make_grid, scalar_field, zero_scalar
+from slicelab.grid import make_grid, scalar_field
 from slicelab.incompressible import curl, max_divergence, project_values
 from slicelab.norms import W1INF, l2, state_component_norms
 from slicelab.state import (Params, make_state, random_state, state_arrays,
-                            state_max_abs_diff, tendency_arrays, zero_state)
+                            tendency_arrays, zero_state)
+
+from helpers import (rhs_vorticity, state_max_abs_diff, step_rk4_vorticity,
+                     zero_scalar)
 
 PI = np.pi
 
@@ -58,7 +61,7 @@ def test_rhs_rejects_nonfinite_state(tor64):
 def test_vorticity_rhs_buoyancy(tor64):
     X = tor64.x_mesh
     p = Params(f=2.0, g=3.0, theta0=1.5, s=0.0)
-    dom, dut, dth = dyn.rhs_vorticity(zero_scalar(tor64), zero_scalar(tor64),
+    dom, dut, dth = rhs_vorticity(zero_scalar(tor64), zero_scalar(tor64),
                                       scalar_field(tor64, np.sin(X)), p)
     assert np.max(np.abs(dom.values - p.buoyancy * np.cos(X))) <= 1e-13
     assert np.max(np.abs(dut.values)) <= 1e-13
@@ -71,7 +74,7 @@ def test_cross_formulation_rhs(geom):
     p = Params(f=1.1, g=1.7, theta0=1.3, s=0.0)
     st = random_state(g, seed=7, max_mode=4, amplitude=0.8)
     om = curl(st.u_s)
-    dom, dut, dth = dyn.rhs_vorticity(om, st.u_t, st.theta_s, p)
+    dom, dut, dth = rhs_vorticity(om, st.u_t, st.theta_s, p)
     td = dyn.rhs_deterministic(st, p)
     dom_ref = curl(td.du_s)
     scale = max(l2(om), 1.0)
@@ -171,7 +174,7 @@ def test_cross_formulation_trajectories(geom):
     om, ut, th = curl(st.u_s), st.u_t, st.theta_s
     for _ in range(100):
         st = dyn.step_rk4(st, p, 1e-3)
-        om, ut, th = dyn.step_rk4_vorticity(om, ut, th, p, 1e-3)
+        om, ut, th = step_rk4_vorticity(om, ut, th, p, 1e-3)
     om_ref = curl(st.u_s)
     err = l2(scalar_field(g, om.values - om_ref.values, om.basis))
     assert err <= 1e-6 * l2(om_ref)

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from slicelab.grid import (integrate, make_grid, scalar_field, vector_field)
 from slicelab.incompressible import (MeanVorticityWarning, curl, divergence,
                                      leray_project, max_divergence,
-                                     streamfunction_velocity,
                                      velocity_from_vorticity)
 from slicelab.norms import l2
 from slicelab.state import random_state
+
+from helpers import streamfunction_velocity
 
 PI = np.pi
 seeds = st.integers(min_value=0, max_value=2**31 - 1)

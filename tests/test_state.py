@@ -5,8 +5,9 @@ from slicelab.errors import ConfigError
 from slicelab.grid import COS, SIN, Geometry
 from slicelab.incompressible import max_divergence
 from slicelab.state import (Params, make_state, random_state, scale_state,
-                            state_arrays, state_is_finite, state_max_abs_diff,
-                            states_close, with_time, zero_state)
+                            state_arrays, state_is_finite, zero_state)
+
+from helpers import state_max_abs_diff, states_close, with_time
 
 
 def test_params_defaults():

@@ -10,8 +10,9 @@ import slicelab as sl
 from slicelab import dynamics as dyn
 from slicelab import stochastic as st
 from slicelab.norms import l2
-from slicelab.state import (Tendency, state_arrays, state_max_abs_diff,
-                            tendency_arrays)
+from slicelab.state import Tendency, state_arrays, tendency_arrays
+
+from helpers import state_max_abs_diff, stopping_monitor
 
 # identical-arithmetic contracts are asserted exactly (== 0.0); everything
 # else gets a few ulp of slack
@@ -387,7 +388,7 @@ def test_monitor_crossing_at_step_17():
     times = dt * np.arange(40)
     vals = np.zeros(40)
     vals[17:] = 5.0
-    rec = st.stopping_monitor(times, vals, st.NORM_THRESHOLD, 4.0)
+    rec = stopping_monitor(times, vals, st.NORM_THRESHOLD, 4.0)
     assert rec.triggered
     assert rec.trigger_time == 17 * dt
     assert rec.trigger_value == 5.0
@@ -396,7 +397,7 @@ def test_monitor_crossing_at_step_17():
 def test_monitor_never_triggers():
     times = np.linspace(0.0, 1.0, 11)
     vals = np.linspace(0.0, 0.9, 11)
-    rec = st.stopping_monitor(times, vals, st.GBM_THRESHOLD, 2.0)
+    rec = stopping_monitor(times, vals, st.GBM_THRESHOLD, 2.0)
     assert not rec.triggered
     assert rec.trigger_time is None
     assert rec.trigger_value == 0.9
@@ -404,7 +405,7 @@ def test_monitor_never_triggers():
 
 def test_monitor_rejects_unknown_kind():
     with pytest.raises(sl.ConfigError):
-        st.stopping_monitor([0.0], [1.0], "no_such_kind", 1.0)
+        stopping_monitor([0.0], [1.0], "no_such_kind", 1.0)
     with pytest.raises(sl.ConfigError):
         st.OnlineMonitor("no_such_kind", 1.0)
 
@@ -416,7 +417,7 @@ def test_online_monitor_matches_batch_scan(seed):
     times = np.cumsum(rng.uniform(0.01, 0.1, size=n))
     vals = rng.normal(size=n)
     threshold = float(rng.uniform(-1.0, 2.0))
-    batch = st.stopping_monitor(times, vals, st.AMPLITUDE_THRESHOLD, threshold)
+    batch = stopping_monitor(times, vals, st.AMPLITUDE_THRESHOLD, threshold)
     mon = st.OnlineMonitor(st.AMPLITUDE_THRESHOLD, threshold)
     fired = [mon.update(t, v) for t, v in zip(times, vals)]
     assert mon.record() == batch
@@ -426,6 +427,6 @@ def test_online_monitor_matches_batch_scan(seed):
 def test_monitor_idempotent():
     times = np.linspace(0.0, 2.0, 30)
     vals = np.sin(times) * 3.0
-    a = st.stopping_monitor(times, vals, st.NORM_THRESHOLD, 2.5)
-    b = st.stopping_monitor(times, vals, st.NORM_THRESHOLD, 2.5)
+    a = stopping_monitor(times, vals, st.NORM_THRESHOLD, 2.5)
+    b = stopping_monitor(times, vals, st.NORM_THRESHOLD, 2.5)
     assert a == b
