@@ -9,10 +9,14 @@ Layout, all little-endian:
     bytes 17..80 f64 lx, lz, t, f, g, theta0, s, alpha
     then four nx*nz f64 blocks, row-major x-fastest:
     u_S.x, u_S.z, u_T, theta_S
+
+A checkpoint is written to `<path>.tmp` and renamed over `path`, so a write
+that fails or is killed leaves the previous checkpoint in place.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -32,12 +36,19 @@ def write_checkpoint(state: SimState, params: Params, path,
                      alpha: float = 0.0) -> None:
     g = state.grid
     geom = 0 if g.geometry is Geometry.TORUS else 1
-    with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(MAGIC, VERSION, geom, g.nx, g.nz))
-        fh.write(_REALS.pack(g.lx, g.lz, state.t, params.f, params.g,
-                             params.theta0, params.s, alpha))
-        for block in state_arrays(state):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEAD.pack(MAGIC, VERSION, geom, g.nx, g.nz))
+            fh.write(_REALS.pack(g.lx, g.lz, state.t, params.f, params.g,
+                                 params.theta0, params.s, alpha))
+            for block in state_arrays(state):
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path, expect_grid: Grid | None = None):

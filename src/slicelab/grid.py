@@ -2,8 +2,8 @@
 
 Two desk-scale geometries stand in for a smooth bounded domain:
 
-* a periodic torus [0,Lx) x [0,Lz), handled with complex Fourier modes on
-  the lattice x_i = i*Lx/nx, z_j = j*Lz/nz;
+* a periodic torus [0,Lx) x [0,Lz), handled with the real half spectrum
+  of a 2D FFT on the lattice x_i = i*Lx/nx, z_j = j*Lz/nz;
 * a free-slip square [0,Lx] x [0,Lz], handled with sine/cosine bases on the
   cell-centred lattice x_i = (i+1/2)*Lx/nx so that no sample sits on a wall
   and both parities share one set of nodes.
@@ -15,9 +15,16 @@ cosine-in-x/sine-in-z (vanishes on the z-walls).  Scalars default to
 sine products, pressure-like fields to cosine products.
 
 Values arrays have shape (nz, nx) -- row-major with x fastest, so
-flattening gives index iz*nx + ix.  Spectral coefficients live in the raw
-DST-II/DCT-II (or FFT) layout; all coefficient-space maps below are written
-against that layout and never need the analytic normalisation factors.
+flattening gives index iz*nx + ix.  Square coefficients live in the raw
+DST-II/DCT-II layout, shape (nz, nx).  Torus coefficients are the rfft2
+half spectrum, shape (nz, nx//2 + 1): rows are the signed z modes
+0..nz/2-1, -nz/2..-1 and columns the x modes 0..nx/2.  The columns of
+negative x modes are not stored: for real fields, mode (-m_z, -m_x) is the
+complex conjugate of mode (m_z, m_x).  The Nyquist mode of each
+axis (x column nx/2, z row -nz/2) is its own conjugate partner, so its
+sampled odd derivatives are zero.  All coefficient-space maps below are
+written against these layouts and never need the analytic normalisation
+factors.
 """
 
 from __future__ import annotations
@@ -112,9 +119,10 @@ class Grid:
     # -- mode tables --------------------------------------------------------
     @cached_property
     def modes_x(self) -> np.ndarray:
-        """Integer mode numbers along x (torus: signed; square: sine modes)."""
+        """Integer mode numbers along x (torus: the half-spectrum columns
+        0..nx/2; square: sine modes)."""
         if self.geometry is Geometry.TORUS:
-            return np.rint(sfft.fftfreq(self.nx) * self.nx).astype(int)
+            return np.arange(self.nx // 2 + 1)
         return np.arange(1, self.nx + 1)
 
     @cached_property
@@ -123,8 +131,8 @@ class Grid:
             return np.rint(sfft.fftfreq(self.nz) * self.nz).astype(int)
         return np.arange(1, self.nz + 1)
 
-    # Angular wavenumbers. Torus: 2*pi*m/L signed; square: pi*m/L with the
-    # slot-to-mode maps m = slot+1 (sine) and m = slot (cosine).
+    # Angular wavenumbers. Torus: 2*pi*m/L (signed along z); square: pi*m/L
+    # with the slot-to-mode maps m = slot+1 (sine) and m = slot (cosine).
     @cached_property
     def kx(self) -> np.ndarray:
         return 2.0 * np.pi * self.modes_x / self.lx
@@ -133,13 +141,14 @@ class Grid:
     def kz(self) -> np.ndarray:
         return 2.0 * np.pi * self.modes_z / self.lz
 
-    # First-derivative wavenumbers: the Nyquist mode -n/2 is its own
-    # conjugate partner and its sampled derivative is identically zero, so
-    # odd-order operators must treat its wavenumber as 0 (even orders keep
-    # the full k; cos(n x /2) does have a sampled second derivative).
+    # First-derivative wavenumbers: the Nyquist mode (x column +nx/2, z row
+    # -nz/2) is its own conjugate partner and its sampled derivative is
+    # identically zero, so odd-order operators must treat its wavenumber as
+    # 0 (even orders keep the full k; cos(n x /2) does have a sampled second
+    # derivative).
     @cached_property
     def kx_diff(self) -> np.ndarray:
-        return np.where(self.modes_x == -self.nx // 2, 0.0, self.kx)
+        return np.where(self.modes_x == self.nx // 2, 0.0, self.kx)
 
     @cached_property
     def kz_diff(self) -> np.ndarray:
@@ -164,7 +173,8 @@ class Grid:
     # -- dealias masks (2/3 rule on integer mode numbers) -------------------
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Torus keep-mask: |m_x| <= nx/3 and |m_z| <= nz/3."""
+        """Torus keep-mask over the half spectrum: |m_x| <= nx/3 and
+        |m_z| <= nz/3."""
         keep_x = np.abs(self.modes_x) <= self.nx / 3.0
         keep_z = np.abs(self.modes_z) <= self.nz / 3.0
         return keep_z[:, None] & keep_x[None, :]
@@ -256,12 +266,12 @@ def vector_field(grid: Grid, x_values, z_values) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# transforms (raw coefficient layout)
+# transforms (raw coefficient layout; torus: rfft2 half spectrum)
 # ---------------------------------------------------------------------------
 
 def to_modes(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
     if grid.geometry is Geometry.TORUS:
-        return sfft.fft2(values)
+        return sfft.rfft2(values)
     coef = values
     # axis 1 is x, axis 0 is z
     coef = sfft.dst(coef, type=2, axis=1) if basis[0] == SIN else sfft.dct(coef, type=2, axis=1)
@@ -271,7 +281,7 @@ def to_modes(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
 
 def from_modes(grid: Grid, coef: np.ndarray, basis) -> np.ndarray:
     if grid.geometry is Geometry.TORUS:
-        return sfft.ifft2(coef).real
+        return sfft.irfft2(coef, s=(grid.nz, grid.nx))
     vals = coef
     vals = sfft.idst(vals, type=2, axis=0) if basis[1] == SIN else sfft.idct(vals, type=2, axis=0)
     vals = sfft.idst(vals, type=2, axis=1) if basis[0] == SIN else sfft.idct(vals, type=2, axis=1)

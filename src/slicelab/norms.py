@@ -50,7 +50,9 @@ def _multi_indices(k: int):
 def _field_norm(components: list[ScalarField], spec: NormSpec) -> float:
     """W^{k,p} of a scalar (1 component) or vector (2 components) field."""
     grid = components[0].grid
-    coefs = [to_modes(grid, f.values, f.basis) for f in components]
+    # only derivatives read coefficients; the L^p term uses the values
+    coefs = ([to_modes(grid, f.values, f.basis) for f in components]
+             if spec.k else [])
     bases = [f.basis for f in components]
     total = 0.0
     worst = 0.0

@@ -119,9 +119,11 @@ def random_scalar_values(grid: Grid, rng: np.random.Generator, max_mode: int,
     """Random smooth field supported on modes with |m| <= max_mode,
     normalised to the requested max amplitude.  Mean-free on the torus."""
     if grid.geometry is Geometry.TORUS:
+        # full-spectrum draw, independent of the transform layout, so the
+        # values of a seed never change
         coef = np.zeros((grid.nz, grid.nx), dtype=complex)
-        mx = grid.modes_x
-        mz = grid.modes_z
+        mx = np.rint(np.fft.fftfreq(grid.nx) * grid.nx).astype(int)
+        mz = np.rint(np.fft.fftfreq(grid.nz) * grid.nz).astype(int)
         box = ((np.abs(mz)[:, None] <= max_mode)
                & (np.abs(mx)[None, :] <= max_mode))
         box[0, 0] = False  # mean-free

@@ -170,6 +170,25 @@ def test_checkpoint_bad_version_and_truncation(tor16, tmp_path):
         read_checkpoint(trunc)
 
 
+def test_failed_checkpoint_write_keeps_previous(tor16, tmp_path,
+                                                monkeypatch):
+    import slicelab.checkpoint
+    st = sl.random_state(tor16, seed=5, max_mode=3, amplitude=0.7)
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(st, sl.Params(), path, alpha=0.25)
+    good = path.read_bytes()
+
+    def fail(state):
+        raise OSError("disk full")
+    monkeypatch.setattr(slicelab.checkpoint, "state_arrays", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(sl.zero_state(tor16), sl.Params(), path)
+    assert path.read_bytes() == good
+    assert [q.name for q in tmp_path.iterdir()] == ["checkpoint.bin"]
+    st2, _, alpha = read_checkpoint(path)
+    assert state_max_abs_diff(st, st2) == 0.0 and alpha == 0.25
+
+
 def test_checkpoint_geometry_mismatch(tor16, tmp_path):
     path = tmp_path / "a.bin"
     write_checkpoint(sl.zero_state(tor16), sl.Params(), path)

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from slicelab.errors import ConfigError
 from slicelab.grid import (COS, SIN, Geometry, dealias, derivative_values,
                            differentiate, from_modes, gaussian_lowpass,
-                           integrate, make_grid, scalar_field, to_modes)
+                           integrate, make_grid, scalar_field, to_modes,
+                           vector_field)
+from slicelab.incompressible import leray_project, velocity_from_vorticity
 from slicelab.norms import l2
 from slicelab.state import random_scalar_values
 
@@ -26,8 +28,10 @@ def random_field(grid, seed, max_mode=8, basis=None):
 
 def test_torus_wavenumbers():
     g = make_grid("torus", 64, 64, 2 * PI, 2 * PI)
-    assert set(g.modes_x) == set(range(-32, 32))
-    assert np.allclose(np.sort(g.kx), np.arange(-32, 32))
+    assert list(g.modes_x) == list(range(0, 33))
+    assert set(g.modes_z) == set(range(-32, 32))
+    assert np.allclose(g.kx, np.arange(0, 33))
+    assert np.allclose(np.sort(g.kz), np.arange(-32, 32))
 
 
 def test_square_wavenumbers():
@@ -162,5 +166,66 @@ def test_parseval_torus(tor64):
     f = random_field(tor64, 11)
     coef = to_modes(tor64, f.values, None)
     phys = integrate(tor64, f.values**2)
-    spec = np.sum(np.abs(coef) ** 2) / (64 * 64) * tor64.cell_area
+    # half spectrum: columns 1..nx/2-1 stand for themselves and their
+    # conjugate partners
+    weight = np.ones(coef.shape[1])
+    weight[1:-1] = 2.0
+    spec = np.sum(weight * np.abs(coef) ** 2) / (64 * 64) * tor64.cell_area
     assert abs(phys - spec) <= 1e-10 * max(1.0, phys)
+
+
+# -- torus half spectrum against a full-spectrum reference ------------------
+
+def _close_to(got, want):
+    # white-noise inputs: the tolerance scales with the compared output
+    return np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("nx,nz,lz", [(32, 16, 3.0), (64, 64, 2 * PI)])
+def test_torus_half_spectrum_matches_full_fft(nx, nz, lz):
+    g = make_grid("torus", nx, nz, 2 * PI, lz)
+    # full-spectrum reference: signed modes with the Nyquist mode at -n/2
+    fwd, inv = np.fft.fft2, (lambda c: np.fft.ifft2(c).real)
+    mx = np.rint(np.fft.fftfreq(nx) * nx)[None, :]
+    mz = np.rint(np.fft.fftfreq(nz) * nz)[:, None]
+    kx, kz = mx, 2 * PI * mz / lz  # lx = 2 pi
+    kx_d = np.where(mx == -nx // 2, 0.0, kx)
+    kz_d = np.where(mz == -nz // 2, 0.0, kz)
+    rng = np.random.default_rng(nx + nz)
+    # white noise fills every mode, the Nyquist row and column included
+    f, a, b = (rng.standard_normal((nz, nx)) for _ in range(3))
+    F, A, B = fwd(f), fwd(a), fwd(b)
+    assert np.max(np.abs(F[nz // 2, :])) > 1 and np.max(np.abs(F[:, nx // 2])) > 1
+
+    for ox, oz in [(1, 0), (0, 1), (2, 0), (0, 2)]:
+        sym = ((1j * (kx_d if ox % 2 else kx)) ** ox
+               * (1j * (kz_d if oz % 2 else kz)) ** oz)
+        got, _ = derivative_values(g, to_modes(g, f, None), None, ox, oz)
+        assert _close_to(got, inv(F * sym)), (ox, oz)
+
+    keep = (np.abs(mx) <= nx / 3) & (np.abs(mz) <= nz / 3)
+    assert _close_to(dealias(scalar_field(g, f)).values, inv(F * keep))
+
+    k2 = kx_d ** 2 + kz_d ** 2
+    dot = (kx_d * A + kz_d * B) / np.where(k2 > 0, k2, 1.0)
+    p = leray_project(vector_field(g, a, b))
+    assert _close_to(p.x.values, inv(A - kx_d * dot))
+    assert _close_to(p.z.values, inv(B - kz_d * dot))
+
+    omega = f - f.mean()
+    k2 = kx ** 2 + kz ** 2
+    psi = -fwd(omega) / np.where(k2 > 0, k2, np.inf)
+    u = velocity_from_vorticity(scalar_field(g, omega))
+    assert _close_to(u.x.values, inv(-1j * kz_d * psi))
+    assert _close_to(u.z.values, inv(1j * kx_d * psi))
+
+    smooth = gaussian_lowpass(scalar_field(g, f), 5.0)
+    assert _close_to(smooth.values, inv(F * np.exp(-k2 / 25.0)))
+
+
+def test_odd_x_derivatives_of_nyquist_column_vanish(tor64):
+    f = np.cos(32 * tor64.x_mesh)
+    coef = to_modes(tor64, f, None)
+    for order in (1, 3):
+        d, _ = derivative_values(tor64, coef, None, order, 0)
+        assert np.all(d == 0.0), order

@@ -77,3 +77,20 @@ def test_norm_scales_linearly(sq64):
 def test_norm_rejects_plain_array():
     with pytest.raises(ConfigError):
         norm(np.zeros((4, 4)), W1INF)
+
+
+def test_l2_takes_no_transforms(tor64, monkeypatch):
+    import slicelab.norms
+    calls = []
+    real = slicelab.norms.to_modes
+    monkeypatch.setattr(slicelab.norms, "to_modes",
+                        lambda *a: calls.append(a) or real(*a))
+    s = random_state(tor64, seed=4)
+    area = tor64.cell_area
+    parts = [(np.sum(np.hypot(s.u_s.x.values, s.u_s.z.values) ** 2)
+              * area) ** 0.5,
+             (np.sum(s.u_t.values ** 2) * area) ** 0.5,
+             (np.sum(s.theta_s.values ** 2) * area) ** 0.5]
+    assert [l2(s.u_s), l2(s.u_t), l2(s.theta_s)] == parts
+    assert l2(s) == combine(parts, 2)
+    assert calls == []

@@ -100,6 +100,6 @@ def test_random_state_band_limit(tor64):
     from slicelab.grid import to_modes
     s = random_state(tor64, seed=9, max_mode=3)
     c = to_modes(tor64, s.theta_s.values, None)
-    m = tor64.modes_x
-    far = (np.abs(m[None, :]) > 4) | (np.abs(m[:, None]) > 4)
+    mx, mz = tor64.modes_x, tor64.modes_z
+    far = (np.abs(mx[None, :]) > 4) | (np.abs(mz[:, None]) > 4)
     assert np.max(np.abs(c[far])) <= 1e-10 * np.max(np.abs(c))
