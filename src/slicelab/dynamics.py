@@ -11,10 +11,13 @@ finite-mode Galerkin truncation of the truncated system.  The truncated
 tendency multiplies each advection term by the smooth cutoff of the matching
 running norm; linear couplings are never truncated.
 
-The internal RHS core accepts per-equation advection scales and a source
-scale so the truncated and exponentially-transformed systems share one code
-path with the plain one; with all scales at 1.0 the float operation sequence
-is identical, which the bit-equality contracts of the steppers rely on.
+Every stepper calls one array-level tendency, `_rhs_arrays`, on the raw
+value arrays of each stage.  A finite cutoff radius truncates it with the
+stage's own W^{1,inf} norms; an `advect` scale on all advection terms and a
+`source_scale` on the z s source let the exponentially-transformed system
+share it.  At an infinite radius and unit scales every factor is exactly
+1.0, so the float operation sequence is the plain one, which the
+bit-equality contracts of the steppers rely on.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .errors import ConfigError, DivergedError
 from .grid import (Grid, dealias_values, derivative_values, gaussian_lowpass,
                    scalar_field, to_modes, vector_field)
 from .incompressible import project_values
-from .norms import W1INF, state_component_norms
+from .norms import W1INF, norm, state_component_norms
 from .state import (Params, SimState, Tendency, make_state, scalar_bases,
-                    state_arrays, state_is_finite, tendency_arrays)
+                    state_arrays, state_is_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -48,15 +51,21 @@ def _advect(grid: Grid, ux, uz, coef, basis):
 
 
 def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
-                adv_us: float = 1.0, adv_ut: float = 1.0,
-                adv_th: float = 1.0, source_scale: float = 1.0):
+                radius: float = math.inf, advect: float = 1.0,
+                source_scale: float = 1.0):
     """Tendency value arrays (dux, duz, dut, dth).
 
-    The scales multiply unconditionally: callers with scale 1.0 get the
-    bitwise-plain tendency.
+    The scales multiply unconditionally: callers with an infinite radius
+    and unit scales get the bitwise-plain tendency.
     """
     # u_T shares the parity class of u_x, theta_S that of u_z
     bx, bz, bt, bth = 2 * scalar_bases(grid)
+    c_us = c_ut = c_th = 1.0
+    if math.isfinite(radius):
+        c_us, c_ut, c_th = cutoffs_from_norms(
+            (norm(vector_field(grid, ux, uz), W1INF),
+             norm(scalar_field(grid, ut, bt), W1INF),
+             norm(scalar_field(grid, th, bth), W1INF)), radius)
     cux = to_modes(grid, ux, bx)
     cuz = to_modes(grid, uz, bz)
     cut = to_modes(grid, ut, bt)
@@ -68,13 +77,14 @@ def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
     adv_s = _advect(grid, ux, uz, cth, bth)
 
     buoy = params.buoyancy
+    adv_us = advect * c_us
     rx = params.f * ut - adv_us * adv_x
     rz = buoy * th - adv_us * adv_z
     dux, duz = project_values(grid, rx, rz)
 
-    dut = -adv_ut * adv_t - params.f * ux \
+    dut = -(advect * c_ut) * adv_t - params.f * ux \
         - (source_scale * buoy * params.s) * grid.z_weight
-    dth = -adv_th * adv_s - params.s * ut
+    dth = -(advect * c_th) * adv_s - params.s * ut
     return dux, duz, dut, dth
 
 
@@ -88,11 +98,7 @@ def _wrap_tendency(grid: Grid, arrays) -> Tendency:
 
 def rhs_deterministic(state: SimState, params: Params) -> Tendency:
     """Drift tendency of the slice model."""
-    if not state_is_finite(state):
-        raise DivergedError(f"non-finite state at t={state.t:.6g}",
-                            last_state=state)
-    g = state.grid
-    return _wrap_tendency(g, _rhs_arrays(g, params, *state_arrays(state)))
+    return rhs_truncated(state, params, math.inf)
 
 
 def cutoff(x: float, radius: float) -> float:
@@ -140,13 +146,10 @@ def rhs_truncated(state: SimState, params: Params, radius: float) -> Tendency:
     are exactly zero and only linear couplings remain.
     """
     if not state_is_finite(state):
-        raise DivergedError(f"non-finite state at t={state.t:.6g}",
-                            last_state=state)
-    c_us, c_ut, c_th = cutoff_factors(state, radius)
+        raise DivergedError(f"non-finite state at t={state.t:.6g}")
     g = state.grid
-    arrays = _rhs_arrays(g, params, *state_arrays(state),
-                         adv_us=c_us, adv_ut=c_ut, adv_th=c_th)
-    return _wrap_tendency(g, arrays)
+    return _wrap_tendency(g, _rhs_arrays(g, params, *state_arrays(state),
+                                         radius=radius))
 
 
 # ---------------------------------------------------------------------------
@@ -187,32 +190,31 @@ def _check_dt(dt: float):
         raise ConfigError(f"time step must be positive and finite, got {dt}")
 
 
-def _tendency_fn(grid: Grid, params: Params, rhs):
-    def f(t, y):
-        return tendency_arrays(rhs(make_state(grid, t, *y), params))
-    return f
-
-
 def step_rk4(state: SimState, params: Params, dt: float,
-             rhs=rhs_deterministic) -> SimState:
-    """One classical RK4 step; u_S re-projected afterwards."""
+             radius: float = math.inf) -> SimState:
+    """One classical RK4 step of the system truncated at `radius` (plain at
+    infinity); u_S re-projected afterwards."""
     _check_dt(dt)
-    f = _tendency_fn(state.grid, params, rhs)
+    g = state.grid
+
+    def f(t, y):
+        return _rhs_arrays(g, params, *y, radius=radius)
+
     y1 = _rk4_arrays(state_arrays(state), f, state.t, dt)
     return _finish_step(state, y1, state.t + dt)
 
 
-def _euler_arrays(state: SimState, params: Params, dt: float, rhs):
+def _euler_arrays(state: SimState, params: Params, dt: float, radius: float):
     # the drift update of Euler and Euler-Maruyama, before projection
     _check_dt(dt)
     y = state_arrays(state)
-    return _axpy(y, _tendency_fn(state.grid, params, rhs)(state.t, y), dt)
+    return _axpy(y, _rhs_arrays(state.grid, params, *y, radius=radius), dt)
 
 
 def step_euler(state: SimState, params: Params, dt: float,
-               rhs=rhs_deterministic) -> SimState:
+               radius: float = math.inf) -> SimState:
     """One explicit Euler step (the drift half of Euler-Maruyama)."""
-    return _finish_step(state, _euler_arrays(state, params, dt, rhs),
+    return _finish_step(state, _euler_arrays(state, params, dt, radius),
                         state.t + dt)
 
 

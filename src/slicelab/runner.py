@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -18,17 +17,15 @@ from . import experiments as experiments_mod
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, render_config
 from .diagnostics import (circulation, energy, generalized_enstrophy)
-from .dynamics import (cutoffs_from_norms, rhs_deterministic, rhs_truncated,
-                       step_rk4)
+from .dynamics import cutoffs_from_norms, step_rk4
 from .errors import ConfigError, DivergedError
 from .incompressible import max_divergence
 from .norms import W1INF, l2, norm, state_component_norms
 from .runio import (DiagnosticsRecord, append_diagnostics,
                     write_key_values, write_stopping_record)
-from .state import random_state, state_is_finite
+from .state import random_state
 from .stochastic import (NORM_THRESHOLD, LinearMultiplicative, OnlineMonitor,
-                         sample_wiener, step_em, step_transformed,
-                         transform_forward)
+                         sample_wiener, step_em, step_transformed)
 
 EXIT_COMPLETED = 0
 EXIT_STOPPED = 2
@@ -113,25 +110,26 @@ def _run_sim(cfg: RunConfig) -> RunResult:
         if os.path.exists(stale):
             os.remove(stale)  # a re-run replaces, never extends, its outputs
 
-    rhs = (partial(rhs_truncated, radius=cfg.radius) if truncated
-           else rhs_deterministic)
-
     w = None
     if cfg.mode == "sim-det":
         def advance(s, i):
-            return step_rk4(s, params, cfg.dt, rhs=rhs)
+            return step_rk4(s, params, cfg.dt, radius=cfg.radius)
     else:
-        path = sample_wiener(cfg.dt, n, 1, cfg.seed)
-        w = path.w_series()
+        # a restart at step k0 continues the run's own Wiener path: a longer
+        # path from the same seed begins with the shorter one's increments
+        k0 = round(state.t / cfg.dt)
+        path = sample_wiener(cfg.dt, k0 + n, 1, cfg.seed)
+        inc = path.increments[:, k0:]
+        w = path.w_series()[k0:]
         if cfg.mode == "sim-sde":
             model = LinearMultiplicative(cfg.alpha)
 
             def advance(s, i):
-                return step_em(s, params, cfg.dt, path.increments[:, i],
-                               model, rhs=rhs)
+                return step_em(s, params, cfg.dt, inc[:, i], model,
+                               radius=cfg.radius)
         else:
-            state = transform_forward(state, cfg.alpha, 0.0)
-
+            # v = e^{-alpha W} u is u itself at W(0) = 0, and a checkpoint
+            # of this mode already holds v
             def advance(s, i):
                 return step_transformed(s, params, cfg.dt, cfg.alpha,
                                         float(w[i]), float(w[i + 1]))
@@ -172,17 +170,12 @@ def _run_sim(cfg: RunConfig) -> RunResult:
         return finish_stopped(state)
 
     for i in range(n):
-        prev = state
         try:
             state = advance(state, i)
-            if not state_is_finite(state):
-                raise DivergedError(
-                    f"non-finite state after step to t={state.t:.6g}",
-                    last_state=prev)
-        except DivergedError as err:
-            last = err.last_state if err.last_state is not None else prev
-            write_checkpoint(last, params, ck_path, alpha=cfg.alpha)
-            return RunResult(EXIT_DIVERGED, cfg.out_dir, last)
+        except DivergedError:
+            # the state before the failed step is the last valid one
+            write_checkpoint(state, params, ck_path, alpha=cfg.alpha)
+            return RunResult(EXIT_DIVERGED, cfg.out_dir, state)
         if observe(state, i + 1, (i + 1) % cfg.stride == 0 or i + 1 == n):
             return finish_stopped(state)
 

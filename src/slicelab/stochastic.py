@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import (_axpy, _check_dt, _euler_arrays, _finish_step,
-                       _rhs_arrays, _rk4_arrays, rhs_deterministic)
+                       _rhs_arrays, _rk4_arrays)
 from .errors import ConfigError, DivergedError
 from .grid import dealias, scalar_field, vector_field
 from .incompressible import leray_project
@@ -221,15 +221,16 @@ def kappa_margin(model, state: SimState) -> float:
 # ---------------------------------------------------------------------------
 
 def step_em(state: SimState, params: Params, dt: float, dw, model,
-            rhs=rhs_deterministic) -> SimState:
-    """Euler-Maruyama: drift step plus per-mode diffusion * increment.
+            radius: float = math.inf) -> SimState:
+    """Euler-Maruyama: drift step (truncated at a finite `radius`) plus
+    per-mode diffusion * increment.
 
     dw holds this step's Brownian increments, one per noise mode (a scalar
     is accepted for single-mode models); diffusion is evaluated at the step
     start.  With NoiseOff the noise loop is skipped entirely, which keeps
     the result bit-identical to step_euler.
     """
-    y1 = _euler_arrays(state, params, dt, rhs)
+    y1 = _euler_arrays(state, params, dt, radius)
     diffs = noise_eval(model, state)
     if diffs:
         dw_arr = np.atleast_1d(np.asarray(dw, dtype=float))
@@ -278,10 +279,8 @@ def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
 
     def f(t, y):
         w = w_start + (w_end - w_start) * ((t - t0) / dt)
-        up = math.exp(alpha * w)
-        down = math.exp(-alpha * w)
-        return _rhs_arrays(g, params, *y, adv_us=up, adv_ut=up, adv_th=up,
-                           source_scale=down)
+        return _rhs_arrays(g, params, *y, advect=math.exp(alpha * w),
+                           source_scale=math.exp(-alpha * w))
 
     y1 = _rk4_arrays(state_arrays(state), f, t0, dt)
     damp = math.exp(-0.5 * alpha * alpha * dt)

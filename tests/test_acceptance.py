@@ -228,8 +228,7 @@ def test_criterion_07_truncated_system(tor32, tmp_path):
     radius = 10.0 * peak
     trunc = plain[0]
     for i in range(n):
-        trunc = sl.step_rk4(trunc, p, dt,
-                            rhs=lambda s_, p_: rhs_truncated(s_, p_, radius))
+        trunc = sl.step_rk4(trunc, p, dt, radius=radius)
         assert state_max_abs_diff(trunc, plain[i + 1]) <= 1e-12
 
     # tiny radius through the runner: monitor fires, exit status 2
@@ -248,7 +247,7 @@ def test_criterion_07_truncated_system(tor32, tmp_path):
     assert cutoff_factors(state, tiny) == (0.0, 0.0, 0.0)
     got = rhs_truncated(state, p, tiny)
     linear = _wrap_tendency(tor32, _rhs_arrays(
-        tor32, p, *state_arrays(state), adv_us=0.0, adv_ut=0.0, adv_th=0.0))
+        tor32, p, *state_arrays(state), advect=0.0))
     for a, b in zip(tendency_arrays(got), tendency_arrays(linear)):
         assert np.array_equal(a, b)
 

@@ -280,6 +280,26 @@ def test_restart_matches_uninterrupted_run(tmp_path):
         (rest / "checkpoint.bin").read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["sim-sde", "sim-transform"])
+def test_stochastic_restart_matches_uninterrupted_run(tmp_path, mode):
+    # the restarted segment continues the run's own Wiener path
+    def sim(out, t_final, extra=""):
+        run(parse_config(
+            f"[grid]\nnx = 32\n[params]\ns = 0\n[noise]\nalpha = 0.7\n"
+            f"[time]\ndt = 5e-3\nt_final = {t_final}\n{extra}"
+            f"[data]\namplitude = 0.3\nseed = 7\n"
+            f"[output]\nout_dir = {out}\n", mode=mode, seed=11))
+    full, half, rest = (tmp_path / d for d in ("full", "half", "rest"))
+    sim(full, "0.1")
+    sim(half, "0.05")
+    sim(rest, "0.05", extra=f"restart = {half / 'checkpoint.bin'}\n")
+    full_rows = (full / "diagnostics.csv").read_text().splitlines()
+    rest_rows = (rest / "diagnostics.csv").read_text().splitlines()
+    assert rest_rows[1:] == full_rows[11:]
+    assert (full / "checkpoint.bin").read_bytes() == \
+        (rest / "checkpoint.bin").read_bytes()
+
+
 def test_restart_param_mismatch_refused(tmp_path):
     half = tmp_path / "half"
     run(parse_config(_sim_text(half, t_final="0.05"), mode="sim-det"))
@@ -349,6 +369,20 @@ def test_huge_dt_diverges_with_last_valid_checkpoint(tmp_path):
     assert res.status == 3
     st, _, _ = read_checkpoint(out / "checkpoint.bin")
     from slicelab.state import state_is_finite
+    assert state_is_finite(st)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stage_blow_up_checkpoints_the_state_before_the_step(tmp_path):
+    # the overflow first shows inside the first step's RK4 stages; the
+    # checkpoint is the finite initial state, not a half-step stage
+    out = tmp_path / "div"
+    cfg = parse_config(_sim_text(out, dt="1e-3", t_final="0.01",
+                                 amplitude="1e100"), mode="sim-det")
+    assert run(cfg).status == 3
+    st, _, _ = read_checkpoint(out / "checkpoint.bin")
+    from slicelab.state import state_is_finite
+    assert st.t == 0.0
     assert state_is_finite(st)
 
 

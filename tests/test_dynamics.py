@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from slicelab.errors import ConfigError, DivergedError
 from slicelab.grid import make_grid, scalar_field
 from slicelab.incompressible import curl, max_divergence, project_values
 from slicelab.norms import W1INF, l2, state_component_norms
-from slicelab.state import (Params, make_state, random_state, state_arrays,
-                            tendency_arrays, zero_state)
+from slicelab.state import (Params, make_state, random_state, scale_state,
+                            state_arrays, tendency_arrays, zero_state)
+from slicelab.stochastic import step_transformed
 
 from helpers import (rhs_vorticity, state_max_abs_diff, step_rk4_vorticity,
                      zero_scalar)
@@ -99,6 +102,85 @@ def test_step_rejects_bad_dt(tor64, dt):
         dyn.step_rk4(st, P_S0, dt)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e100, 1e150, 1e200])
+def test_diverged_step_reports_its_input_state(scale):
+    # the blow-up first shows inside an RK4 stage; the error still carries
+    # the step's finite input, never a stage state
+    g = make_grid("torus", 32, 32, 2 * PI, 2 * PI)
+    st = scale_state(random_state(g, seed=3), scale)
+    with pytest.raises(DivergedError) as exc:
+        dyn.step_rk4(st, Params(), 1e-3)
+    assert exc.value.last_state is st
+
+
+# -- work per tendency and per step -----------------------------------------
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, *names) counts the calls of slicelab functions
+    through every slicelab module that imported them; returns the live
+    {name: calls} dict."""
+    counts = {}
+
+    def counter(name, orig):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return orig(*args, **kwargs)
+        return counted
+
+    def install(module, *names):
+        for name in names:
+            orig = getattr(sys.modules[f"slicelab.{module}"], name)
+            counts[name] = 0
+            wrapped = counter(name, orig)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("slicelab") and \
+                        vars(mod).get(name) is orig:
+                    monkeypatch.setattr(mod, name, wrapped)
+        return counts
+    return install
+
+
+@pytest.fixture
+def sq32_state():
+    return random_state(make_grid("square", 32, 32, PI, PI), seed=3)
+
+
+def _transforms(count_calls):
+    calls = count_calls("grid", "to_modes", "from_modes")
+    return lambda: calls["to_modes"] + calls["from_modes"]
+
+
+@pytest.mark.parametrize("radius,expected", [(float("inf"), 24), (1.0, 36)])
+def test_transforms_per_tendency(count_calls, sq32_state, radius, expected):
+    transforms = _transforms(count_calls)
+    dyn._rhs_arrays(sq32_state.grid, Params(), *state_arrays(sq32_state),
+                    radius=radius)
+    assert transforms() == expected
+
+
+@pytest.mark.parametrize("radius,expected", [(float("inf"), 100),
+                                             (1.0, 148)])
+def test_transforms_per_rk4_step(count_calls, sq32_state, radius, expected):
+    transforms = _transforms(count_calls)
+    dyn.step_rk4(sq32_state, Params(), 1e-3, radius=radius)
+    assert transforms() == expected
+
+
+def test_transforms_per_transformed_step(count_calls, sq32_state):
+    transforms = _transforms(count_calls)
+    step_transformed(sq32_state, Params(), 1e-3, 0.7, 0.1, 0.2)
+    assert transforms() == 100
+
+
+def test_rk4_step_wraps_and_checks_one_state(count_calls, sq32_state):
+    # the stages pass raw arrays; only the new state is wrapped and checked
+    calls = count_calls("state", "make_state", "state_is_finite")
+    dyn.step_rk4(sq32_state, Params(), 1e-3)
+    assert (calls["make_state"], calls["state_is_finite"]) == (1, 1)
+
+
 def test_harmonic_rotation_oracle(tor64):
     # with only uniform u_x and u_T the system reduces to du_x = f u_T,
     # du_T = -f u_x: rotation at frequency f
@@ -181,14 +263,12 @@ def test_cross_formulation_trajectories(geom):
 
 
 def test_truncated_trajectory_matches_plain(tor64):
-    from functools import partial
     st_a = random_state(tor64, seed=8, max_mode=3, amplitude=0.4)
     st_b = st_a
     p = Params()
-    rhs_r = partial(dyn.rhs_truncated, radius=1e6)
     for _ in range(10):
         st_a = dyn.step_rk4(st_a, p, 5e-3)
-        st_b = dyn.step_rk4(st_b, p, 5e-3, rhs=rhs_r)
+        st_b = dyn.step_rk4(st_b, p, 5e-3, radius=1e6)
         assert state_max_abs_diff(st_a, st_b) == 0.0
 
 

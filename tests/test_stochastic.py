@@ -10,7 +10,7 @@ import slicelab as sl
 from slicelab import dynamics as dyn
 from slicelab import stochastic as st
 from slicelab.norms import l2
-from slicelab.state import Tendency, state_arrays, tendency_arrays
+from slicelab.state import state_arrays, tendency_arrays
 
 from helpers import state_max_abs_diff, stopping_monitor
 
@@ -198,17 +198,13 @@ def test_em_linear_matches_manual_update(tor64):
 def test_em_drift_disabled_multiplies_state(tor64):
     # with the drift zeroed, one EM step is u -> u (1 + alpha dW); the
     # u_S channel additionally passes through the projector, which leaves
-    # a solenoidal field unchanged up to transform roundoff
-    def no_drift(state, params):
-        zx = np.zeros_like(state.u_t.values)
-        return Tendency(sl.vector_field(tor64, zx.copy(), zx.copy()),
-                        sl.scalar_field(tor64, zx.copy()),
-                        sl.scalar_field(tor64, zx.copy()))
-
+    # a solenoidal field unchanged up to transform roundoff.  f = g = s = 0
+    # drops the linear couplings and a tiny radius sets every advection
+    # cutoff to exactly 0, so the drift is exactly zero
     s = sl.random_state(tor64, seed=3, max_mode=4, amplitude=0.5)
     dw = 0.37
-    got = st.step_em(s, sl.Params(), 1e-3, dw,
-                     st.LinearMultiplicative(alpha=0.5), rhs=no_drift)
+    got = st.step_em(s, sl.Params(f=0.0, g=0.0, s=0.0), 1e-3, dw,
+                     st.LinearMultiplicative(alpha=0.5), radius=1e-12)
     fac = 1.0 + 0.5 * dw
     for a, b in ((got.u_t.values, s.u_t.values),
                  (got.theta_s.values, s.theta_s.values)):
