@@ -219,6 +219,8 @@ def parse_config(text: str, *, mode: str | None = None,
 
 
 def _apply_defaults(cfg: RunConfig) -> RunConfig:
+    if cfg.mode == "diag" and cfg.nx is None:
+        return cfg  # the checkpoint's grid sets the domain: see `with_grid`
     updates = {}
     if cfg.nx is not None and cfg.nz is None:
         updates["nz"] = cfg.nx
@@ -234,6 +236,13 @@ def _apply_defaults(cfg: RunConfig) -> RunConfig:
         if cfg.loop_cz is None:
             updates["loop_cz"] = 0.5 * lz
     return replace(cfg, **updates) if updates else cfg
+
+
+def with_grid(cfg: RunConfig, grid: Grid) -> RunConfig:
+    """`cfg` on the domain of `grid`, with the defaults that depend on it."""
+    return _apply_defaults(replace(cfg, geometry=grid.geometry.value,
+                                   nx=grid.nx, nz=grid.nz, lx=grid.lx,
+                                   lz=grid.lz))
 
 
 def _require(cfg: RunConfig, attr: str, key: str):

@@ -59,8 +59,7 @@ def potential_vorticity(state: SimState, params: Params) -> ScalarField:
     dx_th = differentiate(state.theta_s, "x").values
     dz_th = differentiate(state.theta_s, "z").values
     q = params.s * om.values - (dx_ut + params.f) * dz_th + dz_ut * dx_th
-    basis = NEUMANN_BASIS if g.geometry is Geometry.SQUARE else None
-    return scalar_field(g, q, basis)
+    return scalar_field(g, q, NEUMANN_BASIS)
 
 
 def generalized_enstrophy(state: SimState, params: Params, phi) -> float:
@@ -179,8 +178,7 @@ def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
     around the loop, with bilinear sampling of the integrand fields."""
     g = state.grid
     pts = loop.points
-    if g.geometry is Geometry.SQUARE:
-        _check_inside(g, pts)
+    _check_inside(g, pts)
     dx_th = differentiate(state.theta_s, "x").values
     dz_th = differentiate(state.theta_s, "z").values
     coef = state.u_t.values + params.f * g.x_mesh

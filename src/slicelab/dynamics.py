@@ -27,12 +27,13 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DivergedError
-from .grid import (Grid, dealias_values, derivative_values, gaussian_lowpass,
-                   scalar_field, to_modes, vector_field)
+from .grid import (VX_BASIS, VZ_BASIS, Grid, dealias_values,
+                   derivative_values, gaussian_lowpass, scalar_field, to_modes,
+                   vector_field)
 from .incompressible import project_values
 from .norms import W1INF, norm, state_component_norms
-from .state import (Params, SimState, Tendency, make_state, scalar_bases,
-                    state_arrays, state_is_finite)
+from .state import (THETA_BASIS, UT_BASIS, Params, SimState, Tendency,
+                    make_state, state_arrays, state_is_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +59,7 @@ def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
     The scales multiply unconditionally: callers with an infinite radius
     and unit scales get the bitwise-plain tendency.
     """
-    # u_T shares the parity class of u_x, theta_S that of u_z
-    bx, bz, bt, bth = 2 * scalar_bases(grid)
+    bx, bz, bt, bth = VX_BASIS, VZ_BASIS, UT_BASIS, THETA_BASIS
     c_us = c_ut = c_th = 1.0
     if math.isfinite(radius):
         c_us, c_ut, c_th = cutoffs_from_norms(
@@ -90,10 +90,9 @@ def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
 
 def _wrap_tendency(grid: Grid, arrays) -> Tendency:
     dux, duz, dut, dth = arrays
-    ut_basis, th_basis = scalar_bases(grid)
     return Tendency(vector_field(grid, dux, duz),
-                    scalar_field(grid, dut, ut_basis),
-                    scalar_field(grid, dth, th_basis))
+                    scalar_field(grid, dut, UT_BASIS),
+                    scalar_field(grid, dth, THETA_BASIS))
 
 
 def rhs_deterministic(state: SimState, params: Params) -> Tendency:

@@ -22,9 +22,23 @@ half spectrum, shape (nz, nx//2 + 1): rows are the signed z modes
 negative x modes are not stored: for real fields, mode (-m_z, -m_x) is the
 complex conjugate of mode (m_z, m_x).  The Nyquist mode of each
 axis (x column nx/2, z row -nz/2) is its own conjugate partner, so its
-sampled odd derivatives are zero.  All coefficient-space maps below are
-written against these layouts and never need the analytic normalisation
-factors.
+sampled odd derivatives are zero.
+
+This module owns these layouts: every other module reaches them through
+the per-basis tables of `Grid`, built once per grid and basis.  A basis is
+an (x-parity, z-parity) pair; the torus ignores it.
+
+* `modes(basis)`: the integer mode number of each slot (square: sine slot
+  m-1 holds mode m, cosine slot m holds mode m);
+* `wavenumbers(basis, odd)`: the angular wavenumbers, with the torus
+  Nyquist k = 0 for odd derivatives;
+* `k2(basis, odd)`: |k|^2; with odd, the symbol of div.grad;
+* `laplacian_symbol(basis, odd)`: -|k|^2 with inf where it vanishes, the
+  divisor that inverts the Laplacian (or div.grad) off its null modes;
+* `keep(basis)`: the 2/3-rule mask;
+* `derivative_factor(axis, order)`: the torus (i*k)^order.
+
+The coefficient-space maps never need the analytic normalisation factors.
 """
 
 from __future__ import annotations
@@ -116,75 +130,93 @@ class Grid:
     def cell_area(self) -> float:
         return (self.lx / self.nx) * (self.lz / self.nz)
 
-    # -- mode tables --------------------------------------------------------
+    # -- per-basis coefficient tables (see the module docstring) -------------
     @cached_property
-    def modes_x(self) -> np.ndarray:
-        """Integer mode numbers along x (torus: the half-spectrum columns
-        0..nx/2; square: sine modes)."""
+    def _tables(self) -> dict:
+        return {}
+
+    def _cached(self, key, build):
+        tables = self._tables
+        if key not in tables:
+            tables[key] = build()
+        return tables[key]
+
+    def _parities(self, basis) -> tuple:
         if self.geometry is Geometry.TORUS:
-            return np.arange(self.nx // 2 + 1)
-        return np.arange(1, self.nx + 1)
+            return None, None
+        return tuple(basis)
 
-    @cached_property
-    def modes_z(self) -> np.ndarray:
-        if self.geometry is Geometry.TORUS:
-            return np.rint(sfft.fftfreq(self.nz) * self.nz).astype(int)
-        return np.arange(1, self.nz + 1)
+    def modes(self, basis) -> tuple[np.ndarray, np.ndarray]:
+        """Integer mode numbers (m_x, m_z) of the coefficient slots.
 
-    # Angular wavenumbers. Torus: 2*pi*m/L (signed along z); square: pi*m/L
-    # with the slot-to-mode maps m = slot+1 (sine) and m = slot (cosine).
-    @cached_property
-    def kx(self) -> np.ndarray:
-        return 2.0 * np.pi * self.modes_x / self.lx
+        Torus: the half-spectrum columns 0..nx/2 and the signed rows.
+        Square: sine slot m-1 holds mode m, cosine slot m holds mode m.
+        """
+        px, pz = self._parities(basis)
 
-    @cached_property
-    def kz(self) -> np.ndarray:
-        return 2.0 * np.pi * self.modes_z / self.lz
+        def build():
+            if self.geometry is Geometry.TORUS:
+                return (np.arange(self.nx // 2 + 1),
+                        np.rint(sfft.fftfreq(self.nz) * self.nz).astype(int))
+            return tuple(np.arange(1, n + 1) if p == SIN else np.arange(n)
+                         for n, p in ((self.nx, px), (self.nz, pz)))
+        return self._cached(("modes", px, pz), build)
 
-    # First-derivative wavenumbers: the Nyquist mode (x column +nx/2, z row
-    # -nz/2) is its own conjugate partner and its sampled derivative is
-    # identically zero, so odd-order operators must treat its wavenumber as
-    # 0 (even orders keep the full k; cos(n x /2) does have a sampled second
-    # derivative).
-    @cached_property
-    def kx_diff(self) -> np.ndarray:
-        return np.where(self.modes_x == self.nx // 2, 0.0, self.kx)
+    def wavenumbers(self, basis, odd: bool = False):
+        """Angular wavenumbers (k_x, k_z): 2*pi*m/L on the torus, pi*m/L on
+        the square.
 
-    @cached_property
-    def kz_diff(self) -> np.ndarray:
-        return np.where(self.modes_z == -self.nz // 2, 0.0, self.kz)
+        odd: the first-derivative wavenumbers.  The torus Nyquist mode (x
+        column +nx/2, z row -nz/2) is its own conjugate partner and its
+        sampled odd derivatives vanish, so it gets k = 0 (even orders keep
+        the full k; cos(n x/2) does have a sampled second derivative).  The
+        square's odd derivatives shift slots instead, so odd changes nothing
+        there.
+        """
+        px, pz = self._parities(basis)
+        odd = odd and self.geometry is Geometry.TORUS
 
-    @cached_property
-    def kx_sin(self) -> np.ndarray:
-        return np.pi * np.arange(1, self.nx + 1) / self.lx
+        def build():
+            mx, mz = self.modes(basis)
+            scale = 2.0 * np.pi if self.geometry is Geometry.TORUS else np.pi
+            kx, kz = scale * mx / self.lx, scale * mz / self.lz
+            if odd:
+                kx = np.where(mx == self.nx // 2, 0.0, kx)
+                kz = np.where(mz == -self.nz // 2, 0.0, kz)
+            return kx, kz
+        return self._cached(("k", px, pz, odd), build)
 
-    @cached_property
-    def kz_sin(self) -> np.ndarray:
-        return np.pi * np.arange(1, self.nz + 1) / self.lz
+    def k2(self, basis, odd: bool = False) -> np.ndarray:
+        """|k|^2 over the coefficient slots; odd: the symbol of div.grad."""
+        def build():
+            kx, kz = self.wavenumbers(basis, odd)
+            return kx[None, :] ** 2 + kz[:, None] ** 2
+        return self._cached(("k2", *self._parities(basis), odd), build)
 
-    @cached_property
-    def kx_cos(self) -> np.ndarray:
-        return np.pi * np.arange(self.nx) / self.lx
+    def laplacian_symbol(self, basis, odd: bool = False) -> np.ndarray:
+        """-|k|^2 with +inf where it vanishes: dividing coefficients by it
+        inverts the Laplacian (div.grad when odd) and zeroes its null
+        modes."""
+        def build():
+            k2 = self.k2(basis, odd)
+            return np.where(k2 > 0, -k2, np.inf)
+        return self._cached(("lap", *self._parities(basis), odd), build)
 
-    @cached_property
-    def kz_cos(self) -> np.ndarray:
-        return np.pi * np.arange(self.nz) / self.lz
+    def keep(self, basis) -> np.ndarray:
+        """2/3-rule keep-mask: |m_x| <= nx/3 and |m_z| <= nz/3."""
+        def build():
+            mx, mz = self.modes(basis)
+            return ((np.abs(mz) <= self.nz / 3.0)[:, None]
+                    & (np.abs(mx) <= self.nx / 3.0)[None, :])
+        return self._cached(("keep", *self._parities(basis)), build)
 
-    # -- dealias masks (2/3 rule on integer mode numbers) -------------------
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Torus keep-mask over the half spectrum: |m_x| <= nx/3 and
-        |m_z| <= nz/3."""
-        keep_x = np.abs(self.modes_x) <= self.nx / 3.0
-        keep_z = np.abs(self.modes_z) <= self.nz / 3.0
-        return keep_z[:, None] & keep_x[None, :]
-
-    def keep_1d(self, axis: str, parity: str) -> np.ndarray:
-        """Square keep-vector for one axis in the given parity's slot layout."""
-        n = self.nx if axis == "x" else self.nz
-        slots = np.arange(n)
-        modes = slots + 1 if parity == SIN else slots
-        return modes <= n / 3.0
+    def derivative_factor(self, axis: str, order: int) -> np.ndarray:
+        """Torus (i*k)^order along `axis`, broadcast over the half spectrum."""
+        def build():
+            kx, kz = self.wavenumbers(None, order % 2 == 1)
+            k = kx[None, :] if axis == "x" else kz[:, None]
+            return (1j * k) ** order
+        return self._cached(("d", axis, order), build)
 
     def __repr__(self) -> str:  # keep dataclass repr free of cached arrays
         return (f"Grid({self.geometry.value}, {self.nx}x{self.nz}, "
@@ -258,11 +290,8 @@ def scalar_field(grid: Grid, values, basis: tuple[str, str] | None = None) -> Sc
 
 def vector_field(grid: Grid, x_values, z_values) -> VectorField:
     """Velocity-like vector field; square components get the u.n = 0 bases."""
-    if grid.geometry is Geometry.SQUARE:
-        return VectorField(ScalarField(grid, x_values, VX_BASIS),
-                           ScalarField(grid, z_values, VZ_BASIS))
-    return VectorField(ScalarField(grid, x_values),
-                       ScalarField(grid, z_values))
+    return VectorField(ScalarField(grid, x_values, VX_BASIS),
+                       ScalarField(grid, z_values, VZ_BASIS))
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +332,13 @@ def axis_derivative_modes(grid: Grid, coef: np.ndarray, basis, axis: str,
     the flipped basis is dropped; dealiased fields never populate it.
     """
     if grid.geometry is Geometry.TORUS:
-        if order % 2:
-            k = grid.kx_diff[None, :] if axis == "x" else grid.kz_diff[:, None]
-        else:
-            k = grid.kx[None, :] if axis == "x" else grid.kz[:, None]
-        return coef * (1j * k) ** order, basis
+        return coef * grid.derivative_factor(axis, order), basis
 
     ax = 1 if axis == "x" else 0      # array axis (arrays are [z, x])
     bi = 0 if axis == "x" else 1      # basis-tuple slot (tuples are (x, z))
     parity = basis[bi]
-    ksin = grid.kx_sin if axis == "x" else grid.kz_sin
-    kcos = grid.kx_cos if axis == "x" else grid.kz_cos
+    ksin = grid.wavenumbers(SCALAR_BASIS)[bi]
+    kcos = grid.wavenumbers(NEUMANN_BASIS)[bi]
 
     def along(vec):
         return vec[None, :] if ax == 1 else vec[:, None]
@@ -366,12 +391,8 @@ def differentiate(field: ScalarField, axis: str) -> ScalarField:
 
 def dealias_values(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
     """Array-level dealias for hot paths (no field wrapping)."""
-    if grid.geometry is Geometry.TORUS:
-        keep = grid.dealias_mask
-    else:
-        keep = (grid.keep_1d("z", basis[1])[:, None]
-                & grid.keep_1d("x", basis[0])[None, :])
-    return from_modes(grid, to_modes(grid, values, basis) * keep, basis)
+    return from_modes(grid, to_modes(grid, values, basis) * grid.keep(basis),
+                      basis)
 
 
 def dealias(field: ScalarField) -> ScalarField:
@@ -387,13 +408,8 @@ def gaussian_lowpass(field: ScalarField, j: float) -> ScalarField:
     2*pi torus and on the unit-pi square).
     """
     g = field.grid
-    if g.geometry is Geometry.TORUS:
-        k2 = g.kx[None, :] ** 2 + g.kz[:, None] ** 2
-    else:
-        kx = g.kx_sin if field.basis[0] == SIN else g.kx_cos
-        kz = g.kz_sin if field.basis[1] == SIN else g.kz_cos
-        k2 = kx[None, :] ** 2 + kz[:, None] ** 2
-    coef = to_modes(g, field.values, field.basis) * np.exp(-k2 / float(j) ** 2)
+    coef = to_modes(g, field.values, field.basis) * np.exp(
+        -g.k2(field.basis) / float(j) ** 2)
     return ScalarField(g, from_modes(g, coef, field.basis), field.basis)
 
 

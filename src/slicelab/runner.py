@@ -15,7 +15,7 @@ import numpy as np
 
 from . import experiments as experiments_mod
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import RunConfig, render_config
+from .config import RunConfig, render_config, with_grid
 from .diagnostics import (circulation, energy, generalized_enstrophy)
 from .dynamics import cutoffs_from_norms, step_rk4
 from .errors import ConfigError, DivergedError
@@ -52,10 +52,14 @@ def run(cfg: RunConfig) -> RunResult:
     if runner is None:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_echo(cfg)
+    return runner(cfg)
+
+
+def _write_echo(cfg: RunConfig):
     with open(os.path.join(cfg.out_dir, ECHO_FILE), "w",
               encoding="ascii") as fh:
         fh.write(render_config(cfg))
-    return runner(cfg)
 
 
 def _record(cfg, state, params, loop, w1inf, lam=None, w_t=None,
@@ -264,6 +268,10 @@ def _run_convergence(cfg: RunConfig) -> RunResult:
 def _run_diag(cfg: RunConfig) -> RunResult:
     expect = cfg.grid() if cfg.nx is not None else None
     state, params, _alpha = read_checkpoint(cfg.restart, expect_grid=expect)
+    if expect is None:
+        # the loop centre and the echo follow the checkpoint's domain
+        cfg = with_grid(cfg, state.grid)
+        _write_echo(cfg)
     rec = _record(cfg, state, params, cfg.loop(),
                   state_component_norms(state, W1INF))
     append_diagnostics(rec, os.path.join(cfg.out_dir, DIAG_FILE))

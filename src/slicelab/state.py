@@ -13,9 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import (Grid, Geometry, ScalarField, VectorField, VX_BASIS,
-                   VZ_BASIS, differentiate, from_modes, scalar_field,
+from .grid import (Grid, Geometry, SCALAR_BASIS, ScalarField, VectorField,
+                   VX_BASIS, VZ_BASIS, differentiate, from_modes, scalar_field,
                    vector_field)
+
+#: Square parity classes of u_T and theta_S (the torus ignores them).  The
+#: f-coupling (du_x gains f u_T, du_T loses f u_x) forces u_T into the
+#: x-velocity class sin(x)cos(z); the buoyancy coupling (du_z gains
+#: (g/theta0) theta_S) forces theta_S into the z-velocity class
+#: cos(x)sin(z).  With these the vorticity equation closes in sin.sin.
+UT_BASIS = VX_BASIS
+THETA_BASIS = VZ_BASIS
 
 
 @dataclass(frozen=True)
@@ -63,25 +71,11 @@ class Tendency:
     dtheta_s: ScalarField
 
 
-def scalar_bases(grid: Grid):
-    """Square parity classes for (u_T, theta_S); None pair on the torus.
-
-    The f-coupling (du_x gains f u_T, du_T loses f u_x) forces u_T into the
-    x-velocity class sin(x)cos(z); the buoyancy coupling (du_z gains
-    (g/theta0) theta_S) forces theta_S into the z-velocity class
-    cos(x)sin(z).  With these the vorticity equation closes in sin.sin.
-    """
-    if grid.geometry is Geometry.SQUARE:
-        return VX_BASIS, VZ_BASIS
-    return None, None
-
-
 def make_state(grid: Grid, t, ux, uz, ut, theta) -> SimState:
     """Wrap raw value arrays in a state with the canonical square bases."""
-    ut_basis, th_basis = scalar_bases(grid)
     return SimState(float(t), vector_field(grid, ux, uz),
-                    scalar_field(grid, ut, ut_basis),
-                    scalar_field(grid, theta, th_basis))
+                    scalar_field(grid, ut, UT_BASIS),
+                    scalar_field(grid, theta, THETA_BASIS))
 
 
 def zero_state(grid: Grid, t: float = 0.0) -> SimState:
@@ -130,12 +124,10 @@ def random_scalar_values(grid: Grid, rng: np.random.Generator, max_mode: int,
         coef[box] = rng.standard_normal(box.sum()) + 1j * rng.standard_normal(box.sum())
         vals = np.real(np.fft.ifft2(coef))
     else:
-        if basis is None:
-            basis = ("sin", "sin")
+        basis = basis or SCALAR_BASIS
+        mx, mz = grid.modes(basis)
         coef = np.zeros((grid.nz, grid.nx))
-        keep_x = (np.arange(grid.nx) + (1 if basis[0] == "sin" else 0)) <= max_mode
-        keep_z = (np.arange(grid.nz) + (1 if basis[1] == "sin" else 0)) <= max_mode
-        box = keep_z[:, None] & keep_x[None, :]
+        box = (mz[:, None] <= max_mode) & (mx[None, :] <= max_mode)
         coef[box] = rng.standard_normal(box.sum())
         vals = from_modes(grid, coef, basis)
     peak = np.max(np.abs(vals))
@@ -157,7 +149,7 @@ def random_state(grid: Grid, seed: int, max_mode: int = 3,
     if speed > 0:
         ux = ux * (amplitude / speed)
         uz = uz * (amplitude / speed)
-    ut_basis, th_basis = scalar_bases(grid)
-    ut = random_scalar_values(grid, rng, max_mode, amplitude, basis=ut_basis)
-    th = random_scalar_values(grid, rng, max_mode, amplitude, basis=th_basis)
+    ut = random_scalar_values(grid, rng, max_mode, amplitude, basis=UT_BASIS)
+    th = random_scalar_values(grid, rng, max_mode, amplitude,
+                              basis=THETA_BASIS)
     return make_state(grid, t, ux, uz, ut, th)

@@ -1,15 +1,18 @@
 """What only the tests use: state comparisons, zero fields, the
 stream-function velocity, the vorticity-form cross-check of the primitive
-stepper, the batch oracle of the online stopping monitor and the
-stopping-record reader."""
+stepper, the batch oracle of the online stopping monitor, the
+stopping-record reader, and per-geometry oracles of the spectral operators
+that the grid's per-basis tables now serve with one body."""
 
 from dataclasses import replace
 
 import numpy as np
+import scipy.fft as sfft
 
 from slicelab.dynamics import _advect, _rk4_arrays
 from slicelab.errors import ConfigError
-from slicelab.grid import (ScalarField, VectorField, axis_derivative_modes,
+from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
+                           VX_BASIS, VZ_BASIS, axis_derivative_modes,
                            derivative_values, from_modes, scalar_field,
                            to_modes, vector_field)
 from slicelab.incompressible import velocity_from_vorticity
@@ -113,3 +116,126 @@ def read_stopping_record(path) -> StoppingRecord:
                           kv["triggered"] == "yes",
                           None if t is None else float(t),
                           float(kv["trigger_value"]))
+
+
+# ---------------------------------------------------------------------------
+# per-geometry operator oracles: each geometry's tables and bodies written
+# out separately, as the package had them before the grid owned the
+# coefficient layout
+# ---------------------------------------------------------------------------
+
+class OracleTables:
+    """Torus: kx, kz and the first-derivative kx_diff, kz_diff over the
+    rfft2 half spectrum.  Square: sine and cosine wavenumbers per axis."""
+
+    def __init__(self, grid):
+        self.nx, self.nz = grid.nx, grid.nz
+        if grid.geometry is Geometry.TORUS:
+            self.modes_x = np.arange(grid.nx // 2 + 1)
+            self.modes_z = np.rint(sfft.fftfreq(grid.nz) * grid.nz).astype(int)
+            self.kx = 2.0 * np.pi * self.modes_x / grid.lx
+            self.kz = 2.0 * np.pi * self.modes_z / grid.lz
+            self.kx_diff = np.where(self.modes_x == grid.nx // 2, 0.0,
+                                    self.kx)
+            self.kz_diff = np.where(self.modes_z == -grid.nz // 2, 0.0,
+                                    self.kz)
+        self.kx_sin = np.pi * np.arange(1, grid.nx + 1) / grid.lx
+        self.kz_sin = np.pi * np.arange(1, grid.nz + 1) / grid.lz
+        self.kx_cos = np.pi * np.arange(grid.nx) / grid.lx
+        self.kz_cos = np.pi * np.arange(grid.nz) / grid.lz
+
+    def keep_1d(self, axis: str, parity: str) -> np.ndarray:
+        n = self.nx if axis == "x" else self.nz
+        slots = np.arange(n)
+        modes = slots + 1 if parity == SIN else slots
+        return modes <= n / 3.0
+
+
+def oracle_torus_project_modes(t: OracleTables, cx, cz):
+    kx = t.kx_diff[None, :]
+    kz = t.kz_diff[:, None]
+    k2 = kx ** 2 + kz ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(k2 > 0, 1.0 / k2, 0.0)
+    dot = (kx * cx + kz * cz) * inv
+    return cx - kx * dot, cz - kz * dot
+
+
+def oracle_square_project_modes(t: OracleTables, a, b):
+    nx, nz = t.nx, t.nz
+    kxs, kzs = t.kx_sin, t.kz_sin
+    kxc, kzc = t.kx_cos, t.kz_cos
+
+    d = np.zeros((nz, nx))
+    d[:, 1:] += kxc[1:][None, :] * a[:, :-1]       # d_x vx -> cos-cos
+    d[1:, :] += kzc[1:][:, None] * b[:-1, :]       # d_z vz -> cos-cos
+
+    k2 = kxc[None, :] ** 2 + kzc[:, None] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(k2 > 0, -d / k2, 0.0)       # laplacian(phi) = div v
+
+    gx = np.zeros_like(a)
+    gx[:, :-1] = -kxs[:-1][None, :] * phi[:, 1:]   # d_x phi in vx basis
+    gz = np.zeros_like(b)
+    gz[:-1, :] = -kzs[:-1][:, None] * phi[1:, :]   # d_z phi in vz basis
+    return a - gx, b - gz
+
+
+def oracle_project_values(grid, x_values, z_values):
+    t = OracleTables(grid)
+    if grid.geometry is Geometry.TORUS:
+        px, pz = oracle_torus_project_modes(
+            t, to_modes(grid, x_values, None), to_modes(grid, z_values, None))
+        return from_modes(grid, px, None), from_modes(grid, pz, None)
+    pa, pb = oracle_square_project_modes(
+        t, to_modes(grid, x_values, VX_BASIS), to_modes(grid, z_values,
+                                                       VZ_BASIS))
+    return from_modes(grid, pa, VX_BASIS), from_modes(grid, pb, VZ_BASIS)
+
+
+def oracle_velocity_from_vorticity(grid, omega_values):
+    """(u_x, u_z) value arrays of grad-perp(laplacian^-1 omega)."""
+    t = OracleTables(grid)
+    if grid.geometry is Geometry.TORUS:
+        c = to_modes(grid, omega_values, None)
+        k2 = t.kx[None, :] ** 2 + t.kz[:, None] ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psi = np.where(k2 > 0, -c / k2, 0.0)
+        ux = -psi * (1j * t.kz_diff[:, None]) ** 1
+        uz = psi * (1j * t.kx_diff[None, :]) ** 1
+        return from_modes(grid, ux, None), from_modes(grid, uz, None)
+    c = to_modes(grid, omega_values, (SIN, SIN))
+    k2 = t.kx_sin[None, :] ** 2 + t.kz_sin[:, None] ** 2
+    psi = -c / k2
+    # d/dz of a sine-z mode m is +k_m times cosine-z mode m: slot m-1 -> m
+    ux = np.zeros_like(psi)
+    ux[1:, :] = t.kz_cos[1:][:, None] * (-psi)[:-1, :]
+    uz = np.zeros_like(psi)
+    uz[:, 1:] = t.kx_cos[1:][None, :] * psi[:, :-1]
+    return from_modes(grid, ux, VX_BASIS), from_modes(grid, uz, VZ_BASIS)
+
+
+def oracle_k2(grid, basis):
+    t = OracleTables(grid)
+    if grid.geometry is Geometry.TORUS:
+        return t.kx[None, :] ** 2 + t.kz[:, None] ** 2
+    kx = t.kx_sin if basis[0] == SIN else t.kx_cos
+    kz = t.kz_sin if basis[1] == SIN else t.kz_cos
+    return kx[None, :] ** 2 + kz[:, None] ** 2
+
+
+def oracle_gaussian_lowpass(grid, values, basis, j: float):
+    coef = to_modes(grid, values, basis) * np.exp(
+        -oracle_k2(grid, basis) / float(j) ** 2)
+    return from_modes(grid, coef, basis)
+
+
+def oracle_dealias(grid, values, basis):
+    t = OracleTables(grid)
+    if grid.geometry is Geometry.TORUS:
+        keep = ((np.abs(t.modes_z) <= grid.nz / 3.0)[:, None]
+                & (np.abs(t.modes_x) <= grid.nx / 3.0)[None, :])
+    else:
+        keep = (t.keep_1d("z", basis[1])[:, None]
+                & t.keep_1d("x", basis[0])[None, :])
+    return from_modes(grid, to_modes(grid, values, basis) * keep, basis)

@@ -462,6 +462,29 @@ def test_cli_diag_reads_checkpoint(tmp_path):
     assert rows[0].t == pytest.approx(0.05, abs=1e-12)
 
 
+def test_diag_without_grid_takes_the_checkpoint_domain(tmp_path):
+    # the default loop centre is the centre of the checkpoint's square, not
+    # of the default torus, and the echo names that domain
+    sim = tmp_path / "sim"
+    run(parse_config("[grid]\ngeometry = square\nnx = 16\n[time]\n"
+                     "dt = 5e-3\nt_final = 0.05\n[output]\n"
+                     f"out_dir = {sim}\nloop_radius = 0.5\n",
+                     mode="sim-det"))
+    cfg = tmp_path / "dg.cfg"
+    cfg.write_text(f"[time]\nrestart = {sim / 'checkpoint.bin'}\n"
+                   "[output]\nloop_radius = 0.5\n")
+    out = tmp_path / "dg"
+    assert cli_main(["diag", "--config", str(cfg), "--out-dir",
+                     str(out)]) == 0
+    (row,) = read_diagnostics(out / "diagnostics.csv")
+    last = read_diagnostics(sim / "diagnostics.csv")[-1]
+    assert row.circulation == last.circulation
+    echo = parse_config((out / "config.txt").read_text())
+    assert (echo.geometry, echo.nx, echo.nz, echo.lx, echo.lz) == \
+        ("square", 16, 16, math.pi, math.pi)
+    assert echo.loop_cx == echo.loop_cz == 0.5 * math.pi
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     assert cli_main(["sim-det", "--config",
                      str(tmp_path / "nope.cfg")]) == 1

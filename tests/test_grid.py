@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,9 +10,13 @@ from slicelab.grid import (COS, SIN, Geometry, dealias, derivative_values,
                            differentiate, from_modes, gaussian_lowpass,
                            integrate, make_grid, scalar_field, to_modes,
                            vector_field)
-from slicelab.incompressible import leray_project, velocity_from_vorticity
+from slicelab.incompressible import (MeanVorticityWarning, leray_project,
+                                     project_values, velocity_from_vorticity)
 from slicelab.norms import l2
 from slicelab.state import random_scalar_values
+
+from helpers import (oracle_dealias, oracle_gaussian_lowpass,
+                     oracle_project_values, oracle_velocity_from_vorticity)
 
 PI = np.pi
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -26,18 +32,63 @@ def random_field(grid, seed, max_mode=8, basis=None):
 
 # -- construction -----------------------------------------------------------
 
+BASES = [(SIN, SIN), (SIN, COS), (COS, SIN), (COS, COS)]
+
+
+def _tables(g, basis):
+    return (*g.modes(basis), *g.wavenumbers(basis),
+            *g.wavenumbers(basis, odd=True), g.k2(basis),
+            g.k2(basis, odd=True), g.keep(basis))
+
+
 def test_torus_wavenumbers():
     g = make_grid("torus", 64, 64, 2 * PI, 2 * PI)
-    assert list(g.modes_x) == list(range(0, 33))
-    assert set(g.modes_z) == set(range(-32, 32))
-    assert np.allclose(g.kx, np.arange(0, 33))
-    assert np.allclose(np.sort(g.kz), np.arange(-32, 32))
+    mx, mz = g.modes(None)
+    assert list(mx) == list(range(0, 33))
+    assert set(mz) == set(range(-32, 32))
+    kx, kz = g.wavenumbers(None)
+    assert np.allclose(kx, np.arange(0, 33))
+    assert np.allclose(np.sort(kz), np.arange(-32, 32))
+    # odd orders: the Nyquist column +32 and row -32 have wavenumber 0
+    kx_d, kz_d = g.wavenumbers(None, odd=True)
+    assert np.array_equal(kx_d, np.where(mx == 32, 0.0, kx))
+    assert np.array_equal(kz_d, np.where(mz == -32, 0.0, kz))
+    assert np.array_equal(g.k2(None), kx[None, :] ** 2 + kz[:, None] ** 2)
+    assert np.array_equal(g.k2(None, odd=True),
+                          kx_d[None, :] ** 2 + kz_d[:, None] ** 2)
+    assert np.array_equal(g.keep(None), (np.abs(mz) <= 64 / 3)[:, None]
+                          & (np.abs(mx) <= 64 / 3)[None, :])
+    # the torus tables ignore the basis
+    for basis in BASES:
+        for got, want in zip(_tables(g, basis), _tables(g, None)):
+            assert np.array_equal(got, want), basis
 
 
 def test_square_wavenumbers():
+    for nx, nz, lx, lz in [(32, 32, PI, PI), (16, 8, 2 * PI, 0.5 * PI)]:
+        g = make_grid("square", nx, nz, lx, lz)
+        for basis in BASES:
+            mx, mz = g.modes(basis)
+            # sine slot m-1 holds mode m, cosine slot m holds mode m
+            for m, n, parity in ((mx, nx, basis[0]), (mz, nz, basis[1])):
+                assert list(m) == list(range(1, n + 1) if parity == SIN
+                                       else range(n))
+            kx, kz = g.wavenumbers(basis)
+            assert np.allclose(kx, PI * mx / lx)
+            assert np.allclose(kz, PI * mz / lz)
+            # odd derivatives shift slots, so no wavenumber is dropped
+            for got, want in zip(g.wavenumbers(basis, odd=True), (kx, kz)):
+                assert np.array_equal(got, want)
+            assert np.allclose(g.k2(basis),
+                               kx[None, :] ** 2 + kz[:, None] ** 2)
+            # 2/3 rule in each axis's slot layout: slot + (1 if sine) <= n/3
+            keep_x = np.arange(nx) + (basis[0] == SIN) <= nx / 3.0
+            keep_z = np.arange(nz) + (basis[1] == SIN) <= nz / 3.0
+            assert np.array_equal(g.keep(basis),
+                                  keep_z[:, None] & keep_x[None, :])
     g = make_grid("square", 32, 32, PI, PI)
-    assert list(g.modes_x) == list(range(1, 33))
-    assert np.allclose(g.kx_sin, np.arange(1, 33))
+    assert list(g.modes((SIN, SIN))[0]) == list(range(1, 33))
+    assert np.allclose(g.wavenumbers((SIN, SIN))[0], np.arange(1, 33))
 
 
 @pytest.mark.parametrize("nx,nz", [(7, 64), (64, 48), (4, 64)])
@@ -229,3 +280,38 @@ def test_odd_x_derivatives_of_nyquist_column_vanish(tor64):
     for order in (1, 3):
         d, _ = derivative_values(tor64, coef, None, order, 0)
         assert np.all(d == 0.0), order
+
+
+# -- one body for both geometries against the per-geometry oracles ----------
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+@pytest.mark.parametrize("nx,nz,lx,lz", [
+    (16, 16, 2 * PI, 2 * PI), (32, 32, PI, PI), (64, 64, 2 * PI, 2 * PI),
+    (128, 128, PI, PI), (256, 256, 2 * PI, 2 * PI), (64, 32, 3.0, 1.5)])
+def test_operators_match_per_geometry_oracles_bitwise(geometry, nx, nz, lx,
+                                                       lz):
+    # .tobytes() compares signed zeros and NaN payloads too
+    def same(got, want):
+        return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    g = make_grid(geometry, nx, nz, lx, lz)
+    bases = [None] if geometry == "torus" else BASES
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng([seed, nx, nz])
+        # white noise fills every slot, the Nyquist row and column included
+        a, b, f = (rng.standard_normal((nz, nx)) for _ in range(3))
+        px, pz = project_values(g, a, b)
+        ox, oz = oracle_project_values(g, a, b)
+        assert same(px, ox) and same(pz, oz), seed
+        omega = scalar_field(g, f, None if geometry == "torus" else (SIN, SIN))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MeanVorticityWarning)
+            u = velocity_from_vorticity(omega)
+        ox, oz = oracle_velocity_from_vorticity(g, f)
+        assert same(u.x.values, ox) and same(u.z.values, oz), seed
+        for basis in bases:
+            field = scalar_field(g, f, basis)
+            assert same(gaussian_lowpass(field, 3).values,
+                        oracle_gaussian_lowpass(g, f, basis, 3)), basis
+            assert same(dealias(field).values,
+                        oracle_dealias(g, f, basis)), basis

@@ -100,6 +100,6 @@ def test_random_state_band_limit(tor64):
     from slicelab.grid import to_modes
     s = random_state(tor64, seed=9, max_mode=3)
     c = to_modes(tor64, s.theta_s.values, None)
-    mx, mz = tor64.modes_x, tor64.modes_z
+    mx, mz = tor64.modes(None)
     far = (np.abs(mx[None, :]) > 4) | (np.abs(mz[:, None]) > 4)
     assert np.max(np.abs(c[far])) <= 1e-10 * np.max(np.abs(c))

@@ -1,0 +1,164 @@
+"""Run the same CLI configurations at two revisions and compare their files.
+
+    python3 tools/compare_runs.py REV_A REV_B
+
+Each revision is extracted with ``git archive`` into a temporary directory
+and every run imports slicelab from that tree's ``src``.  The runs are the
+four ``perfbench/workloads.py`` configurations (imported from this checkout,
+read-only) at seeds 1 and 2, plus a truncated square ``sim-sde`` with a loop
+and stride 3, a torus ``sim-transform`` with a loop, a square
+``convergence`` run and a ``diag`` run with a ``[grid]`` section on the
+``sim-sde`` checkpoint.  Every run works in the same relative directory
+under its tree's run root, so the configs and echoes of the two revisions
+name the same paths.
+
+Prints one line per output file: ``same``, ``DIFFERS`` or ``ONLY A``/``ONLY
+B``, ignoring the ``out_dir`` line of ``config.txt``, and one line per run
+with its exit status at both revisions (``STATUS`` when they differ).
+Exits 0 when every status and every file agree.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import WORKLOADS, render  # noqa: E402
+
+# name -> (mode, config); each runs in <run root>/<name>
+EXTRA_RUNS = {
+    "sim-sde-square-loop": ("sim-sde", {
+        "": {"seed": 4},
+        "grid": {"geometry": "square", "nx": 32},
+        "params": {"s": 0.5},
+        "noise": {"alpha": 0.6},
+        "time": {"dt": 2e-3, "t_final": 0.04},
+        "monitor": {"radius": 1.1},  # stops at step 16, off the stride
+        "data": {"seed": 5, "amplitude": 0.4, "max_mode": 3},
+        "output": {"stride": 3, "loop_radius": 0.5},
+    }),
+    "sim-transform-torus-loop": ("sim-transform", {
+        "": {"seed": 6},
+        "grid": {"geometry": "torus", "nx": 32},
+        "params": {"s": 0.5},
+        "noise": {"alpha": 0.8},
+        "time": {"dt": 2e-3, "t_final": 0.04},
+        "data": {"seed": 7, "amplitude": 0.3, "max_mode": 3},
+        "output": {"stride": 2, "loop_radius": 1.0},
+    }),
+    "convergence-square": ("convergence", {
+        "": {"seed": 8},
+        "grid": {"geometry": "square", "nx": 16},
+        "params": {"s": 0.0},
+        "noise": {"alpha": 0.5},
+        "time": {"dt": 2e-2, "t_final": 0.1},
+        "data": {"seed": 9, "amplitude": 0.25, "max_mode": 3},
+        "mc": {"n_paths": 3, "levels": 4},
+    }),
+    # runs after the sim-sde run above, whose checkpoint it reads
+    "diag-square-grid": ("diag", {
+        "grid": {"geometry": "square", "nx": 32},
+        "time": {"restart": "sim-sde-square-loop/checkpoint.bin"},
+        "output": {"loop_radius": 0.5},
+    }),
+}
+
+
+def runs():
+    out = []
+    for name, w in WORKLOADS.items():
+        out.extend((f"{name}-s{seed}", w.mode, w.config(seed, False))
+                   for seed in (1, 2))
+    out.extend((name, mode, cfg) for name, (mode, cfg) in EXTRA_RUNS.items())
+    return out
+
+
+def extract(rev: str, dest: str):
+    archive = dest + ".tar"
+    subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", "-o",
+                    archive, rev], check=True)
+    os.makedirs(dest)
+    subprocess.run(["tar", "-xf", archive, "-C", dest], check=True)
+
+
+def run_all(tree: str, work: str) -> dict:
+    """Exit status of every run, with its outputs under `work`/<name>."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    status = {}
+    for name, mode, cfg in runs():
+        cfg_path = os.path.join(work, f"{name}.cfg")
+        with open(cfg_path, "w", encoding="ascii") as fh:
+            fh.write(render(cfg))
+        status[name] = subprocess.run(
+            [sys.executable, "-m", "slicelab", mode, "--config", cfg_path,
+             "--out-dir", name], cwd=work, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    return status
+
+
+def _files(top: str) -> set:
+    return {os.path.relpath(os.path.join(d, f), top)
+            for d, _, names in os.walk(top) for f in names}
+
+
+def _content(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "config.txt":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"out_dir ="))
+    return data
+
+
+def compare(work_a: str, work_b: str, status_a: dict, status_b: dict) -> int:
+    differences = 0
+    for name, _, _ in runs():
+        same = status_a[name] == status_b[name]
+        differences += not same
+        print(f"{'same' if same else 'STATUS':8} {name}: exit "
+              f"{status_a[name]} vs {status_b[name]}")
+        top_a, top_b = (os.path.join(w, name) for w in (work_a, work_b))
+        files_a, files_b = _files(top_a), _files(top_b)
+        for rel in sorted(files_a | files_b):
+            path = os.path.join(name, rel)
+            if rel not in files_b:
+                verdict = "ONLY A"
+            elif rel not in files_a:
+                verdict = "ONLY B"
+            elif _content(os.path.join(top_a, rel)) == _content(
+                    os.path.join(top_b, rel)):
+                print(f"same     {path}")
+                continue
+            else:
+                verdict = "DIFFERS"
+            differences += 1
+            print(f"{verdict:8} {path}")
+    return differences
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="compare_runs_") as tmp:
+        statuses, works = [], []
+        for label, rev in zip("AB", argv):
+            tree, work = (os.path.join(tmp, label, d) for d in ("tree", "run"))
+            os.makedirs(work)
+            extract(rev, tree)
+            statuses.append(run_all(tree, work))
+            works.append(work)
+        differences = compare(*works, *statuses)
+    print(f"{differences} difference(s) between {argv[0]} and {argv[1]}")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
