@@ -232,12 +232,46 @@ class GlobalRegularityResult:
     amplitude_ok: bool
 
 
+#: Values per field in one batch of regularity paths (B = 4 paths at 32^2,
+#: one path per batch from 64^2 up).  A memory cap only: results do not
+#: depend on it.
+_BATCH_VALUES = 4096
+
+
+class _RegularityPath:
+    """One path of the regularity experiment: its W on the step grid, its
+    two stopping monitors and its norm-bound flag."""
+
+    def __init__(self, seed: int, index: int, n_steps: int, dt: float,
+                 amp_threshold: float, r: float):
+        inc = _path_rng(seed, index).standard_normal(n_steps) * math.sqrt(dt)
+        self.w = np.zeros(n_steps + 1)
+        np.cumsum(inc, out=self.w[1:])
+        self.amp = OnlineMonitor(AMPLITUDE_THRESHOLD, amp_threshold)
+        self.gbm = OnlineMonitor(GBM_THRESHOLD, r)
+        self.bounded = True
+        self.diverged = False
+
+
+def _path_state(batch: SimState, i: int) -> SimState:
+    # path i of a batch state, as views
+    return make_state(batch.grid, batch.t, *(a[i] for a in state_arrays(batch)))
+
+
+def _batch_state(states: list) -> SimState | None:
+    # paths at one time, stacked along a leading axis; None for no paths
+    if not states:
+        return None
+    return make_state(states[0].grid, states[0].t, *(
+        np.stack(arrays) for arrays in zip(*map(state_arrays, states))))
+
+
 def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
                          amplitude: float, n_paths: int, horizon: float,
                          dt: float, seed: int, c_tilde: float = 1.0,
                          data_seed: int = 0, max_mode: int = 2,
                          spec: NormSpec = ZKP_DEFAULT) -> GlobalRegularityResult:
-    """Per-path transformed solves with the two stopping monitors.
+    """Transformed solves, one per Brownian path, with two stopping monitors.
 
     amplitude is the spec norm of the (randomly generated, then
     rescaled) initial data, so it compares like-for-like with the
@@ -251,6 +285,12 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
     norms, taken on the transformed variables, the objects the pathwise
     argument actually controls.  Diverged paths are counted separately
     and excluded from both fractions' denominators.
+
+    Paths are stepped together in batches of consecutive indices, capped
+    by `_BATCH_VALUES`; a path leaves its batch when its GBM monitor fires
+    or it diverges.  A batched step equals its paths' serial steps bit for
+    bit, and a batch whose step diverges re-runs that step path by path,
+    so every record is the one a path-by-path loop gives.
     """
     if params.s != 0.0:
         raise ConfigError("the regularity experiment requires s = 0")
@@ -279,55 +319,73 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
     norm_bound = abs(alpha) / (32.0 * c_tilde)
     mu = -(alpha * alpha) / 32.0
 
-    amp_records = []
-    gbm_records = []
-    n_diverged = 0
-    n_regular = 0
-    n_bounded = 0
-    for idx in range(n_paths):
-        rng = _path_rng(seed, idx)
-        inc = rng.standard_normal(n_steps) * math.sqrt(dt)
-        w = np.zeros(n_steps + 1)
-        np.cumsum(inc, out=w[1:])
-        amp_mon = OnlineMonitor(AMPLITUDE_THRESHOLD, amp_threshold)
-        gbm_mon = OnlineMonitor(GBM_THRESHOLD, r)
-        state = transform_forward(data, alpha, 0.0)
-        diverged = False
-        bounded = True
+    def observe(path: _RegularityPath, k: int, parts) -> bool:
+        # returns True when the path is finished (GBM monitor fired)
+        t_k = k * dt
+        if path.bounded and combine(parts, spec.p) > norm_bound:
+            path.bounded = False
+        path.amp.update(t_k, 1.0 + sum(parts))
+        return path.gbm.update(t_k, math.exp(alpha * path.w[k] + mu * t_k))
 
-        def observe(k: int, s: SimState) -> bool:
-            # returns True when the path is finished (GBM monitor fired)
-            nonlocal bounded
-            t_k = k * dt
-            parts = state_component_norms(s, spec)
-            if bounded and combine(parts, spec.p) > norm_bound:
-                bounded = False
-            amp_mon.update(t_k, 1.0 + sum(parts))
-            return gbm_mon.update(t_k, math.exp(alpha * w[k] + mu * t_k))
-
-        if not observe(0, state):
-            for k in range(n_steps):
+    def step(batch: SimState, live: list, k: int):
+        """Step k of every live path: the stepped batch, or None when a
+        path diverged in it, and each path's new state (None for a path
+        that diverged)."""
+        try:
+            batch = step_transformed(
+                batch, params, dt, alpha, np.array([p.w[k] for p in live]),
+                np.array([p.w[k + 1] for p in live]))
+            return batch, [_path_state(batch, i) for i in range(len(live))]
+        except DivergedError:
+            out = []
+            for i, p in enumerate(live):
                 try:
-                    state = step_transformed(state, params, dt, alpha,
-                                             w[k], w[k + 1])
+                    out.append(step_transformed(_path_state(batch, i), params,
+                                                dt, alpha, p.w[k], p.w[k + 1]))
                 except DivergedError:
-                    diverged = True
-                    break
-                if observe(k + 1, state):
-                    break
+                    p.diverged = True
+                    out.append(None)
+            return None, out
 
-        amp_records.append(amp_mon.record())
-        gbm_records.append(gbm_mon.record())
-        if diverged:
-            n_diverged += 1
+    state0 = transform_forward(data, alpha, 0.0)
+    # every path starts from state0, so they share its norms; taken with
+    # the first batch, as path work
+    parts0 = None
+    width = max(1, _BATCH_VALUES // (grid.nx * grid.nz))
+    paths = []
+    for first in range(0, n_paths, width):
+        live = [_RegularityPath(seed, idx, n_steps, dt, amp_threshold, r)
+                for idx in range(first, min(first + width, n_paths))]
+        paths.extend(live)
+        if parts0 is None:
+            parts0 = state_component_norms(state0, spec)
+        live = [p for p in live if not observe(p, 0, parts0)]
+        batch = _batch_state([state0] * len(live))
+        for k in range(n_steps):
+            if not live:
+                break
+            batch, states = step(batch, live, k)
+            keep = [i for i, (p, s) in enumerate(zip(live, states))
+                    if s is not None and not observe(
+                        p, k + 1, state_component_norms(s, spec))]
+            if batch is None or len(keep) < len(live):
+                # finished and diverged paths leave the batch by index
+                batch = _batch_state([states[i] for i in keep])
+            live = [live[i] for i in keep]
+
+    amp_records = tuple(p.amp.record() for p in paths)
+    gbm_records = tuple(p.gbm.record() for p in paths)
+    n_diverged = sum(p.diverged for p in paths)
+    n_regular = n_bounded = 0
+    for p, amp_rec, gbm_rec in zip(paths, amp_records, gbm_records):
+        if p.diverged:
             continue
-        amp_rec, gbm_rec = amp_records[-1], gbm_records[-1]
         amp_first = amp_rec.triggered and (
             not gbm_rec.triggered
             or amp_rec.trigger_time < gbm_rec.trigger_time)
         if not amp_first:
             n_regular += 1
-        if bounded:
+        if p.bounded:
             n_bounded += 1
 
     hits = sum(1 for rec in gbm_records if rec.triggered)
@@ -340,8 +398,8 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
         regular_fraction=(n_regular / n_ok) if n_ok else 0.0,
         bounded_fraction=(n_bounded / n_ok) if n_ok else 0.0,
         n_diverged=n_diverged,
-        amplitude_records=tuple(amp_records),
-        gbm_records=tuple(gbm_records),
+        amplitude_records=amp_records,
+        gbm_records=gbm_records,
         amplitude_ok=amplitude_ok)
 
 

@@ -15,8 +15,12 @@ cosine-in-x/sine-in-z (vanishes on the z-walls).  Scalars default to
 sine products, pressure-like fields to cosine products.
 
 Values arrays have shape (nz, nx) -- row-major with x fastest, so
-flattening gives index iz*nx + ix.  Square coefficients live in the raw
-DST-II/DCT-II layout, shape (nz, nx).  Torus coefficients are the rfft2
+flattening gives index iz*nx + ix.  A stack of fields of shape
+(B, nz, nx) is B independent fields: the transforms, derivatives, dealias
+and projection act on the last two axes only, bit for bit as on each
+slice alone, which is how the Monte Carlo harness steps its paths
+together.  Square coefficients live in the raw DST-II/DCT-II layout,
+shape (nz, nx).  Torus coefficients are the rfft2
 half spectrum, shape (nz, nx//2 + 1): rows are the signed z modes
 0..nz/2-1, -nz/2..-1 and columns the x modes 0..nx/2.  The columns of
 negative x modes are not stored: for real fields, mode (-m_z, -m_x) is the
@@ -256,7 +260,9 @@ class ScalarField:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.nz, self.grid.nx):
+        # one field, or a stack of fields along a leading path axis
+        if vals.ndim not in (2, 3) or vals.shape[-2:] != (self.grid.nz,
+                                                         self.grid.nx):
             raise ConfigError(
                 f"field shape {vals.shape} does not match grid "
                 f"({self.grid.nz}, {self.grid.nx})")
@@ -302,9 +308,9 @@ def to_modes(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
     if grid.geometry is Geometry.TORUS:
         return sfft.rfft2(values)
     coef = values
-    # axis 1 is x, axis 0 is z
-    coef = sfft.dst(coef, type=2, axis=1) if basis[0] == SIN else sfft.dct(coef, type=2, axis=1)
-    coef = sfft.dst(coef, type=2, axis=0) if basis[1] == SIN else sfft.dct(coef, type=2, axis=0)
+    # the last axis is x, the one before it z; any leading axes are batch
+    coef = sfft.dst(coef, type=2, axis=-1) if basis[0] == SIN else sfft.dct(coef, type=2, axis=-1)
+    coef = sfft.dst(coef, type=2, axis=-2) if basis[1] == SIN else sfft.dct(coef, type=2, axis=-2)
     return coef
 
 
@@ -312,8 +318,8 @@ def from_modes(grid: Grid, coef: np.ndarray, basis) -> np.ndarray:
     if grid.geometry is Geometry.TORUS:
         return sfft.irfft2(coef, s=(grid.nz, grid.nx))
     vals = coef
-    vals = sfft.idst(vals, type=2, axis=0) if basis[1] == SIN else sfft.idct(vals, type=2, axis=0)
-    vals = sfft.idst(vals, type=2, axis=1) if basis[0] == SIN else sfft.idct(vals, type=2, axis=1)
+    vals = sfft.idst(vals, type=2, axis=-2) if basis[1] == SIN else sfft.idct(vals, type=2, axis=-2)
+    vals = sfft.idst(vals, type=2, axis=-1) if basis[0] == SIN else sfft.idct(vals, type=2, axis=-1)
     return vals
 
 
@@ -334,18 +340,18 @@ def axis_derivative_modes(grid: Grid, coef: np.ndarray, basis, axis: str,
     if grid.geometry is Geometry.TORUS:
         return coef * grid.derivative_factor(axis, order), basis
 
-    ax = 1 if axis == "x" else 0      # array axis (arrays are [z, x])
-    bi = 0 if axis == "x" else 1      # basis-tuple slot (tuples are (x, z))
+    on_x = axis == "x"                # arrays are [..., z, x]
+    bi = 0 if on_x else 1             # basis-tuple slot (tuples are (x, z))
     parity = basis[bi]
     ksin = grid.wavenumbers(SCALAR_BASIS)[bi]
     kcos = grid.wavenumbers(NEUMANN_BASIS)[bi]
 
     def along(vec):
-        return vec[None, :] if ax == 1 else vec[:, None]
+        return vec[None, :] if on_x else vec[:, None]
 
     def slots(start, stop):
-        return ((slice(None), slice(start, stop)) if ax == 1
-                else (slice(start, stop), slice(None)))
+        return ((..., slice(start, stop)) if on_x
+                else (..., slice(start, stop), slice(None)))
 
     half, rem = divmod(order, 2)
     out = coef

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -267,11 +267,14 @@ def _run_convergence(cfg: RunConfig) -> RunResult:
 
 def _run_diag(cfg: RunConfig) -> RunResult:
     expect = cfg.grid() if cfg.nx is not None else None
-    state, params, _alpha = read_checkpoint(cfg.restart, expect_grid=expect)
+    state, params, alpha = read_checkpoint(cfg.restart, expect_grid=expect)
+    # the row uses the checkpoint's parameters, so the echo names them
+    cfg = replace(cfg, f=params.f, g=params.g, theta0=params.theta0,
+                  s=params.s, alpha=alpha)
     if expect is None:
-        # the loop centre and the echo follow the checkpoint's domain
+        # the loop centre follows the checkpoint's domain
         cfg = with_grid(cfg, state.grid)
-        _write_echo(cfg)
+    _write_echo(cfg)
     rec = _record(cfg, state, params, cfg.loop(),
                   state_component_norms(state, W1INF))
     append_diagnostics(rec, os.path.join(cfg.out_dir, DIAG_FILE))

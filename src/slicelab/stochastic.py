@@ -242,11 +242,24 @@ def step_em(state: SimState, params: Params, dt: float, dw, model,
     return _finish_step(state, y1, state.t + dt)
 
 
-def _exp_guard(alpha: float, w_t: float):
-    if abs(alpha * w_t) > EXP_GUARD:
+def _exp_guard(alpha: float, w_t):
+    # w_t: one W value, or one per path of a batch
+    worst = float(np.max(np.abs(alpha * np.asarray(w_t))))
+    if worst > EXP_GUARD:
         raise DivergedError(
-            f"|alpha W| = {abs(alpha * w_t):.3g} exceeds the exp() range",
+            f"|alpha W| = {worst:.3g} exceeds the exp() range",
             last_state=None)
+
+
+def _path_exp(x):
+    """exp of one value, or of one value per path as a (B, 1, 1) scale.
+
+    Each entry is a `math.exp`: `np.exp` can differ from it by an ulp, and
+    a batched step must equal its paths' serial steps bit for bit.
+    """
+    if np.ndim(x) == 0:
+        return math.exp(x)
+    return np.array([math.exp(v) for v in x]).reshape(-1, 1, 1)
 
 
 def transform_forward(state: SimState, alpha: float, w_t: float) -> SimState:
@@ -261,7 +274,7 @@ def transform_backward(state: SimState, alpha: float, w_t: float) -> SimState:
 
 
 def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
-                     w_start: float, w_end: float) -> SimState:
+                     w_start, w_end) -> SimState:
     """One RK4 step of the transformed (random-coefficient) system.
 
     Advection is scaled by exp(+alpha W(tau)) and the z s source by
@@ -270,6 +283,10 @@ def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
     squared damping has the exact one-step solution exp(-alpha^2 dt/2), so
     it is applied as an integrating factor after the stage combination
     rather than folded into the tendency.
+
+    A batch of B paths is a state whose fields have shape (B, nz, nx), with
+    w_start and w_end of shape (B,); each path's slice equals its own
+    serial step bit for bit.
     """
     _check_dt(dt)
     _exp_guard(alpha, w_start)
@@ -279,8 +296,8 @@ def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
 
     def f(t, y):
         w = w_start + (w_end - w_start) * ((t - t0) / dt)
-        return _rhs_arrays(g, params, *y, advect=math.exp(alpha * w),
-                           source_scale=math.exp(-alpha * w))
+        return _rhs_arrays(g, params, *y, advect=_path_exp(alpha * w),
+                           source_scale=_path_exp(-alpha * w))
 
     y1 = _rk4_arrays(state_arrays(state), f, t0, dt)
     damp = math.exp(-0.5 * alpha * alpha * dt)

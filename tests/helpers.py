@@ -1,23 +1,30 @@
 """What only the tests use: state comparisons, zero fields, the
 stream-function velocity, the vorticity-form cross-check of the primitive
 stepper, the batch oracle of the online stopping monitor, the
-stopping-record reader, and per-geometry oracles of the spectral operators
-that the grid's per-basis tables now serve with one body."""
+stopping-record reader, per-geometry oracles of the spectral operators
+that the grid's per-basis tables now serve with one body, and the
+path-by-path loop that the regularity experiment batches."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import scipy.fft as sfft
 
 from slicelab.dynamics import _advect, _rk4_arrays
-from slicelab.errors import ConfigError
+from slicelab.errors import ConfigError, DivergedError
 from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
                            VX_BASIS, VZ_BASIS, axis_derivative_modes,
                            derivative_values, from_modes, scalar_field,
                            to_modes, vector_field)
+from slicelab.experiments import _path_rng
 from slicelab.incompressible import velocity_from_vorticity
-from slicelab.state import Params, SimState, state_arrays
-from slicelab.stochastic import _KINDS, StoppingRecord
+from slicelab.norms import ZKP_DEFAULT, combine, norm, state_component_norms
+from slicelab.state import (Params, SimState, random_state, scale_state,
+                            state_arrays)
+from slicelab.stochastic import (_KINDS, AMPLITUDE_THRESHOLD, GBM_THRESHOLD,
+                                 OnlineMonitor, StoppingRecord,
+                                 step_transformed, transform_forward)
 
 
 def states_close(a: SimState, b: SimState, tol: float) -> bool:
@@ -239,3 +246,44 @@ def oracle_dealias(grid, values, basis):
         keep = (t.keep_1d("z", basis[1])[:, None]
                 & t.keep_1d("x", basis[0])[None, :])
     return from_modes(grid, to_modes(grid, values, basis) * keep, basis)
+
+
+# -- the path-by-path regularity loop -----------------------------------------
+
+def serial_mc_global(grid, params, alpha, r, amplitude, n_paths, horizon, dt,
+                     seed, c_tilde=1.0, data_seed=0, max_mode=2,
+                     spec=ZKP_DEFAULT):
+    """`mc_global_regularity` one path at a time, every state's norms taken
+    afresh: per path (amplitude record, GBM record, diverged, bounded)."""
+    n_steps = int(round(horizon / dt))
+    raw = random_state(grid, seed=data_seed, max_mode=max_mode, amplitude=1.0)
+    data = scale_state(raw, amplitude / norm(raw, spec))
+    amp_threshold = abs(alpha) / (8.0 * c_tilde)
+    norm_bound = abs(alpha) / (32.0 * c_tilde)
+    mu = -(alpha * alpha) / 32.0
+    out = []
+    for idx in range(n_paths):
+        inc = _path_rng(seed, idx).standard_normal(n_steps) * math.sqrt(dt)
+        w = np.zeros(n_steps + 1)
+        np.cumsum(inc, out=w[1:])
+        amp = OnlineMonitor(AMPLITUDE_THRESHOLD, amp_threshold)
+        gbm = OnlineMonitor(GBM_THRESHOLD, r)
+        state = transform_forward(data, alpha, 0.0)
+        diverged, bounded = False, True
+        for k in range(n_steps + 1):
+            if k:
+                try:
+                    state = step_transformed(state, params, dt, alpha,
+                                             w[k - 1], w[k])
+                except DivergedError:
+                    diverged = True
+                    break
+            t_k = k * dt
+            parts = state_component_norms(state, spec)
+            if bounded and combine(parts, spec.p) > norm_bound:
+                bounded = False
+            amp.update(t_k, 1.0 + sum(parts))
+            if gbm.update(t_k, math.exp(alpha * w[k] + mu * t_k)):
+                break
+        out.append((amp.record(), gbm.record(), diverged, bounded))
+    return out

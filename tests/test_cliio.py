@@ -485,6 +485,27 @@ def test_diag_without_grid_takes_the_checkpoint_domain(tmp_path):
     assert echo.loop_cx == echo.loop_cz == 0.5 * math.pi
 
 
+def test_diag_echo_names_the_checkpoint_parameters(tmp_path):
+    # the row is computed with the checkpoint's f, g, theta0, s and alpha,
+    # so the echo must say those, not the defaults of a config without
+    # [params]
+    sim = tmp_path / "sim"
+    run(parse_config("[grid]\ngeometry = square\nnx = 16\n[params]\n"
+                     "f = 0.5\ns = 0\n[time]\ndt = 5e-3\nt_final = 0.05\n"
+                     f"[output]\nout_dir = {sim}\n", mode="sim-det"))
+    cfg = tmp_path / "dg.cfg"
+    cfg.write_text(f"[time]\nrestart = {sim / 'checkpoint.bin'}\n")
+    out = tmp_path / "dg"
+    assert cli_main(["diag", "--config", str(cfg), "--out-dir",
+                     str(out)]) == 0
+    (row,) = read_diagnostics(out / "diagnostics.csv")
+    last = read_diagnostics(sim / "diagnostics.csv")[-1]
+    assert row.enstrophy_q2 == last.enstrophy_q2
+    echo = parse_config((out / "config.txt").read_text())
+    assert (echo.f, echo.g, echo.theta0, echo.s, echo.alpha) == \
+        (0.5, 1.0, 1.0, 0.0, 0.0)
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     assert cli_main(["sim-det", "--config",
                      str(tmp_path / "nope.cfg")]) == 1

@@ -381,3 +381,44 @@ def test_mollify_keeps_square_bases(sq64):
     assert m.u_t.basis == st.u_t.basis
     assert m.theta_s.basis == st.theta_s.basis
     assert max_divergence(m.u_s) <= 1e-10
+
+
+# -- a leading path axis ------------------------------------------------------
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_batched_transformed_step_equals_serial_steps(geometry):
+    g = make_grid(geometry, 16, 16, 2 * PI, PI)
+    states = [random_state(g, seed=s, max_mode=3, amplitude=0.4)
+              for s in range(4)]
+    w0 = np.array([0.0, 0.3, -0.2, 0.05])
+    w1 = np.array([0.1, 0.25, -0.4, 0.0])
+    batch = make_state(g, 0.0, *(np.stack(a) for a in
+                                 zip(*map(state_arrays, states))))
+    out = step_transformed(batch, P_S0, 1e-2, 3.0, w0, w1)
+    for i, s in enumerate(states):
+        want = step_transformed(s, P_S0, 1e-2, 3.0, w0[i], w1[i])
+        for got, ref in zip(state_arrays(out), state_arrays(want)):
+            assert got[i].tobytes() == ref.tobytes(), i
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_nan_in_one_slice_stays_in_its_slice(geometry):
+    # a path that blows up inside a batch cannot move another path's bits
+    g = make_grid(geometry, 16, 16, 2 * PI, PI)
+    states = [random_state(g, seed=s, max_mode=3, amplitude=0.4)
+              for s in range(3)]
+    clean = [np.stack(a) for a in zip(*map(state_arrays, states))]
+    dirty = [a.copy() for a in clean]
+    for a in dirty:
+        a[1, 3, 5] = np.nan
+    scales = dict(advect=np.array([1.5, 0.5, 2.0]).reshape(-1, 1, 1),
+                  source_scale=np.array([0.5, 2.0, 1.0]).reshape(-1, 1, 1))
+    with np.errstate(invalid="ignore"):
+        got = dyn._rhs_arrays(g, P_S0, *dirty, **scales)
+        got += project_values(g, dirty[0], dirty[1])
+    want = dyn._rhs_arrays(g, P_S0, *clean, **scales)
+    want += project_values(g, clean[0], clean[1])
+    for a, b in zip(got, want):
+        assert np.isnan(a[1]).any()
+        for i in (0, 2):
+            assert a[i].tobytes() == b[i].tobytes()

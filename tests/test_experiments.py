@@ -11,6 +11,8 @@ from slicelab import experiments as ex
 from slicelab import stochastic as st
 from slicelab.norms import l2
 
+from helpers import serial_mc_global
+
 # the closed-form oracle is exact arithmetic; MC comparisons carry their
 # own SE-based bands
 ORACLE_TOL = 1e-12
@@ -370,3 +372,62 @@ def test_mc_global_counts_diverged_paths(tor16):
             n_paths=5, horizon=2.0, dt=0.5, seed=4, c_tilde=0.25)
     assert res.n_diverged == 4
     assert len(res.gbm_records) == 5
+
+
+# low thresholds make paths leave their batch at different steps; the
+# diverging case makes batched steps fall back to path-by-path steps
+SCHEDULING_CASES = {
+    "torus-early-stops": ("torus", dict(
+        alpha=6.0, r=1.3, amplitude=0.3, n_paths=10, horizon=0.1, dt=5e-3,
+        seed=4, c_tilde=0.25, data_seed=2, max_mode=3)),
+    "square-early-stops": ("square", dict(
+        alpha=6.0, r=1.3, amplitude=0.3, n_paths=10, horizon=0.1, dt=5e-3,
+        seed=5, c_tilde=0.25, data_seed=3, max_mode=3)),
+    "torus-diverging": ("torus", dict(
+        alpha=20.0, r=2.0, amplitude=1e8, n_paths=5, horizon=2.0, dt=0.5,
+        seed=4, c_tilde=0.25)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULING_CASES))
+def test_mc_global_does_not_depend_on_scheduling(case, monkeypatch):
+    # every record and every reported number equals the path-by-path loop
+    # bit for bit, whatever the batch cap
+    geometry, kw = SCHEDULING_CASES[case]
+    g = sl.make_grid(geometry, 16, 16, 2 * np.pi, 2 * np.pi)
+    params = sl.Params(s=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        serial = serial_mc_global(g, params, **kw)
+    amp_want = repr(tuple(p[0] for p in serial))
+    gbm_want = repr(tuple(p[1] for p in serial))
+    ok = [p for p in serial if not p[2]]
+    regular = sum(not (a.triggered and (not b.triggered
+                                        or a.trigger_time < b.trigger_time))
+                  for a, b, _, _ in ok)
+    bounded = sum(p[3] for p in ok)
+    n_steps = int(round(kw["horizon"] / kw["dt"]))
+    stops = {p[1].trigger_time for p in serial if p[1].triggered}
+    if case.endswith("early-stops"):
+        assert len(stops) > 2 and len(ok) == len(serial)
+    else:
+        assert len(ok) not in (0, len(serial))
+
+    calls = []
+    monkeypatch.setattr(ex, "step_transformed",
+                        lambda *a, **k: calls.append(1) or
+                        st.step_transformed(*a, **k))
+    for cap in (1, 3, 8, kw["n_paths"]):
+        monkeypatch.setattr(ex, "_BATCH_VALUES", cap * g.nx * g.nz)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = ex.mc_global_regularity(g, params, **kw)
+        assert repr(res.amplitude_records) == amp_want, cap
+        assert repr(res.gbm_records) == gbm_want, cap
+        assert res.n_diverged == len(serial) - len(ok)
+        assert res.regular_fraction == (regular / len(ok) if ok else 0.0)
+        assert res.bounded_fraction == (bounded / len(ok) if ok else 0.0)
+        assert res.summary.hits == sum(p[1].triggered for p in serial)
+        if cap == kw["n_paths"] and len(ok) == len(serial):
+            assert len(calls) <= n_steps  # one batch: one call per step

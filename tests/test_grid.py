@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slicelab.errors import ConfigError
-from slicelab.grid import (COS, SIN, Geometry, dealias, derivative_values,
-                           differentiate, from_modes, gaussian_lowpass,
-                           integrate, make_grid, scalar_field, to_modes,
-                           vector_field)
+from slicelab.grid import (COS, SIN, Geometry, dealias, dealias_values,
+                           derivative_values, differentiate, from_modes,
+                           gaussian_lowpass, integrate, make_grid,
+                           scalar_field, to_modes, vector_field)
 from slicelab.incompressible import (MeanVorticityWarning, leray_project,
                                      project_values, velocity_from_vorticity)
 from slicelab.norms import l2
@@ -315,3 +315,39 @@ def test_operators_match_per_geometry_oracles_bitwise(geometry, nx, nz, lx,
                         oracle_gaussian_lowpass(g, f, basis, 3)), basis
             assert same(dealias(field).values,
                         oracle_dealias(g, f, basis)), basis
+
+
+# -- a leading path axis: each slice as if alone ------------------------------
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+@pytest.mark.parametrize("nx,nz", [(16, 16), (32, 32), (64, 32)])
+def test_leading_axis_matches_per_slice_calls_bitwise(geometry, nx, nz):
+    # the Monte Carlo harness steps (B, nz, nx) stacks of paths; every
+    # array-level operator must treat each slice exactly as a 2-D call
+    def same(got, want):
+        return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    g = make_grid(geometry, nx, nz, 2 * PI, PI)
+    rng = np.random.default_rng([nx, nz, len(geometry)])
+    n_paths = 5
+    a, b = (rng.standard_normal((n_paths, nz, nx)) for _ in range(2))
+    bases = [None] if geometry == "torus" else BASES
+    for basis in bases:
+        coef = to_modes(g, a, basis)
+        assert all(same(coef[i], to_modes(g, a[i], basis))
+                   for i in range(n_paths)), basis
+        assert same(from_modes(g, coef, basis),
+                    [from_modes(g, c, basis) for c in coef]), basis
+        for orders in ((1, 0), (0, 1), (2, 1), (1, 2), (3, 0), (0, 3)):
+            got, got_basis = derivative_values(g, coef, basis, *orders)
+            for i in range(n_paths):
+                want, want_basis = derivative_values(g, coef[i], basis,
+                                                     *orders)
+                assert got_basis == want_basis
+                assert same(got[i], want), (basis, orders, i)
+        assert same(dealias_values(g, a, basis),
+                    [dealias_values(g, x, basis) for x in a]), basis
+    px, pz = project_values(g, a, b)
+    for i in range(n_paths):
+        ox, oz = project_values(g, a[i], b[i])
+        assert same(px[i], ox) and same(pz[i], oz), i

@@ -7,7 +7,9 @@ and every run imports slicelab from that tree's ``src``.  The runs are the
 four ``perfbench/workloads.py`` configurations (imported from this checkout,
 read-only) at seeds 1 and 2, plus a truncated square ``sim-sde`` with a loop
 and stride 3, a torus ``sim-transform`` with a loop, a square
-``convergence`` run and a ``diag`` run with a ``[grid]`` section on the
+``convergence`` run, a square ``mc-global`` run and a torus one whose low
+threshold stops paths at different steps (both with a part-filled last
+batch of paths), and a ``diag`` run with a ``[grid]`` section on the
 ``sim-sde`` checkpoint.  Every run works in the same relative directory
 under its tree's run root, so the configs and echoes of the two revisions
 name the same paths.
@@ -58,6 +60,29 @@ EXTRA_RUNS = {
         "time": {"dt": 2e-2, "t_final": 0.1},
         "data": {"seed": 9, "amplitude": 0.25, "max_mode": 3},
         "mc": {"n_paths": 3, "levels": 4},
+    }),
+    # mc-global steps paths in batches of 4 at 32^2: 7 and 10 paths leave
+    # part-filled last batches, and the low torus threshold makes paths
+    # leave their batch at different steps
+    "mc-global-square": ("mc-global", {
+        "": {"seed": 10},
+        "grid": {"geometry": "square", "nx": 32},
+        "params": {"s": 0.0},
+        "noise": {"alpha": 20.0},
+        "time": {"dt": 5e-4, "t_final": 8e-3},
+        "monitor": {"threshold": 3.0, "c_tilde": 1.0},
+        "data": {"seed": 11, "amplitude": 0.5, "max_mode": 2},
+        "mc": {"n_paths": 7},
+    }),
+    "mc-global-torus-low-threshold": ("mc-global", {
+        "": {"seed": 12},
+        "grid": {"geometry": "torus", "nx": 32},
+        "params": {"s": 0.0},
+        "noise": {"alpha": 20.0},
+        "time": {"dt": 5e-4, "t_final": 1.2e-2},
+        "monitor": {"threshold": 1.5, "c_tilde": 1.0},
+        "data": {"seed": 13, "amplitude": 0.5, "max_mode": 2},
+        "mc": {"n_paths": 10},
     }),
     # runs after the sim-sde run above, whose checkpoint it reads
     "diag-square-grid": ("diag", {
