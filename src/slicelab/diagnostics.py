@@ -49,15 +49,25 @@ def energy(state: SimState, params: Params) -> float:
     return integrate(g, dens)
 
 
+def _theta_gradient(state: SimState):
+    # (d_x theta_S, d_z theta_S) values, shared by q and the circulation
+    return (differentiate(state.theta_s, "x").values,
+            differentiate(state.theta_s, "z").values)
+
+
 def potential_vorticity(state: SimState, params: Params) -> ScalarField:
     """q as above.  On the square the returned basis is cos.cos, the parity
     class of the s = 0 expression; values are exact for any s."""
+    return _potential_vorticity(state, params, _theta_gradient(state))
+
+
+def _potential_vorticity(state: SimState, params: Params,
+                         grad_th) -> ScalarField:
     g = state.grid
     om = curl(state.u_s)
     dx_ut = differentiate(state.u_t, "x").values
     dz_ut = differentiate(state.u_t, "z").values
-    dx_th = differentiate(state.theta_s, "x").values
-    dz_th = differentiate(state.theta_s, "z").values
+    dx_th, dz_th = grad_th
     q = params.s * om.values - (dx_ut + params.f) * dz_th + dz_ut * dx_th
     return scalar_field(g, q, NEUMANN_BASIS)
 
@@ -176,11 +186,15 @@ def _interp_pair(grid: Grid, x_values, z_values, pts: np.ndarray,
 def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
     """Trapezoidal line integral of v_S = s u_S - (u_T + f x) grad theta_S
     around the loop, with bilinear sampling of the integrand fields."""
+    return _circulation(state, params, loop, _theta_gradient(state))
+
+
+def _circulation(state: SimState, params: Params, loop: MaterialLoop,
+                 grad_th) -> float:
     g = state.grid
     pts = loop.points
     _check_inside(g, pts)
-    dx_th = differentiate(state.theta_s, "x").values
-    dz_th = differentiate(state.theta_s, "z").values
+    dx_th, dz_th = grad_th
     coef = state.u_t.values + params.f * g.x_mesh
     vx_vals = params.s * state.u_s.x.values - coef * dx_th
     vz_vals = params.s * state.u_s.z.values - coef * dz_th
@@ -189,6 +203,17 @@ def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
     seg = pts[nxt] - pts
     mid = 0.5 * (v + v[nxt])
     return float(np.sum(mid[:, 0] * seg[:, 0] + mid[:, 1] * seg[:, 1]))
+
+
+def _row_terms(state: SimState, params: Params, loop: MaterialLoop | None):
+    """A diagnostics row's generalized_enstrophy(state, params, np.square)
+    and circulation (None without a loop), taking d_x theta_S and
+    d_z theta_S once for both."""
+    grad_th = _theta_gradient(state)
+    q = _potential_vorticity(state, params, grad_th).values
+    return (integrate(state.grid, np.square(q)),
+            None if loop is None else _circulation(state, params, loop,
+                                                   grad_th))
 
 
 def advect_loop(loop: MaterialLoop, u: VectorField, dt: float) -> MaterialLoop:

@@ -328,24 +328,22 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
         return path.gbm.update(t_k, math.exp(alpha * path.w[k] + mu * t_k))
 
     def step(batch: SimState, live: list, k: int):
-        """Step k of every live path: the stepped batch, or None when a
-        path diverged in it, and each path's new state (None for a path
-        that diverged)."""
+        """Step k of every live path: the stepped batch of the paths that
+        did not diverge in it, and those paths."""
         try:
-            batch = step_transformed(
+            return step_transformed(
                 batch, params, dt, alpha, np.array([p.w[k] for p in live]),
-                np.array([p.w[k + 1] for p in live]))
-            return batch, [_path_state(batch, i) for i in range(len(live))]
+                np.array([p.w[k + 1] for p in live])), live
         except DivergedError:
-            out = []
+            states = []
             for i, p in enumerate(live):
                 try:
-                    out.append(step_transformed(_path_state(batch, i), params,
-                                                dt, alpha, p.w[k], p.w[k + 1]))
+                    states.append(step_transformed(_path_state(batch, i),
+                                                   params, dt, alpha, p.w[k],
+                                                   p.w[k + 1]))
                 except DivergedError:
                     p.diverged = True
-                    out.append(None)
-            return None, out
+            return _batch_state(states), [p for p in live if not p.diverged]
 
     state0 = transform_forward(data, alpha, 0.0)
     # every path starts from state0, so they share its norms; taken with
@@ -364,14 +362,18 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
         for k in range(n_steps):
             if not live:
                 break
-            batch, states = step(batch, live, k)
-            keep = [i for i, (p, s) in enumerate(zip(live, states))
-                    if s is not None and not observe(
-                        p, k + 1, state_component_norms(s, spec))]
-            if batch is None or len(keep) < len(live):
-                # finished and diverged paths leave the batch by index
-                batch = _batch_state([states[i] for i in keep])
-            live = [live[i] for i in keep]
+            batch, live = step(batch, live, k)
+            if not live:
+                break
+            # one norm pass for the whole batch, a triple per path
+            parts = state_component_norms(batch, spec)
+            keep = [i for i, p in enumerate(live)
+                    if not observe(p, k + 1, parts[i])]
+            if len(keep) < len(live):
+                # finished paths leave the batch by index
+                batch = make_state(grid, batch.t, *(
+                    a[keep] for a in state_arrays(batch)))
+                live = [live[i] for i in keep]
 
     amp_records = tuple(p.amp.record() for p in paths)
     gbm_records = tuple(p.gbm.record() for p in paths)

@@ -9,6 +9,11 @@ derivative pair per multi-index.
 
 The state norm Z^{k,p} combines the three component norms (u_S counted as
 one vector field) by an l^p sum, or a max when p = infinity.
+
+Field values stacked along a leading path axis, shape (B, nz, nx), are
+reduced slice by slice: `_field_norm` and `state_component_norms` then give
+one norm (or one triple) per path, each bit for bit the one the 2-D call on
+that path's slice gives, with the transforms of one call shared by all B.
 """
 
 from __future__ import annotations
@@ -47,15 +52,15 @@ def _multi_indices(k: int):
     return [(ax, az) for ax in range(k + 1) for az in range(k + 1 - ax)]
 
 
-def _field_norm(components: list[ScalarField], spec: NormSpec) -> float:
-    """W^{k,p} of a scalar (1 component) or vector (2 components) field."""
+def _field_norm(components: list[ScalarField], spec: NormSpec):
+    """W^{k,p} of a scalar (1 component) or vector (2 components) field, or
+    the list of per-path norms of components stacked along a leading axis."""
     grid = components[0].grid
     # only derivatives read coefficients; the L^p term uses the values
     coefs = ([to_modes(grid, f.values, f.basis) for f in components]
              if spec.k else [])
     bases = [f.basis for f in components]
-    total = 0.0
-    worst = 0.0
+    terms = []
     for ax, az in _multi_indices(spec.k):
         if ax == 0 and az == 0:
             derivs = [f.values for f in components]
@@ -63,11 +68,20 @@ def _field_norm(components: list[ScalarField], spec: NormSpec) -> float:
             derivs = [derivative_values(grid, c, b, ax, az)[0]
                       for c, b in zip(coefs, bases)]
         mag = np.abs(derivs[0]) if len(derivs) == 1 else np.hypot(*derivs)
+        # one term per multi-index and slice
+        terms.append(mag.max(axis=(-2, -1)) if spec.p == INF
+                     else np.sum(mag ** spec.p, axis=(-2, -1)))
+    # the scalar epilogue per path, in Python floats
+    norms = []
+    for row in np.reshape(terms, (len(terms), -1)).T.tolist():
         if spec.p == INF:
-            worst = max(worst, float(mag.max()))
+            norms.append(max(0.0, *row))
         else:
-            total += float(np.sum(mag ** spec.p)) * grid.cell_area
-    return worst if spec.p == INF else total ** (1.0 / spec.p)
+            total = 0.0
+            for term in row:
+                total += term * grid.cell_area
+            norms.append(total ** (1.0 / spec.p))
+    return norms if components[0].values.ndim == 3 else norms[0]
 
 
 def combine(parts, p: float) -> float:
@@ -94,6 +108,8 @@ def l2(obj) -> float:
 
 
 def state_component_norms(state: SimState, spec: NormSpec):
-    """(u_S, u_T, theta_S) norms as a tuple, for monitors and diagnostics."""
-    return (norm(state.u_s, spec), norm(state.u_t, spec),
-            norm(state.theta_s, spec))
+    """(u_S, u_T, theta_S) norms as a tuple, for monitors and diagnostics;
+    a stacked state gives a list of such triples, one per path."""
+    parts = (norm(state.u_s, spec), norm(state.u_t, spec),
+             norm(state.theta_s, spec))
+    return list(zip(*parts)) if state.u_t.values.ndim == 3 else parts

@@ -71,15 +71,28 @@ def _check_header(fh, path) -> None:
         raise DiagnosticsFormatError(f"header mismatch in {path}: {head!r}")
 
 
-def append_diagnostics(rec: DiagnosticsRecord, path) -> None:
-    """Append one row, writing the header on first use."""
+def _open_diagnostics(path):
+    """The CSV opened for appending rows, flushed line by line; the header
+    is written to a new or empty file and checked on an existing one."""
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     if not fresh:
         with open(path, "r", encoding="ascii") as fh:
             _check_header(fh, path)
-    with open(path, "a", encoding="ascii") as fh:
-        fh.write((CSV_HEADER + "\n" if fresh else "") + format_row(rec)
-                 + "\n")
+    fh = open(path, "a", encoding="ascii", buffering=1)
+    if fresh:
+        fh.write(CSV_HEADER + "\n")
+    return fh
+
+
+def append_diagnostics(rec: DiagnosticsRecord, out) -> None:
+    """Append one row to a file from `_open_diagnostics`, or to the CSV at
+    the path `out` (writing the header on first use)."""
+    row = format_row(rec) + "\n"
+    if isinstance(out, (str, os.PathLike)):
+        with _open_diagnostics(out) as fh:
+            fh.write(row)
+    else:
+        out.write(row)
 
 
 def read_diagnostics(path) -> list[DiagnosticsRecord]:

@@ -11,17 +11,15 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import experiments as experiments_mod
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, render_config, with_grid
-from .diagnostics import (circulation, energy, generalized_enstrophy)
+from .diagnostics import _row_terms, energy
 from .dynamics import cutoffs_from_norms, step_rk4
 from .errors import ConfigError, DivergedError
 from .incompressible import max_divergence
 from .norms import W1INF, l2, norm, state_component_norms
-from .runio import (DiagnosticsRecord, append_diagnostics,
+from .runio import (DiagnosticsRecord, _open_diagnostics, append_diagnostics,
                     write_key_values, write_stopping_record)
 from .state import random_state
 from .stochastic import (NORM_THRESHOLD, LinearMultiplicative, OnlineMonitor,
@@ -65,6 +63,7 @@ def _write_echo(cfg: RunConfig):
 def _record(cfg, state, params, loop, w1inf, lam=None, w_t=None,
             cutoffs=(None, None, None)):
     """One row; w1inf are the state's (u_S, u_T, theta_S) W^{1,inf} norms."""
+    enstrophy_q2, circ = _row_terms(state, params, loop)
     return DiagnosticsRecord(
         t=state.t,
         energy=energy(state, params),
@@ -74,9 +73,7 @@ def _record(cfg, state, params, loop, w1inf, lam=None, w_t=None,
         w1inf_us=w1inf[0], w1inf_ut=w1inf[1], w1inf_th=w1inf[2],
         zkp=norm(state, cfg.norm_spec),
         max_div=max_divergence(state.u_s),
-        enstrophy_q2=generalized_enstrophy(state, params, np.square),
-        circulation=(None if loop is None
-                     else circulation(state, params, loop)),
+        enstrophy_q2=enstrophy_q2, circulation=circ,
         lambda_=lam, w_t=w_t,
         cutoff_us=cutoffs[0], cutoff_ut=cutoffs[1], cutoff_th=cutoffs[2])
 
@@ -141,16 +138,20 @@ def _run_sim(cfg: RunConfig) -> RunResult:
     row_cutoffs = truncated and cfg.mode != "sim-transform"
 
     mu = -cfg.alpha * cfg.alpha / 32.0
+    diag = None  # the CSV, opened once, at the first row
 
     def emit(s, step, w1inf):
+        nonlocal diag
         lam = w_t = None
         if w is not None:
             w_t = float(w[step])
             lam = math.exp(cfg.alpha * w_t + mu * s.t)
         cut = (cutoffs_from_norms(w1inf, cfg.radius) if row_cutoffs
                else (None, None, None))
-        append_diagnostics(_record(cfg, s, params, loop, w1inf, lam, w_t,
-                                   cut), diag_path)
+        rec = _record(cfg, s, params, loop, w1inf, lam, w_t, cut)
+        if diag is None:
+            diag = _open_diagnostics(diag_path)
+        append_diagnostics(rec, diag)
 
     def observe(s, step, row_due) -> bool:
         # one W^{1,inf} evaluation per state feeds the row and the monitor,
@@ -170,21 +171,26 @@ def _run_sim(cfg: RunConfig) -> RunResult:
         write_stopping_record(rec, stop_path)
         return RunResult(EXIT_STOPPED, cfg.out_dir, s, stopping=rec)
 
-    if observe(state, 0, True):
-        return finish_stopped(state)
-
-    for i in range(n):
-        try:
-            state = advance(state, i)
-        except DivergedError:
-            # the state before the failed step is the last valid one
-            write_checkpoint(state, params, ck_path, alpha=cfg.alpha)
-            return RunResult(EXIT_DIVERGED, cfg.out_dir, state)
-        if observe(state, i + 1, (i + 1) % cfg.stride == 0 or i + 1 == n):
+    try:
+        if observe(state, 0, True):
             return finish_stopped(state)
 
-    write_checkpoint(state, params, ck_path, alpha=cfg.alpha)
-    return RunResult(EXIT_COMPLETED, cfg.out_dir, state)
+        for i in range(n):
+            try:
+                state = advance(state, i)
+            except DivergedError:
+                # the state before the failed step is the last valid one
+                write_checkpoint(state, params, ck_path, alpha=cfg.alpha)
+                return RunResult(EXIT_DIVERGED, cfg.out_dir, state)
+            if observe(state, i + 1,
+                       (i + 1) % cfg.stride == 0 or i + 1 == n):
+                return finish_stopped(state)
+
+        write_checkpoint(state, params, ck_path, alpha=cfg.alpha)
+        return RunResult(EXIT_COMPLETED, cfg.out_dir, state)
+    finally:
+        if diag is not None:
+            diag.close()
 
 
 def _run_mc_hitting(cfg: RunConfig) -> RunResult:

@@ -321,6 +321,25 @@ def test_rerun_replaces_diagnostics(tmp_path):
     assert len(read_diagnostics(twice / "diagnostics.csv")) == 11
 
 
+def test_sim_opens_its_diagnostics_once(tmp_path, monkeypatch):
+    # one open per run; its bytes are those of row-by-row appends by path
+    import slicelab.runner
+    opened = []
+    real = slicelab.runner._open_diagnostics
+    monkeypatch.setattr(slicelab.runner, "_open_diagnostics",
+                        lambda path: opened.append(path) or real(path))
+    out = tmp_path / "det"
+    run(parse_config(_sim_text(out, extra="loop_radius = 1.0\n"),
+                     mode="sim-det"))
+    assert opened == [str(out / "diagnostics.csv")]
+    rows = read_diagnostics(out / "diagnostics.csv")
+    assert len(rows) == 11
+    for rec in rows:
+        append_diagnostics(rec, tmp_path / "by_path.csv")
+    assert ((tmp_path / "by_path.csv").read_bytes()
+            == (out / "diagnostics.csv").read_bytes())
+
+
 def test_rerun_that_completes_drops_an_old_stopping_record(tmp_path):
     out = tmp_path / "run"
     for radius, status in (("1e-6", 2), ("1e9", 0)):

@@ -178,6 +178,23 @@ def test_circulation_rejects_outside_loop(sq64):
     assert len(ei.value.point) == 2
 
 
+def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
+    # a row's enstrophy and circulation share one d_x, d_z theta_S pair and
+    # equal the separate calls bit for bit
+    from slicelab import diagnostics
+    st = random_state(sq64, seed=9)
+    p = Params(s=0.5)
+    lp = circle_loop(PI / 2, PI / 2, 0.8)
+    want = (generalized_enstrophy(st, p, np.square), circulation(st, p, lp))
+    theta_calls = []
+    real = diagnostics.differentiate
+    monkeypatch.setattr(diagnostics, "differentiate", lambda f, axis: (
+        theta_calls.append(axis) if f is st.theta_s else None) or real(f, axis))
+    assert repr(diagnostics._row_terms(st, p, lp)) == repr(want)
+    assert sorted(theta_calls) == ["x", "z"]
+    assert repr(diagnostics._row_terms(st, p, None)) == repr((want[0], None))
+
+
 def test_advect_loop_zero_velocity_is_identity(sq64):
     lp = circle_loop(PI / 2, PI / 2, 0.8)
     moved = advect_loop(lp, zero_state(sq64).u_s, 0.1)

@@ -431,3 +431,28 @@ def test_mc_global_does_not_depend_on_scheduling(case, monkeypatch):
         assert res.summary.hits == sum(p[1].triggered for p in serial)
         if cap == kw["n_paths"] and len(ok) == len(serial):
             assert len(calls) <= n_steps  # one batch: one call per step
+
+
+def test_mc_global_takes_one_norm_pass_per_batch_step(tor16, monkeypatch):
+    # a single batch: after the data's and the start's norms, each step is
+    # followed by exactly one state norm (3 field norms) for all its paths
+    import slicelab.norms
+    events = []
+    real_norm = slicelab.norms._field_norm
+    monkeypatch.setattr(slicelab.norms, "_field_norm",
+                        lambda *a: events.append("N") or real_norm(*a))
+    monkeypatch.setattr(ex, "step_transformed",
+                        lambda *a, **k: events.append("S") or
+                        st.step_transformed(*a, **k))
+    monkeypatch.setattr(ex, "_BATCH_VALUES", 8 * tor16.nx * tor16.nz)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = ex.mc_global_regularity(
+            tor16, sl.Params(s=0.0), alpha=6.0, r=1.3, amplitude=0.3,
+            n_paths=8, horizon=0.05, dt=5e-3, seed=4, c_tilde=0.25,
+            data_seed=2, max_mode=3)
+    assert res.n_diverged == 0
+    trace = "".join(events)
+    n_steps = trace.count("S")
+    assert n_steps >= 2
+    assert trace == "NNN" * 2 + "SNNN" * n_steps

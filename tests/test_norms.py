@@ -94,3 +94,57 @@ def test_l2_takes_no_transforms(tor64, monkeypatch):
     assert [l2(s.u_s), l2(s.u_t), l2(s.theta_s)] == parts
     assert l2(s) == combine(parts, 2)
     assert calls == []
+
+
+# -- a leading path axis: one norm per slice, as if alone ---------------------
+
+STACK_SPECS = [NormSpec(k, p) for k in range(4) for p in (2, 3, math.inf)]
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+@pytest.mark.parametrize("nx,nz", [(16, 16), (32, 32), (64, 32)])
+def test_stacked_norms_equal_per_slice_calls(geometry, nx, nz):
+    # the Monte Carlo monitors take a (B, nz, nx) batch's norms in one call;
+    # each path's value is the 2-D call's to the last bit
+    from slicelab.grid import make_grid
+    from slicelab.norms import _field_norm
+    from slicelab.state import make_state, state_arrays
+    g = make_grid(geometry, nx, nz, 2 * PI, PI)
+    rng = np.random.default_rng([nx, nz, len(geometry)])
+    n_paths = 4
+    # white noise fills every slot, the Nyquist row and column included
+    batch = make_state(g, 0.0, *(rng.standard_normal((n_paths, nz, nx))
+                                 for _ in range(4)))
+    paths = [make_state(g, 0.0, *(a[i] for a in state_arrays(batch)))
+             for i in range(n_paths)]
+    for spec in STACK_SPECS:
+        got = _field_norm([batch.u_s.x, batch.u_s.z], spec)
+        want = [_field_norm([s.u_s.x, s.u_s.z], spec) for s in paths]
+        assert repr(got) == repr(want), spec
+        got = _field_norm([batch.theta_s], spec)
+        want = [_field_norm([s.theta_s], spec) for s in paths]
+        assert repr(got) == repr(want), spec
+        got = state_component_norms(batch, spec)
+        want = [state_component_norms(s, spec) for s in paths]
+        assert repr(got) == repr(want), spec
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_nan_slice_changes_only_its_own_norms(geometry):
+    from slicelab.grid import make_grid
+    from slicelab.state import make_state
+    g = make_grid(geometry, 32, 32, 2 * PI, 2 * PI)
+    rng = np.random.default_rng(7)
+    arrays = [rng.standard_normal((4, 32, 32)) for _ in range(4)]
+    clean = make_state(g, 0.0, *arrays)
+    arrays[3] = arrays[3].copy()
+    arrays[3][2, 5, 9] = np.nan
+    dirty = make_state(g, 0.0, *arrays)
+    for spec in (W1INF, ZKP_DEFAULT, NormSpec(2, 3)):
+        want = state_component_norms(clean, spec)
+        got = state_component_norms(dirty, spec)
+        assert [repr(got[i]) for i in (0, 1, 3)] == [
+            repr(want[i]) for i in (0, 1, 3)], spec
+        # the NaN reaches theta_S's norm of its own path only
+        assert repr(got[2][:2]) == repr(want[2][:2]), spec
+        assert repr(got[2][2]) != repr(want[2][2]), spec

@@ -9,7 +9,8 @@ read-only) at seeds 1 and 2, plus a truncated square ``sim-sde`` with a loop
 and stride 3, a torus ``sim-transform`` with a loop, a square
 ``convergence`` run, a square ``mc-global`` run and a torus one whose low
 threshold stops paths at different steps (both with a part-filled last
-batch of paths), and a ``diag`` run with a ``[grid]`` section on the
+batch of paths), a torus ``mc-global`` run monitoring W^{1,inf} and a square
+one monitoring W^{2,3}, and a ``diag`` run with a ``[grid]`` section on the
 ``sim-sde`` checkpoint.  Every run works in the same relative directory
 under its tree's run root, so the configs and echoes of the two revisions
 name the same paths.
@@ -22,6 +23,7 @@ Exits 0 when every status and every file agree.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -83,6 +85,29 @@ EXTRA_RUNS = {
         "monitor": {"threshold": 1.5, "c_tilde": 1.0},
         "data": {"seed": 13, "amplitude": 0.5, "max_mode": 2},
         "mc": {"n_paths": 10},
+    }),
+    # the stacked monitor norms' two reductions, max for p = inf and the
+    # power sum for finite p; at this small alpha the norms grow, so each
+    # path's amp_peak is taken after t = 0
+    "mc-global-torus-w1inf": ("mc-global", {
+        "": {"seed": 14},
+        "grid": {"geometry": "torus", "nx": 32},
+        "params": {"s": 0.0},
+        "noise": {"alpha": 0.2},
+        "time": {"dt": 5e-4, "t_final": 5e-2},
+        "monitor": {"threshold": 1.02, "c_tilde": 1e-4, "k": 1, "p": math.inf},
+        "data": {"seed": 15, "amplitude": 5.0, "max_mode": 2},
+        "mc": {"n_paths": 9},
+    }),
+    "mc-global-square-w23": ("mc-global", {
+        "": {"seed": 16},
+        "grid": {"geometry": "square", "nx": 32},
+        "params": {"s": 0.0},
+        "noise": {"alpha": 0.2},
+        "time": {"dt": 5e-4, "t_final": 5e-2},
+        "monitor": {"threshold": 1.02, "c_tilde": 1e-4, "k": 2, "p": 3.0},
+        "data": {"seed": 17, "amplitude": 20.0, "max_mode": 2},
+        "mc": {"n_paths": 6},
     }),
     # runs after the sim-sde run above, whose checkpoint it reads
     "diag-square-grid": ("diag", {
