@@ -32,12 +32,11 @@ from .runner import RunResult, run
 from .state import (Params, SimState, Tendency, make_state, random_state,
                     zero_state)
 from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, NORM_THRESHOLD,
-                         LinearMultiplicative, NoiseOff, OnlineMonitor,
+                         LinearMultiplicative, OnlineMonitor,
                          PointwiseNemytskii, StoppingRecord, WienerPath,
-                         kappa_margin, lambda_process, noise_eval,
-                         refine_path, sample_wiener, step_em,
-                         step_transformed, transform_backward,
-                         transform_forward)
+                         lambda_process, noise_eval, refine_path,
+                         sample_wiener, step_em, step_transformed,
+                         transform_backward, transform_forward)
 
 __version__ = "0.1.0"
 
@@ -56,10 +55,10 @@ __all__ = [
     "Params", "SimState", "Tendency", "make_state", "random_state",
     "zero_state",
     "AMPLITUDE_THRESHOLD", "GBM_THRESHOLD", "NORM_THRESHOLD",
-    "LinearMultiplicative", "NoiseOff", "OnlineMonitor",
-    "PointwiseNemytskii", "StoppingRecord", "WienerPath", "kappa_margin",
-    "lambda_process", "noise_eval", "refine_path", "sample_wiener",
-    "step_em", "step_transformed", "transform_backward", "transform_forward",
+    "LinearMultiplicative", "OnlineMonitor", "PointwiseNemytskii",
+    "StoppingRecord", "WienerPath", "lambda_process", "noise_eval",
+    "refine_path", "sample_wiener", "step_em", "step_transformed",
+    "transform_backward", "transform_forward",
     "AmplitudeBudgetWarning", "GlobalRegularityResult", "McSummary",
     "StrongConvergenceResult", "amplitude_threshold", "decay_rate_fit",
     "gbm_max_oracle", "hitting_fraction_on_paths", "mc_global_regularity",

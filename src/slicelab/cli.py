@@ -10,19 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import MODES, parse_config
+from .config import MODE_TABLE, parse_config
 from .errors import SliceLabError
 from .runner import run
-
-_HELP = {
-    "sim-det": "deterministic RK4 run",
-    "sim-sde": "Euler-Maruyama run with multiplicative noise",
-    "sim-transform": "transformed-variable run on one Brownian path",
-    "mc-hitting": "scalar geometric-Brownian hitting-frequency study",
-    "mc-global": "Monte Carlo global-regularity study (needs s = 0)",
-    "convergence": "strong-order study against a transformed reference",
-    "diag": "diagnostics of a stored checkpoint",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,8 +20,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="slicelab",
         description="incompressible slice model laboratory")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode, help=_HELP[mode])
+    for mode, (help_line, _, _) in MODE_TABLE.items():
+        p = sub.add_parser(mode, help=help_line)
         p.add_argument("--config", required=True,
                        help="path to a run configuration file")
         p.add_argument("--seed", type=int, default=None,

@@ -17,14 +17,22 @@ from .grid import Grid, make_grid
 from .norms import NormSpec
 from .state import Params
 
-MODES = ("sim-det", "sim-sde", "sim-transform", "mc-hitting", "mc-global",
-         "convergence", "diag")
-
-# modes that integrate the PDE on a grid (everything but the scalar MC)
-_GRID_MODES = ("sim-det", "sim-sde", "sim-transform", "mc-global",
-               "convergence")
-_TIME_MODES = ("sim-det", "sim-sde", "sim-transform", "mc-hitting",
-               "mc-global", "convergence")
+#: mode -> (CLI help, integrates the PDE on a grid, needs [time] dt and
+#: t_final); `diag` takes its grid from the checkpoint unless one is given
+MODE_TABLE = {
+    "sim-det": ("deterministic RK4 run", True, True),
+    "sim-sde": ("Euler-Maruyama run with multiplicative noise", True, True),
+    "sim-transform": ("transformed-variable run on one Brownian path",
+                      True, True),
+    "mc-hitting": ("scalar geometric-Brownian hitting-frequency study",
+                   False, True),
+    "mc-global": ("Monte Carlo global-regularity study (needs s = 0)",
+                  True, True),
+    "convergence": ("strong-order study against a transformed reference",
+                    True, True),
+    "diag": ("diagnostics of a stored checkpoint", False, False),
+}
+MODES = tuple(MODE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -255,11 +263,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.geometry not in ("torus", "square"):
         raise ConfigError(f"geometry must be torus or square, "
                           f"got {cfg.geometry!r}")
-    if cfg.mode in _GRID_MODES or (cfg.mode == "diag" and cfg.nx is not None):
+    _, needs_grid, needs_time = MODE_TABLE[cfg.mode]
+    if needs_grid or (cfg.mode == "diag" and cfg.nx is not None):
         if cfg.mode != "diag":
             _require(cfg, "nx", "[grid] nx")
         cfg.grid()  # extent validation
-    if cfg.mode in _TIME_MODES:
+    if needs_time:
         _require(cfg, "dt", "[time] dt")
         _require(cfg, "t_final", "[time] t_final")
         if cfg.dt <= 0 or not math.isfinite(cfg.dt):

@@ -52,6 +52,11 @@ def _multi_indices(k: int):
     return [(ax, az) for ax in range(k + 1) for az in range(k + 1 - ax)]
 
 
+def _max(values) -> float:
+    """max of a list; nan when any entry is nan, wherever it stands."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _field_norm(components: list[ScalarField], spec: NormSpec):
     """W^{k,p} of a scalar (1 component) or vector (2 components) field, or
     the list of per-path norms of components stacked along a leading axis."""
@@ -75,7 +80,7 @@ def _field_norm(components: list[ScalarField], spec: NormSpec):
     norms = []
     for row in np.reshape(terms, (len(terms), -1)).T.tolist():
         if spec.p == INF:
-            norms.append(max(0.0, *row))
+            norms.append(_max([0.0, *row]))
         else:
             total = 0.0
             for term in row:
@@ -88,7 +93,7 @@ def combine(parts, p: float) -> float:
     """l^p combination of already-computed component norms."""
     parts = [float(v) for v in parts]
     if p == INF:
-        return max(parts) if parts else 0.0
+        return _max(parts) if parts else 0.0
     return sum(v ** p for v in parts) ** (1.0 / p)
 
 

@@ -29,7 +29,7 @@ THETA_BASIS = VZ_BASIS
 @dataclass(frozen=True)
 class Params:
     """Physical constants: Coriolis f, gravity g, reference temperature
-    theta0, transverse temperature gradient s, noise amplitude alpha.
+    theta0, transverse temperature gradient s (alpha is the noise model's).
 
     Defaults are the unit parameters of the model's standard simplification.
     """
@@ -38,10 +38,9 @@ class Params:
     g: float = 1.0
     theta0: float = 1.0
     s: float = 1.0
-    alpha: float = 0.0
 
     def __post_init__(self):
-        vals = (self.f, self.g, self.theta0, self.s, self.alpha)
+        vals = (self.f, self.g, self.theta0, self.s)
         if not all(math.isfinite(v) for v in vals):
             raise ConfigError(f"non-finite parameter in {vals}")
         if self.theta0 <= 0:

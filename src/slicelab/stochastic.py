@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .dynamics import (_axpy, _check_dt, _euler_arrays, _finish_step,
                        _rhs_arrays, _rk4_arrays)
 from .errors import ConfigError, DivergedError
-from .grid import dealias, scalar_field, vector_field
-from .incompressible import leray_project
-from .norms import l2
-from .state import (Params, SimState, Tendency, scale_state, state_arrays,
-                    state_is_finite, tendency_arrays)
+from .grid import dealias
+from .incompressible import project_values
+from .state import (Params, SimState, scale_state, state_arrays,
+                    state_is_finite)
 
 #: |alpha W| beyond which exp() leaves double range; paths are declared
 #: diverged instead of producing Inf.
@@ -111,28 +109,15 @@ def refine_path(path: WienerPath) -> WienerPath:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NoiseOff:
-    """No forcing; the EM stepper degenerates to explicit Euler."""
-
-    modes: int = 0
-    kappa_bound: Callable[[float], float] | None = None
-
-
-@dataclass(frozen=True)
 class LinearMultiplicative:
     """Single-mode linear noise: sigma = alpha * (u_S, u_T, theta_S)."""
 
     alpha: float
-    kappa_bound: Callable[[float], float] | None = None
-    modes: int = 1
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ConfigError(f"noise amplitude must be finite, "
                               f"got {self.alpha}")
-        if self.kappa_bound is None:
-            a = abs(self.alpha)
-            object.__setattr__(self, "kappa_bound", lambda _peak: a)
 
 
 @dataclass(frozen=True)
@@ -147,7 +132,6 @@ class PointwiseNemytskii:
 
     gains: tuple
     shapes: tuple
-    kappa_bound: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if len(self.gains) != 3:
@@ -168,52 +152,37 @@ class PointwiseNemytskii:
         return len(self.shapes)
 
 
-def noise_eval(model, state: SimState) -> list[Tendency]:
-    """Per-mode diffusion fields, shaped like tendencies.
+def _gain_values(gain, state: SimState, shape) -> np.ndarray:
+    # a gain is a scalar or an array that broadcasts to the state's shape
+    g = np.asarray(gain(state), dtype=float)
+    try:
+        return np.broadcast_to(g, shape)
+    except ValueError:
+        raise ConfigError(f"gain of shape {g.shape} does not fit the "
+                          f"state's field shape {shape}") from None
 
-    Off gives an empty list.  The linear model leaves u_S unprojected: a
-    scalar multiple of a divergence-free field is divergence-free.
+
+def noise_eval(model, state: SimState) -> list[tuple]:
+    """Per-mode diffusion value arrays (dux, duz, dut, dth), one tuple per
+    noise mode.
+
+    The linear model leaves u_S unprojected: a scalar multiple of a
+    divergence-free field is divergence-free.
     """
     if not state_is_finite(state):
         raise DivergedError("non-finite state passed to noise evaluation",
                             last_state=None)
-    if isinstance(model, NoiseOff):
-        return []
     if isinstance(model, LinearMultiplicative):
-        a = model.alpha
-        s = scale_state(state, a)
-        return [Tendency(s.u_s, s.u_t, s.theta_s)]
+        return [tuple(model.alpha * a for a in state_arrays(state))]
     if isinstance(model, PointwiseNemytskii):
-        g_us, g_ut, g_th = model.gains
-        out = []
-        for sx, sz, st_, th in model.shapes:
-            gv = np.asarray(g_us(state), dtype=float)
-            us = leray_project(vector_field(
-                state.grid, gv * sx.values, gv * sz.values))
-            ut = scalar_field(state.grid,
-                              np.asarray(g_ut(state), dtype=float) * st_.values,
-                              st_.basis)
-            tht = scalar_field(state.grid,
-                               np.asarray(g_th(state), dtype=float) * th.values,
-                               th.basis)
-            out.append(Tendency(us, ut, tht))
-        return out
+        shape = state.u_t.values.shape
+        g_us, g_ut, g_th = (_gain_values(g, state, shape)
+                            for g in model.gains)
+        return [(*project_values(state.grid, g_us * sx.values,
+                                 g_us * sz.values),
+                 g_ut * st_.values, g_th * th.values)
+                for sx, sz, st_, th in model.shapes]
     raise ConfigError(f"unknown noise model {type(model).__name__}")
-
-
-def kappa_margin(model, state: SimState) -> float:
-    """Empirical (A1)-style growth check: ||sigma(state)|| over
-    kappa(max|state|) * (1 + sum of component L2 norms).  No gating; a
-    value <= 1 means the declared modulus covers this state."""
-    if model.kappa_bound is None:
-        raise ConfigError("model declares no growth modulus")
-    diffs = noise_eval(model, state)
-    total = math.sqrt(sum(l2(d.du_s) ** 2 + l2(d.du_t) ** 2
-                          + l2(d.dtheta_s) ** 2 for d in diffs))
-    peak = max(float(np.max(np.abs(a))) for a in state_arrays(state))
-    budget = model.kappa_bound(peak) * (
-        1.0 + l2(state.u_s) + l2(state.u_t) + l2(state.theta_s))
-    return total / budget if budget > 0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +196,16 @@ def step_em(state: SimState, params: Params, dt: float, dw, model,
 
     dw holds this step's Brownian increments, one per noise mode (a scalar
     is accepted for single-mode models); diffusion is evaluated at the step
-    start.  With NoiseOff the noise loop is skipped entirely, which keeps
-    the result bit-identical to step_euler.
+    start.
     """
     y1 = _euler_arrays(state, params, dt, radius)
     diffs = noise_eval(model, state)
-    if diffs:
-        dw_arr = np.atleast_1d(np.asarray(dw, dtype=float))
-        if dw_arr.shape != (len(diffs),):
-            raise ConfigError(f"got {dw_arr.shape[0]} increments for "
-                              f"{len(diffs)} noise modes")
-        for w_j, d in zip(dw_arr, diffs):
-            y1 = _axpy(y1, tendency_arrays(d), float(w_j))
+    dw_arr = np.atleast_1d(np.asarray(dw, dtype=float))
+    if dw_arr.shape != (len(diffs),):
+        raise ConfigError(f"got {dw_arr.shape[0]} increments for "
+                          f"{len(diffs)} noise modes")
+    for w_j, d in zip(dw_arr, diffs):
+        y1 = _axpy(y1, d, float(w_j))
     return _finish_step(state, y1, state.t + dt)
 
 

@@ -560,3 +560,15 @@ def test_cli_mode_list_matches_modes():
         assert ns.mode == mode
     with pytest.raises(SystemExit):
         parser.parse_args(["sim-nope", "--config", "x"])
+
+
+def test_runners_and_subcommands_name_exactly_the_modes():
+    import argparse
+    from slicelab.config import MODE_TABLE
+    from slicelab.runner import _RUNNERS
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == MODES == tuple(MODE_TABLE)
+    assert set(_RUNNERS) == set(MODES) and len(_RUNNERS) == len(MODES)
+    assert MODES == ("sim-det", "sim-sde", "sim-transform", "mc-hitting",
+                     "mc-global", "convergence", "diag")

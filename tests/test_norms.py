@@ -148,3 +148,31 @@ def test_nan_slice_changes_only_its_own_norms(geometry):
         # the NaN reaches theta_S's norm of its own path only
         assert repr(got[2][:2]) == repr(want[2][:2]), spec
         assert repr(got[2][2]) != repr(want[2][2]), spec
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_sup_norms_of_a_nan_field_are_nan(geometry, k):
+    # one NaN in u_x: the max over grid points and over multi-indices keeps
+    # it, where a fold with Python's max would drop it and read 0.0
+    from slicelab.grid import make_grid
+    from slicelab.state import make_state
+    g = make_grid(geometry, 64, 32, 2 * PI, PI)
+    s = random_state(g, seed=5)
+    ux = s.u_s.x.values.copy()
+    ux[7, 11] = np.nan
+    dirty = make_state(g, 0.0, ux, s.u_s.z.values, s.u_t.values,
+                       s.theta_s.values)
+    spec = NormSpec(k, math.inf)
+    assert math.isnan(norm(dirty.u_s, spec))
+    assert math.isnan(state_component_norms(dirty, spec)[0])
+    assert math.isnan(norm(dirty, spec))
+    # the clean components keep their finite norms
+    assert norm(dirty.u_t, spec) == norm(s.u_t, spec)
+
+
+def test_sup_combine_is_nan_in_either_order():
+    assert math.isnan(combine([1.0, math.nan], math.inf))
+    assert math.isnan(combine([math.nan, 1.0], math.inf))
+    assert math.isnan(combine([2.0, math.nan, 1.0], math.inf))
+    assert combine([1.0, 3.0, 2.0], math.inf) == 3.0

@@ -12,7 +12,7 @@ from helpers import state_max_abs_diff, states_close, with_time
 
 def test_params_defaults():
     p = Params()
-    assert (p.f, p.g, p.theta0, p.s, p.alpha) == (1.0, 1.0, 1.0, 1.0, 0.0)
+    assert (p.f, p.g, p.theta0, p.s) == (1.0, 1.0, 1.0, 1.0)
     assert p.buoyancy == 1.0
 
 
@@ -24,7 +24,7 @@ def test_params_buoyancy_ratio():
     {"theta0": 0.0},
     {"theta0": -1.0},
     {"f": float("nan")},
-    {"alpha": float("inf")},
+    {"s": float("inf")},
 ])
 def test_params_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as hyp_st
 import slicelab as sl
 from slicelab import dynamics as dyn
 from slicelab import stochastic as st
+from slicelab.grid import VX_BASIS, VZ_BASIS
 from slicelab.norms import l2
 from slicelab.state import state_arrays, tendency_arrays
 
@@ -88,19 +89,12 @@ def test_refined_variance_scales(seed):
 # noise models
 # ---------------------------------------------------------------------------
 
-def test_noise_off_is_empty(tor64):
-    s = sl.random_state(tor64, seed=3, max_mode=4, amplitude=0.5)
-    assert st.noise_eval(st.NoiseOff(), s) == []
-
-
 def test_linear_noise_scales_state(tor64):
     s = sl.random_state(tor64, seed=3, max_mode=4, amplitude=0.5)
     d = st.noise_eval(st.LinearMultiplicative(alpha=0.7), s)
-    assert len(d) == 1
-    assert np.array_equal(d[0].du_s.x.values, 0.7 * s.u_s.x.values)
-    assert np.array_equal(d[0].du_s.z.values, 0.7 * s.u_s.z.values)
-    assert np.array_equal(d[0].du_t.values, 0.7 * s.u_t.values)
-    assert np.array_equal(d[0].dtheta_s.values, 0.7 * s.theta_s.values)
+    assert len(d) == 1 and len(d[0]) == 4
+    for got, a in zip(d[0], state_arrays(s)):
+        assert np.array_equal(got, 0.7 * a)
 
 
 def test_nemytskii_projects_velocity_shape(tor64):
@@ -115,8 +109,9 @@ def test_nemytskii_projects_velocity_shape(tor64):
                  sl.scalar_field(tor64, zero), sl.scalar_field(tor64, zero)),))
     d = st.noise_eval(model, s)
     assert len(d) == 1 and model.modes == 1
-    assert np.max(np.abs(d[0].du_s.x.values - sz)) <= PROJ_TOL
-    assert np.max(np.abs(d[0].du_s.z.values)) <= PROJ_TOL
+    dux, duz, _, _ = d[0]
+    assert np.max(np.abs(dux - sz)) <= PROJ_TOL
+    assert np.max(np.abs(duz)) <= PROJ_TOL
 
 
 def test_nemytskii_state_dependent_gain(tor64):
@@ -128,9 +123,24 @@ def test_nemytskii_state_dependent_gain(tor64):
                lambda stt: stt.u_t.values),
         shapes=((sl.scalar_field(tor64, zero), sl.scalar_field(tor64, zero),
                  sl.scalar_field(tor64, sz), sl.scalar_field(tor64, sz)),))
-    d = st.noise_eval(model, s)
-    assert np.array_equal(d[0].du_t.values, sz)
-    assert np.array_equal(d[0].dtheta_s.values, s.u_t.values * sz)
+    _, _, dut, dth = st.noise_eval(model, s)[0]
+    assert np.array_equal(dut, sz)
+    assert np.array_equal(dth, s.u_t.values * sz)
+
+
+@pytest.mark.parametrize("bad_gain", [
+    lambda stt: np.ones(3),
+    lambda stt: np.ones((2,) + stt.u_t.values.shape),
+    lambda stt: stt.u_t.values.T[:-1],
+])
+def test_nemytskii_rejects_gain_of_wrong_shape(tor64, bad_gain):
+    s = sl.random_state(tor64, seed=3, max_mode=4, amplitude=0.5)
+    sz = sl.scalar_field(tor64, np.sin(tor64.z_mesh))
+    model = st.PointwiseNemytskii(
+        gains=(lambda _s: 1.0, bad_gain, lambda _s: 1.0),
+        shapes=((sz, sz, sz, sz),))
+    with pytest.raises(sl.ConfigError):
+        st.noise_eval(model, s)
 
 
 def test_nemytskii_rejects_aliased_shape(tor64):
@@ -154,25 +164,18 @@ def test_noise_eval_rejects_non_finite(tor64):
         st.noise_eval(st.LinearMultiplicative(alpha=1.0), broken)
 
 
-def test_kappa_margin_linear(tor64):
-    # sigma = alpha u, so ||sigma|| = alpha ||u|| <= alpha (1 + sum of norms)
-    s = sl.random_state(tor64, seed=3, max_mode=4, amplitude=0.5)
-    assert st.kappa_margin(st.LinearMultiplicative(alpha=0.7), s) <= 1.0
-    with pytest.raises(sl.ConfigError):
-        st.kappa_margin(st.NoiseOff(), s)
-
-
 # ---------------------------------------------------------------------------
 # Euler-Maruyama
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("geom", ["torus", "square"])
 def test_em_off_equals_euler_bitwise(geom):
+    # a zero increment adds exactly zero to every drift value
     g = (sl.make_grid("torus", 64, 64, 2 * np.pi, 2 * np.pi)
          if geom == "torus" else sl.make_grid("square", 64, 64, np.pi, np.pi))
     s = sl.random_state(g, seed=3, max_mode=4, amplitude=0.5)
     p = sl.Params()
-    a = st.step_em(s, p, 1e-3, 0.0, st.NoiseOff())
+    a = st.step_em(s, p, 1e-3, 0.0, st.LinearMultiplicative(alpha=0.7))
     b = dyn.step_euler(s, p, 1e-3)
     assert state_max_abs_diff(a, b) == 0.0
 
@@ -193,6 +196,39 @@ def test_em_linear_matches_manual_update(tor64):
     assert np.array_equal(got.u_t.values, y2[2])
     assert np.array_equal(got.theta_s.values, y2[3])
     assert got.t == pytest.approx(1e-3)
+
+
+@pytest.mark.parametrize("geom", ["torus", "square"])
+def test_em_nemytskii_two_modes_matches_manual_update(geom):
+    from slicelab.incompressible import project_values
+    g = (sl.make_grid("torus", 32, 32, 2 * np.pi, 2 * np.pi)
+         if geom == "torus" else sl.make_grid("square", 32, 32, np.pi, np.pi))
+    s = sl.random_state(g, seed=3, max_mode=4, amplitude=0.5)
+    p = sl.Params()
+    trig = {"sin": np.sin, "cos": np.cos}
+    # per mode c, band-limited shapes in each channel's square basis
+    # (u_T shares u_x's, theta_S u_z's); the torus ignores the bases
+    shapes = tuple(
+        tuple(sl.scalar_field(g, trig[bx](c * g.x_mesh)
+                              * trig[bz]((3 - c) * g.z_mesh), (bx, bz))
+              for bx, bz in (VX_BASIS, VZ_BASIS, VX_BASIS, VZ_BASIS))
+        for c in (1, 2))
+    gains = (lambda stt: 0.3, lambda stt: 1.0 + stt.theta_s.values,
+             lambda stt: stt.u_t.values)
+    model = st.PointwiseNemytskii(gains=gains, shapes=shapes)
+    dw = np.array([0.021, -0.013])
+    got = st.step_em(s, p, 1e-3, dw, model)
+    y = state_arrays(s)
+    drift = tendency_arrays(dyn.rhs_deterministic(s, p))
+    y1 = tuple(a + 1e-3 * b for a, b in zip(y, drift))
+    for w_j, (sx, sz, su, sth) in zip(dw, shapes):
+        gx, gz = project_values(g, 0.3 * sx.values, 0.3 * sz.values)
+        sigma = (gx, gz, (1.0 + s.theta_s.values) * su.values,
+                 s.u_t.values * sth.values)
+        y1 = tuple(a + w_j * b for a, b in zip(y1, sigma))
+    px, pz = project_values(g, y1[0], y1[1])
+    for a, b in zip(state_arrays(got), (px, pz, y1[2], y1[3])):
+        assert np.array_equal(a, b)
 
 
 def test_em_drift_disabled_multiplies_state(tor64):

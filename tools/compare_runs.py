@@ -18,7 +18,9 @@ name the same paths.
 Prints one line per output file: ``same``, ``DIFFERS`` or ``ONLY A``/``ONLY
 B``, ignoring the ``out_dir`` line of ``config.txt``, and one line per run
 with its exit status at both revisions (``STATUS`` when they differ).
-Exits 0 when every status and every file agree.
+Then prints each revision's size: the line count of ``src/slicelab/*.py``
+(as ``wc -l`` counts) and the length of ``slicelab.__all__``.  Exits 0
+when every status and every file agree.
 """
 
 from __future__ import annotations
@@ -135,11 +137,15 @@ def extract(rev: str, dest: str):
     subprocess.run(["tar", "-xf", archive, "-C", dest], check=True)
 
 
+def _env(tree: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                MKL_NUM_THREADS="1")
+
+
 def run_all(tree: str, work: str) -> dict:
     """Exit status of every run, with its outputs under `work`/<name>."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = _env(tree)
     status = {}
     for name, mode, cfg in runs():
         cfg_path = os.path.join(work, f"{name}.cfg")
@@ -150,6 +156,21 @@ def run_all(tree: str, work: str) -> dict:
              "--out-dir", name], cwd=work, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     return status
+
+
+def tree_size(tree: str) -> tuple:
+    """(lines of src/slicelab/*.py, number of public exports) of a tree."""
+    pkg = os.path.join(tree, "src", "slicelab")
+    lines = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                lines += fh.read().count(b"\n")
+    script = "import slicelab; print(len(slicelab.__all__))"
+    exports = subprocess.run([sys.executable, "-c", script], env=_env(tree),
+                             capture_output=True, text=True,
+                             check=True).stdout
+    return lines, int(exports)
 
 
 def _files(top: str) -> set:
@@ -198,14 +219,18 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="compare_runs_") as tmp:
-        statuses, works = [], []
+        statuses, works, sizes = [], [], []
         for label, rev in zip("AB", argv):
             tree, work = (os.path.join(tmp, label, d) for d in ("tree", "run"))
             os.makedirs(work)
             extract(rev, tree)
             statuses.append(run_all(tree, work))
             works.append(work)
+            sizes.append(tree_size(tree))
         differences = compare(*works, *statuses)
+    for label, rev, (lines, exports) in zip("AB", argv, sizes):
+        print(f"size     {label} {rev}: {lines} lines in src/slicelab/*.py, "
+              f"{exports} exports")
     print(f"{differences} difference(s) between {argv[0]} and {argv[1]}")
     return 1 if differences else 0
 
