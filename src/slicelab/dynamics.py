@@ -31,7 +31,7 @@ from .grid import (VX_BASIS, VZ_BASIS, Grid, dealias_values,
                    derivative_values, gaussian_lowpass, scalar_field, to_modes,
                    vector_field)
 from .incompressible import project_values
-from .norms import W1INF, norm, state_component_norms
+from .norms import W1INF, _max, norm, state_component_norms
 from .state import (THETA_BASIS, UT_BASIS, Params, SimState, Tendency,
                     make_state, state_arrays, state_is_finite)
 
@@ -130,11 +130,11 @@ def cutoff_factors(state: SimState, radius: float):
 
 def cutoffs_from_norms(norms, radius: float):
     """Cutoffs from (u_S, u_T, theta_S) W^{1,inf} norms already taken; pair
-    norms combine with max."""
+    norms combine with max, which is nan when either norm is."""
     n_us, n_ut, n_th = norms
     return (cutoff(n_us, radius),
-            cutoff(max(n_us, n_ut), radius),
-            cutoff(max(n_us, n_th), radius))
+            cutoff(_max((n_us, n_ut)), radius),
+            cutoff(_max((n_us, n_th)), radius))
 
 
 def rhs_truncated(state: SimState, params: Params, radius: float) -> Tendency:

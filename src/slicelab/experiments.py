@@ -92,28 +92,72 @@ class McSummary:
     dt: float
 
 
-def _path_hits(rng: np.random.Generator, alpha: float, log_r: float,
-               n_steps: int, dt: float) -> bool:
-    """Does max over the discrete grid of alpha W - (alpha^2/32) t reach
-    log_r?  Draws in growing chunks and exits on the first crossing; the
-    chunk layout is fixed, so the draw sequence is reproducible."""
-    if 0.0 >= log_r:
-        return True  # the t = 0 grid point already qualifies
-    mu = -(alpha * alpha) / 32.0
-    sqrt_dt = math.sqrt(dt)
+#: The draw chunks of a hitting-law path: 1024 steps, doubling up to this
+#: many.  Fixed: the running sum restarts at each chunk, so the layout
+#: sets the rounding of every series value.
+_CHUNK_MAX = 131072
+
+
+def _step_count(horizon: float, dt: float) -> int:
+    """Steps of the grid dt, 2 dt, ... up to horizon; at least one."""
+    if not (dt > 0 and math.isfinite(dt)) or not (
+            horizon > 0 and math.isfinite(horizon)):
+        raise ConfigError(f"bad time grid: dt={dt}, horizon={horizon}")
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise ConfigError(f"horizon {horizon} shorter than one step {dt}")
+    return n_steps
+
+
+def _first_crossing(rng: np.random.Generator, alpha: float, log_r: float,
+                    sqrt_dt: float, ramp: np.ndarray,
+                    buf: np.ndarray) -> tuple[bool, float]:
+    """First grid step k >= 0 at which alpha W - (alpha^2/32) t reaches
+    log_r on the path drawn from rng: (True, the series there), or (False,
+    the series at the last step).  With log_r <= 0 that is k = 0, where
+    the series is 0, and nothing is drawn.
+
+    ramp holds the drift -(alpha^2/32) k dt of every step and buf the
+    draws of one chunk.  The chunks run 1024, 2048, ... up to `_CHUNK_MAX`
+    steps and the path stops drawing at the chunk of its first crossing.
+    Each chunk is worked in place in buf, as alpha * (w + cumsum) + ramp.
+    """
+    if log_r <= 0.0:
+        return True, 0.0
+    n_steps = ramp.size
     w = 0.0
     done = 0
     chunk = 1024
     while done < n_steps:
         m = min(chunk, n_steps - done)
-        cs = np.cumsum(rng.standard_normal(m) * sqrt_dt)
-        series = alpha * (w + cs) + mu * dt * np.arange(done + 1, done + m + 1)
-        if float(series.max()) >= log_r:
-            return True
-        w += float(cs[-1])
+        series = buf[:m]
+        rng.standard_normal(out=series)
+        np.multiply(series, sqrt_dt, out=series)
+        np.cumsum(series, out=series)
+        w_next = w + float(series[-1])
+        np.add(series, w, out=series)
+        np.multiply(series, alpha, out=series)
+        np.add(series, ramp[done:done + m], out=series)
+        if series.max() >= log_r:
+            return True, float(series[np.argmax(series >= log_r)])
+        w = w_next
         done += m
-        chunk = min(2 * chunk, 131072)
-    return False
+        chunk = min(2 * chunk, _CHUNK_MAX)
+    return False, float(series[-1])
+
+
+def _path_crossings(alpha: float, r: float, horizon: float, dt: float,
+                    n_paths: int, seed: int) -> list:
+    """`_first_crossing` of log r on each path (seed, index), sharing one
+    drift ramp and one draw buffer."""
+    n_steps = _step_count(horizon, dt)
+    log_r = math.log(r) if r > 0 else -math.inf
+    mu = -(alpha * alpha) / 32.0
+    ramp = mu * dt * np.arange(1, n_steps + 1)
+    buf = np.empty(min(n_steps, _CHUNK_MAX))
+    sqrt_dt = math.sqrt(dt)
+    return [_first_crossing(_path_rng(seed, idx), alpha, log_r, sqrt_dt,
+                            ramp, buf) for idx in range(n_paths)]
 
 
 def mc_hitting(alpha: float, r: float, horizon: float, dt: float,
@@ -127,14 +171,8 @@ def mc_hitting(alpha: float, r: float, horizon: float, dt: float,
     if n_paths < 100:
         raise ConfigError(f"need at least 100 paths for a meaningful "
                           f"frequency, got {n_paths}")
-    if not (dt > 0 and math.isfinite(dt)) or horizon <= 0:
-        raise ConfigError(f"bad time grid: dt={dt}, horizon={horizon}")
-    n_steps = int(round(horizon / dt))
-    log_r = math.log(r) if r > 0 else -math.inf
-    hits = 0
-    for idx in range(n_paths):
-        if _path_hits(_path_rng(seed, idx), alpha, log_r, n_steps, dt):
-            hits += 1
+    hits = sum(crossed for crossed, _ in _path_crossings(
+        alpha, r, horizon, dt, n_paths, seed))
     frac = hits / n_paths
     se = math.sqrt(frac * (1.0 - frac) / n_paths)
     return McSummary(n_paths, hits, frac, se, seed, alpha, r, horizon, dt)
@@ -161,22 +199,13 @@ def stopped_lambda_mean(alpha: float, r: float, horizon: float, dt: float,
 
     Lambda^{1/16} is a positive martingale, and stopping at the first grid
     crossing of r keeps the mean at exactly 1 (discrete optional stopping);
-    only sampling noise remains.
+    only sampling noise remains.  With r <= 1 every path stops at t = 0.
     """
     if n_paths < 100:
         raise ConfigError(f"need at least 100 paths, got {n_paths}")
-    n_steps = int(round(horizon / dt))
-    log_r = math.log(r)
-    mu = -(alpha * alpha) / 32.0
-    sqrt_dt = math.sqrt(dt)
-    vals = np.empty(n_paths)
-    for idx in range(n_paths):
-        rng = _path_rng(seed, idx)
-        cs = np.cumsum(rng.standard_normal(n_steps) * sqrt_dt)
-        series = alpha * cs + mu * dt * np.arange(1, n_steps + 1)
-        crossed = np.nonzero(series >= log_r)[0]
-        stopped = series[crossed[0]] if crossed.size else series[-1]
-        vals[idx] = math.exp(stopped / 16.0)
+    vals = np.array([math.exp(stopped / 16.0) for _, stopped in
+                     _path_crossings(alpha, r, horizon, dt, n_paths,
+                                     seed)])
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_paths))
     return mean, se
@@ -296,9 +325,7 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
         raise ConfigError("the regularity experiment requires s = 0")
     if n_paths < 1:
         raise ConfigError(f"need at least one path, got {n_paths}")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        raise ConfigError(f"horizon {horizon} shorter than one step {dt}")
+    n_steps = _step_count(horizon, dt)
 
     budget = amplitude_threshold(alpha, r, c_tilde)
     amplitude_ok = amplitude <= budget
@@ -435,9 +462,7 @@ def strong_convergence_study(grid: Grid, params: Params, state0: SimState,
         raise ConfigError(f"need at least 4 dyadic levels, got {levels}")
     if n_paths < 1:
         raise ConfigError(f"need at least one path, got {n_paths}")
-    n_coarse = int(round(horizon / coarse_dt))
-    if n_coarse < 1:
-        raise ConfigError("horizon shorter than one coarse step")
+    n_coarse = _step_count(horizon, coarse_dt)
     if alpha == 0.0:
         n_paths = 1
     model = LinearMultiplicative(alpha=alpha)
@@ -513,9 +538,7 @@ def mollifier_cauchy_study(state0: SimState, params: Params, j_levels,
         if b != 2 * a:
             raise ConfigError(f"smoothing levels must be dyadic, "
                               f"got {a} followed by {b}")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        raise ConfigError("horizon shorter than one step")
+    n_steps = _step_count(horizon, dt)
 
     def solve(j: int) -> SimState:
         s = mollify(state0, j)

@@ -52,9 +52,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ConfigError
+
+#: scipy.fft, imported when the first Grid is built: the scalar Monte Carlo
+#: modes build none and never load it, and the transforms pay nothing per
+#: call for the deferral
+sfft = None
 
 SIN = "sin"
 COS = "cos"
@@ -87,6 +91,11 @@ class Grid:
     nz: int
     lx: float
     lz: float
+
+    def __post_init__(self):
+        global sfft
+        if sfft is None:
+            import scipy.fft as sfft
 
     # -- sample coordinates -------------------------------------------------
     @cached_property

@@ -2,8 +2,9 @@
 stream-function velocity, the vorticity-form cross-check of the primitive
 stepper, the batch oracle of the online stopping monitor, the
 stopping-record reader, per-geometry oracles of the spectral operators
-that the grid's per-basis tables now serve with one body, and the
-path-by-path loop that the regularity experiment batches."""
+that the grid's per-basis tables now serve with one body, the
+path-by-path loop that the regularity experiment batches, and the
+allocating hitting-law path loops that the in-place kernel replaced."""
 
 import math
 from dataclasses import replace
@@ -287,3 +288,50 @@ def serial_mc_global(grid, params, alpha, r, amplitude, n_paths, horizon, dt,
                 break
         out.append((amp.record(), gbm.record(), diverged, bounded))
     return out
+
+
+# -- the allocating hitting-law path loops --------------------------------------
+
+def path_hits_oracle(rng, alpha: float, log_r: float, n_steps: int,
+                     dt: float):
+    """Does max over the discrete grid of alpha W - (alpha^2/32) t reach
+    log_r?  Draws in growing chunks and exits on the first crossing:
+    (hit, number of chunks drawn), (True, 0) at the t = 0 grid point."""
+    if 0.0 >= log_r:
+        return True, 0
+    mu = -(alpha * alpha) / 32.0
+    sqrt_dt = math.sqrt(dt)
+    w = 0.0
+    done = 0
+    chunk = 1024
+    n_chunks = 0
+    while done < n_steps:
+        m = min(chunk, n_steps - done)
+        cs = np.cumsum(rng.standard_normal(m) * sqrt_dt)
+        series = alpha * (w + cs) + mu * dt * np.arange(done + 1, done + m + 1)
+        n_chunks += 1
+        if float(series.max()) >= log_r:
+            return True, n_chunks
+        w += float(cs[-1])
+        done += m
+        chunk = min(2 * chunk, 131072)
+    return False, n_chunks
+
+
+def stopped_lambda_oracle(alpha: float, r: float, horizon: float, dt: float,
+                          n_paths: int, seed: int) -> np.ndarray:
+    """Lambda(horizon ^ hitting time)^{1/16} of each path, every step of the
+    path drawn at once."""
+    n_steps = int(round(horizon / dt))
+    log_r = math.log(r)
+    mu = -(alpha * alpha) / 32.0
+    sqrt_dt = math.sqrt(dt)
+    vals = np.empty(n_paths)
+    for idx in range(n_paths):
+        rng = _path_rng(seed, idx)
+        cs = np.cumsum(rng.standard_normal(n_steps) * sqrt_dt)
+        series = alpha * cs + mu * dt * np.arange(1, n_steps + 1)
+        crossed = np.nonzero(series >= log_r)[0]
+        stopped = series[crossed[0]] if crossed.size else series[-1]
+        vals[idx] = math.exp(stopped / 16.0)
+    return vals

@@ -297,6 +297,25 @@ def test_cutoff_rejects_bad_radius():
         dyn.cutoff(1.0, -2.0)
 
 
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_cutoffs_from_norms_keep_a_nan_in_any_place(where):
+    norms = [1.0, 1.0, 1.0]
+    norms[where] = float("nan")
+    cuts = dyn.cutoffs_from_norms(tuple(norms), 2.0)
+    # u_S enters all three pairs, u_T only the second, theta_S the third
+    nan_at = {0: (0, 1, 2), 1: (1,), 2: (2,)}[where]
+    assert [np.isnan(c) for c in cuts] == [i in nan_at for i in range(3)]
+    assert all(c == 1.0 for i, c in enumerate(cuts) if i not in nan_at)
+
+
+def test_cutoffs_from_norms_pair_finite_norms_with_max():
+    rng = np.random.default_rng(3)
+    for n_us, n_ut, n_th in rng.uniform(0.0, 5.0, size=(50, 3)).tolist():
+        cuts = dyn.cutoffs_from_norms((n_us, n_ut, n_th), 1.3)
+        assert cuts == (dyn.cutoff(n_us, 1.3), dyn.cutoff(max(n_us, n_ut), 1.3),
+                        dyn.cutoff(max(n_us, n_th), 1.3))
+
+
 def test_cutoff_factors_zero_state(tor64):
     assert dyn.cutoff_factors(zero_state(tor64), 1.0) == (1.0, 1.0, 1.0)
 

@@ -1,6 +1,9 @@
 """Hitting law, amplitude budget, MC harnesses, convergence studies."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +14,7 @@ from slicelab import experiments as ex
 from slicelab import stochastic as st
 from slicelab.norms import l2
 
-from helpers import serial_mc_global
+from helpers import path_hits_oracle, serial_mc_global, stopped_lambda_oracle
 
 # the closed-form oracle is exact arithmetic; MC comparisons carry their
 # own SE-based bands
@@ -177,6 +180,96 @@ def test_stopped_lambda_mean_is_one():
     assert abs(mean - 1.0) <= 4.0 * se
     with pytest.raises(sl.ConfigError):
         ex.stopped_lambda_mean(1.0, 2.0, 1.0, 0.01, 50, seed=5)
+
+
+# -- the in-place path kernel against the allocating loop ---------------------
+
+@pytest.mark.parametrize("n_steps", [1, 1024, 1025, 3072, 100_000])
+@pytest.mark.parametrize("alpha", [1.0, -1.0, 0.0])
+def test_first_crossing_decides_as_the_allocating_loop(alpha, n_steps):
+    dt, seed, n_paths = 0.01, 4, 40
+    ramp = -(alpha * alpha) / 32.0 * dt * np.arange(1, n_steps + 1)
+    buf = np.empty(min(n_steps, ex._CHUNK_MAX))
+    first_chunks = set()
+    for log_r in (0.05, 0.5, 3.0, 8.0):
+        for idx in range(n_paths):
+            hit, n_chunks = path_hits_oracle(ex._path_rng(seed, idx), alpha,
+                                             log_r, n_steps, dt)
+            crossed, _ = ex._first_crossing(ex._path_rng(seed, idx), alpha,
+                                            log_r, math.sqrt(dt), ramp, buf)
+            assert crossed == hit, (log_r, idx)
+            first_chunks.add(n_chunks if hit else None)
+    if alpha == 0.0:
+        assert first_chunks == {None}
+    elif n_steps == 100_000:
+        # paths first cross in the first, second and third chunk, or never
+        assert {1, 2, 3, None} <= first_chunks
+
+
+def test_mc_hitting_equals_the_allocating_loop_at_the_benchmark_sizing():
+    # the mc-hitting benchmark workload: alpha 0.5, log r = 20, horizon
+    # 1000 at dt 0.01 (100,000 steps), 750 paths, seed 1
+    alpha, r, horizon, dt, n_paths, seed = (0.5, math.exp(20.0), 1000.0,
+                                            0.01, 750, 1)
+    hits = sum(path_hits_oracle(ex._path_rng(seed, idx), alpha, math.log(r),
+                                100_000, dt)[0] for idx in range(n_paths))
+    s = ex.mc_hitting(alpha, r, horizon, dt, n_paths, seed)
+    assert s.hits == hits and s.fraction == hits / n_paths
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5, 0.0])
+def test_threshold_at_most_one_is_reached_at_t0(r):
+    # Lambda_0 = 1 >= r: every path hits and stops there, drawing nothing
+    assert ex.mc_hitting(-1.0, r, 10.0, 0.1, 100, seed=2).hits == 100
+    assert ex.stopped_lambda_mean(-1.0, r, 10.0, 0.1, 100, seed=2) == (
+        1.0, 0.0)
+    assert ex._first_crossing(None, -1.0, math.log(r) if r else -math.inf,
+                              0.1, np.empty(0), np.empty(0)) == (True, 0.0)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 10.24])
+def test_stopped_lambda_mean_within_one_chunk_is_bitwise(horizon):
+    # up to 1024 steps the kernel's one chunk starts at w = 0.0
+    vals = stopped_lambda_oracle(1.0, 2.0, horizon, 0.01, 500, 5)
+    assert ex.stopped_lambda_mean(1.0, 2.0, horizon, 0.01, 500, 5) == (
+        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(500)))
+
+
+def test_stopped_lambda_mean_over_chunks_agrees_with_one_cumsum():
+    # 5000 steps in chunks of 1024, 2048 and 1928: the running sum restarts
+    # at each chunk, so agreement is to rounding
+    vals = stopped_lambda_oracle(-1.0, math.exp(3.0), 50.0, 0.01, 200, 21)
+    mean, se = ex.stopped_lambda_mean(-1.0, math.exp(3.0), 50.0, 0.01, 200,
+                                      21)
+    assert mean == pytest.approx(float(vals.mean()), rel=1e-12, abs=0.0)
+    assert se == pytest.approx(float(vals.std(ddof=1) / math.sqrt(200)),
+                               rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("horizon, dt", [
+    (0.004, 0.01), (1.0, 0.0), (1.0, -0.01), (1.0, math.nan),
+    (1.0, math.inf), (0.0, 0.01), (-1.0, 0.01), (math.nan, 0.01),
+    (math.inf, 0.01)])
+def test_hitting_harnesses_reject_bad_time_grids(horizon, dt):
+    with pytest.raises(sl.ConfigError):
+        ex.mc_hitting(1.0, 2.0, horizon, dt, 100, 1)
+    with pytest.raises(sl.ConfigError):
+        ex.stopped_lambda_mean(1.0, 2.0, horizon, dt, 100, 1)
+
+
+def test_scalar_modes_never_import_scipy_fft():
+    # scipy.fft loads with the first Grid; a hitting-law run builds none
+    script = ("import sys, slicelab\n"
+              "slicelab.mc_hitting(1.0, 2.0, 1.0, 0.01, 100, 1)\n"
+              "slicelab.stopped_lambda_mean(1.0, 2.0, 1.0, 0.01, 100, 1)\n"
+              "print('scipy.fft' in sys.modules)\n"
+              "slicelab.make_grid('torus', 8, 8, 1.0, 1.0)\n"
+              "print('scipy.fft' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------

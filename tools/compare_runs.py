@@ -10,8 +10,9 @@ and stride 3, a torus ``sim-transform`` with a loop, a square
 ``convergence`` run, a square ``mc-global`` run and a torus one whose low
 threshold stops paths at different steps (both with a part-filled last
 batch of paths), a torus ``mc-global`` run monitoring W^{1,inf} and a square
-one monitoring W^{2,3}, and a ``diag`` run with a ``[grid]`` section on the
-``sim-sde`` checkpoint.  Every run works in the same relative directory
+one monitoring W^{2,3}, an ``mc-hitting`` run at alpha < 0 whose paths
+first cross in each of its three draw chunks or never, and a ``diag`` run
+with a ``[grid]`` section on the ``sim-sde`` checkpoint.  Every run works in the same relative directory
 under its tree's run root, so the configs and echoes of the two revisions
 name the same paths.
 
@@ -110,6 +111,16 @@ EXTRA_RUNS = {
         "monitor": {"threshold": 1.02, "c_tilde": 1e-4, "k": 2, "p": 3.0},
         "data": {"seed": 17, "amplitude": 20.0, "max_mode": 2},
         "mc": {"n_paths": 6},
+    }),
+    # 5000 steps in draw chunks of 1024, 2048 and 1928 at alpha < 0: of the
+    # 200 paths, 74 never cross and 67, 44 and 15 first cross in the
+    # first, second and third chunk
+    "mc-hitting-chunks": ("mc-hitting", {
+        "": {"seed": 21},
+        "noise": {"alpha": -1.0},
+        "time": {"dt": 0.01, "t_final": 50.0},
+        "monitor": {"threshold": math.exp(3.0)},
+        "mc": {"n_paths": 200},
     }),
     # runs after the sim-sde run above, whose checkpoint it reads
     "diag-square-grid": ("diag", {
