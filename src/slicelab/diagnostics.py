@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _rk4_arrays
+from .dynamics import _gradient, _rk4_arrays
 from .errors import ConfigError, LoopDomainError
 from .grid import (Geometry, Grid, NEUMANN_BASIS, ScalarField, VectorField,
-                   VX_BASIS, VZ_BASIS, differentiate, integrate,
-                   scalar_field)
+                   VX_BASIS, VZ_BASIS, axis_derivative_modes, from_modes,
+                   integrate, scalar_field, to_modes)
 from .incompressible import curl
-from .norms import ZKP_DEFAULT, l2, norm
-from .state import Params, SimState, state_arrays
+from .norms import ZKP_DEFAULT, _w1inf, l2, norm
+from .state import THETA_BASIS, UT_BASIS, Params, SimState, state_arrays
 
 
 class EnergyAccountingWarning(UserWarning):
@@ -49,27 +49,18 @@ def energy(state: SimState, params: Params) -> float:
     return integrate(g, dens)
 
 
-def _theta_gradient(state: SimState):
-    # (d_x theta_S, d_z theta_S) values, shared by q and the circulation
-    return (differentiate(state.theta_s, "x").values,
-            differentiate(state.theta_s, "z").values)
-
-
 def potential_vorticity(state: SimState, params: Params) -> ScalarField:
     """q as above.  On the square the returned basis is cos.cos, the parity
     class of the s = 0 expression; values are exact for any s."""
-    return _potential_vorticity(state, params, _theta_gradient(state))
+    return _potential_vorticity(state, params, _first_derivatives(state)[1])
 
 
 def _potential_vorticity(state: SimState, params: Params,
-                         grad_th) -> ScalarField:
-    g = state.grid
-    om = curl(state.u_s)
-    dx_ut = differentiate(state.u_t, "x").values
-    dz_ut = differentiate(state.u_t, "z").values
-    dx_th, dz_th = grad_th
-    q = params.s * om.values - (dx_ut + params.f) * dz_th + dz_ut * dx_th
-    return scalar_field(g, q, NEUMANN_BASIS)
+                         row) -> ScalarField:
+    (dx_ut, dz_ut), (dx_th, dz_th), vorticity, _ = row
+    om = from_modes(state.grid, *vorticity)
+    q = params.s * om - (dx_ut + params.f) * dz_th + dz_ut * dx_th
+    return scalar_field(state.grid, q, NEUMANN_BASIS)
 
 
 def generalized_enstrophy(state: SimState, params: Params, phi) -> float:
@@ -186,7 +177,8 @@ def _interp_pair(grid: Grid, x_values, z_values, pts: np.ndarray,
 def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
     """Trapezoidal line integral of v_S = s u_S - (u_T + f x) grad theta_S
     around the loop, with bilinear sampling of the integrand fields."""
-    return _circulation(state, params, loop, _theta_gradient(state))
+    return _circulation(state, params, loop, _gradient(
+        state.grid, state.theta_s.values, state.theta_s.basis))
 
 
 def _circulation(state: SimState, params: Params, loop: MaterialLoop,
@@ -205,15 +197,33 @@ def _circulation(state: SimState, params: Params, loop: MaterialLoop,
     return float(np.sum(mid[:, 0] * seg[:, 0] + mid[:, 1] * seg[:, 1]))
 
 
-def _row_terms(state: SimState, params: Params, loop: MaterialLoop | None):
-    """A diagnostics row's generalized_enstrophy(state, params, np.square)
-    and circulation (None without a loop), taking d_x theta_S and
-    d_z theta_S once for both."""
-    grad_th = _theta_gradient(state)
-    q = _potential_vorticity(state, params, grad_th).values
+def _first_derivatives(state: SimState):
+    """One first-derivative pass, 4 forward and 8 inverse transforms: the
+    (u_S, u_T, theta_S) W^{1,inf} norms, bitwise norm(..., W1INF)'s, and
+    the row part: (d_x, d_z) of u_T and theta_S, and the (coefficients,
+    basis) of u_S's curl and divergence, formed as in `incompressible`."""
+    g = state.grid
+    ux, uz, ut, th = state_arrays(state)
+    # d_x u_x, d_z u_x, d_x u_z, d_z u_z as (coefficients, basis)
+    xx, zx, xz, zz = [axis_derivative_modes(g, c, b, a) for c, b in (
+        (to_modes(g, ux, VX_BASIS), VX_BASIS),
+        (to_modes(g, uz, VZ_BASIS), VZ_BASIS)) for a in "xz"]
+    w1inf = [_w1inf(g, (ux, uz), [[from_modes(g, *cb) for cb in pair]
+                                  for pair in ((xx, zx), (xz, zz))])]
+    grads = [_gradient(g, ut, UT_BASIS), _gradient(g, th, THETA_BASIS)]
+    w1inf += [_w1inf(g, (v,), (d,)) for v, d in zip((ut, th), grads)]
+    return w1inf, (*grads, (xz[0] - zx[0], xz[1]), (xx[0] + zz[0], xx[1]))
+
+
+def _row_terms(state: SimState, params: Params, loop: MaterialLoop | None,
+               row):
+    """A row's generalized_enstrophy(state, params, np.square), circulation
+    (None without a loop) and max divergence from `_first_derivatives`."""
+    q = _potential_vorticity(state, params, row).values
     return (integrate(state.grid, np.square(q)),
             None if loop is None else _circulation(state, params, loop,
-                                                   grad_th))
+                                                   row[1]),
+            float(np.max(np.abs(from_modes(state.grid, *row[3])))))
 
 
 def advect_loop(loop: MaterialLoop, u: VectorField, dt: float) -> MaterialLoop:

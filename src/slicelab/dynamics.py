@@ -12,12 +12,13 @@ tendency multiplies each advection term by the smooth cutoff of the matching
 running norm; linear couplings are never truncated.
 
 Every stepper calls one array-level tendency, `_rhs_arrays`, on the raw
-value arrays of each stage.  A finite cutoff radius truncates it with the
-stage's own W^{1,inf} norms; an `advect` scale on all advection terms and a
-`source_scale` on the z s source let the exponentially-transformed system
-share it.  At an infinite radius and unit scales every factor is exactly
-1.0, so the float operation sequence is the plain one, which the
-bit-equality contracts of the steppers rely on.
+value arrays of each stage: 24 transforms, truncated or not.  A finite
+cutoff radius truncates it with the stage's own W^{1,inf} norms, reduced
+from the first derivatives its advection takes; an `advect` scale on all
+advection terms and a `source_scale` on the z s source let the
+exponentially-transformed system share it.  At an infinite radius and unit
+scales every factor is exactly 1.0, so the float operation sequence is the
+plain one, which the bit-equality contracts of the steppers rely on.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .grid import (VX_BASIS, VZ_BASIS, Grid, dealias_values,
                    derivative_values, gaussian_lowpass, scalar_field, to_modes,
                    vector_field)
 from .incompressible import project_values
-from .norms import W1INF, _max, norm, state_component_norms
+from .norms import W1INF, _max, _w1inf, state_component_norms
 from .state import (THETA_BASIS, UT_BASIS, Params, SimState, Tendency,
                     make_state, state_arrays, state_is_finite)
 
@@ -40,15 +41,11 @@ from .state import (THETA_BASIS, UT_BASIS, Params, SimState, Tendency,
 # tendencies
 # ---------------------------------------------------------------------------
 
-def _advect(grid: Grid, ux, uz, coef, basis):
-    """(u.grad) of the field with raw coefficients `coef`, dealiased.
-
-    Structural advection preserves the advected field's parity class, so
-    the product is transformed back in `basis` itself.
-    """
-    dx, _ = derivative_values(grid, coef, basis, 1, 0)
-    dz, _ = derivative_values(grid, coef, basis, 0, 1)
-    return dealias_values(grid, ux * dx + uz * dz, basis)
+def _gradient(grid: Grid, values, basis):
+    """(d_x, d_z) values of a field: one forward, two inverse transforms."""
+    coef = to_modes(grid, values, basis)
+    return (derivative_values(grid, coef, basis, 1, 0)[0],
+            derivative_values(grid, coef, basis, 0, 1)[0])
 
 
 def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
@@ -56,25 +53,27 @@ def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
                 source_scale: float = 1.0):
     """Tendency value arrays (dux, duz, dut, dth).
 
-    The scales multiply unconditionally: callers with an infinite radius
-    and unit scales get the bitwise-plain tendency.
+    Each field is transformed and differentiated once; (u.grad) of it
+    keeps its parity class and is dealiased in its own basis.  A finite
+    radius takes the W^{1,inf} norms, bitwise norm(..., W1INF)'s, from the
+    same derivatives.  The scales multiply unconditionally: callers with
+    an infinite radius and unit scales get the bitwise-plain tendency.
     """
-    bx, bz, bt, bth = VX_BASIS, VZ_BASIS, UT_BASIS, THETA_BASIS
-    c_us = c_ut = c_th = 1.0
-    if math.isfinite(radius):
-        c_us, c_ut, c_th = cutoffs_from_norms(
-            (norm(vector_field(grid, ux, uz), W1INF),
-             norm(scalar_field(grid, ut, bt), W1INF),
-             norm(scalar_field(grid, th, bth), W1INF)), radius)
-    cux = to_modes(grid, ux, bx)
-    cuz = to_modes(grid, uz, bz)
-    cut = to_modes(grid, ut, bt)
-    cth = to_modes(grid, th, bth)
-
-    adv_x = _advect(grid, ux, uz, cux, bx)
-    adv_z = _advect(grid, ux, uz, cuz, bz)
-    adv_t = _advect(grid, ux, uz, cut, bt)
-    adv_s = _advect(grid, ux, uz, cth, bth)
+    truncated = math.isfinite(radius)
+    adv, w1inf, held = [], [], []
+    for i, (values, basis) in enumerate(((ux, VX_BASIS), (uz, VZ_BASIS),
+                                         (ut, UT_BASIS), (th, THETA_BASIS))):
+        dx, dz = grad = _gradient(grid, values, basis)
+        adv.append(dealias_values(grid, ux * dx + uz * dz, basis))
+        if truncated:
+            held.append((values, grad))
+            if i:  # the u_S norm pairs u_x's derivatives with u_z's
+                w1inf.append(_w1inf(grid, *zip(*held)))
+                held = []
+        del dx, dz, grad
+    adv_x, adv_z, adv_t, adv_s = adv
+    c_us, c_ut, c_th = (cutoffs_from_norms(w1inf, radius) if truncated
+                        else (1.0, 1.0, 1.0))
 
     buoy = params.buoyancy
     adv_us = advect * c_us

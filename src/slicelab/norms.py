@@ -10,10 +10,13 @@ derivative pair per multi-index.
 The state norm Z^{k,p} combines the three component norms (u_S counted as
 one vector field) by an l^p sum, or a max when p = infinity.
 
-Field values stacked along a leading path axis, shape (B, nz, nx), are
-reduced slice by slice: `_field_norm` and `state_component_norms` then give
-one norm (or one triple) per path, each bit for bit the one the 2-D call on
-that path's slice gives, with the transforms of one call shared by all B.
+`_reduce` is the one reduction from derivative values: `_field_norm` feeds
+it from a field's own transforms, and the truncated tendency and the
+runner's first-derivative pass feed it W^{1,inf} from derivatives they
+already hold.  Values stacked along a leading path axis, shape (B, nz, nx),
+are reduced slice by slice: `_field_norm` and `state_component_norms` then
+give one norm (or triple) per path, each bit for bit the 2-D call's on
+that slice, with the transforms of one call shared by all B.
 """
 
 from __future__ import annotations
@@ -61,18 +64,22 @@ def _field_norm(components: list[ScalarField], spec: NormSpec):
     """W^{k,p} of a scalar (1 component) or vector (2 components) field, or
     the list of per-path norms of components stacked along a leading axis."""
     grid = components[0].grid
-    # only derivatives read coefficients; the L^p term uses the values
+    # only derivatives read coefficients; one multi-index alive at a time
     coefs = ([to_modes(grid, f.values, f.basis) for f in components]
              if spec.k else [])
-    bases = [f.basis for f in components]
+    return _reduce(grid, ([f.values for f in components] if ax == az == 0
+                          else [derivative_values(grid, c, f.basis, ax, az)[0]
+                                for c, f in zip(coefs, components)]
+                          for ax, az in _multi_indices(spec.k)), spec)
+
+
+def _reduce(grid, derivs, spec: NormSpec):
+    """W^{k,p} from derivative values: per multi-index, in `_multi_indices`
+    order, the list of one (scalar) or two (vector) component arrays; at
+    W^{1,inf} values, d_z, d_x.  Stacked arrays give per-slice norms."""
     terms = []
-    for ax, az in _multi_indices(spec.k):
-        if ax == 0 and az == 0:
-            derivs = [f.values for f in components]
-        else:
-            derivs = [derivative_values(grid, c, b, ax, az)[0]
-                      for c, b in zip(coefs, bases)]
-        mag = np.abs(derivs[0]) if len(derivs) == 1 else np.hypot(*derivs)
+    for d in derivs:
+        mag = np.abs(d[0]) if len(d) == 1 else np.hypot(*d)
         # one term per multi-index and slice
         terms.append(mag.max(axis=(-2, -1)) if spec.p == INF
                      else np.sum(mag ** spec.p, axis=(-2, -1)))
@@ -86,7 +93,13 @@ def _field_norm(components: list[ScalarField], spec: NormSpec):
             for term in row:
                 total += term * grid.cell_area
             norms.append(total ** (1.0 / spec.p))
-    return norms if components[0].values.ndim == 3 else norms[0]
+    return norms if np.ndim(terms[0]) else norms[0]
+
+
+def _w1inf(grid, values, grads):
+    """W^{1,inf} from component values and their (d_x, d_z) value pairs."""
+    return _reduce(grid, (values, [g[1] for g in grads],
+                          [g[0] for g in grads]), W1INF)
 
 
 def combine(parts, p: float) -> float:

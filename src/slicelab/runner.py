@@ -14,11 +14,10 @@ from dataclasses import dataclass, replace
 from . import experiments as experiments_mod
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, render_config, with_grid
-from .diagnostics import _row_terms, energy
+from .diagnostics import _first_derivatives, _row_terms, energy
 from .dynamics import cutoffs_from_norms, step_rk4
 from .errors import ConfigError, DivergedError
-from .incompressible import max_divergence
-from .norms import W1INF, l2, norm, state_component_norms
+from .norms import l2, norm
 from .runio import (DiagnosticsRecord, _open_diagnostics, append_diagnostics,
                     write_key_values, write_stopping_record)
 from .state import random_state
@@ -60,10 +59,10 @@ def _write_echo(cfg: RunConfig):
         fh.write(render_config(cfg))
 
 
-def _record(cfg, state, params, loop, w1inf, lam=None, w_t=None,
+def _record(cfg, state, params, loop, w1inf, row, lam=None, w_t=None,
             cutoffs=(None, None, None)):
-    """One row; w1inf are the state's (u_S, u_T, theta_S) W^{1,inf} norms."""
-    enstrophy_q2, circ = _row_terms(state, params, loop)
+    """One row from the state's `_first_derivatives` pass (w1inf, row)."""
+    enstrophy_q2, circ, max_div = _row_terms(state, params, loop, row)
     return DiagnosticsRecord(
         t=state.t,
         energy=energy(state, params),
@@ -72,7 +71,7 @@ def _record(cfg, state, params, loop, w1inf, lam=None, w_t=None,
         l2_th=l2(state.theta_s),
         w1inf_us=w1inf[0], w1inf_ut=w1inf[1], w1inf_th=w1inf[2],
         zkp=norm(state, cfg.norm_spec),
-        max_div=max_divergence(state.u_s),
+        max_div=max_div,
         enstrophy_q2=enstrophy_q2, circulation=circ,
         lambda_=lam, w_t=w_t,
         cutoff_us=cutoffs[0], cutoff_ut=cutoffs[1], cutoff_th=cutoffs[2])
@@ -140,29 +139,29 @@ def _run_sim(cfg: RunConfig) -> RunResult:
     mu = -cfg.alpha * cfg.alpha / 32.0
     diag = None  # the CSV, opened once, at the first row
 
-    def emit(s, step, w1inf):
+    def emit(s, step, derivs):
         nonlocal diag
         lam = w_t = None
         if w is not None:
             w_t = float(w[step])
             lam = math.exp(cfg.alpha * w_t + mu * s.t)
-        cut = (cutoffs_from_norms(w1inf, cfg.radius) if row_cutoffs
+        cut = (cutoffs_from_norms(derivs[0], cfg.radius) if row_cutoffs
                else (None, None, None))
-        rec = _record(cfg, s, params, loop, w1inf, lam, w_t, cut)
+        rec = _record(cfg, s, params, loop, *derivs, lam, w_t, cut)
         if diag is None:
             diag = _open_diagnostics(diag_path)
         append_diagnostics(rec, diag)
 
     def observe(s, step, row_due) -> bool:
-        # one W^{1,inf} evaluation per state feeds the row and the monitor,
-        # whose stopping time is the first crossing of the cutoff radius;
-        # a state that stops the run always gets its row
+        # one first-derivative pass per state feeds the row and the
+        # monitor, whose stopping time is the first crossing of the cutoff
+        # radius; a state that stops the run always gets its row
         if not row_due and monitor is None:
             return False
-        w1inf = state_component_norms(s, W1INF)
-        stop = monitor is not None and monitor.update(s.t, max(w1inf))
+        derivs = _first_derivatives(s)
+        stop = monitor is not None and monitor.update(s.t, max(derivs[0]))
         if row_due or stop:
-            emit(s, step, w1inf)
+            emit(s, step, derivs)
         return stop
 
     def finish_stopped(s):
@@ -281,8 +280,7 @@ def _run_diag(cfg: RunConfig) -> RunResult:
         # the loop centre follows the checkpoint's domain
         cfg = with_grid(cfg, state.grid)
     _write_echo(cfg)
-    rec = _record(cfg, state, params, cfg.loop(),
-                  state_component_norms(state, W1INF))
+    rec = _record(cfg, state, params, cfg.loop(), *_first_derivatives(state))
     append_diagnostics(rec, os.path.join(cfg.out_dir, DIAG_FILE))
     return RunResult(EXIT_COMPLETED, cfg.out_dir, state, payload=rec)
 

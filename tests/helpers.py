@@ -3,8 +3,10 @@ stream-function velocity, the vorticity-form cross-check of the primitive
 stepper, the batch oracle of the online stopping monitor, the
 stopping-record reader, per-geometry oracles of the spectral operators
 that the grid's per-basis tables now serve with one body, the
-path-by-path loop that the regularity experiment batches, and the
-allocating hitting-law path loops that the in-place kernel replaced."""
+path-by-path loop that the regularity experiment batches, the
+allocating hitting-law path loops that the in-place kernel replaced, and
+the truncated tendency and RK4 step that took their cut-off norms with
+transforms of their own."""
 
 import math
 from dataclasses import replace
@@ -12,17 +14,19 @@ from dataclasses import replace
 import numpy as np
 import scipy.fft as sfft
 
-from slicelab.dynamics import _advect, _rk4_arrays
+from slicelab.dynamics import (_finish_step, _gradient, _rk4_arrays,
+                               cutoffs_from_norms)
 from slicelab.errors import ConfigError, DivergedError
 from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
                            VX_BASIS, VZ_BASIS, axis_derivative_modes,
-                           derivative_values, from_modes, scalar_field,
-                           to_modes, vector_field)
+                           dealias_values, derivative_values, from_modes,
+                           scalar_field, to_modes, vector_field)
 from slicelab.experiments import _path_rng
-from slicelab.incompressible import velocity_from_vorticity
-from slicelab.norms import ZKP_DEFAULT, combine, norm, state_component_norms
-from slicelab.state import (Params, SimState, random_state, scale_state,
-                            state_arrays)
+from slicelab.incompressible import project_values, velocity_from_vorticity
+from slicelab.norms import (W1INF, ZKP_DEFAULT, combine, norm,
+                            state_component_norms)
+from slicelab.state import (THETA_BASIS, UT_BASIS, Params, SimState,
+                            random_state, scale_state, state_arrays)
 from slicelab.stochastic import (_KINDS, AMPLITUDE_THRESHOLD, GBM_THRESHOLD,
                                  OnlineMonitor, StoppingRecord,
                                  step_transformed, transform_forward)
@@ -56,6 +60,11 @@ def streamfunction_velocity(psi: ScalarField) -> VectorField:
     return vector_field(g, from_modes(g, ux, bux), from_modes(g, uz, buz))
 
 
+def _advect(g, ux, uz, grad, basis):
+    dx, dz = grad
+    return dealias_values(g, ux * dx + uz * dz, basis)
+
+
 def rhs_vorticity(omega: ScalarField, u_t: ScalarField, theta_s: ScalarField,
                   params: Params):
     """Vorticity-form tendencies (domega, du_T, dtheta_S).
@@ -67,16 +76,14 @@ def rhs_vorticity(omega: ScalarField, u_t: ScalarField, theta_s: ScalarField,
     g = omega.grid
     u = velocity_from_vorticity(omega)
     ux, uz = u.x.values, u.z.values
-    co = to_modes(g, omega.values, omega.basis)
-    ct = to_modes(g, u_t.values, u_t.basis)
-    cs = to_modes(g, theta_s.values, theta_s.basis)
-    domega = (-_advect(g, ux, uz, co, omega.basis)
-              - params.f * derivative_values(g, ct, u_t.basis, 0, 1)[0]
-              + params.buoyancy * derivative_values(g, cs, theta_s.basis,
-                                                    1, 0)[0])
-    dut = (-_advect(g, ux, uz, ct, u_t.basis) - params.f * ux
+    go = _gradient(g, omega.values, omega.basis)
+    gt = _gradient(g, u_t.values, u_t.basis)
+    gs = _gradient(g, theta_s.values, theta_s.basis)
+    domega = (-_advect(g, ux, uz, go, omega.basis) - params.f * gt[1]
+              + params.buoyancy * gs[0])
+    dut = (-_advect(g, ux, uz, gt, u_t.basis) - params.f * ux
            - params.buoyancy * params.s * g.z_weight)
-    dth = -_advect(g, ux, uz, cs, theta_s.basis) - params.s * u_t.values
+    dth = -_advect(g, ux, uz, gs, theta_s.basis) - params.s * u_t.values
     return (scalar_field(g, domega, omega.basis),
             scalar_field(g, dut, u_t.basis),
             scalar_field(g, dth, theta_s.basis))
@@ -335,3 +342,49 @@ def stopped_lambda_oracle(alpha: float, r: float, horizon: float, dt: float,
         stopped = series[crossed[0]] if crossed.size else series[-1]
         vals[idx] = math.exp(stopped / 16.0)
     return vals
+
+
+def rhs_arrays_oracle(grid, params: Params, ux, uz, ut, th,
+                      radius: float = math.inf, advect: float = 1.0,
+                      source_scale: float = 1.0):
+    """The tendency as it was taken with cut-off norms of its own: the three
+    W^{1,inf} norms through norm(vector_field(...), W1INF) and
+    norm(scalar_field(...), W1INF), then every field transformed again for
+    its advection product (36 transforms at a finite radius)."""
+    bx, bz, bt, bth = VX_BASIS, VZ_BASIS, UT_BASIS, THETA_BASIS
+    c_us = c_ut = c_th = 1.0
+    if math.isfinite(radius):
+        c_us, c_ut, c_th = cutoffs_from_norms(
+            (norm(vector_field(grid, ux, uz), W1INF),
+             norm(scalar_field(grid, ut, bt), W1INF),
+             norm(scalar_field(grid, th, bth), W1INF)), radius)
+    adv = []
+    for values, basis in ((ux, bx), (uz, bz), (ut, bt), (th, bth)):
+        coef = to_modes(grid, values, basis)
+        dx, _ = derivative_values(grid, coef, basis, 1, 0)
+        dz, _ = derivative_values(grid, coef, basis, 0, 1)
+        adv.append(dealias_values(grid, ux * dx + uz * dz, basis))
+    adv_x, adv_z, adv_t, adv_s = adv
+
+    buoy = params.buoyancy
+    adv_us = advect * c_us
+    rx = params.f * ut - adv_us * adv_x
+    rz = buoy * th - adv_us * adv_z
+    dux, duz = project_values(grid, rx, rz)
+
+    dut = -(advect * c_ut) * adv_t - params.f * ux \
+        - (source_scale * buoy * params.s) * grid.z_weight
+    dth = -(advect * c_th) * adv_s - params.s * ut
+    return dux, duz, dut, dth
+
+
+def step_rk4_oracle(state: SimState, params: Params, dt: float,
+                    radius: float) -> SimState:
+    """step_rk4 with `rhs_arrays_oracle` for its four stages."""
+    g = state.grid
+
+    def f(t, y):
+        return rhs_arrays_oracle(g, params, *y, radius=radius)
+
+    y1 = _rk4_arrays(state_arrays(state), f, state.t, dt)
+    return _finish_step(state, y1, state.t + dt)

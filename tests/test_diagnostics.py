@@ -8,7 +8,7 @@ from slicelab.diagnostics import (EnergyAccountingWarning, MaterialLoop,
                                   potential_vorticity)
 from slicelab.errors import ConfigError, LoopDomainError
 from slicelab.grid import COS, make_grid, scalar_field
-from slicelab.incompressible import curl
+from slicelab.incompressible import curl, max_divergence
 from slicelab.norms import ZKP_DEFAULT, l2, norm
 from slicelab.state import Params, make_state, random_state, zero_state
 
@@ -179,20 +179,25 @@ def test_circulation_rejects_outside_loop(sq64):
 
 
 def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
-    # a row's enstrophy and circulation share one d_x, d_z theta_S pair and
+    # a row's enstrophy, circulation and max divergence share the state's
+    # one first-derivative pass, which takes one d_x, d_z theta_S pair, and
     # equal the separate calls bit for bit
     from slicelab import diagnostics
     st = random_state(sq64, seed=9)
     p = Params(s=0.5)
     lp = circle_loop(PI / 2, PI / 2, 0.8)
-    want = (generalized_enstrophy(st, p, np.square), circulation(st, p, lp))
+    want = (generalized_enstrophy(st, p, np.square), circulation(st, p, lp),
+            max_divergence(st.u_s))
     theta_calls = []
-    real = diagnostics.differentiate
-    monkeypatch.setattr(diagnostics, "differentiate", lambda f, axis: (
-        theta_calls.append(axis) if f is st.theta_s else None) or real(f, axis))
-    assert repr(diagnostics._row_terms(st, p, lp)) == repr(want)
-    assert sorted(theta_calls) == ["x", "z"]
-    assert repr(diagnostics._row_terms(st, p, None)) == repr((want[0], None))
+    real = diagnostics._gradient
+    monkeypatch.setattr(diagnostics, "_gradient", lambda g, v, b: (
+        theta_calls.append(b) if v is st.theta_s.values else None)
+        or real(g, v, b))
+    _, row = diagnostics._first_derivatives(st)
+    assert repr(diagnostics._row_terms(st, p, lp, row)) == repr(want)
+    assert theta_calls == [st.theta_s.basis]
+    assert repr(diagnostics._row_terms(st, p, None, row)) == repr(
+        (want[0], None, want[2]))
 
 
 def test_advect_loop_zero_velocity_is_identity(sq64):

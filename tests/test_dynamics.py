@@ -12,8 +12,8 @@ from slicelab.state import (Params, make_state, random_state, scale_state,
                             state_arrays, tendency_arrays, zero_state)
 from slicelab.stochastic import step_transformed
 
-from helpers import (rhs_vorticity, state_max_abs_diff, step_rk4_vorticity,
-                     zero_scalar)
+from helpers import (rhs_arrays_oracle, rhs_vorticity, state_max_abs_diff,
+                     step_rk4_oracle, step_rk4_vorticity, zero_scalar)
 
 PI = np.pi
 
@@ -152,7 +152,7 @@ def _transforms(count_calls):
     return lambda: calls["to_modes"] + calls["from_modes"]
 
 
-@pytest.mark.parametrize("radius,expected", [(float("inf"), 24), (1.0, 36)])
+@pytest.mark.parametrize("radius,expected", [(float("inf"), 24), (1.0, 24)])
 def test_transforms_per_tendency(count_calls, sq32_state, radius, expected):
     transforms = _transforms(count_calls)
     dyn._rhs_arrays(sq32_state.grid, Params(), *state_arrays(sq32_state),
@@ -161,7 +161,7 @@ def test_transforms_per_tendency(count_calls, sq32_state, radius, expected):
 
 
 @pytest.mark.parametrize("radius,expected", [(float("inf"), 100),
-                                             (1.0, 148)])
+                                             (1.0, 100)])
 def test_transforms_per_rk4_step(count_calls, sq32_state, radius, expected):
     transforms = _transforms(count_calls)
     dyn.step_rk4(sq32_state, Params(), 1e-3, radius=radius)
@@ -172,6 +172,43 @@ def test_transforms_per_transformed_step(count_calls, sq32_state):
     transforms = _transforms(count_calls)
     step_transformed(sq32_state, Params(), 1e-3, 0.7, 0.1, 0.2)
     assert transforms() == 100
+
+
+@pytest.mark.filterwarnings(
+    "ignore::slicelab.diagnostics.EnergyAccountingWarning")
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+@pytest.mark.parametrize("stride,rows,monitored", [(2, 4, 2), (5, 2, 4)])
+def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
+                                       geometry, stride, rows, monitored):
+    # a truncated sim-det run observes every state: a row with a loop takes
+    # 54 transforms (40 of them its Z^{3,2} column), a state the monitor
+    # alone reads 12; the two strides pin both counts
+    from slicelab import runner
+    from slicelab.config import parse_config
+    transforms = _transforms(count_calls)
+    elsewhere = []
+
+    def outside_observation(fn):
+        def counted(*args, **kwargs):
+            before = transforms()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elsewhere.append(transforms() - before)
+        return counted
+
+    for name in ("step_rk4", "_initial_state"):
+        monkeypatch.setattr(runner, name,
+                            outside_observation(getattr(runner, name)))
+    cfg = parse_config(
+        f"[grid]\ngeometry = {geometry}\nnx = 16\n[params]\ns = 0.5\n"
+        f"[time]\ndt = 1e-3\nt_final = 5e-3\n[monitor]\nradius = 1e6\n"
+        f"[data]\nseed = 3\namplitude = 0.3\n[output]\n"
+        f"out_dir = {tmp_path}\nstride = {stride}\nloop_radius = 0.5\n",
+        mode="sim-det")
+    assert runner.run(cfg).status == 0
+    assert elsewhere[1:] == [100] * 5
+    assert transforms() - sum(elsewhere) == 54 * rows + 12 * monitored
 
 
 def test_rk4_step_wraps_and_checks_one_state(count_calls, sq32_state):
@@ -357,6 +394,38 @@ def test_truncated_mid_blend(tor64):
     for m, a, b in zip(tendency_arrays(mid), tendency_arrays(plain),
                        tendency_arrays(far)):
         assert np.max(np.abs(m - 0.5 * (a + b))) <= 1e-12 * scale
+
+
+def _cutoff_class(c):
+    return "0" if c == 0.0 else "1" if c == 1.0 else "between"
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_truncated_tendency_and_step_equal_the_norm_oracle(geometry):
+    # u_T and theta_S scaled to 1.5 and 3 times the u_S norm, so that the
+    # radii below put each of the three cut-offs at 1, strictly between 0
+    # and 1, and at 0
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    base = random_state(g, seed=4, max_mode=4, amplitude=0.5)
+    n_us, n_ut, n_th = state_component_norms(base, W1INF)
+    ux, uz, ut, th = state_arrays(base)
+    st = make_state(g, 0.0, ux, uz, (1.5 * n_us / n_ut) * ut,
+                    (3.0 * n_us / n_th) * th)
+    p = Params(f=1.2, g=0.9, theta0=1.1, s=1.0)
+    norms = state_component_norms(st, W1INF)
+    seen = set()
+    for factor in (10.0, 1.6, 1.01, 0.8, 0.4):
+        r = factor * norms[0]
+        seen.update((i, _cutoff_class(c)) for i, c in
+                    enumerate(dyn.cutoffs_from_norms(norms, r)))
+        got = dyn._rhs_arrays(g, p, *state_arrays(st), radius=r)
+        want = rhs_arrays_oracle(g, p, *state_arrays(st), radius=r)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        got = dyn.step_rk4(st, p, 1e-2, radius=r)
+        want = step_rk4_oracle(st, p, 1e-2, r)
+        assert [a.tobytes() for a in state_arrays(got)] == [
+            b.tobytes() for b in state_arrays(want)]
+    assert seen == {(i, c) for i in range(3) for c in ("0", "between", "1")}
 
 
 # -- mollification ----------------------------------------------------------

@@ -171,6 +171,64 @@ def test_sup_norms_of_a_nan_field_are_nan(geometry, k):
     assert norm(dirty.u_t, spec) == norm(s.u_t, spec)
 
 
+def _w1inf_inputs(g, state):
+    # (field, component values, their (d_x, d_z) pairs) of u_S, u_T, theta_S
+    from slicelab.dynamics import _gradient
+    out = []
+    for field in (state.u_s, state.u_t, state.theta_s):
+        comps = [field.x, field.z] if hasattr(field, "x") else [field]
+        out.append((field, tuple(c.values for c in comps),
+                    [_gradient(g, c.values, c.basis) for c in comps]))
+    return out
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_w1inf_from_derivatives_equals_the_field_norm(geometry):
+    # the truncated tendency and the runner's pass reduce derivatives they
+    # already hold; the result is norm(..., W1INF)'s, 2-D and stacked
+    from slicelab.grid import make_grid
+    from slicelab.norms import _w1inf
+    from slicelab.state import make_state, state_arrays
+    g = make_grid(geometry, 64, 32, 2 * PI, PI)
+    paths = [random_state(g, seed=s, max_mode=5) for s in range(3)]
+    batch = make_state(g, 0.0, *(np.stack(a) for a in
+                                 zip(*map(state_arrays, paths))))
+    for state in (*paths, batch):
+        for field, values, grads in _w1inf_inputs(g, state):
+            got = _w1inf(g, values, grads)
+            assert type(got) is type(norm(field, W1INF))
+            assert got == norm(field, W1INF)
+    assert [_w1inf(g, v, d) for _, v, d in _w1inf_inputs(g, batch)] == [
+        list(col) for col in zip(*(state_component_norms(s, W1INF)
+                                   for s in paths))]
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_w1inf_from_derivatives_keeps_a_nan_in_its_slice(geometry):
+    # a NaN in any one input array of one slice (a value or either
+    # derivative, of either component) makes that slice's norm NaN and
+    # leaves the other slices' norms as they were
+    from slicelab.grid import make_grid
+    from slicelab.norms import _w1inf
+    from slicelab.state import make_state
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    rng = np.random.default_rng(11)
+    batch = make_state(g, 0.0, *(rng.standard_normal((3, 32, 32))
+                                 for _ in range(4)))
+    for _, values, grads in _w1inf_inputs(g, batch):
+        clean = _w1inf(g, values, grads)
+        arrays = [*values, *(d for pair in grads for d in pair)]
+        for where in range(len(arrays)):
+            dirty = [a.copy() for a in arrays]
+            dirty[where][1, 4, 6] = np.nan
+            n = len(values)
+            got = _w1inf(g, tuple(dirty[:n]),
+                         [tuple(dirty[n + 2 * c:n + 2 * c + 2])
+                          for c in range(n)])
+            assert math.isnan(got[1]), where
+            assert [got[0], got[2]] == [clean[0], clean[2]], where
+
+
 def test_sup_combine_is_nan_in_either_order():
     assert math.isnan(combine([1.0, math.nan], math.inf))
     assert math.isnan(combine([math.nan, 1.0], math.inf))

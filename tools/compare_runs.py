@@ -5,16 +5,18 @@
 Each revision is extracted with ``git archive`` into a temporary directory
 and every run imports slicelab from that tree's ``src``.  The runs are the
 four ``perfbench/workloads.py`` configurations (imported from this checkout,
-read-only) at seeds 1 and 2, plus a truncated square ``sim-sde`` with a loop
-and stride 3, a torus ``sim-transform`` with a loop, a square
-``convergence`` run, a square ``mc-global`` run and a torus one whose low
-threshold stops paths at different steps (both with a part-filled last
-batch of paths), a torus ``mc-global`` run monitoring W^{1,inf} and a square
-one monitoring W^{2,3}, an ``mc-hitting`` run at alpha < 0 whose paths
-first cross in each of its three draw chunks or never, and a ``diag`` run
-with a ``[grid]`` section on the ``sim-sde`` checkpoint.  Every run works in the same relative directory
-under its tree's run root, so the configs and echoes of the two revisions
-name the same paths.
+read-only) at seeds 1 and 2, plus a truncated square ``sim-sde`` with a
+loop and stride 3, a truncated torus ``sim-det`` with a loop and stride 2
+that its radius stops off the stride, a torus ``sim-transform`` with a
+loop, a square ``convergence`` run, a square ``mc-global`` run and a torus
+one whose low threshold stops paths at different steps (both with a
+part-filled last batch of paths), a torus ``mc-global`` run monitoring
+W^{1,inf} and a square one monitoring W^{2,3}, an ``mc-hitting`` run at
+alpha < 0 whose paths first cross in each of its three draw chunks or
+never, and a ``diag`` run with a ``[grid]`` section on the ``sim-sde``
+checkpoint.  Every run works in the same relative directory under its
+tree's run root, so the configs and echoes of the two revisions name the
+same paths.
 
 Prints one line per output file: ``same``, ``DIFFERS`` or ``ONLY A``/``ONLY
 B``, ignoring the ``out_dir`` line of ``config.txt``, and one line per run
@@ -47,6 +49,17 @@ EXTRA_RUNS = {
         "monitor": {"radius": 1.1},  # stops at step 16, off the stride
         "data": {"seed": 5, "amplitude": 0.4, "max_mode": 3},
         "output": {"stride": 3, "loop_radius": 0.5},
+    }),
+    # the truncated tendency and the row pass on the torus: every state is
+    # monitored, every second one gets a row, and the W^{1,inf} norm grows
+    # past the radius at step 13
+    "sim-det-torus-loop": ("sim-det", {
+        "grid": {"geometry": "torus", "nx": 32},
+        "params": {"s": 0.5},
+        "time": {"dt": 2e-3, "t_final": 0.04},
+        "monitor": {"radius": 1.109},
+        "data": {"seed": 19, "amplitude": 0.4, "max_mode": 3},
+        "output": {"stride": 2, "loop_radius": 1.0},
     }),
     "sim-transform-torus-loop": ("sim-transform", {
         "": {"seed": 6},
