@@ -25,7 +25,7 @@ from .grid import (Geometry, Grid, NEUMANN_BASIS, ScalarField, VectorField,
                    integrate, scalar_field, to_modes)
 from .incompressible import curl
 from .norms import ZKP_DEFAULT, _w1inf, l2, norm
-from .state import THETA_BASIS, UT_BASIS, Params, SimState, state_arrays
+from .state import STATE_BASES, Params, SimState, state_arrays
 
 
 class EnergyAccountingWarning(UserWarning):
@@ -57,7 +57,7 @@ def potential_vorticity(state: SimState, params: Params) -> ScalarField:
 
 def _potential_vorticity(state: SimState, params: Params,
                          row) -> ScalarField:
-    (dx_ut, dz_ut), (dx_th, dz_th), vorticity, _ = row
+    (dx_ut, dz_ut), (dx_th, dz_th), vorticity = row[:3]
     om = from_modes(state.grid, *vorticity)
     q = params.s * om - (dx_ut + params.f) * dz_th + dz_ut * dx_th
     return scalar_field(state.grid, q, NEUMANN_BASIS)
@@ -200,19 +200,20 @@ def _circulation(state: SimState, params: Params, loop: MaterialLoop,
 def _first_derivatives(state: SimState):
     """One first-derivative pass, 4 forward and 8 inverse transforms: the
     (u_S, u_T, theta_S) W^{1,inf} norms, bitwise norm(..., W1INF)'s, and
-    the row part: (d_x, d_z) of u_T and theta_S, and the (coefficients,
-    basis) of u_S's curl and divergence, formed as in `incompressible`."""
+    the row part: (d_x, d_z) of u_T and theta_S, the (coefficients, basis)
+    of u_S's curl and divergence, formed as in `incompressible`, and the 4
+    forward coefficient arrays."""
     g = state.grid
-    ux, uz, ut, th = state_arrays(state)
-    # d_x u_x, d_z u_x, d_x u_z, d_z u_z as (coefficients, basis)
-    xx, zx, xz, zz = [axis_derivative_modes(g, c, b, a) for c, b in (
-        (to_modes(g, ux, VX_BASIS), VX_BASIS),
-        (to_modes(g, uz, VZ_BASIS), VZ_BASIS)) for a in "xz"]
-    w1inf = [_w1inf(g, (ux, uz), [[from_modes(g, *cb) for cb in pair]
-                                  for pair in ((xx, zx), (xz, zz))])]
-    grads = [_gradient(g, ut, UT_BASIS), _gradient(g, th, THETA_BASIS)]
-    w1inf += [_w1inf(g, (v,), (d,)) for v, d in zip((ut, th), grads)]
-    return w1inf, (*grads, (xz[0] - zx[0], xz[1]), (xx[0] + zz[0], xx[1]))
+    arrays = state_arrays(state)
+    coefs = [to_modes(g, v, b) for v, b in zip(arrays, STATE_BASES)]
+    # (d_x, d_z) of each array as (coefficients, basis), then as values
+    (xx, zx), (xz, zz), *_ = modes = [[axis_derivative_modes(
+        g, c, b, a) for a in "xz"] for c, b in zip(coefs, STATE_BASES)]
+    grads = [[from_modes(g, *cb) for cb in pair] for pair in modes]
+    w1inf = [_w1inf(g, arrays[:2], grads[:2])] + [
+        _w1inf(g, (v,), (d,)) for v, d in zip(arrays[2:], grads[2:])]
+    return w1inf, (*grads[2:], (xz[0] - zx[0], xz[1]),
+                   (xx[0] + zz[0], xx[1]), coefs)
 
 
 def _row_terms(state: SimState, params: Params, loop: MaterialLoop | None,

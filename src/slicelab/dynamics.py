@@ -28,13 +28,12 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DivergedError
-from .grid import (VX_BASIS, VZ_BASIS, Grid, dealias_values,
-                   derivative_values, gaussian_lowpass, scalar_field, to_modes,
-                   vector_field)
+from .grid import (Grid, dealias_values, derivative_values, gaussian_lowpass,
+                   scalar_field, to_modes, vector_field)
 from .incompressible import project_values
 from .norms import W1INF, _max, _w1inf, state_component_norms
-from .state import (THETA_BASIS, UT_BASIS, Params, SimState, Tendency,
-                    make_state, state_arrays, state_is_finite)
+from .state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params, SimState,
+                    Tendency, make_state, state_arrays, state_is_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +60,7 @@ def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
     """
     truncated = math.isfinite(radius)
     adv, w1inf, held = [], [], []
-    for i, (values, basis) in enumerate(((ux, VX_BASIS), (uz, VZ_BASIS),
-                                         (ut, UT_BASIS), (th, THETA_BASIS))):
+    for i, (values, basis) in enumerate(zip((ux, uz, ut, th), STATE_BASES)):
         dx, dz = grad = _gradient(grid, values, basis)
         adv.append(dealias_values(grid, ux * dx + uz * dz, basis))
         if truncated:

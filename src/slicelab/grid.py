@@ -40,6 +40,7 @@ an (x-parity, z-parity) pair; the torus ignores it.
 * `laplacian_symbol(basis, odd)`: -|k|^2 with inf where it vanishes, the
   divisor that inverts the Laplacian (or div.grad) off its null modes;
 * `keep(basis)`: the 2/3-rule mask;
+* `sobolev_weight(basis, k)`: the discrete Parseval weights of W^{k,2};
 * `derivative_factor(axis, order)`: the torus (i*k)^order.
 
 The coefficient-space maps never need the analytic normalisation factors.
@@ -222,6 +223,27 @@ class Grid:
             return ((np.abs(mz) <= self.nz / 3.0)[:, None]
                     & (np.abs(mx) <= self.nx / 3.0)[None, :])
         return self._cached(("keep", *self._parities(basis)), build)
+
+    def sobolev_weight(self, basis, k: int) -> np.ndarray:
+        """Parseval weights: sum(weight * |c|^2) is the sum over |a| <= k
+        of |d^a|^2 at the nodes.  Per axis, order a weighs w k^(2a): torus
+        w = 1/n, 2/nx off the x columns 0 and nx/2; square w = 1/(2n), halved
+        at cosine mode 0 and the top sine slot, 0 there when a is odd."""
+        px, pz = self._parities(basis)
+
+        def axis(i, a):
+            n, parity = ((self.nx, px), (self.nz, pz))[i]
+            w = self.wavenumbers(basis, a % 2 == 1)[i] ** (2 * a) / n
+            if parity is not None:
+                w *= 0.5
+                w[0 if parity == COS else -1] *= (
+                    0.0 if parity == SIN and a % 2 else 0.5)
+            elif i == 0:
+                w[1:-1] *= 2.0
+            return w
+        return self._cached(("sobolev", px, pz, k), lambda: sum(
+            axis(1, az)[:, None] * axis(0, ax)[None, :]
+            for ax in range(k + 1) for az in range(k + 1 - ax)))
 
     def derivative_factor(self, axis: str, order: int) -> np.ndarray:
         """Torus (i*k)^order along `axis`, broadcast over the half spectrum."""

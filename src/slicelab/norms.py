@@ -1,7 +1,8 @@
 """Discrete Sobolev norms W^{k,p} and the product-space norms over states.
 
 The W^{k,p} norm is the l^p combination over all multi-indices |alpha| <= k
-of the L^p norms of the spectral derivatives, with L^p by uniform
+of the L^p norms of the spectral derivatives: W^{k,2}, k >= 1, by discrete
+Parseval on the coefficients (`_parseval`), any other by uniform
 cell-weight quadrature.  For p = infinity the max over alpha is taken (the
 two natural conventions differ by a bounded factor only; this module uses
 the max).  Vector fields use the pointwise Euclidean magnitude of the
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import ScalarField, VectorField, derivative_values, to_modes
-from .state import SimState
+from .state import STATE_BASES, SimState
 
 INF = math.inf
 
@@ -67,10 +68,30 @@ def _field_norm(components: list[ScalarField], spec: NormSpec):
     # only derivatives read coefficients; one multi-index alive at a time
     coefs = ([to_modes(grid, f.values, f.basis) for f in components]
              if spec.k else [])
+    if spec.k and spec.p == 2:
+        return _parseval(grid, coefs, [f.basis for f in components], spec.k)
     return _reduce(grid, ([f.values for f in components] if ax == az == 0
                           else [derivative_values(grid, c, f.basis, ax, az)[0]
                                 for c, f in zip(coefs, components)]
                           for ax, az in _multi_indices(spec.k)), spec)
+
+
+def _parseval(grid, coefs, bases, k: int):
+    """W^{k,2} from the components' coefficients by discrete Parseval;
+    stacked coefficients give per-slice norms."""
+    norms = np.sqrt(grid.cell_area * sum(np.sum(
+        grid.sobolev_weight(b, k) * (c * c.conj()).real, axis=(-2, -1))
+        for c, b in zip(coefs, bases)))
+    return norms.tolist() if norms.ndim else float(norms)
+
+
+def _state_norm(state: SimState, spec: NormSpec, coefs) -> float:
+    """norm(state, spec) bit for bit; Z^{k,2} with k >= 1 from the given
+    coefficients of (u_x, u_z, u_T, theta_S), with no transform."""
+    if not (spec.k and spec.p == 2):
+        return norm(state, spec)
+    return combine([_parseval(state.grid, coefs[i:j], STATE_BASES[i:j],
+                              spec.k) for i, j in ((0, 2), (2, 3), (3, 4))], 2)
 
 
 def _reduce(grid, derivs, spec: NormSpec):

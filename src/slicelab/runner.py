@@ -17,7 +17,7 @@ from .config import RunConfig, render_config, with_grid
 from .diagnostics import _first_derivatives, _row_terms, energy
 from .dynamics import cutoffs_from_norms, step_rk4
 from .errors import ConfigError, DivergedError
-from .norms import l2, norm
+from .norms import _state_norm, l2
 from .runio import (DiagnosticsRecord, _open_diagnostics, append_diagnostics,
                     write_key_values, write_stopping_record)
 from .state import random_state
@@ -70,7 +70,7 @@ def _record(cfg, state, params, loop, w1inf, row, lam=None, w_t=None,
         l2_ut=l2(state.u_t),
         l2_th=l2(state.theta_s),
         w1inf_us=w1inf[0], w1inf_ut=w1inf[1], w1inf_th=w1inf[2],
-        zkp=norm(state, cfg.norm_spec),
+        zkp=_state_norm(state, cfg.norm_spec, row[4]),
         max_div=max_div,
         enstrophy_q2=enstrophy_q2, circulation=circ,
         lambda_=lam, w_t=w_t,

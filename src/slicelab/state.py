@@ -24,6 +24,8 @@ from .grid import (Grid, Geometry, SCALAR_BASIS, ScalarField, VectorField,
 #: cos(x)sin(z).  With these the vorticity equation closes in sin.sin.
 UT_BASIS = VX_BASIS
 THETA_BASIS = VZ_BASIS
+#: the bases of a state's (u_x, u_z, u_T, theta_S) arrays
+STATE_BASES = (VX_BASIS, VZ_BASIS, UT_BASIS, THETA_BASIS)
 
 
 @dataclass(frozen=True)

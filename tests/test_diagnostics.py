@@ -180,8 +180,8 @@ def test_circulation_rejects_outside_loop(sq64):
 
 def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
     # a row's enstrophy, circulation and max divergence share the state's
-    # one first-derivative pass, which takes one d_x, d_z theta_S pair, and
-    # equal the separate calls bit for bit
+    # one first-derivative pass, which transforms theta_S once for its
+    # d_x, d_z pair, and equal the separate calls bit for bit
     from slicelab import diagnostics
     st = random_state(sq64, seed=9)
     p = Params(s=0.5)
@@ -189,8 +189,8 @@ def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
     want = (generalized_enstrophy(st, p, np.square), circulation(st, p, lp),
             max_divergence(st.u_s))
     theta_calls = []
-    real = diagnostics._gradient
-    monkeypatch.setattr(diagnostics, "_gradient", lambda g, v, b: (
+    real = diagnostics.to_modes
+    monkeypatch.setattr(diagnostics, "to_modes", lambda g, v, b: (
         theta_calls.append(b) if v is st.theta_s.values else None)
         or real(g, v, b))
     _, row = diagnostics._first_derivatives(st)

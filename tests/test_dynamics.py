@@ -181,8 +181,8 @@ def test_transforms_per_transformed_step(count_calls, sq32_state):
 def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
                                        geometry, stride, rows, monitored):
     # a truncated sim-det run observes every state: a row with a loop takes
-    # 54 transforms (40 of them its Z^{3,2} column), a state the monitor
-    # alone reads 12; the two strides pin both counts
+    # 14 transforms (its Z^{3,2} column reads the pass's coefficients), a
+    # state the monitor alone reads 12; the two strides pin both counts
     from slicelab import runner
     from slicelab.config import parse_config
     transforms = _transforms(count_calls)
@@ -208,7 +208,20 @@ def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
         mode="sim-det")
     assert runner.run(cfg).status == 0
     assert elsewhere[1:] == [100] * 5
-    assert transforms() - sum(elsewhere) == 54 * rows + 12 * monitored
+    assert transforms() - sum(elsewhere) == 14 * rows + 12 * monitored
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_transforms_per_state_norm(count_calls, geometry):
+    # a Z^{3,2} state norm taken alone: one forward transform per array and
+    # no inverse one; an L^2 norm reads the values only
+    from slicelab.norms import NormSpec, ZKP_DEFAULT, norm
+    st = random_state(make_grid(geometry, 32, 16, PI, PI), seed=3)
+    calls = count_calls("grid", "to_modes", "from_modes")
+    for spec, expected in ((ZKP_DEFAULT, 4), (NormSpec(0, 2), 0)):
+        calls.update(to_modes=0, from_modes=0)
+        norm(st, spec)
+        assert (calls["to_modes"], calls["from_modes"]) == (expected, 0)
 
 
 def test_rk4_step_wraps_and_checks_one_state(count_calls, sq32_state):

@@ -479,6 +479,12 @@ SCHEDULING_CASES = {
     "torus-diverging": ("torus", dict(
         alpha=20.0, r=2.0, amplitude=1e8, n_paths=5, horizon=2.0, dt=0.5,
         seed=4, c_tilde=0.25)),
+    # at this small alpha the transformed Z^{3,2} norms grow: the amplitude
+    # monitors (threshold 250) fire after t = 0, at different steps, and
+    # one path's GBM monitor stops it first
+    "torus-amplitude-monitor": ("torus", dict(
+        alpha=0.2, r=1.1, amplitude=141.0, n_paths=8, horizon=0.2, dt=5e-3,
+        seed=4, c_tilde=1e-4, data_seed=2, max_mode=3)),
 }
 
 
@@ -501,8 +507,12 @@ def test_mc_global_does_not_depend_on_scheduling(case, monkeypatch):
     bounded = sum(p[3] for p in ok)
     n_steps = int(round(kw["horizon"] / kw["dt"]))
     stops = {p[1].trigger_time for p in serial if p[1].triggered}
+    amp_stops = {p[0].trigger_time for p in serial if p[0].triggered}
     if case.endswith("early-stops"):
         assert len(stops) > 2 and len(ok) == len(serial)
+    elif case.endswith("amplitude-monitor"):
+        assert len(amp_stops) >= 2 and min(amp_stops) > 0.0
+        assert len(ok) == len(serial) and regular not in (0, len(ok))
     else:
         assert len(ok) not in (0, len(serial))
 
@@ -524,6 +534,29 @@ def test_mc_global_does_not_depend_on_scheduling(case, monkeypatch):
         assert res.summary.hits == sum(p[1].triggered for p in serial)
         if cap == kw["n_paths"] and len(ok) == len(serial):
             assert len(calls) <= n_steps  # one batch: one call per step
+
+
+def test_amplitude_monitor_matches_the_quadrature_oracle(monkeypatch):
+    # the monitor norms by discrete Parseval against the same run monitored
+    # by quadrature: the same trigger steps, values within 1e-13
+    import slicelab.norms
+    from helpers import quadrature_field_norm
+    geometry, kw = SCHEDULING_CASES["torus-amplitude-monitor"]
+    g = sl.make_grid(geometry, 16, 16, 2 * np.pi, 2 * np.pi)
+    runs = []
+    for field_norm in (slicelab.norms._field_norm, quadrature_field_norm):
+        monkeypatch.setattr(slicelab.norms, "_field_norm", field_norm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            runs.append(ex.mc_global_regularity(g, sl.Params(s=0.0), **kw))
+    got, want = runs
+    assert len({r.trigger_time for r in got.amplitude_records
+                if r.triggered}) >= 2
+    for a, b in zip(got.amplitude_records, want.amplitude_records):
+        assert (a.triggered, a.trigger_time) == (b.triggered, b.trigger_time)
+        assert abs(a.trigger_value - b.trigger_value) <= \
+            1e-13 * b.trigger_value
+    assert repr(got.gbm_records) == repr(want.gbm_records)
 
 
 def test_mc_global_takes_one_norm_pass_per_batch_step(tor16, monkeypatch):

@@ -351,3 +351,21 @@ def test_leading_axis_matches_per_slice_calls_bitwise(geometry, nx, nz):
     for i in range(n_paths):
         ox, oz = project_values(g, a[i], b[i])
         assert same(px[i], ox) and same(pz[i], oz), i
+
+
+@pytest.mark.parametrize("geometry,nx,nz", [("torus", 32, 16),
+                                            ("square", 16, 32)])
+def test_sobolev_weight_is_the_derivatives_sum_of_squares(geometry, nx, nz):
+    # Parseval on every basis, both parities of both axes: the weighted
+    # |c|^2 sum is the sum of the squared derivative values over |a| <= k,
+    # also for white noise, whose top sine slot odd derivatives drop
+    g = make_grid(geometry, nx, nz, 2 * np.pi, 3.0)
+    a = np.random.default_rng(5).standard_normal((nz, nx))
+    for basis in [None] if geometry == "torus" else BASES:
+        coef = to_modes(g, a, basis)
+        for k in range(4):
+            got = np.sum(g.sobolev_weight(basis, k) * np.abs(coef) ** 2)
+            want = sum(np.sum(derivative_values(g, coef, basis, ax, az)[0]
+                              ** 2)
+                       for ax in range(k + 1) for az in range(k + 1 - ax))
+            assert abs(got - want) <= 1e-13 * want, (basis, k)

@@ -131,23 +131,29 @@ def test_stacked_norms_equal_per_slice_calls(geometry, nx, nz):
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_nan_slice_changes_only_its_own_norms(geometry):
+    # a NaN in any one array of one path makes that path's norm of that
+    # field NaN, by quadrature or by Parseval, and leaves every other norm
     from slicelab.grid import make_grid
     from slicelab.state import make_state
     g = make_grid(geometry, 32, 32, 2 * PI, 2 * PI)
     rng = np.random.default_rng(7)
     arrays = [rng.standard_normal((4, 32, 32)) for _ in range(4)]
-    clean = make_state(g, 0.0, *arrays)
-    arrays[3] = arrays[3].copy()
-    arrays[3][2, 5, 9] = np.nan
-    dirty = make_state(g, 0.0, *arrays)
-    for spec in (W1INF, ZKP_DEFAULT, NormSpec(2, 3)):
-        want = state_component_norms(clean, spec)
-        got = state_component_norms(dirty, spec)
-        assert [repr(got[i]) for i in (0, 1, 3)] == [
-            repr(want[i]) for i in (0, 1, 3)], spec
-        # the NaN reaches theta_S's norm of its own path only
-        assert repr(got[2][:2]) == repr(want[2][:2]), spec
-        assert repr(got[2][2]) != repr(want[2][2]), spec
+    specs = (W1INF, ZKP_DEFAULT, NormSpec(2, 3), NormSpec(1, 2),
+             NormSpec(2, 2))
+    want = [state_component_norms(make_state(g, 0.0, *arrays), spec)
+            for spec in specs]
+    for where, field in enumerate((0, 0, 1, 2)):
+        dirty = [a.copy() for a in arrays]
+        dirty[where][2, 5, 9] = np.nan
+        dirty = make_state(g, 0.0, *dirty)
+        for spec, clean in zip(specs, want):
+            got = state_component_norms(dirty, spec)
+            for path, f in np.ndindex(4, 3):
+                if (path, f) == (2, field):
+                    assert math.isnan(got[path][f]), (spec, where)
+                else:
+                    assert repr(got[path][f]) == repr(clean[path][f]), (
+                        spec, where)
 
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
@@ -234,3 +240,49 @@ def test_sup_combine_is_nan_in_either_order():
     assert math.isnan(combine([math.nan, 1.0], math.inf))
     assert math.isnan(combine([2.0, math.nan, 1.0], math.inf))
     assert combine([1.0, 3.0, 2.0], math.inf) == 3.0
+
+
+# -- W^{k,2} by discrete Parseval against the quadrature oracle ---------------
+
+def _fields(state):
+    return [[state.u_s.x, state.u_s.z], [state.u_t], [state.theta_s]]
+
+
+def _parseval_cases():
+    from slicelab.grid import make_grid
+    from slicelab.state import make_state
+    for geometry, nx, nz in (("torus", 32, 32), ("torus", 64, 16),
+                             ("square", 32, 32), ("square", 16, 64)):
+        g = make_grid(geometry, nx, nz, 2 * PI, PI)
+        rng = np.random.default_rng([nx, nz, len(geometry)])
+        # band-limited data, and white noise holding every slot: the torus
+        # Nyquist row and column, the square's top sine slots
+        yield f"{geometry}-{nx}x{nz}-band", random_state(g, seed=nx + nz,
+                                                         max_mode=5)
+        yield f"{geometry}-{nx}x{nz}-white", make_state(
+            g, 0.0, *(rng.standard_normal((nz, nx)) for _ in range(4)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_parseval_matches_the_quadrature_oracle(k):
+    from helpers import quadrature_field_norm
+    from slicelab.norms import _field_norm
+    spec = NormSpec(k, 2)
+    for case, state in _parseval_cases():
+        for comps in _fields(state):
+            got = _field_norm(comps, spec)
+            want = quadrature_field_norm(comps, spec)
+            assert abs(got - want) <= 1e-13 * want, (case, len(comps))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_row_norm_is_the_state_norm(k):
+    # a row's norm column, by Parseval from the first-derivative pass's
+    # coefficients when p = 2, is norm(state, spec) to the last bit
+    from slicelab.diagnostics import _first_derivatives
+    from slicelab.norms import _state_norm
+    for case, state in _parseval_cases():
+        coefs = _first_derivatives(state)[1][4]
+        for spec in (NormSpec(k, 2), NormSpec(k, 3), NormSpec(k, math.inf)):
+            assert repr(_state_norm(state, spec, coefs)) == repr(
+                norm(state, spec)), (case, spec)

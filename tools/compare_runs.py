@@ -20,7 +20,11 @@ same paths.
 
 Prints one line per output file: ``same``, ``DIFFERS`` or ``ONLY A``/``ONLY
 B``, ignoring the ``out_dir`` line of ``config.txt``, and one line per run
-with its exit status at both revisions (``STATUS`` when they differ).
+with its exit status at both revisions (``STATUS`` when they differ).  Under
+a ``DIFFERS`` line of a CSV file or a ``key = value`` file it prints each
+differing column or key with the largest relative difference of its cells,
+|a - b| / max(|a|, |b|); ``inf`` marks cells that are not both numbers, or
+columns whose lengths differ.
 Then prints each revision's size: the line count of ``src/slicelab/*.py``
 (as ``wc -l`` counts) and the length of ``slicelab.__all__``.  Exits 0
 when every status and every file agree.
@@ -211,6 +215,48 @@ def _content(path: str) -> bytes:
     return data
 
 
+def _table(path: str):
+    """{column: cells} of a CSV file, {key: [value]} of a ``key = value``
+    file, or None for any other file."""
+    lines = _content(path).decode("ascii", "replace").splitlines()
+    if path.endswith(".csv") and lines:
+        rows = [line.split(",") for line in lines[1:]]
+        return {col.strip(): [r[i].strip() if i < len(r) else "" for r in rows]
+                for i, col in enumerate(lines[0].split(","))}
+    if lines and all(" = " in line for line in lines):
+        return {k: [v] for k, v in (line.split(" = ", 1) for line in lines)}
+    return None
+
+
+def _largest_relative(cells_a: list, cells_b: list) -> float:
+    if len(cells_a) != len(cells_b):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(cells_a, cells_b):
+        if x == y:
+            continue
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            return math.inf
+        scale = max(abs(fx), abs(fy))
+        rel = abs(fx - fy) / scale if scale else 0.0
+        worst = max(worst, math.inf if math.isnan(rel) else rel)
+    return worst
+
+
+def where_differs(path_a: str, path_b: str) -> list:
+    """(column or key, largest relative difference) for each column or key
+    that differs between two CSV or ``key = value`` files."""
+    table_a, table_b = _table(path_a), _table(path_b)
+    if table_a is None or table_b is None:
+        return []
+    keys = list(table_a) + [k for k in table_b if k not in table_a]
+    return [(k, _largest_relative(table_a.get(k, []), table_b.get(k, []))
+             if k in table_a and k in table_b else math.inf)
+            for k in keys if table_a.get(k) != table_b.get(k)]
+
+
 def compare(work_a: str, work_b: str, status_a: dict, status_b: dict) -> int:
     differences = 0
     for name, _, _ in runs():
@@ -234,6 +280,11 @@ def compare(work_a: str, work_b: str, status_a: dict, status_b: dict) -> int:
                 verdict = "DIFFERS"
             differences += 1
             print(f"{verdict:8} {path}")
+            if verdict == "DIFFERS":
+                for key, worst in where_differs(os.path.join(top_a, rel),
+                                                os.path.join(top_b, rel)):
+                    print(f"{'':8}   {key}: largest relative difference "
+                          f"{worst:.3g}")
     return differences
 
 
