@@ -7,12 +7,11 @@ Public API is re-exported from the submodules; see README for a tour.
 from .diagnostics import (MaterialLoop, advect_loop, bkm_bound, circle_loop,
                           circulation, energy, generalized_enstrophy,
                           potential_vorticity)
-from .dynamics import (cfl_number, cutoff, cutoff_factors, mollify,
-                       rhs_deterministic, rhs_truncated, step_euler,
-                       step_rk4)
+from .dynamics import (cutoff, cutoff_factors, mollify, rhs_deterministic,
+                       rhs_truncated, step_euler, step_rk4)
 from .errors import (CheckpointFormatError, ConfigError,
-                     DiagnosticsFormatError, DivergedError, FitError,
-                     LoopDomainError, SliceLabError)
+                     DiagnosticsFormatError, DivergedError, LoopDomainError,
+                     SliceLabError)
 from .grid import (Geometry, Grid, ScalarField, VectorField, dealias,
                    differentiate, make_grid, scalar_field, vector_field)
 from .incompressible import (curl, divergence, leray_project, max_divergence,
@@ -21,49 +20,46 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .config import MODES, RunConfig, parse_config, render_config
 from .experiments import (AmplitudeBudgetWarning, GlobalRegularityResult,
                           McSummary, StrongConvergenceResult,
-                          amplitude_threshold, decay_rate_fit, gbm_max_oracle,
-                          hitting_fraction_on_paths, mc_global_regularity,
-                          mc_hitting, mollifier_cauchy_study,
-                          stopped_lambda_mean, strong_convergence_study)
+                          amplitude_threshold, gbm_max_oracle,
+                          mc_global_regularity, mc_hitting,
+                          mollifier_cauchy_study, stopped_lambda_mean,
+                          strong_convergence_study)
 from .norms import NormSpec, W1INF, ZKP_DEFAULT, norm
 from .runio import (CSV_HEADER, DiagnosticsRecord, append_diagnostics,
                     read_diagnostics)
 from .runner import RunResult, run
-from .state import (Params, SimState, Tendency, make_state, random_state,
-                    zero_state)
+from .state import Params, SimState, make_state, random_state, zero_state
 from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, NORM_THRESHOLD,
                          LinearMultiplicative, OnlineMonitor,
                          PointwiseNemytskii, StoppingRecord, WienerPath,
-                         lambda_process, noise_eval, refine_path,
-                         sample_wiener, step_em, step_transformed,
-                         transform_backward, transform_forward)
+                         noise_eval, refine_path, sample_wiener, step_em,
+                         step_transformed, transform_backward,
+                         transform_forward)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MaterialLoop", "advect_loop", "bkm_bound", "circle_loop", "circulation",
     "energy", "generalized_enstrophy", "potential_vorticity",
-    "cfl_number", "cutoff", "cutoff_factors", "mollify", "rhs_deterministic",
+    "cutoff", "cutoff_factors", "mollify", "rhs_deterministic",
     "rhs_truncated", "step_euler", "step_rk4",
     "CheckpointFormatError", "ConfigError", "DiagnosticsFormatError",
-    "DivergedError", "FitError", "LoopDomainError", "SliceLabError",
+    "DivergedError", "LoopDomainError", "SliceLabError",
     "Geometry", "Grid", "ScalarField", "VectorField", "dealias",
     "differentiate", "make_grid", "scalar_field", "vector_field",
     "curl", "divergence", "leray_project", "max_divergence",
     "velocity_from_vorticity",
     "NormSpec", "W1INF", "ZKP_DEFAULT", "norm",
-    "Params", "SimState", "Tendency", "make_state", "random_state",
-    "zero_state",
+    "Params", "SimState", "make_state", "random_state", "zero_state",
     "AMPLITUDE_THRESHOLD", "GBM_THRESHOLD", "NORM_THRESHOLD",
     "LinearMultiplicative", "OnlineMonitor", "PointwiseNemytskii",
-    "StoppingRecord", "WienerPath", "lambda_process", "noise_eval",
-    "refine_path", "sample_wiener", "step_em", "step_transformed",
-    "transform_backward", "transform_forward",
+    "StoppingRecord", "WienerPath", "noise_eval", "refine_path",
+    "sample_wiener", "step_em", "step_transformed", "transform_backward",
+    "transform_forward",
     "AmplitudeBudgetWarning", "GlobalRegularityResult", "McSummary",
-    "StrongConvergenceResult", "amplitude_threshold", "decay_rate_fit",
-    "gbm_max_oracle", "hitting_fraction_on_paths", "mc_global_regularity",
-    "mc_hitting", "mollifier_cauchy_study", "stopped_lambda_mean",
-    "strong_convergence_study",
+    "StrongConvergenceResult", "amplitude_threshold", "gbm_max_oracle",
+    "mc_global_regularity", "mc_hitting", "mollifier_cauchy_study",
+    "stopped_lambda_mean", "strong_convergence_study",
     "read_checkpoint", "write_checkpoint",
     "MODES", "RunConfig", "parse_config", "render_config",
     "CSV_HEADER", "DiagnosticsRecord", "append_diagnostics",

@@ -53,8 +53,11 @@ def write_checkpoint(state: SimState, params: Params, path,
 
 def read_checkpoint(path, expect_grid: Grid | None = None):
     """Load ``(state, params, alpha)``; validates against ``expect_grid``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read checkpoint: {err}") from None
     if len(data) < _HEAD.size:
         raise CheckpointFormatError(
             f"truncated header ({len(data)} of {_HEAD.size} bytes)",

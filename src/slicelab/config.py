@@ -302,6 +302,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.amplitude < 0:
         raise ConfigError(f"amplitude must be nonnegative, "
                           f"got {cfg.amplitude}")
+    if cfg.max_mode < 1:
+        raise ConfigError(f"[data] max_mode must be >= 1, "
+                          f"got {cfg.max_mode}")
     cfg.params  # range checks live in Params
     cfg.norm_spec
     if cfg.loop_radius is not None and cfg.loop_radius <= 0:

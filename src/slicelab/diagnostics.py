@@ -24,7 +24,8 @@ from .grid import (Geometry, Grid, NEUMANN_BASIS, ScalarField, VectorField,
                    VX_BASIS, VZ_BASIS, axis_derivative_modes, from_modes,
                    integrate, scalar_field, to_modes)
 from .incompressible import curl
-from .norms import ZKP_DEFAULT, _w1inf, l2, norm
+from .norms import NormSpec, ZKP_DEFAULT, _state_norm, _w1inf, l2, norm
+from .runio import DiagnosticsRecord
 from .state import STATE_BASES, Params, SimState, state_arrays
 
 
@@ -216,15 +217,25 @@ def _first_derivatives(state: SimState):
                    (xx[0] + zz[0], xx[1]), coefs)
 
 
-def _row_terms(state: SimState, params: Params, loop: MaterialLoop | None,
-               row):
-    """A row's generalized_enstrophy(state, params, np.square), circulation
-    (None without a loop) and max divergence from `_first_derivatives`."""
+def _row_record(state: SimState, params: Params, loop: MaterialLoop | None,
+                spec: NormSpec, w1inf, row, lam=None, w_t=None,
+                cutoffs=(None, None, None)) -> DiagnosticsRecord:
+    """One diagnostics row from the state's `_first_derivatives` pass
+    (w1inf, row): enstrophy_q2 is generalized_enstrophy(state, params,
+    np.square), circulation None without a loop; lam, w_t and the cutoffs
+    are the caller's."""
+    g = state.grid
+    _, grad_th, _, div, coefs = row
     q = _potential_vorticity(state, params, row).values
-    return (integrate(state.grid, np.square(q)),
-            None if loop is None else _circulation(state, params, loop,
-                                                   row[1]),
-            float(np.max(np.abs(from_modes(state.grid, *row[3])))))
+    enstrophy_q2 = integrate(g, np.square(q))
+    circ = None if loop is None else _circulation(state, params, loop,
+                                                  grad_th)
+    max_div = float(np.max(np.abs(from_modes(g, *div))))
+    # the arguments in CSV column order
+    return DiagnosticsRecord(
+        state.t, energy(state, params), l2(state.u_s), l2(state.u_t),
+        l2(state.theta_s), *w1inf, _state_norm(state, spec, coefs), max_div,
+        enstrophy_q2, circ, lam, w_t, *cutoffs)
 
 
 def advect_loop(loop: MaterialLoop, u: VectorField, dt: float) -> MaterialLoop:

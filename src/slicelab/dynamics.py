@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ConfigError, DivergedError
 from .grid import (Grid, dealias_values, derivative_values, gaussian_lowpass,
-                   scalar_field, to_modes, vector_field)
+                   to_modes, vector_field)
 from .incompressible import project_values
 from .norms import W1INF, _max, _w1inf, state_component_norms
-from .state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params, SimState,
-                    Tendency, make_state, state_arrays, state_is_finite)
+from .state import (STATE_BASES, Params, SimState, make_state, state_arrays,
+                    state_is_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +48,7 @@ def _gradient(grid: Grid, values, basis):
 def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
                 radius: float = math.inf, advect: float = 1.0,
                 source_scale: float = 1.0):
-    """Tendency value arrays (dux, duz, dut, dth).
+    """The tendency's value arrays (dux, duz, dut, dth).
 
     Each field is transformed and differentiated once; (u.grad) of it
     keeps its parity class and is dealiased in its own basis.  A finite
@@ -85,15 +83,8 @@ def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
     return dux, duz, dut, dth
 
 
-def _wrap_tendency(grid: Grid, arrays) -> Tendency:
-    dux, duz, dut, dth = arrays
-    return Tendency(vector_field(grid, dux, duz),
-                    scalar_field(grid, dut, UT_BASIS),
-                    scalar_field(grid, dth, THETA_BASIS))
-
-
-def rhs_deterministic(state: SimState, params: Params) -> Tendency:
-    """Drift tendency of the slice model."""
+def rhs_deterministic(state: SimState, params: Params):
+    """Drift tendency of the slice model as arrays (dux, duz, dut, dth)."""
     return rhs_truncated(state, params, math.inf)
 
 
@@ -134,8 +125,9 @@ def cutoffs_from_norms(norms, radius: float):
             cutoff(_max((n_us, n_th)), radius))
 
 
-def rhs_truncated(state: SimState, params: Params, radius: float) -> Tendency:
-    """Tendency with each advection term scaled by its running-norm cutoff.
+def rhs_truncated(state: SimState, params: Params, radius: float):
+    """The tendency's arrays (dux, duz, dut, dth), each advection term
+    scaled by its running-norm cutoff.
 
     Inside the cutoff plateau every factor is exactly 1.0 and the result is
     bitwise the plain tendency; beyond twice the radius the advection terms
@@ -143,9 +135,8 @@ def rhs_truncated(state: SimState, params: Params, radius: float) -> Tendency:
     """
     if not state_is_finite(state):
         raise DivergedError(f"non-finite state at t={state.t:.6g}")
-    g = state.grid
-    return _wrap_tendency(g, _rhs_arrays(g, params, *state_arrays(state),
-                                         radius=radius))
+    return _rhs_arrays(state.grid, params, *state_arrays(state),
+                       radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +203,6 @@ def step_euler(state: SimState, params: Params, dt: float,
     """One explicit Euler step (the drift half of Euler-Maruyama)."""
     return _finish_step(state, _euler_arrays(state, params, dt, radius),
                         state.t + dt)
-
-
-def cfl_number(state: SimState, dt: float) -> float:
-    """dt * max|u_S| / min grid spacing; above 0.5 is advisory trouble."""
-    g = state.grid
-    speed = float(np.max(np.hypot(state.u_s.x.values, state.u_s.z.values)))
-    return dt * speed / min(g.lx / g.nx, g.lz / g.nz)
 
 
 def mollify(state: SimState, j: float) -> SimState:

@@ -39,6 +39,3 @@ class LoopDomainError(SliceLabError):
         super().__init__(message)
         self.point = point
 
-
-class FitError(SliceLabError):
-    """A regression input violates its precondition (e.g. nonpositive data)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import mollify, step_rk4
-from .errors import ConfigError, DivergedError, FitError
+from .errors import ConfigError, DivergedError
 from .grid import Grid
 from .norms import NormSpec, ZKP_DEFAULT, combine, norm, state_component_norms
 from .state import (Params, SimState, make_state, random_state,
@@ -176,21 +176,6 @@ def mc_hitting(alpha: float, r: float, horizon: float, dt: float,
     frac = hits / n_paths
     se = math.sqrt(frac * (1.0 - frac) / n_paths)
     return McSummary(n_paths, hits, frac, se, seed, alpha, r, horizon, dt)
-
-
-def hitting_fraction_on_paths(paths: list[WienerPath], alpha: float,
-                              r: float) -> float:
-    """Hitting frequency on explicitly supplied paths (for refinement
-    studies: a bridge-refined path can only raise its grid maximum)."""
-    if not paths:
-        raise ConfigError("need at least one path")
-    log_r = math.log(r)
-    hits = 0
-    for p in paths:
-        series = alpha * p.w_series() - (alpha * alpha / 32.0) * p.times
-        if float(series.max()) >= log_r:
-            hits += 1
-    return hits / len(paths)
 
 
 def stopped_lambda_mean(alpha: float, r: float, horizon: float, dt: float,
@@ -498,21 +483,6 @@ def strong_convergence_study(grid: Grid, params: Params, state0: SimState,
         return StrongConvergenceResult(entries, None, n_paths, seed, alpha)
     slope = float(np.polyfit(np.log(dts), np.log(rms), 1)[0])
     return StrongConvergenceResult(entries, slope, n_paths, seed, alpha)
-
-
-# ---------------------------------------------------------------------------
-# decay-rate regression
-# ---------------------------------------------------------------------------
-
-def decay_rate_fit(times, values) -> float:
-    """Exponential decay rate by least squares on log values."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.size < 2:
-        raise FitError("need matching time and value series of length >= 2")
-    if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-        raise FitError("decay fit needs strictly positive finite values")
-    return -float(np.polyfit(times, np.log(values), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,11 @@ from dataclasses import dataclass, replace
 from . import experiments as experiments_mod
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, render_config, with_grid
-from .diagnostics import _first_derivatives, _row_terms, energy
+from .diagnostics import _first_derivatives, _row_record
 from .dynamics import cutoffs_from_norms, step_rk4
 from .errors import ConfigError, DivergedError
-from .norms import _state_norm, l2
-from .runio import (DiagnosticsRecord, _open_diagnostics, append_diagnostics,
-                    write_key_values, write_stopping_record)
+from .runio import (_open_diagnostics, append_diagnostics, write_key_values,
+                    write_stopping_record)
 from .state import random_state
 from .stochastic import (NORM_THRESHOLD, LinearMultiplicative, OnlineMonitor,
                          sample_wiener, step_em, step_transformed)
@@ -57,24 +56,6 @@ def _write_echo(cfg: RunConfig):
     with open(os.path.join(cfg.out_dir, ECHO_FILE), "w",
               encoding="ascii") as fh:
         fh.write(render_config(cfg))
-
-
-def _record(cfg, state, params, loop, w1inf, row, lam=None, w_t=None,
-            cutoffs=(None, None, None)):
-    """One row from the state's `_first_derivatives` pass (w1inf, row)."""
-    enstrophy_q2, circ, max_div = _row_terms(state, params, loop, row)
-    return DiagnosticsRecord(
-        t=state.t,
-        energy=energy(state, params),
-        l2_us=l2(state.u_s),
-        l2_ut=l2(state.u_t),
-        l2_th=l2(state.theta_s),
-        w1inf_us=w1inf[0], w1inf_ut=w1inf[1], w1inf_th=w1inf[2],
-        zkp=_state_norm(state, cfg.norm_spec, row[4]),
-        max_div=max_div,
-        enstrophy_q2=enstrophy_q2, circulation=circ,
-        lambda_=lam, w_t=w_t,
-        cutoff_us=cutoffs[0], cutoff_ut=cutoffs[1], cutoff_th=cutoffs[2])
 
 
 def _initial_state(cfg, grid, params):
@@ -139,15 +120,16 @@ def _run_sim(cfg: RunConfig) -> RunResult:
     mu = -cfg.alpha * cfg.alpha / 32.0
     diag = None  # the CSV, opened once, at the first row
 
-    def emit(s, step, derivs):
+    def emit(s, step, w1inf, row):
         nonlocal diag
         lam = w_t = None
         if w is not None:
             w_t = float(w[step])
             lam = math.exp(cfg.alpha * w_t + mu * s.t)
-        cut = (cutoffs_from_norms(derivs[0], cfg.radius) if row_cutoffs
+        cut = (cutoffs_from_norms(w1inf, cfg.radius) if row_cutoffs
                else (None, None, None))
-        rec = _record(cfg, s, params, loop, *derivs, lam, w_t, cut)
+        rec = _row_record(s, params, loop, cfg.norm_spec, w1inf, row, lam,
+                          w_t, cut)
         if diag is None:
             diag = _open_diagnostics(diag_path)
         append_diagnostics(rec, diag)
@@ -158,10 +140,10 @@ def _run_sim(cfg: RunConfig) -> RunResult:
         # radius; a state that stops the run always gets its row
         if not row_due and monitor is None:
             return False
-        derivs = _first_derivatives(s)
-        stop = monitor is not None and monitor.update(s.t, max(derivs[0]))
+        w1inf, row = _first_derivatives(s)
+        stop = monitor is not None and monitor.update(s.t, max(w1inf))
         if row_due or stop:
-            emit(s, step, derivs)
+            emit(s, step, w1inf, row)
         return stop
 
     def finish_stopped(s):
@@ -280,7 +262,8 @@ def _run_diag(cfg: RunConfig) -> RunResult:
         # the loop centre follows the checkpoint's domain
         cfg = with_grid(cfg, state.grid)
     _write_echo(cfg)
-    rec = _record(cfg, state, params, cfg.loop(), *_first_derivatives(state))
+    rec = _row_record(state, params, cfg.loop(), cfg.norm_spec,
+                      *_first_derivatives(state))
     append_diagnostics(rec, os.path.join(cfg.out_dir, DIAG_FILE))
     return RunResult(EXIT_COMPLETED, cfg.out_dir, state, payload=rec)
 

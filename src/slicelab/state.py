@@ -1,4 +1,4 @@
-"""Solution state, physical parameters, tendencies, and initial data.
+"""Solution state, physical parameters, and initial data.
 
 The state triple is (u_S, u_T, theta_S): slice-plane velocity, transverse
 velocity, and the potential-temperature slice component, all sharing one
@@ -65,13 +65,6 @@ class SimState:
         return self.u_s.grid
 
 
-@dataclass(frozen=True)
-class Tendency:
-    du_s: VectorField
-    du_t: ScalarField
-    dtheta_s: ScalarField
-
-
 def make_state(grid: Grid, t, ux, uz, ut, theta) -> SimState:
     """Wrap raw value arrays in a state with the canonical square bases."""
     return SimState(float(t), vector_field(grid, ux, uz),
@@ -88,11 +81,6 @@ def state_arrays(state: SimState):
     """The four value arrays (ux, uz, u_t, theta_s), in checkpoint order."""
     return (state.u_s.x.values, state.u_s.z.values,
             state.u_t.values, state.theta_s.values)
-
-
-def tendency_arrays(tend: Tendency):
-    return (tend.du_s.x.values, tend.du_s.z.values,
-            tend.du_t.values, tend.dtheta_s.values)
 
 
 def state_is_finite(state: SimState) -> bool:

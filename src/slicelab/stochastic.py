@@ -273,16 +273,6 @@ def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# the exponential-martingale functional
-# ---------------------------------------------------------------------------
-
-def lambda_process(path: WienerPath, alpha: float, mode: int = 0) -> np.ndarray:
-    """Lambda(t) = exp(alpha W_t - alpha^2 t / 32) on the path grid."""
-    w = path.w_series(mode)
-    return np.exp(alpha * w - (alpha * alpha / 32.0) * path.times)
-
-
-# ---------------------------------------------------------------------------
 # stopping monitors
 # ---------------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ stopping-record reader, per-geometry oracles of the spectral operators
 that the grid's per-basis tables now serve with one body, the
 path-by-path loop that the regularity experiment batches, the
 allocating hitting-law path loops that the in-place kernel replaced, the
+hitting fraction of supplied (refined) paths, the decay-rate fit, the
 truncated tendency and RK4 step that took their cut-off norms with
 transforms of their own, and the quadrature W^{k,2} norm that discrete
 Parseval replaced."""
@@ -343,6 +344,26 @@ def stopped_lambda_oracle(alpha: float, r: float, horizon: float, dt: float,
         stopped = series[crossed[0]] if crossed.size else series[-1]
         vals[idx] = math.exp(stopped / 16.0)
     return vals
+
+
+def hitting_fraction_on_paths(paths, alpha: float, r: float) -> float:
+    """Hitting frequency of Lambda on explicitly supplied paths (for
+    refinement studies: a bridge-refined path can only raise its grid
+    maximum)."""
+    log_r = math.log(r)
+    hits = 0
+    for p in paths:
+        series = alpha * p.w_series() - (alpha * alpha / 32.0) * p.times
+        if float(series.max()) >= log_r:
+            hits += 1
+    return hits / len(paths)
+
+
+# -- the decay-rate fit ---------------------------------------------------------
+
+def decay_rate_fit(times, values) -> float:
+    """Exponential decay rate by least squares on log values."""
+    return -float(np.polyfit(times, np.log(values), 1)[0])
 
 
 def rhs_arrays_oracle(grid, params: Params, ux, uz, ut, th,

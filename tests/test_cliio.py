@@ -446,7 +446,12 @@ def test_transform_mode_runs(tmp_path):
     res = run(parse_config(_sde_text(out, "1e9"), mode="sim-transform"))
     assert res.status == 0
     rows = read_diagnostics(out / "diagnostics.csv")
-    assert rows[-1].lambda_ is not None
+    # Lambda = exp(alpha W - alpha^2 t / 32) along the run's own path
+    assert rows[0].lambda_ == 1.0 and rows[0].w_t == 0.0
+    for row in rows:
+        assert row.lambda_ == pytest.approx(
+            math.exp(0.4 * row.w_t - 0.4 ** 2 / 32.0 * row.t), rel=1e-14)
+    assert len({row.w_t for row in rows}) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +539,37 @@ def test_cli_bad_config_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[grid]\nnx = 7\n")
     assert cli_main(["sim-det", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("mode,max_mode", [("mc-global", 0),
+                                           ("mc-global", -2),
+                                           ("sim-det", 0)])
+def test_cli_max_mode_below_one_is_usage_error(tmp_path, capsys, mode,
+                                               max_mode):
+    # no band of modes means no initial data: mc-global would divide by
+    # its zero norm, and a sim-* run would start from rest
+    cfg = tmp_path / "mm.cfg"
+    cfg.write_text("[grid]\nnx = 16\n[params]\ns = 0\n[noise]\n"
+                   "alpha = 20\n[time]\ndt = 1e-2\nt_final = 0.02\n"
+                   "[monitor]\nthreshold = 2\n[mc]\nn_paths = 2\n"
+                   f"[data]\namplitude = 0.1\nmax_mode = {max_mode}\n")
+    code = cli_main([mode, "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slicelab: ") and "[data] max_mode" in err
+
+
+@pytest.mark.parametrize("mode", ["sim-det", "diag"])
+def test_cli_unreadable_restart_is_usage_error(tmp_path, capsys, mode):
+    missing = tmp_path / "no-such" / "checkpoint.bin"
+    cfg = tmp_path / "rs.cfg"
+    cfg.write_text(_sim_text(tmp_path / "out",
+                             extra=f"[time]\nrestart = {missing}\n"))
+    assert cli_main([mode, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slicelab: cannot read checkpoint")
+    assert err.count("\n") == 1
 
 
 def test_cli_convergence_writes_table(tmp_path):

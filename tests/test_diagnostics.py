@@ -193,11 +193,15 @@ def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
     monkeypatch.setattr(diagnostics, "to_modes", lambda g, v, b: (
         theta_calls.append(b) if v is st.theta_s.values else None)
         or real(g, v, b))
-    _, row = diagnostics._first_derivatives(st)
-    assert repr(diagnostics._row_terms(st, p, lp, row)) == repr(want)
+    derivs = diagnostics._first_derivatives(st)
+
+    def terms(loop):
+        rec = diagnostics._row_record(st, p, loop, ZKP_DEFAULT, *derivs)
+        return rec.enstrophy_q2, rec.circulation, rec.max_div
+
+    assert repr(terms(lp)) == repr(want)
     assert theta_calls == [st.theta_s.basis]
-    assert repr(diagnostics._row_terms(st, p, None, row)) == repr(
-        (want[0], None, want[2]))
+    assert repr(terms(None)) == repr((want[0], None, want[2]))
 
 
 def test_advect_loop_zero_velocity_is_identity(sq64):

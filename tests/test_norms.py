@@ -275,14 +275,16 @@ def test_parseval_matches_the_quadrature_oracle(k):
             assert abs(got - want) <= 1e-13 * want, (case, len(comps))
 
 
+@pytest.mark.filterwarnings(
+    "ignore::slicelab.diagnostics.EnergyAccountingWarning")
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_row_norm_is_the_state_norm(k):
     # a row's norm column, by Parseval from the first-derivative pass's
     # coefficients when p = 2, is norm(state, spec) to the last bit
-    from slicelab.diagnostics import _first_derivatives
-    from slicelab.norms import _state_norm
+    from slicelab.diagnostics import _first_derivatives, _row_record
+    from slicelab.state import Params
     for case, state in _parseval_cases():
-        coefs = _first_derivatives(state)[1][4]
+        derivs = _first_derivatives(state)
         for spec in (NormSpec(k, 2), NormSpec(k, 3), NormSpec(k, math.inf)):
-            assert repr(_state_norm(state, spec, coefs)) == repr(
-                norm(state, spec)), (case, spec)
+            rec = _row_record(state, Params(), None, spec, *derivs)
+            assert repr(rec.zkp) == repr(norm(state, spec)), (case, spec)

@@ -11,7 +11,7 @@ from slicelab import dynamics as dyn
 from slicelab import stochastic as st
 from slicelab.grid import VX_BASIS, VZ_BASIS
 from slicelab.norms import l2
-from slicelab.state import state_arrays, tendency_arrays
+from slicelab.state import state_arrays
 
 from helpers import state_max_abs_diff, stopping_monitor
 
@@ -187,7 +187,7 @@ def test_em_linear_matches_manual_update(tor64):
     got = st.step_em(s, p, 1e-3, np.array([0.0123]),
                      st.LinearMultiplicative(alpha=0.7))
     y = state_arrays(s)
-    drift = tendency_arrays(dyn.rhs_deterministic(s, p))
+    drift = dyn.rhs_deterministic(s, p)
     y1 = tuple(a + 1e-3 * b for a, b in zip(y, drift))
     y2 = tuple(a + 0.0123 * (0.7 * b) for a, b in zip(y1, y))
     px, pz = project_values(tor64, y2[0], y2[1])
@@ -219,7 +219,7 @@ def test_em_nemytskii_two_modes_matches_manual_update(geom):
     dw = np.array([0.021, -0.013])
     got = st.step_em(s, p, 1e-3, dw, model)
     y = state_arrays(s)
-    drift = tendency_arrays(dyn.rhs_deterministic(s, p))
+    drift = dyn.rhs_deterministic(s, p)
     y1 = tuple(a + 1e-3 * b for a, b in zip(y, drift))
     for w_j, (sx, sz, su, sth) in zip(dw, shapes):
         gx, gz = project_values(g, 0.3 * sx.values, 0.3 * sz.values)
@@ -387,18 +387,6 @@ def test_transformed_norm_decays_under_strong_noise():
 # ---------------------------------------------------------------------------
 # the exponential-martingale functional
 # ---------------------------------------------------------------------------
-
-def test_lambda_starts_at_one():
-    p = st.sample_wiener(1e-2, 100, 1, seed=0)
-    assert st.lambda_process(p, 2.0)[0] == 1.0
-
-
-def test_lambda_exponent_cancellation():
-    # alpha = 1, W(1) = 1/32: the drift term eats the Brownian term exactly
-    p = st.WienerPath(1.0, 1, 1, 0, np.array([[1.0 / 32.0]]))
-    lam = st.lambda_process(p, 1.0)
-    assert lam[1] == pytest.approx(1.0, abs=1e-15)
-
 
 def test_lambda_sixteenth_root_is_mean_one():
     # E[Lambda(t)^{1/16}] = 1 exactly; 2e4 paths leave ~4 SE of headroom
