@@ -58,7 +58,7 @@ def potential_vorticity(state: SimState, params: Params) -> ScalarField:
 
 def _potential_vorticity(state: SimState, params: Params,
                          row) -> ScalarField:
-    (dx_ut, dz_ut), (dx_th, dz_th), vorticity = row[:3]
+    _, (*_, (dx_ut, dz_ut), (dx_th, dz_th)), vorticity, _ = row
     om = from_modes(state.grid, *vorticity)
     q = params.s * om - (dx_ut + params.f) * dz_th + dz_ut * dx_th
     return scalar_field(state.grid, q, NEUMANN_BASIS)
@@ -178,8 +178,9 @@ def _interp_pair(grid: Grid, x_values, z_values, pts: np.ndarray,
 def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
     """Trapezoidal line integral of v_S = s u_S - (u_T + f x) grad theta_S
     around the loop, with bilinear sampling of the integrand fields."""
+    g, th = state.grid, state.theta_s
     return _circulation(state, params, loop, _gradient(
-        state.grid, state.theta_s.values, state.theta_s.basis))
+        g, to_modes(g, th.values, th.basis), th.basis))
 
 
 def _circulation(state: SimState, params: Params, loop: MaterialLoop,
@@ -201,9 +202,10 @@ def _circulation(state: SimState, params: Params, loop: MaterialLoop,
 def _first_derivatives(state: SimState):
     """One first-derivative pass, 4 forward and 8 inverse transforms: the
     (u_S, u_T, theta_S) W^{1,inf} norms, bitwise norm(..., W1INF)'s, and
-    the row part: (d_x, d_z) of u_T and theta_S, the (coefficients, basis)
-    of u_S's curl and divergence, formed as in `incompressible`, and the 4
-    forward coefficient arrays."""
+    the row part: the 4 forward coefficient arrays and the 4 (d_x, d_z)
+    value pairs, bitwise a step's own first-stage ones (`row[:2]` is a
+    stepper's `_handed`), and the (coefficients, basis) of u_S's curl and
+    divergence, formed as in `incompressible`."""
     g = state.grid
     arrays = state_arrays(state)
     coefs = [to_modes(g, v, b) for v, b in zip(arrays, STATE_BASES)]
@@ -213,8 +215,8 @@ def _first_derivatives(state: SimState):
     grads = [[from_modes(g, *cb) for cb in pair] for pair in modes]
     w1inf = [_w1inf(g, arrays[:2], grads[:2])] + [
         _w1inf(g, (v,), (d,)) for v, d in zip(arrays[2:], grads[2:])]
-    return w1inf, (*grads[2:], (xz[0] - zx[0], xz[1]),
-                   (xx[0] + zz[0], xx[1]), coefs)
+    return w1inf, (coefs, grads, (xz[0] - zx[0], xz[1]),
+                   (xx[0] + zz[0], xx[1]))
 
 
 def _row_record(state: SimState, params: Params, loop: MaterialLoop | None,
@@ -225,7 +227,7 @@ def _row_record(state: SimState, params: Params, loop: MaterialLoop | None,
     np.square), circulation None without a loop; lam, w_t and the cutoffs
     are the caller's."""
     g = state.grid
-    _, grad_th, _, div, coefs = row
+    coefs, (*_, grad_th), _, div = row
     q = _potential_vorticity(state, params, row).values
     enstrophy_q2 = integrate(g, np.square(q))
     circ = None if loop is None else _circulation(state, params, loop,

@@ -11,14 +11,15 @@ finite-mode Galerkin truncation of the truncated system.  The truncated
 tendency multiplies each advection term by the smooth cutoff of the matching
 running norm; linear couplings are never truncated.
 
-Every stepper calls one array-level tendency, `_rhs_arrays`, on the raw
-value arrays of each stage: 24 transforms, truncated or not.  A finite
-cutoff radius truncates it with the stage's own W^{1,inf} norms, reduced
-from the first derivatives its advection takes; an `advect` scale on all
-advection terms and a `source_scale` on the z s source let the
-exponentially-transformed system share it.  At an infinite radius and unit
-scales every factor is exactly 1.0, so the float operation sequence is the
-plain one, which the bit-equality contracts of the steppers rely on.
+Every stepper runs its stages in coefficient space through one tendency,
+`_rhs_arrays`: 4 forward transforms per step (or a handed first-derivative
+pass), 14 per later stage (u_S and 8 first derivatives back, 4 products
+forward), 4 inverse ones at the step end: 62 per RK4 step, 68 truncated.
+An `advect` scale on all advection terms and a `source_scale` on the z s
+source let the exponentially-transformed system share it.  At an infinite
+radius and unit scales every factor is exactly 1.0, so the float operation
+sequence is the plain one, which the bit-equality contracts of the
+steppers rely on.
 """
 
 from __future__ import annotations
@@ -26,61 +27,81 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError, DivergedError
-from .grid import (Grid, dealias_values, derivative_values, gaussian_lowpass,
-                   to_modes, vector_field)
-from .incompressible import project_values
+from .grid import (Geometry, Grid, derivative_values, from_modes,
+                   gaussian_lowpass, to_modes, vector_field)
+from .incompressible import _project_modes, project_values
 from .norms import W1INF, _max, _w1inf, state_component_norms
-from .state import (STATE_BASES, Params, SimState, make_state, state_arrays,
-                    state_is_finite)
+from .state import (STATE_BASES, THETA_BASIS, Params, SimState, make_state,
+                    state_arrays, state_is_finite)
 
 
 # ---------------------------------------------------------------------------
 # tendencies
 # ---------------------------------------------------------------------------
 
-def _gradient(grid: Grid, values, basis):
-    """(d_x, d_z) values of a field: one forward, two inverse transforms."""
-    coef = to_modes(grid, values, basis)
+def _gradient(grid: Grid, coef, basis):
+    """(d_x, d_z) values of a field from its coefficients."""
     return (derivative_values(grid, coef, basis, 1, 0)[0],
             derivative_values(grid, coef, basis, 0, 1)[0])
 
 
-def _rhs_arrays(grid: Grid, params: Params, ux, uz, ut, th,
+def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
                 radius: float = math.inf, advect: float = 1.0,
-                source_scale: float = 1.0):
-    """The tendency's value arrays (dux, duz, dut, dth).
-
-    Each field is transformed and differentiated once; (u.grad) of it
-    keeps its parity class and is dealiased in its own basis.  A finite
-    radius takes the W^{1,inf} norms, bitwise norm(..., W1INF)'s, from the
-    same derivatives.  The scales multiply unconditionally: callers with
-    an infinite radius and unit scales get the bitwise-plain tendency.
-    """
+                source_scale: float = 1.0, values=None, grads=None):
+    """The tendency's coefficients (dux, duz, dut, dth) at the stage with
+    coefficients (cx, cz, ct, cth) in `STATE_BASES`; its values and their
+    (d_x, d_z) pairs are taken from these unless given (a given list of
+    pairs is emptied as they are read, so each is freed after its use, as
+    the stage's own ones are).  A finite radius
+    truncates with the W^{1,inf} norms of the same arrays; an infinite one
+    and unit scales give the bitwise-plain tendency.  On the square a
+    nonzero s re-expands u_T in theta_S's basis."""
     truncated = math.isfinite(radius)
+    coefs = (cx, cz, ct, cth)
+    cross = params.s and grid.geometry is Geometry.SQUARE
+    if values is None:
+        need = (True, True, truncated or cross, truncated)
+        values = [from_modes(grid, c, b) if n else None
+                  for c, b, n in zip(coefs, STATE_BASES, need)]
+    ux, uz, ut, _ = values
     adv, w1inf, held = [], [], []
-    for i, (values, basis) in enumerate(zip((ux, uz, ut, th), STATE_BASES)):
-        dx, dz = grad = _gradient(grid, values, basis)
-        adv.append(dealias_values(grid, ux * dx + uz * dz, basis))
+    for i, (c, basis) in enumerate(zip(coefs, STATE_BASES)):
+        dx, dz = grad = grads.pop(0) if grads else _gradient(grid, c, basis)
+        adv.append(to_modes(grid, ux * dx + uz * dz, basis)
+                   * grid.keep(basis))
         if truncated:
-            held.append((values, grad))
+            held.append((values[i], grad))
             if i:  # the u_S norm pairs u_x's derivatives with u_z's
                 w1inf.append(_w1inf(grid, *zip(*held)))
                 held = []
         del dx, dz, grad
+    ct_th = to_modes(grid, ut, THETA_BASIS) if cross else ct
+    del values, ux, uz, ut
     adv_x, adv_z, adv_t, adv_s = adv
     c_us, c_ut, c_th = (cutoffs_from_norms(w1inf, radius) if truncated
                         else (1.0, 1.0, 1.0))
 
     buoy = params.buoyancy
     adv_us = advect * c_us
-    rx = params.f * ut - adv_us * adv_x
-    rz = buoy * th - adv_us * adv_z
-    dux, duz = project_values(grid, rx, rz)
-
-    dut = -(advect * c_ut) * adv_t - params.f * ux \
-        - (source_scale * buoy * params.s) * grid.z_weight
-    dth = -(advect * c_th) * adv_s - params.s * ut
+    dux, duz = _project_modes(grid, params.f * ct - adv_us * adv_x,
+                              buoy * cth - adv_us * adv_z)
+    dut = -(advect * c_ut) * adv_t - params.f * cx
+    dth = -(advect * c_th) * adv_s
+    if params.s:  # the s terms, skipped where they would add zeros
+        dut = dut - (source_scale * buoy * params.s) * grid.z_weight_modes
+        dth = dth - params.s * ct_th
     return dux, duz, dut, dth
+
+
+def _first_stage(state: SimState, handed=None):
+    """A step's coefficients and its first stage's keywords: the state's
+    arrays go forward, unless the state's first-derivative pass is handed
+    over as (coefficients, list of derivative value pairs), a list that
+    the first stage empties."""
+    values = state_arrays(state)
+    coefs, grads = handed or ([to_modes(state.grid, v, b) for v, b in zip(
+        values, STATE_BASES)], None)
+    return tuple(coefs), dict(values=values, grads=grads)
 
 
 def rhs_deterministic(state: SimState, params: Params):
@@ -126,7 +147,7 @@ def cutoffs_from_norms(norms, radius: float):
 
 
 def rhs_truncated(state: SimState, params: Params, radius: float):
-    """The tendency's arrays (dux, duz, dut, dth), each advection term
+    """The tendency's value arrays (dux, duz, dut, dth), each advection term
     scaled by its running-norm cutoff.
 
     Inside the cutoff plateau every factor is exactly 1.0 and the result is
@@ -135,8 +156,9 @@ def rhs_truncated(state: SimState, params: Params, radius: float):
     """
     if not state_is_finite(state):
         raise DivergedError(f"non-finite state at t={state.t:.6g}")
-    return _rhs_arrays(state.grid, params, *state_arrays(state),
-                       radius=radius)
+    y, first = _first_stage(state)
+    return tuple(from_modes(state.grid, c, b) for c, b in zip(_rhs_arrays(
+        state.grid, params, *y, radius=radius, **first), STATE_BASES))
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +169,30 @@ def _axpy(y, k, c: float):
     return tuple(a + c * b for a, b in zip(y, k))
 
 
-def _rk4_arrays(y, f, t: float, dt: float):
-    """Classical RK4 stage combination over tuples of arrays.
+def _rk4_arrays(y, f, t: float, dt: float, **first):
+    """Classical RK4 stage combination over tuples of arrays; `first` goes
+    to the first stage's call of f only.
 
     Shared verbatim by the deterministic and transformed steppers and by
     material-loop advection; any change here changes all three bitwise.
     """
-    k1 = f(t, y)
+    k1 = f(t, y, **first)
     k2 = f(t + 0.5 * dt, _axpy(y, k1, 0.5 * dt))
     k3 = f(t + 0.5 * dt, _axpy(y, k2, 0.5 * dt))
-    k4 = f(t + dt, _axpy(y, k3, dt))
-    return tuple(a + (dt / 6.0) * (b + 2.0 * (c + d) + e)
-                 for a, b, c, d, e in zip(y, k1, k2, k3, k4))
+    y4 = _axpy(y, k3, dt)
+    # b + 2 (c + d) + e summed in that order, k1..k3 freed before k4
+    part = tuple(b + 2.0 * (c + d) for b, c, d in zip(k1, k2, k3))
+    del k1, k2, k3
+    return tuple(a + (dt / 6.0) * (b + e)
+                 for a, b, e in zip(y, part, f(t + dt, y4)))
 
 
-def _finish_step(prev: SimState, arrays, t_new: float) -> SimState:
+def _finish_step(prev: SimState, coefs, t_new: float) -> SimState:
+    # u_S projected on the coefficients, then the 4 inverse transforms
     g = prev.grid
-    ux, uz, ut, th = arrays
-    px, pz = project_values(g, ux, uz)
-    new = make_state(g, t_new, px, pz, ut, th)
+    cx, cz, ct, cth = coefs
+    new = make_state(g, t_new, *(from_modes(g, c, b) for c, b in zip(
+        (*_project_modes(g, cx, cz), ct, cth), STATE_BASES)))
     if not state_is_finite(new):
         raise DivergedError(f"non-finite state after step to t={t_new:.6g}",
                             last_state=prev)
@@ -178,30 +205,33 @@ def _check_dt(dt: float):
 
 
 def step_rk4(state: SimState, params: Params, dt: float,
-             radius: float = math.inf) -> SimState:
+             radius: float = math.inf, _handed=None) -> SimState:
     """One classical RK4 step of the system truncated at `radius` (plain at
-    infinity); u_S re-projected afterwards."""
+    infinity); u_S re-projected afterwards.  `_handed`: see `_first_stage`."""
     _check_dt(dt)
     g = state.grid
 
-    def f(t, y):
-        return _rhs_arrays(g, params, *y, radius=radius)
+    def f(t, y, **first):
+        return _rhs_arrays(g, params, *y, radius=radius, **first)
 
-    y1 = _rk4_arrays(state_arrays(state), f, state.t, dt)
-    return _finish_step(state, y1, state.t + dt)
+    y, first = _first_stage(state, _handed)
+    return _finish_step(state, _rk4_arrays(y, f, state.t, dt, **first),
+                        state.t + dt)
 
 
-def _euler_arrays(state: SimState, params: Params, dt: float, radius: float):
-    # the drift update of Euler and Euler-Maruyama, before projection
+def _euler_arrays(state: SimState, params: Params, dt: float, radius: float,
+                  handed=None):
+    # the step's coefficients and its drift update, before projection
     _check_dt(dt)
-    y = state_arrays(state)
-    return _axpy(y, _rhs_arrays(state.grid, params, *y, radius=radius), dt)
+    y, first = _first_stage(state, handed)
+    return y, _axpy(y, _rhs_arrays(state.grid, params, *y, radius=radius,
+                                   **first), dt)
 
 
 def step_euler(state: SimState, params: Params, dt: float,
                radius: float = math.inf) -> SimState:
     """One explicit Euler step (the drift half of Euler-Maruyama)."""
-    return _finish_step(state, _euler_arrays(state, params, dt, radius),
+    return _finish_step(state, _euler_arrays(state, params, dt, radius)[1],
                         state.t + dt)
 
 

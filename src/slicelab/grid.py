@@ -140,6 +140,11 @@ class Grid:
         ramp = np.sin(np.pi * np.outer(self.z, ell) / self.lz) @ coef
         return np.broadcast_to(ramp[:, None], (self.nz, self.nx))
 
+    @cached_property
+    def z_weight_modes(self) -> np.ndarray:
+        # z_weight in u_T's basis, the x-velocity's: the tendency's z s source
+        return to_modes(self, self.z_weight, VX_BASIS)
+
     @property
     def cell_area(self) -> float:
         return (self.lx / self.nx) * (self.lz / self.nz)
@@ -426,16 +431,11 @@ def differentiate(field: ScalarField, axis: str) -> ScalarField:
     return ScalarField(g, values, basis)
 
 
-def dealias_values(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
-    """Array-level dealias for hot paths (no field wrapping)."""
-    return from_modes(grid, to_modes(grid, values, basis) * grid.keep(basis),
-                      basis)
-
-
 def dealias(field: ScalarField) -> ScalarField:
     """2/3-rule truncation: zero every mode with |m_x| > nx/3 or |m_z| > nz/3."""
-    return ScalarField(field.grid, dealias_values(field.grid, field.values,
-                                                  field.basis), field.basis)
+    g, b = field.grid, field.basis
+    return ScalarField(g, from_modes(g, to_modes(g, field.values, b)
+                                     * g.keep(b), b), b)
 
 
 def gaussian_lowpass(field: ScalarField, j: float) -> ScalarField:

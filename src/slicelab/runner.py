@@ -92,9 +92,10 @@ def _run_sim(cfg: RunConfig) -> RunResult:
             os.remove(stale)  # a re-run replaces, never extends, its outputs
 
     w = None
+    # hand: the state's first-derivative pass, where the run observed it
     if cfg.mode == "sim-det":
-        def advance(s, i):
-            return step_rk4(s, params, cfg.dt, radius=cfg.radius)
+        def advance(s, i, hand):
+            return step_rk4(s, params, cfg.dt, cfg.radius, hand)
     else:
         # a restart at step k0 continues the run's own Wiener path: a longer
         # path from the same seed begins with the shorter one's increments
@@ -105,15 +106,15 @@ def _run_sim(cfg: RunConfig) -> RunResult:
         if cfg.mode == "sim-sde":
             model = LinearMultiplicative(cfg.alpha)
 
-            def advance(s, i):
+            def advance(s, i, hand):
                 return step_em(s, params, cfg.dt, inc[:, i], model,
-                               radius=cfg.radius)
+                               cfg.radius, hand)
         else:
             # v = e^{-alpha W} u is u itself at W(0) = 0, and a checkpoint
             # of this mode already holds v
-            def advance(s, i):
+            def advance(s, i, hand):
                 return step_transformed(s, params, cfg.dt, cfg.alpha,
-                                        float(w[i]), float(w[i + 1]))
+                                        float(w[i]), float(w[i + 1]), hand)
     monitor = OnlineMonitor(NORM_THRESHOLD, cfg.radius) if truncated else None
     row_cutoffs = truncated and cfg.mode != "sim-transform"
 
@@ -134,17 +135,17 @@ def _run_sim(cfg: RunConfig) -> RunResult:
             diag = _open_diagnostics(diag_path)
         append_diagnostics(rec, diag)
 
-    def observe(s, step, row_due) -> bool:
-        # one first-derivative pass per state feeds the row and the
-        # monitor, whose stopping time is the first crossing of the cutoff
-        # radius; a state that stops the run always gets its row
+    def observe(s, step, row_due):
+        # one first-derivative pass per state feeds the row, the monitor
+        # (stopping at the first crossing of the cutoff radius) and the
+        # next step: (stop, hand); a state that stops the run gets its row
         if not row_due and monitor is None:
-            return False
+            return False, None
         w1inf, row = _first_derivatives(s)
         stop = monitor is not None and monitor.update(s.t, max(w1inf))
         if row_due or stop:
             emit(s, step, w1inf, row)
-        return stop
+        return stop, row[:2]
 
     def finish_stopped(s):
         write_checkpoint(s, params, ck_path, alpha=cfg.alpha)
@@ -153,18 +154,20 @@ def _run_sim(cfg: RunConfig) -> RunResult:
         return RunResult(EXIT_STOPPED, cfg.out_dir, s, stopping=rec)
 
     try:
-        if observe(state, 0, True):
+        stop, hand = observe(state, 0, True)
+        if stop:
             return finish_stopped(state)
 
         for i in range(n):
             try:
-                state = advance(state, i)
+                state = advance(state, i, hand)
             except DivergedError:
                 # the state before the failed step is the last valid one
                 write_checkpoint(state, params, ck_path, alpha=cfg.alpha)
                 return RunResult(EXIT_DIVERGED, cfg.out_dir, state)
-            if observe(state, i + 1,
-                       (i + 1) % cfg.stride == 0 or i + 1 == n):
+            stop, hand = observe(state, i + 1,
+                                 (i + 1) % cfg.stride == 0 or i + 1 == n)
+            if stop:
                 return finish_stopped(state)
 
         write_checkpoint(state, params, ck_path, alpha=cfg.alpha)

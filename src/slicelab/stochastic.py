@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (_axpy, _check_dt, _euler_arrays, _finish_step,
-                       _rhs_arrays, _rk4_arrays)
+                       _first_stage, _rhs_arrays, _rk4_arrays)
 from .errors import ConfigError, DivergedError
-from .grid import dealias
+from .grid import dealias, to_modes
 from .incompressible import project_values
-from .state import (Params, SimState, scale_state, state_arrays,
+from .state import (STATE_BASES, Params, SimState, scale_state, state_arrays,
                     state_is_finite)
 
 #: |alpha W| beyond which exp() leaves double range; paths are declared
@@ -190,16 +190,22 @@ def noise_eval(model, state: SimState) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 def step_em(state: SimState, params: Params, dt: float, dw, model,
-            radius: float = math.inf) -> SimState:
+            radius: float = math.inf, _handed=None) -> SimState:
     """Euler-Maruyama: drift step (truncated at a finite `radius`) plus
-    per-mode diffusion * increment.
+    per-mode diffusion * increment, on the step's coefficients.
 
     dw holds this step's Brownian increments, one per noise mode (a scalar
     is accepted for single-mode models); diffusion is evaluated at the step
-    start.
+    start.  `_handed` as for `step_rk4`.
     """
-    y1 = _euler_arrays(state, params, dt, radius)
-    diffs = noise_eval(model, state)
+    y, y1 = _euler_arrays(state, params, dt, radius, _handed)
+    # per mode, the diffusion's coefficients, each taken as it is added
+    if isinstance(model, LinearMultiplicative):
+        diffs = [(model.alpha * c for c in y)]
+    else:
+        diffs = [(to_modes(state.grid, a, b) for a, b in zip(d, STATE_BASES))
+                 for d in noise_eval(model, state)]
+    del y
     dw_arr = np.atleast_1d(np.asarray(dw, dtype=float))
     if dw_arr.shape != (len(diffs),):
         raise ConfigError(f"got {dw_arr.shape[0]} increments for "
@@ -241,7 +247,7 @@ def transform_backward(state: SimState, alpha: float, w_t: float) -> SimState:
 
 
 def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
-                     w_start, w_end) -> SimState:
+                     w_start, w_end, _handed=None) -> SimState:
     """One RK4 step of the transformed (random-coefficient) system.
 
     Advection is scaled by exp(+alpha W(tau)) and the z s source by
@@ -249,7 +255,7 @@ def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
     linear couplings are invariant under the rescaling.  The half-alpha-
     squared damping has the exact one-step solution exp(-alpha^2 dt/2), so
     it is applied as an integrating factor after the stage combination
-    rather than folded into the tendency.
+    rather than folded into the tendency.  `_handed` as for `step_rk4`.
 
     A batch of B paths is a state whose fields have shape (B, nz, nx), with
     w_start and w_end of shape (B,); each path's slice equals its own
@@ -261,15 +267,15 @@ def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
     g = state.grid
     t0 = state.t
 
-    def f(t, y):
+    def f(t, y, **first):
         w = w_start + (w_end - w_start) * ((t - t0) / dt)
         return _rhs_arrays(g, params, *y, advect=_path_exp(alpha * w),
-                           source_scale=_path_exp(-alpha * w))
+                           source_scale=_path_exp(-alpha * w), **first)
 
-    y1 = _rk4_arrays(state_arrays(state), f, t0, dt)
+    y, first = _first_stage(state, _handed)
+    y1 = _rk4_arrays(y, f, t0, dt, **first)
     damp = math.exp(-0.5 * alpha * alpha * dt)
-    y1 = tuple(damp * a for a in y1)
-    return _finish_step(state, y1, t0 + dt)
+    return _finish_step(state, tuple(damp * a for a in y1), t0 + dt)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ that the grid's per-basis tables now serve with one body, the
 path-by-path loop that the regularity experiment batches, the
 allocating hitting-law path loops that the in-place kernel replaced, the
 hitting fraction of supplied (refined) paths, the decay-rate fit, the
-truncated tendency and RK4 step that took their cut-off norms with
-transforms of their own, and the quadrature W^{k,2} norm that discrete
-Parseval replaced."""
+value-space tendency and steppers that the coefficient-space stages
+replaced (their cut-off norms taken with transforms of their own), the
+coefficient-space first stage with its cut-offs through norm(..., W1INF),
+and the quadrature W^{k,2} norm that discrete Parseval replaced."""
 
 import math
 from dataclasses import replace
@@ -16,22 +17,25 @@ from dataclasses import replace
 import numpy as np
 import scipy.fft as sfft
 
-from slicelab.dynamics import (_finish_step, _gradient, _rk4_arrays,
+from slicelab.dynamics import (_axpy, _check_dt, _gradient, _rk4_arrays,
                                cutoffs_from_norms)
 from slicelab.errors import ConfigError, DivergedError
 from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
                            VX_BASIS, VZ_BASIS, axis_derivative_modes,
-                           dealias_values, derivative_values, from_modes,
+                           derivative_values, from_modes,
                            scalar_field, to_modes, vector_field)
 from slicelab.experiments import _path_rng
-from slicelab.incompressible import project_values, velocity_from_vorticity
+from slicelab.incompressible import (_project_modes, project_values,
+                                     velocity_from_vorticity)
 from slicelab.norms import (W1INF, ZKP_DEFAULT, _multi_indices, _reduce,
                             combine, norm, state_component_norms)
-from slicelab.state import (THETA_BASIS, UT_BASIS, Params, SimState,
-                            random_state, scale_state, state_arrays)
+from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
+                            SimState, make_state, random_state, scale_state,
+                            state_arrays, state_is_finite)
 from slicelab.stochastic import (_KINDS, AMPLITUDE_THRESHOLD, GBM_THRESHOLD,
-                                 OnlineMonitor, StoppingRecord,
-                                 step_transformed, transform_forward)
+                                 OnlineMonitor, StoppingRecord, _exp_guard,
+                                 _path_exp, noise_eval, step_transformed,
+                                 transform_forward)
 
 
 def states_close(a: SimState, b: SimState, tol: float) -> bool:
@@ -62,6 +66,17 @@ def streamfunction_velocity(psi: ScalarField) -> VectorField:
     return vector_field(g, from_modes(g, ux, bux), from_modes(g, uz, buz))
 
 
+def dealias_values(grid, values, basis):
+    """2/3-rule dealias of value arrays by a round trip."""
+    return from_modes(grid, to_modes(grid, values, basis) * grid.keep(basis),
+                      basis)
+
+
+def value_gradient(g, values, basis):
+    """(d_x, d_z) values of a field from its values: three transforms."""
+    return _gradient(g, to_modes(g, values, basis), basis)
+
+
 def _advect(g, ux, uz, grad, basis):
     dx, dz = grad
     return dealias_values(g, ux * dx + uz * dz, basis)
@@ -78,9 +93,9 @@ def rhs_vorticity(omega: ScalarField, u_t: ScalarField, theta_s: ScalarField,
     g = omega.grid
     u = velocity_from_vorticity(omega)
     ux, uz = u.x.values, u.z.values
-    go = _gradient(g, omega.values, omega.basis)
-    gt = _gradient(g, u_t.values, u_t.basis)
-    gs = _gradient(g, theta_s.values, theta_s.basis)
+    go = value_gradient(g, omega.values, omega.basis)
+    gt = value_gradient(g, u_t.values, u_t.basis)
+    gs = value_gradient(g, theta_s.values, theta_s.basis)
     domega = (-_advect(g, ux, uz, go, omega.basis) - params.f * gt[1]
               + params.buoyancy * gs[0])
     dut = (-_advect(g, ux, uz, gt, u_t.basis) - params.f * ux
@@ -366,13 +381,17 @@ def decay_rate_fit(times, values) -> float:
     return -float(np.polyfit(times, np.log(values), 1)[0])
 
 
+# -- the value-space tendency and steppers ---------------------------------
+
 def rhs_arrays_oracle(grid, params: Params, ux, uz, ut, th,
                       radius: float = math.inf, advect: float = 1.0,
                       source_scale: float = 1.0):
-    """The tendency as it was taken with cut-off norms of its own: the three
-    W^{1,inf} norms through norm(vector_field(...), W1INF) and
+    """The tendency as value arrays, every stage transformed afresh: the
+    three W^{1,inf} norms through norm(vector_field(...), W1INF) and
     norm(scalar_field(...), W1INF), then every field transformed again for
-    its advection product (36 transforms at a finite radius)."""
+    its advection product, each product dealiased by a round trip and u_S
+    projected by another (36 transforms at a finite radius, 24 at an
+    infinite one)."""
     bx, bz, bt, bth = VX_BASIS, VZ_BASIS, UT_BASIS, THETA_BASIS
     c_us = c_ut = c_th = 1.0
     if math.isfinite(radius):
@@ -400,16 +419,90 @@ def rhs_arrays_oracle(grid, params: Params, ux, uz, ut, th,
     return dux, duz, dut, dth
 
 
+def finish_step_oracle(prev: SimState, arrays, t_new: float) -> SimState:
+    """The value-space step end: u_S projected by a round trip."""
+    g = prev.grid
+    ux, uz, ut, th = arrays
+    px, pz = project_values(g, ux, uz)
+    new = make_state(g, t_new, px, pz, ut, th)
+    if not state_is_finite(new):
+        raise DivergedError(f"non-finite state after step to t={t_new:.6g}",
+                            last_state=prev)
+    return new
+
+
 def step_rk4_oracle(state: SimState, params: Params, dt: float,
-                    radius: float) -> SimState:
-    """step_rk4 with `rhs_arrays_oracle` for its four stages."""
+                    radius: float = math.inf) -> SimState:
+    """step_rk4 over value arrays, `rhs_arrays_oracle` for its stages."""
     g = state.grid
 
     def f(t, y):
         return rhs_arrays_oracle(g, params, *y, radius=radius)
 
     y1 = _rk4_arrays(state_arrays(state), f, state.t, dt)
-    return _finish_step(state, y1, state.t + dt)
+    return finish_step_oracle(state, y1, state.t + dt)
+
+
+def step_transformed_oracle(state: SimState, params: Params, dt: float,
+                            alpha: float, w_start, w_end) -> SimState:
+    """step_transformed over value arrays."""
+    _check_dt(dt)
+    _exp_guard(alpha, w_start)
+    _exp_guard(alpha, w_end)
+    g = state.grid
+    t0 = state.t
+
+    def f(t, y):
+        w = w_start + (w_end - w_start) * ((t - t0) / dt)
+        return rhs_arrays_oracle(g, params, *y, advect=_path_exp(alpha * w),
+                                 source_scale=_path_exp(-alpha * w))
+
+    y1 = _rk4_arrays(state_arrays(state), f, t0, dt)
+    damp = math.exp(-0.5 * alpha * alpha * dt)
+    return finish_step_oracle(state, tuple(damp * a for a in y1), t0 + dt)
+
+
+def step_em_oracle(state: SimState, params: Params, dt: float, dw, model,
+                   radius: float = math.inf) -> SimState:
+    """step_em over value arrays, `noise_eval`'s arrays added as they are."""
+    _check_dt(dt)
+    y = state_arrays(state)
+    y1 = _axpy(y, rhs_arrays_oracle(state.grid, params, *y, radius=radius),
+               dt)
+    for w_j, d in zip(np.atleast_1d(np.asarray(dw, dtype=float)),
+                      noise_eval(model, state)):
+        y1 = _axpy(y1, d, float(w_j))
+    return finish_step_oracle(state, y1, state.t + dt)
+
+
+def rhs_norm_oracle(grid, params: Params, values, radius: float):
+    """The coefficient-space first stage at the state with value arrays
+    `values`, its cut-offs through norm(..., W1INF) of the state's fields:
+    the tendency's coefficient arrays."""
+    ux, uz, ut, th = values
+    coefs = [to_modes(grid, v, b) for v, b in zip(values, STATE_BASES)]
+    c_us, c_ut, c_th = cutoffs_from_norms(
+        (norm(vector_field(grid, ux, uz), W1INF),
+         norm(scalar_field(grid, ut, UT_BASIS), W1INF),
+         norm(scalar_field(grid, th, THETA_BASIS), W1INF)), radius)
+    adv = []
+    for c, basis in zip(coefs, STATE_BASES):
+        dx, dz = _gradient(grid, c, basis)
+        adv.append(to_modes(grid, ux * dx + uz * dz, basis)
+                   * grid.keep(basis))
+    adv_x, adv_z, adv_t, adv_s = adv
+    cx, cz, ct, cth = coefs
+    ct_th = (ct if grid.geometry is Geometry.TORUS
+             else to_modes(grid, ut, THETA_BASIS))
+    buoy = params.buoyancy
+    dux, duz = _project_modes(grid, params.f * ct - c_us * adv_x,
+                              buoy * cth - c_us * adv_z)
+    dut = -c_ut * adv_t - params.f * cx
+    dth = -c_th * adv_s
+    if params.s:
+        dut = dut - (buoy * params.s) * grid.z_weight_modes
+        dth = dth - params.s * ct_th
+    return dux, duz, dut, dth
 
 
 # -- the quadrature W^{k,2} norm ------------------------------------------------

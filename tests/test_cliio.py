@@ -16,6 +16,7 @@ from slicelab.errors import DiagnosticsFormatError
 from slicelab.runio import (DiagnosticsRecord, append_diagnostics,
                             format_row, read_diagnostics)
 from slicelab.runner import run
+from slicelab.state import state_arrays
 
 from helpers import read_stopping_record, state_max_abs_diff
 
@@ -298,6 +299,47 @@ def test_stochastic_restart_matches_uninterrupted_run(tmp_path, mode):
     assert rest_rows[1:] == full_rows[11:]
     assert (full / "checkpoint.bin").read_bytes() == \
         (rest / "checkpoint.bin").read_bytes()
+
+
+def _truncated_sim(out, t_final, geometry="square", extra=""):
+    # truncated sim-det with a loop and a row at every state: each step
+    # takes its first stage from the first-derivative pass of its row
+    return parse_config(
+        f"[grid]\ngeometry = {geometry}\nnx = 16\n[params]\ns = 0.5\n"
+        f"[time]\ndt = 5e-3\nt_final = {t_final}\n{extra}"
+        f"[monitor]\nradius = 50\n[data]\namplitude = 0.3\nseed = 7\n"
+        f"[output]\nout_dir = {out}\nstride = 1\nloop_radius = 0.5\n",
+        mode="sim-det")
+
+
+def test_truncated_square_restart_matches_uninterrupted_run(tmp_path):
+    full, half, rest = (tmp_path / d for d in ("full", "half", "rest"))
+    run(_truncated_sim(full, "0.1"))
+    run(_truncated_sim(half, "0.05"))
+    run(_truncated_sim(rest, "0.05",
+                       extra=f"restart = {half / 'checkpoint.bin'}\n"))
+    full_rows = (full / "diagnostics.csv").read_text().splitlines()
+    rest_rows = (rest / "diagnostics.csv").read_text().splitlines()
+    assert len(full_rows) == 22
+    assert rest_rows[1:] == full_rows[11:]
+    assert (full / "checkpoint.bin").read_bytes() == \
+        (rest / "checkpoint.bin").read_bytes()
+
+
+@pytest.mark.filterwarnings(
+    "ignore::slicelab.diagnostics.EnergyAccountingWarning")
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_run_hands_each_step_its_own_state_pass(tmp_path, geometry):
+    # the run's states are the stepper's own, taken without handing
+    cfg = _truncated_sim(tmp_path, "0.05", geometry)
+    res = run(cfg)
+    assert res.status == 0
+    state = sl.random_state(cfg.grid(), seed=7, max_mode=cfg.max_mode,
+                            amplitude=0.3)
+    for _ in range(10):
+        state = sl.step_rk4(state, cfg.params, 5e-3, radius=50.0)
+    assert [a.tobytes() for a in state_arrays(res.final_state)] == [
+        a.tobytes() for a in state_arrays(state)]
 
 
 def test_restart_param_mismatch_refused(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -5,15 +6,21 @@ import pytest
 
 from slicelab import dynamics as dyn
 from slicelab.errors import ConfigError, DivergedError
-from slicelab.grid import make_grid, scalar_field, vector_field
-from slicelab.incompressible import curl, max_divergence, project_values
+from slicelab.grid import (from_modes, make_grid, scalar_field, to_modes,
+                           vector_field)
+from slicelab.incompressible import (_project_modes, curl, max_divergence,
+                                     project_values)
 from slicelab.norms import W1INF, l2, state_component_norms
-from slicelab.state import (Params, make_state, random_state, scale_state,
+from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
+                            make_state, random_state, scale_state,
                             state_arrays, zero_state)
-from slicelab.stochastic import step_transformed
+from slicelab.stochastic import (LinearMultiplicative, PointwiseNemytskii,
+                                 step_em, step_transformed)
 
-from helpers import (rhs_arrays_oracle, rhs_vorticity, state_max_abs_diff,
-                     step_rk4_oracle, step_rk4_vorticity, zero_scalar)
+from helpers import (finish_step_oracle, rhs_norm_oracle, rhs_vorticity,
+                     state_max_abs_diff, step_em_oracle, step_rk4_oracle,
+                     step_rk4_vorticity, step_transformed_oracle,
+                     zero_scalar)
 
 PI = np.pi
 
@@ -152,26 +159,56 @@ def _transforms(count_calls):
     return lambda: calls["to_modes"] + calls["from_modes"]
 
 
-@pytest.mark.parametrize("radius,expected", [(float("inf"), 24), (1.0, 24)])
-def test_transforms_per_tendency(count_calls, sq32_state, radius, expected):
+def _coefs(state):
+    return [to_modes(state.grid, v, b)
+            for v, b in zip(state_arrays(state), STATE_BASES)]
+
+
+# the counts at s = 0 and, on the square, at s != 0, where every stage
+# re-expands u_T in theta_S's basis (one forward transform, and an inverse
+# one where the stage holds no u_T values); the grid builds its z-weight
+# table for the s source once, before the counts start
+
+@pytest.mark.parametrize("s,radius,expected", [
+    (0.0, float("inf"), 14), (0.0, 1.0, 16), (1.0, float("inf"), 16),
+    (1.0, 1.0, 17)])
+def test_transforms_per_tendency(count_calls, sq32_state, s, radius,
+                                 expected):
+    # a later stage: coefficients in, the values it reads transformed back
+    coefs = _coefs(sq32_state)
+    sq32_state.grid.z_weight_modes
     transforms = _transforms(count_calls)
-    dyn._rhs_arrays(sq32_state.grid, Params(), *state_arrays(sq32_state),
-                    radius=radius)
+    dyn._rhs_arrays(sq32_state.grid, Params(s=s), *coefs, radius=radius)
     assert transforms() == expected
 
 
-@pytest.mark.parametrize("radius,expected", [(float("inf"), 100),
-                                             (1.0, 100)])
-def test_transforms_per_rk4_step(count_calls, sq32_state, radius, expected):
+@pytest.mark.parametrize("s,radius,expected", [
+    (0.0, float("inf"), 62), (0.0, 1.0, 68), (1.0, float("inf"), 69),
+    (1.0, 1.0, 72)])
+def test_transforms_per_rk4_step(count_calls, sq32_state, s, radius,
+                                 expected):
+    sq32_state.grid.z_weight_modes
     transforms = _transforms(count_calls)
-    dyn.step_rk4(sq32_state, Params(), 1e-3, radius=radius)
+    dyn.step_rk4(sq32_state, Params(s=s), 1e-3, radius=radius)
     assert transforms() == expected
 
 
 def test_transforms_per_transformed_step(count_calls, sq32_state):
     transforms = _transforms(count_calls)
-    step_transformed(sq32_state, Params(), 1e-3, 0.7, 0.1, 0.2)
-    assert transforms() == 100
+    step_transformed(sq32_state, Params(s=0.0), 1e-3, 0.7, 0.1, 0.2)
+    assert transforms() == 62
+
+
+@pytest.mark.parametrize("s,radius,expected", [
+    (0.0, float("inf"), 20), (0.0, 1.0, 20), (1.0, float("inf"), 21)])
+def test_transforms_per_em_step(count_calls, sq32_state, s, radius,
+                                expected):
+    # linear noise scales the step's coefficients: no transform of its own
+    sq32_state.grid.z_weight_modes
+    transforms = _transforms(count_calls)
+    step_em(sq32_state, Params(s=s), 1e-3, 0.01, LinearMultiplicative(0.5),
+            radius=radius)
+    assert transforms() == expected
 
 
 @pytest.mark.filterwarnings(
@@ -182,7 +219,10 @@ def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
                                        geometry, stride, rows, monitored):
     # a truncated sim-det run observes every state: a row with a loop takes
     # 14 transforms (its Z^{3,2} column reads the pass's coefficients), a
-    # state the monitor alone reads 12; the two strides pin both counts
+    # state the monitor alone reads 12; the two strides pin both counts.
+    # Each step takes its first stage from the pass: 68 - 12 = 56 at s = 0,
+    # and at this s = 0.5 the square re-expands u_T once per stage (60);
+    # the first step also builds the grid's z-weight table (one transform)
     from slicelab import runner
     from slicelab.config import parse_config
     transforms = _transforms(count_calls)
@@ -207,7 +247,8 @@ def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
         f"out_dir = {tmp_path}\nstride = {stride}\nloop_radius = 0.5\n",
         mode="sim-det")
     assert runner.run(cfg).status == 0
-    assert elsewhere[1:] == [100] * 5
+    per_step = 56 if geometry == "torus" else 60
+    assert elsewhere[1:] == [per_step + 1] + [per_step] * 4
     assert transforms() - sum(elsewhere) == 14 * rows + 12 * monitored
 
 
@@ -376,13 +417,15 @@ def test_truncated_far_zone_drops_advection(tor64):
     st = random_state(tor64, seed=5, max_mode=3, amplitude=0.3)
     p = Params(f=1.2, g=0.9, theta0=1.1, s=1.0)
     far = dyn.rhs_truncated(st, p, radius=1e-8)
-    ux, uz, ut, th = state_arrays(st)
-    ref_x, ref_z = project_values(tor64, p.f * ut, p.buoyancy * th)
-    assert np.max(np.abs(far[0] - ref_x)) == 0.0
-    assert np.max(np.abs(far[2]
-                         - (-p.f * ux
-                            - p.buoyancy * p.s * tor64.z_weight))) == 0.0
-    assert np.max(np.abs(far[3] - (-p.s * ut))) == 0.0
+    # the linear couplings alone, in the stage's coefficient-space order
+    cx, cz, ct, cth = _coefs(st)
+    ref_x, ref_z = _project_modes(tor64, p.f * ct, p.buoyancy * cth)
+    assert np.max(np.abs(far[0] - from_modes(tor64, ref_x, None))) == 0.0
+    assert np.max(np.abs(far[2] - from_modes(
+        tor64, -p.f * cx - (p.buoyancy * p.s) * tor64.z_weight_modes,
+        UT_BASIS))) == 0.0
+    assert np.max(np.abs(far[3] - from_modes(tor64, -p.s * ct,
+                                              THETA_BASIS))) == 0.0
 
 
 def test_truncated_mid_blend(tor64):
@@ -405,32 +448,155 @@ def _cutoff_class(c):
     return "0" if c == 0.0 else "1" if c == 1.0 else "between"
 
 
-@pytest.mark.parametrize("geometry", ["torus", "square"])
-def test_truncated_tendency_and_step_equal_the_norm_oracle(geometry):
-    # u_T and theta_S scaled to 1.5 and 3 times the u_S norm, so that the
-    # radii below put each of the three cut-offs at 1, strictly between 0
-    # and 1, and at 0
-    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+def _scaled_state(g):
+    # u_T and theta_S scaled to 1.5 and 3 times the u_S norm, so that radii
+    # of 10, 1.6, 1.01, 0.8 and 0.4 times it put each of the three cut-offs
+    # at 1, strictly between 0 and 1, and at 0
     base = random_state(g, seed=4, max_mode=4, amplitude=0.5)
     n_us, n_ut, n_th = state_component_norms(base, W1INF)
     ux, uz, ut, th = state_arrays(base)
-    st = make_state(g, 0.0, ux, uz, (1.5 * n_us / n_ut) * ut,
-                    (3.0 * n_us / n_th) * th)
+    return make_state(g, 0.0, ux, uz, (1.5 * n_us / n_ut) * ut,
+                      (3.0 * n_us / n_th) * th)
+
+
+RADIUS_FACTORS = (10.0, 1.6, 1.01, 0.8, 0.4)
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_truncated_tendency_and_step_equal_the_norm_oracle(geometry):
+    # a step's first stage takes its cut-off norms from the state's values
+    # and the derivatives its advection takes; they are norm(..., W1INF)'s
+    # bit for bit, so the stage and a one-stage (Euler) step equal the
+    # stage with its cut-offs through norm(..., W1INF).  (A later RK4 stage
+    # reads derivatives of its coefficients, which norm() of its values
+    # would re-transform; the value-space oracle test covers RK4.)
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    st = _scaled_state(g)
     p = Params(f=1.2, g=0.9, theta0=1.1, s=1.0)
     norms = state_component_norms(st, W1INF)
     seen = set()
-    for factor in (10.0, 1.6, 1.01, 0.8, 0.4):
+    for factor in RADIUS_FACTORS:
         r = factor * norms[0]
         seen.update((i, _cutoff_class(c)) for i, c in
                     enumerate(dyn.cutoffs_from_norms(norms, r)))
-        got = dyn._rhs_arrays(g, p, *state_arrays(st), radius=r)
-        want = rhs_arrays_oracle(g, p, *state_arrays(st), radius=r)
+        want = rhs_norm_oracle(g, p, state_arrays(st), r)
+        got = dyn._rhs_arrays(g, p, *_coefs(st), radius=r,
+                              values=state_arrays(st))
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-        got = dyn.step_rk4(st, p, 1e-2, radius=r)
-        want = step_rk4_oracle(st, p, 1e-2, r)
+        got = dyn.step_euler(st, p, 1e-2, radius=r)
+        want = dyn._finish_step(st, dyn._axpy(_coefs(st), want, 1e-2), 1e-2)
         assert [a.tobytes() for a in state_arrays(got)] == [
             b.tobytes() for b in state_arrays(want)]
     assert seen == {(i, c) for i in range(3) for c in ("0", "between", "1")}
+
+
+def _nemytskii(g):
+    # per mode c, band-limited shapes in each channel's square basis,
+    # periodic on the torus
+    trig = {"sin": np.sin, "cos": np.cos}
+    x, z = 2 * PI * g.x_mesh / g.lx, 2 * PI * g.z_mesh / g.lz
+    shapes = tuple(
+        tuple(scalar_field(g, trig[bx](c * x) * trig[bz]((3 - c) * z),
+                           (bx, bz))
+              for bx, bz in STATE_BASES)
+        for c in (1, 2))
+    return PointwiseNemytskii(
+        gains=(lambda s: 0.3, lambda s: 1.0 + s.theta_s.values,
+               lambda s: s.u_t.values), shapes=shapes)
+
+
+def _oracle_cases(g, n_us):
+    # (name, stepper, its value-space oracle) for one step of size dt from
+    # a state at step k
+    alpha = 0.7
+    lin, nem = LinearMultiplicative(0.5), _nemytskii(g)
+
+    def w(k):
+        return 0.1 * math.sin(k)
+
+    cases = [("rk4", lambda st, p, dt, k: dyn.step_rk4(st, p, dt),
+              lambda st, p, dt, k: step_rk4_oracle(st, p, dt))]
+    for f in RADIUS_FACTORS:
+        r = f * n_us
+        cases.append((f"rk4-r{f}",
+                      lambda st, p, dt, k, r=r: dyn.step_rk4(st, p, dt, r),
+                      lambda st, p, dt, k, r=r: step_rk4_oracle(st, p, dt,
+                                                                r)))
+    cases += [
+        ("transformed", lambda st, p, dt, k: step_transformed(
+            st, p, dt, alpha, w(k), w(k + 1)),
+         lambda st, p, dt, k: step_transformed_oracle(
+             st, p, dt, alpha, w(k), w(k + 1))),
+        ("em-linear", lambda st, p, dt, k: step_em(
+            st, p, dt, 0.03 * math.cos(k), lin, 1.01 * n_us),
+         lambda st, p, dt, k: step_em_oracle(
+             st, p, dt, 0.03 * math.cos(k), lin, 1.01 * n_us)),
+        ("em-nemytskii", lambda st, p, dt, k: step_em(
+            st, p, dt, [0.02 * math.cos(k), -0.01], nem),
+         lambda st, p, dt, k: step_em_oracle(
+             st, p, dt, [0.02 * math.cos(k), -0.01], nem)),
+    ]
+    return cases
+
+
+def _relative(a, b):
+    return max(float(np.max(np.abs(x - y)) / np.max(np.abs(y)))
+               for x, y in zip(state_arrays(a), state_arrays(b)))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_steppers_agree_with_the_value_space_oracle(geometry, s):
+    # the coefficient-space stages against the value-space ones they
+    # replaced: within 1e-13 relative per step, 1e-12 after 25 steps
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    st0 = _scaled_state(g)
+    p = Params(f=1.2, g=0.9, theta0=1.1, s=s)
+    for name, step, oracle in _oracle_cases(
+            g, state_component_norms(st0, W1INF)[0]):
+        new = ref = st0
+        for k in range(25):
+            assert _relative(step(ref, p, 5e-3, k),
+                             oracle(ref, p, 5e-3, k)) <= 1e-13, (name, k)
+            new, ref = step(new, p, 5e-3, k), oracle(ref, p, 5e-3, k)
+        assert _relative(new, ref) <= 1e-12, name
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_handed_pass_gives_the_unhanded_step(geometry):
+    # the runner hands a state's first-derivative pass to the next step's
+    # first stage; the step is the one that transforms the state itself
+    from slicelab.diagnostics import _first_derivatives
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    st = _scaled_state(g)
+    p = Params(f=1.2, g=0.9, theta0=1.1, s=0.5)
+    r = 1.01 * state_component_norms(st, W1INF)[0]
+    for step in (lambda **kw: dyn.step_rk4(st, p, 1e-2, r, **kw),
+                 lambda **kw: step_transformed(st, p, 1e-2, 0.7, 0.1, 0.3,
+                                               **kw),
+                 lambda **kw: step_em(st, p, 1e-2, 0.05,
+                                      LinearMultiplicative(0.5), r, **kw)):
+        hand = _first_derivatives(st)[1][:2]
+        assert [a.tobytes() for a in state_arrays(step(_handed=hand))] == [
+            a.tobytes() for a in state_arrays(step())]
+        assert hand[1] == []  # the first stage freed the handed pairs
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_step_projects_a_non_solenoidal_state(geometry):
+    # the stages project their tendencies, and the step end projects the
+    # sum, so a divergent u_S at the step start leaves none after it
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    st = random_state(g, seed=5, max_mode=3, amplitude=0.5)
+    ux, uz, ut, th = state_arrays(st)
+    bumped = make_state(g, 0.0, ux + 0.3 * np.sin(g.x_mesh), uz, ut, th)
+    assert max_divergence(bumped.u_s) > 0.1
+    for new in (dyn.step_rk4(bumped, Params(), 1e-3),
+                dyn.step_euler(bumped, Params(), 1e-3),
+                step_transformed(bumped, Params(), 1e-3, 0.7, 0.0, 0.1),
+                step_em(bumped, Params(), 1e-3, 0.1,
+                        LinearMultiplicative(0.5))):
+        assert max_divergence(new.u_s) <= 1e-12
 
 
 # -- mollification ----------------------------------------------------------
@@ -494,6 +660,10 @@ def test_batched_transformed_step_equals_serial_steps(geometry):
             assert got[i].tobytes() == ref.tobytes(), i
 
 
+def _batch_coefs(g, arrays):
+    return [to_modes(g, a, b) for a, b in zip(arrays, STATE_BASES)]
+
+
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_nan_in_one_slice_stays_in_its_slice(geometry):
     # a path that blows up inside a batch cannot move another path's bits
@@ -507,9 +677,9 @@ def test_nan_in_one_slice_stays_in_its_slice(geometry):
     scales = dict(advect=np.array([1.5, 0.5, 2.0]).reshape(-1, 1, 1),
                   source_scale=np.array([0.5, 2.0, 1.0]).reshape(-1, 1, 1))
     with np.errstate(invalid="ignore"):
-        got = dyn._rhs_arrays(g, P_S0, *dirty, **scales)
+        got = dyn._rhs_arrays(g, P_S0, *_batch_coefs(g, dirty), **scales)
         got += project_values(g, dirty[0], dirty[1])
-    want = dyn._rhs_arrays(g, P_S0, *clean, **scales)
+    want = dyn._rhs_arrays(g, P_S0, *_batch_coefs(g, clean), **scales)
     want += project_values(g, clean[0], clean[1])
     for a, b in zip(got, want):
         assert np.isnan(a[1]).any()

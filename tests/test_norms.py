@@ -179,12 +179,12 @@ def test_sup_norms_of_a_nan_field_are_nan(geometry, k):
 
 def _w1inf_inputs(g, state):
     # (field, component values, their (d_x, d_z) pairs) of u_S, u_T, theta_S
-    from slicelab.dynamics import _gradient
+    from helpers import value_gradient
     out = []
     for field in (state.u_s, state.u_t, state.theta_s):
         comps = [field.x, field.z] if hasattr(field, "x") else [field]
         out.append((field, tuple(c.values for c in comps),
-                    [_gradient(g, c.values, c.basis) for c in comps]))
+                    [value_gradient(g, c.values, c.basis) for c in comps]))
     return out
 
 

@@ -9,9 +9,10 @@ from hypothesis import given, strategies as hyp_st
 import slicelab as sl
 from slicelab import dynamics as dyn
 from slicelab import stochastic as st
-from slicelab.grid import VX_BASIS, VZ_BASIS
+from slicelab.grid import VX_BASIS, VZ_BASIS, from_modes, to_modes
+from slicelab.incompressible import _project_modes
 from slicelab.norms import l2
-from slicelab.state import state_arrays
+from slicelab.state import STATE_BASES, state_arrays
 
 from helpers import state_max_abs_diff, stopping_monitor
 
@@ -180,21 +181,34 @@ def test_em_off_equals_euler_bitwise(geom):
     assert state_max_abs_diff(a, b) == 0.0
 
 
+def _coefs(g, arrays):
+    return [to_modes(g, a, b) for a, b in zip(arrays, STATE_BASES)]
+
+
+def _values(g, coefs):
+    # the step end: u_S projected on the coefficients, then back to values
+    cx, cz, ct, cth = coefs
+    return [from_modes(g, c, b) for c, b in zip(
+        (*_project_modes(g, cx, cz), ct, cth), STATE_BASES)]
+
+
 def test_em_linear_matches_manual_update(tor64):
-    from slicelab.incompressible import project_values
+    # in coefficient space: drift from the state's values, then the noise
+    # alpha * c * dW on the step's coefficients c
     s = sl.random_state(tor64, seed=3, max_mode=4, amplitude=0.5)
     p = sl.Params()
     got = st.step_em(s, p, 1e-3, np.array([0.0123]),
                      st.LinearMultiplicative(alpha=0.7))
     y = state_arrays(s)
-    drift = dyn.rhs_deterministic(s, p)
-    y1 = tuple(a + 1e-3 * b for a, b in zip(y, drift))
-    y2 = tuple(a + 0.0123 * (0.7 * b) for a, b in zip(y1, y))
-    px, pz = project_values(tor64, y2[0], y2[1])
+    c = _coefs(tor64, y)
+    drift = dyn._rhs_arrays(tor64, p, *c, values=y)
+    y1 = tuple(a + 1e-3 * b for a, b in zip(c, drift))
+    y2 = tuple(a + 0.0123 * (0.7 * b) for a, b in zip(y1, c))
+    px, pz, ut, th = _values(tor64, y2)
     assert np.array_equal(got.u_s.x.values, px)
     assert np.array_equal(got.u_s.z.values, pz)
-    assert np.array_equal(got.u_t.values, y2[2])
-    assert np.array_equal(got.theta_s.values, y2[3])
+    assert np.array_equal(got.u_t.values, ut)
+    assert np.array_equal(got.theta_s.values, th)
     assert got.t == pytest.approx(1e-3)
 
 
@@ -219,15 +233,16 @@ def test_em_nemytskii_two_modes_matches_manual_update(geom):
     dw = np.array([0.021, -0.013])
     got = st.step_em(s, p, 1e-3, dw, model)
     y = state_arrays(s)
-    drift = dyn.rhs_deterministic(s, p)
-    y1 = tuple(a + 1e-3 * b for a, b in zip(y, drift))
+    c = _coefs(g, y)
+    drift = dyn._rhs_arrays(g, p, *c, values=y)
+    y1 = tuple(a + 1e-3 * b for a, b in zip(c, drift))
+    # each mode's value arrays go forward and are added to the coefficients
     for w_j, (sx, sz, su, sth) in zip(dw, shapes):
         gx, gz = project_values(g, 0.3 * sx.values, 0.3 * sz.values)
         sigma = (gx, gz, (1.0 + s.theta_s.values) * su.values,
                  s.u_t.values * sth.values)
-        y1 = tuple(a + w_j * b for a, b in zip(y1, sigma))
-    px, pz = project_values(g, y1[0], y1[1])
-    for a, b in zip(state_arrays(got), (px, pz, y1[2], y1[3])):
+        y1 = tuple(a + w_j * b for a, b in zip(y1, _coefs(g, sigma)))
+    for a, b in zip(state_arrays(got), _values(g, y1)):
         assert np.array_equal(a, b)
 
 
@@ -314,7 +329,7 @@ def test_transformed_alpha_zero_matches_rk4_bitwise(geom):
 def test_transformed_pure_decay(tor64):
     # u_S = 0 kills advection, f = g = 0 kills the couplings, s = 0 the
     # source: the whole tendency vanishes and only the exact integrating
-    # factor remains
+    # factor remains, applied to the step's coefficients
     base = sl.random_state(tor64, seed=3, max_mode=4, amplitude=0.5)
     zero = np.zeros_like(base.u_t.values)
     s = sl.make_state(tor64, 0.0, zero.copy(), zero.copy(),
@@ -323,8 +338,9 @@ def test_transformed_pure_decay(tor64):
     alpha = 1.3
     out = st.step_transformed(s, p, 0.01, alpha, 0.0, 0.9)
     fac = math.exp(-0.5 * alpha * alpha * 0.01)
-    assert np.array_equal(out.u_t.values, fac * s.u_t.values)
-    assert np.array_equal(out.theta_s.values, fac * s.theta_s.values)
+    for got, field in ((out.u_t, s.u_t), (out.theta_s, s.theta_s)):
+        assert np.array_equal(got.values, from_modes(
+            tor64, fac * to_modes(tor64, field.values, None), None))
 
 
 def test_transformed_overflow_guard(tor64):
