@@ -22,9 +22,9 @@ from .dynamics import _gradient, _rk4_arrays
 from .errors import ConfigError, LoopDomainError
 from .grid import (Geometry, Grid, NEUMANN_BASIS, ScalarField, VectorField,
                    VX_BASIS, VZ_BASIS, axis_derivative_modes, from_modes,
-                   integrate, scalar_field, to_modes)
+                   integrate, scalar_field)
 from .incompressible import curl
-from .norms import NormSpec, ZKP_DEFAULT, _state_norm, _w1inf, l2, norm
+from .norms import NormSpec, ZKP_DEFAULT, _w1inf, l2, norm
 from .runio import DiagnosticsRecord
 from .state import STATE_BASES, Params, SimState, state_arrays
 
@@ -178,9 +178,8 @@ def _interp_pair(grid: Grid, x_values, z_values, pts: np.ndarray,
 def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
     """Trapezoidal line integral of v_S = s u_S - (u_T + f x) grad theta_S
     around the loop, with bilinear sampling of the integrand fields."""
-    g, th = state.grid, state.theta_s
     return _circulation(state, params, loop, _gradient(
-        g, to_modes(g, th.values, th.basis), th.basis))
+        state.grid, state.coefs[3], STATE_BASES[3]))
 
 
 def _circulation(state: SimState, params: Params, loop: MaterialLoop,
@@ -200,15 +199,14 @@ def _circulation(state: SimState, params: Params, loop: MaterialLoop,
 
 
 def _first_derivatives(state: SimState):
-    """One first-derivative pass, 4 forward and 8 inverse transforms: the
-    (u_S, u_T, theta_S) W^{1,inf} norms, bitwise norm(..., W1INF)'s, and
-    the row part: the 4 forward coefficient arrays and the 4 (d_x, d_z)
-    value pairs, bitwise a step's own first-stage ones (`row[:2]` is a
-    stepper's `_handed`), and the (coefficients, basis) of u_S's curl and
+    """One first-derivative pass, 8 inverse transforms plus the 4 that give
+    a carried state its values (or any other its coefficients): the (u_S,
+    u_T, theta_S) W^{1,inf} norms, bitwise norm(..., W1INF)'s, and the
+    row part: the state's coefficients and the 4 (d_x, d_z) value pairs,
+    bitwise a step's own first-stage ones (`row[:2]` is a stepper's
+    `_handed`), and the (coefficients, basis) of u_S's curl and
     divergence, formed as in `incompressible`."""
-    g = state.grid
-    arrays = state_arrays(state)
-    coefs = [to_modes(g, v, b) for v, b in zip(arrays, STATE_BASES)]
+    g, arrays, coefs = state.grid, state.values, state.coefs
     # (d_x, d_z) of each array as (coefficients, basis), then as values
     (xx, zx), (xz, zz), *_ = modes = [[axis_derivative_modes(
         g, c, b, a) for a in "xz"] for c, b in zip(coefs, STATE_BASES)]
@@ -227,7 +225,7 @@ def _row_record(state: SimState, params: Params, loop: MaterialLoop | None,
     np.square), circulation None without a loop; lam, w_t and the cutoffs
     are the caller's."""
     g = state.grid
-    coefs, (*_, grad_th), _, div = row
+    _, (*_, grad_th), _, div = row
     q = _potential_vorticity(state, params, row).values
     enstrophy_q2 = integrate(g, np.square(q))
     circ = None if loop is None else _circulation(state, params, loop,
@@ -236,7 +234,7 @@ def _row_record(state: SimState, params: Params, loop: MaterialLoop | None,
     # the arguments in CSV column order
     return DiagnosticsRecord(
         state.t, energy(state, params), l2(state.u_s), l2(state.u_t),
-        l2(state.theta_s), *w1inf, _state_norm(state, spec, coefs), max_div,
+        l2(state.theta_s), *w1inf, norm(state, spec), max_div,
         enstrophy_q2, circ, lam, w_t, *cutoffs)
 
 

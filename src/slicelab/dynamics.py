@@ -12,9 +12,13 @@ tendency multiplies each advection term by the smooth cutoff of the matching
 running norm; linear couplings are never truncated.
 
 Every stepper runs its stages in coefficient space through one tendency,
-`_rhs_arrays`: 4 forward transforms per step (or a handed first-derivative
-pass), 14 per later stage (u_S and 8 first derivatives back, 4 products
-forward), 4 inverse ones at the step end: 62 per RK4 step, 68 truncated.
+`_rhs_arrays`: 14 transforms a stage (u_S and 8 first derivatives back, 4
+products forward; 16 truncated, which reads all 4 fields' values), and a
+step ends with its projected coefficients, which the new state carries:
+56 per RK4 step of a carried state, 64 truncated, 14 per EM step.  A
+value-born state's step transforms its 4 arrays forward and its first
+stage reads their values (58, 64 and 16); a handed first-derivative pass
+saves that stage's 12 (52 per handed truncated step).
 An `advect` scale on all advection terms and a `source_scale` on the z s
 source let the exponentially-transformed system share it.  At an infinite
 radius and unit scales every factor is exactly 1.0, so the float operation
@@ -28,11 +32,11 @@ import math
 
 from .errors import ConfigError, DivergedError
 from .grid import (Geometry, Grid, derivative_values, from_modes,
-                   gaussian_lowpass, to_modes, vector_field)
+                   gaussian_lowpass, to_modes)
 from .incompressible import _project_modes, project_values
 from .norms import W1INF, _max, _w1inf, state_component_norms
 from .state import (STATE_BASES, THETA_BASIS, Params, SimState, make_state,
-                    state_arrays, state_is_finite)
+                    state_is_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +99,12 @@ def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
 
 def _first_stage(state: SimState, handed=None):
     """A step's coefficients and its first stage's keywords: the state's
-    arrays go forward, unless the state's first-derivative pass is handed
-    over as (coefficients, list of derivative value pairs), a list that
-    the first stage empties."""
-    values = state_arrays(state)
-    coefs, grads = handed or ([to_modes(state.grid, v, b) for v, b in zip(
-        values, STATE_BASES)], None)
-    return tuple(coefs), dict(values=values, grads=grads)
+    coefficients and the values it holds (the stage transforms back those
+    it needs and a carried state does not hold), unless the state's
+    first-derivative pass is handed over as (coefficients, list of
+    derivative value pairs), a list that the first stage empties."""
+    coefs, grads = handed or (state.coefs, None)
+    return tuple(coefs), dict(values=state.held_values, grads=grads)
 
 
 def rhs_deterministic(state: SimState, params: Params):
@@ -188,11 +191,11 @@ def _rk4_arrays(y, f, t: float, dt: float, **first):
 
 
 def _finish_step(prev: SimState, coefs, t_new: float) -> SimState:
-    # u_S projected on the coefficients, then the 4 inverse transforms
+    # u_S projected on the coefficients: the new state carries them
     g = prev.grid
     cx, cz, ct, cth = coefs
-    new = make_state(g, t_new, *(from_modes(g, c, b) for c, b in zip(
-        (*_project_modes(g, cx, cz), ct, cth), STATE_BASES)))
+    new = make_state(g, t_new, *_project_modes(g, cx, cz), ct, cth,
+                     carried=True)
     if not state_is_finite(new):
         raise DivergedError(f"non-finite state after step to t={t_new:.6g}",
                             last_state=prev)
@@ -240,9 +243,8 @@ def mollify(state: SimState, j: float) -> SimState:
     if j < 1:
         raise ConfigError(f"mollifier level must be >= 1, got {j}")
     g = state.grid
-    ux = gaussian_lowpass(state.u_s.x, j).values
-    uz = gaussian_lowpass(state.u_s.z, j).values
-    px, pz = project_values(g, ux, uz)
-    return SimState(state.t, vector_field(g, px, pz),
-                    gaussian_lowpass(state.u_t, j),
-                    gaussian_lowpass(state.theta_s, j))
+    px, pz = project_values(g, gaussian_lowpass(state.u_s.x, j).values,
+                            gaussian_lowpass(state.u_s.z, j).values)
+    return make_state(g, state.t, px, pz,
+                      gaussian_lowpass(state.u_t, j).values,
+                      gaussian_lowpass(state.theta_s, j).values)

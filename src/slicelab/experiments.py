@@ -267,17 +267,21 @@ class _RegularityPath:
         self.diverged = False
 
 
-def _path_state(batch: SimState, i: int) -> SimState:
-    # path i of a batch state, as views
-    return make_state(batch.grid, batch.t, *(a[i] for a in state_arrays(batch)))
+def _paths(batch: SimState, index) -> SimState:
+    # path `index` (an int) or paths `index` (a list) of a batch state, as
+    # slices of its payload: the coefficients of a stepped batch
+    return make_state(batch.grid, batch.t, *(a[index] for a in
+                                             batch.payload), batch.carried)
 
 
 def _batch_state(states: list) -> SimState | None:
-    # paths at one time, stacked along a leading axis; None for no paths
+    # paths at one time, their payloads stacked along a leading axis; None
+    # for no paths
     if not states:
         return None
     return make_state(states[0].grid, states[0].t, *(
-        np.stack(arrays) for arrays in zip(*map(state_arrays, states))))
+        np.stack(p) for p in zip(*(s.payload for s in states))),
+        states[0].carried)
 
 
 def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
@@ -350,7 +354,7 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
             states = []
             for i, p in enumerate(live):
                 try:
-                    states.append(step_transformed(_path_state(batch, i),
+                    states.append(step_transformed(_paths(batch, i),
                                                    params, dt, alpha, p.w[k],
                                                    p.w[k + 1]))
                 except DivergedError:
@@ -383,8 +387,7 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
                     if not observe(p, k + 1, parts[i])]
             if len(keep) < len(live):
                 # finished paths leave the batch by index
-                batch = make_state(grid, batch.t, *(
-                    a[keep] for a in state_arrays(batch)))
+                batch = _paths(batch, keep)
                 live = [live[i] for i in keep]
 
     amp_records = tuple(p.amp.record() for p in paths)

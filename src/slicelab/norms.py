@@ -85,15 +85,6 @@ def _parseval(grid, coefs, bases, k: int):
     return norms.tolist() if norms.ndim else float(norms)
 
 
-def _state_norm(state: SimState, spec: NormSpec, coefs) -> float:
-    """norm(state, spec) bit for bit; Z^{k,2} with k >= 1 from the given
-    coefficients of (u_x, u_z, u_T, theta_S), with no transform."""
-    if not (spec.k and spec.p == 2):
-        return norm(state, spec)
-    return combine([_parseval(state.grid, coefs[i:j], STATE_BASES[i:j],
-                              spec.k) for i, j in ((0, 2), (2, 3), (3, 4))], 2)
-
-
 def _reduce(grid, derivs, spec: NormSpec):
     """W^{k,p} from derivative values: per multi-index, in `_multi_indices`
     order, the list of one (scalar) or two (vector) component arrays; at
@@ -148,7 +139,14 @@ def l2(obj) -> float:
 
 def state_component_norms(state: SimState, spec: NormSpec):
     """(u_S, u_T, theta_S) norms as a tuple, for monitors and diagnostics;
-    a stacked state gives a list of such triples, one per path."""
-    parts = (norm(state.u_s, spec), norm(state.u_t, spec),
-             norm(state.theta_s, spec))
-    return list(zip(*parts)) if state.u_t.values.ndim == 3 else parts
+    a stacked state gives a list of such triples, one per path.  W^{k,2},
+    k >= 1, reads the state's coefficients: no transform when it carries
+    them."""
+    if spec.k and spec.p == 2:
+        c = state.coefs
+        parts = tuple(_parseval(state.grid, c[i:j], STATE_BASES[i:j], spec.k)
+                      for i, j in ((0, 2), (2, 3), (3, 4)))
+    else:
+        parts = (norm(state.u_s, spec), norm(state.u_t, spec),
+                 norm(state.theta_s, spec))
+    return list(zip(*parts)) if np.ndim(state.payload[0]) == 3 else parts

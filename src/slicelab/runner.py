@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, replace
 
 from . import experiments as experiments_mod
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import RunStamp, read_checkpoint, write_checkpoint
 from .config import RunConfig, render_config, with_grid
 from .diagnostics import _first_derivatives, _row_record
 from .dynamics import cutoffs_from_norms, step_rk4
@@ -59,10 +59,15 @@ def _write_echo(cfg: RunConfig):
 
 
 def _initial_state(cfg, grid, params):
+    # (state, step index): a checkpoint of a run of the same mode, seed, dt
+    # and parameters, or the configured data at step 0
     if cfg.restart is not None:
-        state, ck_params, ck_alpha = read_checkpoint(cfg.restart,
-                                                     expect_grid=grid)
-        for name, want, got in (("f", params.f, ck_params.f),
+        state, ck_params, ck_alpha, stamp = read_checkpoint(
+            cfg.restart, expect_grid=grid)
+        for name, want, got in (("mode", cfg.mode, stamp.mode),
+                                ("seed", cfg.seed, stamp.seed),
+                                ("dt", cfg.dt, stamp.dt),
+                                ("f", params.f, ck_params.f),
                                 ("g", params.g, ck_params.g),
                                 ("theta0", params.theta0, ck_params.theta0),
                                 ("s", params.s, ck_params.s),
@@ -71,9 +76,9 @@ def _initial_state(cfg, grid, params):
                 raise ConfigError(
                     f"restart mismatch: checkpoint has {name} = {got!r}, "
                     f"config says {want!r}")
-        return state
+        return state, stamp.step
     return random_state(grid, seed=cfg.data_seed, max_mode=cfg.max_mode,
-                        amplitude=cfg.amplitude)
+                        amplitude=cfg.amplitude), 0
 
 
 def _run_sim(cfg: RunConfig) -> RunResult:
@@ -85,7 +90,7 @@ def _run_sim(cfg: RunConfig) -> RunResult:
     ck_path = os.path.join(cfg.out_dir, CHECKPOINT_FILE)
     stop_path = os.path.join(cfg.out_dir, STOPPING_FILE)
 
-    state = _initial_state(cfg, grid, params)
+    state, k0 = _initial_state(cfg, grid, params)
     n = cfg.n_steps()
     for stale in (diag_path, stop_path):
         if os.path.exists(stale):
@@ -99,7 +104,6 @@ def _run_sim(cfg: RunConfig) -> RunResult:
     else:
         # a restart at step k0 continues the run's own Wiener path: a longer
         # path from the same seed begins with the shorter one's increments
-        k0 = round(state.t / cfg.dt)
         path = sample_wiener(cfg.dt, k0 + n, 1, cfg.seed)
         inc = path.increments[:, k0:]
         w = path.w_series()[k0:]
@@ -147,8 +151,13 @@ def _run_sim(cfg: RunConfig) -> RunResult:
             emit(s, step, w1inf, row)
         return stop, row[:2]
 
-    def finish_stopped(s):
-        write_checkpoint(s, params, ck_path, alpha=cfg.alpha)
+    def checkpoint(s, step):
+        stamp = RunStamp(cfg.mode, cfg.seed, cfg.dt, k0 + step,
+                         0.0 if w is None else float(w[step]))
+        write_checkpoint(s, params, ck_path, cfg.alpha, stamp)
+
+    def finish_stopped(s, step):
+        checkpoint(s, step)
         rec = monitor.record()
         write_stopping_record(rec, stop_path)
         return RunResult(EXIT_STOPPED, cfg.out_dir, s, stopping=rec)
@@ -156,21 +165,21 @@ def _run_sim(cfg: RunConfig) -> RunResult:
     try:
         stop, hand = observe(state, 0, True)
         if stop:
-            return finish_stopped(state)
+            return finish_stopped(state, 0)
 
         for i in range(n):
             try:
                 state = advance(state, i, hand)
             except DivergedError:
                 # the state before the failed step is the last valid one
-                write_checkpoint(state, params, ck_path, alpha=cfg.alpha)
+                checkpoint(state, i)
                 return RunResult(EXIT_DIVERGED, cfg.out_dir, state)
             stop, hand = observe(state, i + 1,
                                  (i + 1) % cfg.stride == 0 or i + 1 == n)
             if stop:
-                return finish_stopped(state)
+                return finish_stopped(state, i + 1)
 
-        write_checkpoint(state, params, ck_path, alpha=cfg.alpha)
+        checkpoint(state, n)
         return RunResult(EXIT_COMPLETED, cfg.out_dir, state)
     finally:
         if diag is not None:
@@ -257,7 +266,7 @@ def _run_convergence(cfg: RunConfig) -> RunResult:
 
 def _run_diag(cfg: RunConfig) -> RunResult:
     expect = cfg.grid() if cfg.nx is not None else None
-    state, params, alpha = read_checkpoint(cfg.restart, expect_grid=expect)
+    state, params, alpha, _ = read_checkpoint(cfg.restart, expect_grid=expect)
     # the row uses the checkpoint's parameters, so the echo names them
     cfg = replace(cfg, f=params.f, g=params.g, theta0=params.theta0,
                   s=params.s, alpha=alpha)

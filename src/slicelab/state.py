@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import (Grid, Geometry, SCALAR_BASIS, ScalarField, VectorField,
                    VX_BASIS, VZ_BASIS, differentiate, from_modes, scalar_field,
-                   vector_field)
+                   to_modes, vector_field)
 
 #: Square parity classes of u_T and theta_S (the torus ignores them).  The
 #: f-coupling (du_x gains f u_T, du_T loses f u_x) forces u_T into the
@@ -53,23 +54,59 @@ class Params:
         return self.g / self.theta0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimState:
+    """A model time and the fields (u_x, u_z, u_T, theta_S) on one grid.
+
+    The payload is their four value arrays or, for a `carried` state (one
+    that a step made), their coefficients in `STATE_BASES`; the other form
+    is transformed from the payload once, when first read, and kept.
+    """
+
+    grid: Grid
     t: float
-    u_s: VectorField
-    u_t: ScalarField
-    theta_s: ScalarField
+    payload: tuple
+    carried: bool = False
+
+    @cached_property
+    def values(self) -> tuple:
+        return self._derived(from_modes) if self.carried else self.payload
+
+    @cached_property
+    def coefs(self) -> tuple:
+        return self.payload if self.carried else self._derived(to_modes)
+
+    def _derived(self, transform):
+        return tuple(transform(self.grid, a, b)
+                     for a, b in zip(self.payload, STATE_BASES))
 
     @property
-    def grid(self) -> Grid:
-        return self.u_s.grid
+    def held_values(self):
+        """The value arrays if the state holds them already, else None."""
+        return (self.values if not self.carried or "values" in vars(self)
+                else None)
+
+    @property
+    def u_s(self) -> VectorField:
+        return vector_field(self.grid, *self.values[:2])
+
+    @property
+    def u_t(self) -> ScalarField:
+        return scalar_field(self.grid, self.values[2], UT_BASIS)
+
+    @property
+    def theta_s(self) -> ScalarField:
+        return scalar_field(self.grid, self.values[3], THETA_BASIS)
 
 
-def make_state(grid: Grid, t, ux, uz, ut, theta) -> SimState:
-    """Wrap raw value arrays in a state with the canonical square bases."""
-    return SimState(float(t), vector_field(grid, ux, uz),
-                    scalar_field(grid, ut, UT_BASIS),
-                    scalar_field(grid, theta, THETA_BASIS))
+def make_state(grid: Grid, t, ux, uz, ut, theta,
+               carried: bool = False) -> SimState:
+    """A state of four value arrays, checked against the grid, or of their
+    coefficients in `STATE_BASES` when `carried`."""
+    arrays = (ux, uz, ut, theta)
+    if not carried:
+        arrays = tuple(scalar_field(grid, a).values for a in arrays)
+    return SimState(grid, float(t), arrays, carried)
 
 
 def zero_state(grid: Grid, t: float = 0.0) -> SimState:
@@ -78,19 +115,17 @@ def zero_state(grid: Grid, t: float = 0.0) -> SimState:
 
 
 def state_arrays(state: SimState):
-    """The four value arrays (ux, uz, u_t, theta_s), in checkpoint order."""
-    return (state.u_s.x.values, state.u_s.z.values,
-            state.u_t.values, state.theta_s.values)
+    """The four value arrays (ux, uz, u_t, theta_s)."""
+    return state.values
 
 
 def state_is_finite(state: SimState) -> bool:
-    return all(np.isfinite(a).all() for a in state_arrays(state))
+    return all(np.isfinite(a).all() for a in state.payload)
 
 
 def scale_state(state: SimState, factor: float) -> SimState:
-    ux, uz, ut, th = state_arrays(state)
-    return make_state(state.grid, state.t, factor * ux, factor * uz,
-                      factor * ut, factor * th)
+    return make_state(state.grid, state.t, *(factor * a for a in
+                                             state.payload), state.carried)
 
 
 # ---------------------------------------------------------------------------

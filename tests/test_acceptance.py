@@ -291,7 +291,7 @@ def test_criterion_10_reproducibility_and_formats(tor32, tmp_path):
     p = sl.Params(f=1.5, g=0.8, theta0=2.0, s=0.0)
     ck = tmp_path / "c.bin"
     sl.write_checkpoint(state, p, ck, alpha=0.3)
-    back, p2, a2 = sl.read_checkpoint(ck)
+    back, p2, a2, _ = sl.read_checkpoint(ck)
     assert state_max_abs_diff(state, back) == 0.0
     assert back.t == state.t and p2 == p and a2 == 0.3
 

@@ -1,6 +1,7 @@
 """Config parsing, checkpoint format, CSV schema, runner statuses, CLI."""
 
 import math
+import struct
 import tempfile
 
 import numpy as np
@@ -9,14 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 import slicelab as sl
-from slicelab.checkpoint import read_checkpoint, write_checkpoint
+from slicelab.checkpoint import RunStamp, read_checkpoint, write_checkpoint
 from slicelab.cli import build_parser, main as cli_main
 from slicelab.config import MODES, parse_config, render_config
 from slicelab.errors import DiagnosticsFormatError
 from slicelab.runio import (DiagnosticsRecord, append_diagnostics,
                             format_row, read_diagnostics)
 from slicelab.runner import run
-from slicelab.state import state_arrays
+from slicelab.state import SimState, state_arrays
 
 from helpers import read_stopping_record, state_max_abs_diff
 
@@ -128,22 +129,44 @@ def test_checkpoint_round_trip_bit_exact(tor16, tmp_path):
     st = sl.random_state(tor16, seed=5, max_mode=3, amplitude=0.7)
     p = sl.Params(f=2.0, g=0.5, theta0=1.5, s=0.0)
     path = tmp_path / "a.bin"
-    write_checkpoint(st, p, path, alpha=0.25)
-    st2, p2, a2 = read_checkpoint(path)
-    assert state_max_abs_diff(st, st2) == 0.0
-    assert st2.t == st.t and p2 == p and a2 == 0.25
+    stamp = RunStamp("sim-transform", 11, 5e-3, 7, -0.25)
+    write_checkpoint(st, p, path, alpha=0.25, stamp=stamp)
+    st2, p2, a2, stamp2 = read_checkpoint(path)
+    assert state_max_abs_diff(st, st2) == 0.0 and not st2.carried
+    assert st2.t == st.t and p2 == p and a2 == 0.25 and stamp2 == stamp
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_checkpoint_of_a_stepped_state_holds_its_coefficients(tmp_path,
+                                                             geometry):
+    g = sl.make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
+    st = sl.step_rk4(sl.random_state(g, seed=5), sl.Params(), 1e-3)
+    path = tmp_path / "c.bin"
+    write_checkpoint(st, sl.Params(), path)
+    st2 = read_checkpoint(path)[0]
+    assert st2.carried and st2.t == st.t
+    assert [c.tobytes() for c in st2.payload] == [
+        c.tobytes() for c in st.payload]
+    # torus coefficients are the complex half spectrum, 16 bytes a slot
+    slots = 8 * (16 // 2 + 1) * 16 if geometry == "torus" else 8 * 16 * 8
+    assert len(path.read_bytes()) == 134 + 4 * slots
 
 
 def test_checkpoint_layout(tor16, tmp_path):
     st = sl.zero_state(tor16)
     path = tmp_path / "z.bin"
-    write_checkpoint(st, sl.Params(), path)
+    write_checkpoint(st, sl.Params(), path,
+                     stamp=RunStamp("sim-sde", -3, 0.5, 9, 1.25))
     blob = path.read_bytes()
     assert blob[:4] == b"ISMC"
-    assert int.from_bytes(blob[4:8], "little") == 1
+    assert int.from_bytes(blob[4:8], "little") == 2
     assert blob[8] == 0  # torus
     assert int.from_bytes(blob[9:13], "little") == 16
-    assert len(blob) == 17 + 64 + 4 * 16 * 16 * 8
+    assert blob[81:97] == b"sim-sde" + bytes(9)
+    assert struct.unpack("<qdQd", blob[97:129]) == (-3, 0.5, 9, 1.25)
+    assert blob[129] == 0  # a values payload
+    assert int.from_bytes(blob[130:134], "little") == 0  # no loop points
+    assert len(blob) == 134 + 4 * 16 * 16 * 8
 
 
 def test_checkpoint_bad_magic_offset_zero(tor16, tmp_path):
@@ -165,28 +188,49 @@ def test_checkpoint_bad_version_and_truncation(tor16, tmp_path):
     with pytest.raises(sl.CheckpointFormatError) as err:
         read_checkpoint(wrongver)
     assert err.value.offset == 4
-    trunc = tmp_path / "t.bin"
-    trunc.write_bytes(blob[:100])
-    with pytest.raises(sl.CheckpointFormatError, match="16x16"):
-        read_checkpoint(trunc)
+    for cut in (100, 1000):
+        trunc = tmp_path / "t.bin"
+        trunc.write_bytes(blob[:cut])
+        with pytest.raises(sl.CheckpointFormatError, match="16x16"):
+            read_checkpoint(trunc)
 
 
-def test_failed_checkpoint_write_keeps_previous(tor16, tmp_path,
-                                                monkeypatch):
-    import slicelab.checkpoint
+def test_version_1_checkpoint_is_refused_by_name(tor16, tmp_path):
+    # the version-1 layout: the version-2 header without its run block
+    path = tmp_path / "a.bin"
+    write_checkpoint(sl.random_state(tor16, seed=5), sl.Params(), path)
+    blob = path.read_bytes()
+    old = tmp_path / "v1.bin"
+    old.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:81]
+                    + blob[134:])
+    with pytest.raises(sl.CheckpointFormatError,
+                       match="checkpoint version 1") as err:
+        read_checkpoint(old)
+    assert err.value.offset == 4
+    cfg = tmp_path / "dg.cfg"
+    cfg.write_text(f"[time]\nrestart = {old}\n")
+    assert cli_main(["diag", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "dg")]) != 0
+
+
+def test_failed_checkpoint_write_keeps_previous(tor16, tmp_path):
     st = sl.random_state(tor16, seed=5, max_mode=3, amplitude=0.7)
     path = tmp_path / "checkpoint.bin"
     write_checkpoint(st, sl.Params(), path, alpha=0.25)
     good = path.read_bytes()
 
-    def fail(state):
-        raise OSError("disk full")
-    monkeypatch.setattr(slicelab.checkpoint, "state_arrays", fail)
+    class Failing:
+        # a payload block whose bytes cannot be had: the write fails
+        # after the header
+        def __array__(self, *args, **kwargs):
+            raise OSError("disk full")
+    zero = sl.zero_state(tor16)
+    broken = SimState(tor16, 0.0, (*zero.payload[:3], Failing()))
     with pytest.raises(OSError, match="disk full"):
-        write_checkpoint(sl.zero_state(tor16), sl.Params(), path)
+        write_checkpoint(broken, sl.Params(), path)
     assert path.read_bytes() == good
     assert [q.name for q in tmp_path.iterdir()] == ["checkpoint.bin"]
-    st2, _, alpha = read_checkpoint(path)
+    st2, _, alpha, _ = read_checkpoint(path)
     assert state_max_abs_diff(st, st2) == 0.0 and alpha == 0.25
 
 
@@ -342,6 +386,70 @@ def test_a_run_hands_each_step_its_own_state_pass(tmp_path, geometry):
         a.tobytes() for a in state_arrays(state)]
 
 
+def _restart_config(out, mode, geometry, t_final, extra=""):
+    # s != 0 on the square; sim-det is truncated at a radius that its
+    # W^{1,inf} norm crosses after the restart point (step 19 on the
+    # torus, 15 on the square), so the run stops by its monitor
+    noise = "" if mode == "sim-det" else "[noise]\nalpha = 0.7\n"
+    monitor = "[monitor]\nradius = 0.95\n" if mode == "sim-det" else ""
+    return parse_config(
+        f"[grid]\ngeometry = {geometry}\nnx = 16\n[params]\ns = 0.5\n"
+        f"{noise}[time]\ndt = 5e-3\nt_final = {t_final}\n{extra}{monitor}"
+        f"[data]\namplitude = 0.3\nseed = 7\nmax_mode = 3\n[output]\n"
+        f"out_dir = {out}\nstride = 2\nloop_radius = 0.5\n", mode=mode,
+        seed=11)
+
+
+@pytest.mark.filterwarnings(
+    "ignore::slicelab.diagnostics.EnergyAccountingWarning")
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+@pytest.mark.parametrize("mode", ["sim-det", "sim-sde", "sim-transform"])
+def test_restart_from_a_stepped_state_continues_bit_for_bit(
+        tmp_path, mode, geometry):
+    # the checkpoint holds the coefficients the run carries, so the
+    # restarted run's rows, stop and final checkpoint are the
+    # uninterrupted run's, byte for byte
+    full, half, rest = (tmp_path / d for d in ("full", "half", "rest"))
+    status = run(_restart_config(full, mode, geometry, "0.1")).status
+    assert status == (2 if mode == "sim-det" else 0)
+    assert run(_restart_config(half, mode, geometry, "0.05")).status == 0
+    assert read_checkpoint(half / "checkpoint.bin")[0].carried
+    ck = half / "checkpoint.bin"
+    assert run(_restart_config(rest, mode, geometry, "0.05",
+                               f"restart = {ck}\n")).status == status
+    full_rows = (full / "diagnostics.csv").read_text().splitlines()
+    rest_rows = (rest / "diagnostics.csv").read_text().splitlines()
+    assert len(rest_rows) > 2 and rest_rows[1:] == full_rows[6:]
+    for name in ("checkpoint.bin", "stopping.txt"):
+        assert (full / name).exists() == (rest / name).exists()
+        if (full / name).exists():
+            assert (full / name).read_bytes() == (rest / name).read_bytes()
+
+
+@pytest.mark.filterwarnings(
+    "ignore::slicelab.diagnostics.EnergyAccountingWarning")
+@pytest.mark.parametrize("key,mode,seed,dt", [
+    ("mode", "sim-sde", 11, "5e-3"),
+    ("seed", "sim-transform", 12, "5e-3"),
+    ("dt", "sim-transform", 11, "2.5e-3")])
+def test_cli_refuses_a_restart_of_another_run(tmp_path, capsys, key, mode,
+                                              seed, dt):
+    # a sim-transform checkpoint holds v = e^{-alpha W} u on the run's own
+    # Wiener path: another mode, seed or dt would take it as something else
+    half = tmp_path / "half"
+    run(_restart_config(half, "sim-transform", "torus", "0.05"))
+    cfg = tmp_path / "rs.cfg"
+    cfg.write_text(render_config(_restart_config(
+        tmp_path / "rest", mode, "torus", "0.05",
+        f"restart = {half / 'checkpoint.bin'}\n")).replace(
+        "dt = 0.005", f"dt = {dt}"))
+    assert cli_main([mode, "--config", str(cfg), "--seed", str(seed)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"slicelab: restart mismatch: checkpoint has "
+                          f"{key} = ")
+    assert not (tmp_path / "rest" / "diagnostics.csv").exists()
+
+
 def test_restart_param_mismatch_refused(tmp_path):
     half = tmp_path / "half"
     run(parse_config(_sim_text(half, t_final="0.05"), mode="sim-det"))
@@ -428,7 +536,7 @@ def test_huge_dt_diverges_with_last_valid_checkpoint(tmp_path):
                                  amplitude="5.0"), mode="sim-det")
     res = run(cfg)
     assert res.status == 3
-    st, _, _ = read_checkpoint(out / "checkpoint.bin")
+    st = read_checkpoint(out / "checkpoint.bin")[0]
     from slicelab.state import state_is_finite
     assert state_is_finite(st)
 
@@ -441,7 +549,7 @@ def test_stage_blow_up_checkpoints_the_state_before_the_step(tmp_path):
     cfg = parse_config(_sim_text(out, dt="1e-3", t_final="0.01",
                                  amplitude="1e100"), mode="sim-det")
     assert run(cfg).status == 3
-    st, _, _ = read_checkpoint(out / "checkpoint.bin")
+    st = read_checkpoint(out / "checkpoint.bin")[0]
     from slicelab.state import state_is_finite
     assert st.t == 0.0
     assert state_is_finite(st)

@@ -180,17 +180,19 @@ def test_circulation_rejects_outside_loop(sq64):
 
 def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
     # a row's enstrophy, circulation and max divergence share the state's
-    # one first-derivative pass, which transforms theta_S once for its
-    # d_x, d_z pair, and equal the separate calls bit for bit
-    from slicelab import diagnostics
-    st = random_state(sq64, seed=9)
+    # one first-derivative pass, which transforms theta_S once (the state
+    # keeps the coefficients) for its d_x, d_z pair, and equal the separate
+    # calls, taken on the same data as another state, bit for bit
+    from slicelab import diagnostics, state
     p = Params(s=0.5)
     lp = circle_loop(PI / 2, PI / 2, 0.8)
-    want = (generalized_enstrophy(st, p, np.square), circulation(st, p, lp),
-            max_divergence(st.u_s))
+    other = random_state(sq64, seed=9)
+    want = (generalized_enstrophy(other, p, np.square),
+            circulation(other, p, lp), max_divergence(other.u_s))
+    st = random_state(sq64, seed=9)
     theta_calls = []
-    real = diagnostics.to_modes
-    monkeypatch.setattr(diagnostics, "to_modes", lambda g, v, b: (
+    real = state.to_modes
+    monkeypatch.setattr(state, "to_modes", lambda g, v, b: (
         theta_calls.append(b) if v is st.theta_s.values else None)
         or real(g, v, b))
     derivs = diagnostics._first_derivatives(st)

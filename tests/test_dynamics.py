@@ -164,6 +164,26 @@ def _coefs(state):
             for v, b in zip(state_arrays(state), STATE_BASES)]
 
 
+@pytest.fixture
+def sq32_pair():
+    # one state twice: value-born, and carried as a step leaves a state
+    born = random_state(make_grid("square", 32, 32, PI, PI), seed=3)
+    carried = random_state(born.grid, seed=3)
+    return born, make_state(born.grid, 0.0, *_coefs(carried), carried=True)
+
+
+def _step_transforms(count_calls, pair, step):
+    # the transforms of one step of each state of the pair
+    pair[0].grid.z_weight_modes
+    transforms = _transforms(count_calls)
+    counts = []
+    for state in pair:
+        before = transforms()
+        step(state)
+        counts.append(transforms() - before)
+    return counts
+
+
 # the counts at s = 0 and, on the square, at s != 0, where every stage
 # re-expands u_T in theta_S's basis (one forward transform, and an inverse
 # one where the stage holds no u_T values); the grid builds its z-weight
@@ -182,33 +202,33 @@ def test_transforms_per_tendency(count_calls, sq32_state, s, radius,
     assert transforms() == expected
 
 
-@pytest.mark.parametrize("s,radius,expected", [
-    (0.0, float("inf"), 62), (0.0, 1.0, 68), (1.0, float("inf"), 69),
-    (1.0, 1.0, 72)])
-def test_transforms_per_rk4_step(count_calls, sq32_state, s, radius,
-                                 expected):
-    sq32_state.grid.z_weight_modes
-    transforms = _transforms(count_calls)
-    dyn.step_rk4(sq32_state, Params(s=s), 1e-3, radius=radius)
-    assert transforms() == expected
+# per step of a value-born state (its 4 arrays go forward, its first stage
+# reads their values) and of a carried one (its first stage is a later
+# stage's cost); neither transforms back at the step end
+
+@pytest.mark.parametrize("s,radius,born,carried", [
+    (0.0, float("inf"), 58, 56), (0.0, 1.0, 64, 64),
+    (1.0, float("inf"), 65, 64), (1.0, 1.0, 68, 68)])
+def test_transforms_per_rk4_step(count_calls, sq32_pair, s, radius, born,
+                                 carried):
+    assert _step_transforms(count_calls, sq32_pair, lambda st: dyn.step_rk4(
+        st, Params(s=s), 1e-3, radius=radius)) == [born, carried]
 
 
-def test_transforms_per_transformed_step(count_calls, sq32_state):
-    transforms = _transforms(count_calls)
-    step_transformed(sq32_state, Params(s=0.0), 1e-3, 0.7, 0.1, 0.2)
-    assert transforms() == 62
+def test_transforms_per_transformed_step(count_calls, sq32_pair):
+    assert _step_transforms(count_calls, sq32_pair, lambda st: (
+        step_transformed(st, Params(s=0.0), 1e-3, 0.7, 0.1, 0.2))) == [58, 56]
 
 
-@pytest.mark.parametrize("s,radius,expected", [
-    (0.0, float("inf"), 20), (0.0, 1.0, 20), (1.0, float("inf"), 21)])
-def test_transforms_per_em_step(count_calls, sq32_state, s, radius,
-                                expected):
+@pytest.mark.parametrize("s,radius,born,carried", [
+    (0.0, float("inf"), 16, 14), (0.0, 1.0, 16, 16),
+    (1.0, float("inf"), 17, 16)])
+def test_transforms_per_em_step(count_calls, sq32_pair, s, radius, born,
+                                carried):
     # linear noise scales the step's coefficients: no transform of its own
-    sq32_state.grid.z_weight_modes
-    transforms = _transforms(count_calls)
-    step_em(sq32_state, Params(s=s), 1e-3, 0.01, LinearMultiplicative(0.5),
-            radius=radius)
-    assert transforms() == expected
+    assert _step_transforms(count_calls, sq32_pair, lambda st: step_em(
+        st, Params(s=s), 1e-3, 0.01, LinearMultiplicative(0.5),
+        radius=radius)) == [born, carried]
 
 
 @pytest.mark.filterwarnings(
@@ -218,10 +238,12 @@ def test_transforms_per_em_step(count_calls, sq32_state, s, radius,
 def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
                                        geometry, stride, rows, monitored):
     # a truncated sim-det run observes every state: a row with a loop takes
-    # 14 transforms (its Z^{3,2} column reads the pass's coefficients), a
-    # state the monitor alone reads 12; the two strides pin both counts.
-    # Each step takes its first stage from the pass: 68 - 12 = 56 at s = 0,
-    # and at this s = 0.5 the square re-expands u_T once per stage (60);
+    # 14 transforms (a stepped state's 4 values and 8 first derivatives
+    # back, u_S's curl and divergence; its Z^{3,2} column reads the state's
+    # coefficients), a state the monitor alone reads 12 (the initial
+    # state's 4 go forward instead); the two strides pin both counts.
+    # Each step takes its first stage from the pass: 64 - 12 = 52 at s = 0,
+    # and at this s = 0.5 the square re-expands u_T once per stage (56);
     # the first step also builds the grid's z-weight table (one transform)
     from slicelab import runner
     from slicelab.config import parse_config
@@ -247,22 +269,25 @@ def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
         f"out_dir = {tmp_path}\nstride = {stride}\nloop_radius = 0.5\n",
         mode="sim-det")
     assert runner.run(cfg).status == 0
-    per_step = 56 if geometry == "torus" else 60
+    per_step = 52 if geometry == "torus" else 56
     assert elsewhere[1:] == [per_step + 1] + [per_step] * 4
     assert transforms() - sum(elsewhere) == 14 * rows + 12 * monitored
 
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_transforms_per_state_norm(count_calls, geometry):
-    # a Z^{3,2} state norm taken alone: one forward transform per array and
-    # no inverse one; an L^2 norm reads the values only
+    # a Z^{3,2} state norm taken alone: one forward transform per array of
+    # a value-born state, none of a carried one, and no inverse one; an
+    # L^2 norm reads the values only
     from slicelab.norms import NormSpec, ZKP_DEFAULT, norm
     st = random_state(make_grid(geometry, 32, 16, PI, PI), seed=3)
+    carried = make_state(st.grid, 0.0, *_coefs(st), carried=True)
     calls = count_calls("grid", "to_modes", "from_modes")
-    for spec, expected in ((ZKP_DEFAULT, 4), (NormSpec(0, 2), 0)):
-        calls.update(to_modes=0, from_modes=0)
-        norm(st, spec)
-        assert (calls["to_modes"], calls["from_modes"]) == (expected, 0)
+    for state, counts in ((st, ((4, 0), (0, 0))), (carried, ((0, 0), (0, 4)))):
+        for spec, expected in zip((ZKP_DEFAULT, NormSpec(0, 2)), counts):
+            calls.update(to_modes=0, from_modes=0)
+            norm(state, spec)
+            assert (calls["to_modes"], calls["from_modes"]) == expected
 
 
 def test_rk4_step_wraps_and_checks_one_state(count_calls, sq32_state):

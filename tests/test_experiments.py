@@ -529,15 +529,25 @@ def test_mc_global_does_not_depend_on_scheduling(case, monkeypatch):
 
 
 def test_amplitude_monitor_matches_the_quadrature_oracle(monkeypatch):
-    # the monitor norms by discrete Parseval against the same run monitored
-    # by quadrature: the same trigger steps, values within 1e-13
+    # the monitor norms by discrete Parseval on the carried coefficients
+    # against the same run monitored by quadrature on the values: the same
+    # trigger steps, values within 1e-13
     import slicelab.norms
     from helpers import quadrature_field_norm
     geometry, kw = SCHEDULING_CASES["torus-amplitude-monitor"]
     g = sl.make_grid(geometry, 16, 16, 2 * np.pi, 2 * np.pi)
+
+    def quadrature_component_norms(state, spec):
+        parts = [quadrature_field_norm(c, spec) for c in (
+            [state.u_s.x, state.u_s.z], [state.u_t], [state.theta_s])]
+        return list(zip(*parts)) if state.u_t.values.ndim == 3 else parts
+
     runs = []
-    for field_norm in (slicelab.norms._field_norm, quadrature_field_norm):
-        monkeypatch.setattr(slicelab.norms, "_field_norm", field_norm)
+    for component_norms in (slicelab.norms.state_component_norms,
+                            quadrature_component_norms):
+        for module in (slicelab.norms, ex):
+            monkeypatch.setattr(module, "state_component_norms",
+                                component_norms)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             runs.append(ex.mc_global_regularity(g, sl.Params(s=0.0), **kw))
@@ -553,11 +563,12 @@ def test_amplitude_monitor_matches_the_quadrature_oracle(monkeypatch):
 
 def test_mc_global_takes_one_norm_pass_per_batch_step(tor16, monkeypatch):
     # a single batch: after the data's and the start's norms, each step is
-    # followed by exactly one state norm (3 field norms) for all its paths
+    # followed by exactly one state norm (3 Parseval sums, one per
+    # component) for all its paths
     import slicelab.norms
     events = []
-    real_norm = slicelab.norms._field_norm
-    monkeypatch.setattr(slicelab.norms, "_field_norm",
+    real_norm = slicelab.norms._parseval
+    monkeypatch.setattr(slicelab.norms, "_parseval",
                         lambda *a: events.append("N") or real_norm(*a))
     monkeypatch.setattr(ex, "step_transformed",
                         lambda *a, **k: events.append("S") or

@@ -103,3 +103,34 @@ def test_random_state_band_limit(tor64):
     mx, mz = tor64.modes(None)
     far = (np.abs(mx[None, :]) > 4) | (np.abs(mz[:, None]) > 4)
     assert np.max(np.abs(c[far])) <= 1e-10 * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_carried_state_derives_its_values_once(geometry, monkeypatch):
+    # a stepped state carries its coefficients; its values are from_modes
+    # of them byte for byte, inverse-transformed once, on first read
+    import slicelab.state
+    from slicelab.dynamics import step_rk4
+    from slicelab.grid import from_modes, make_grid
+    from slicelab.state import STATE_BASES
+    g = make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
+    st = step_rk4(random_state(g, seed=2), Params(s=0.0), 1e-3)
+    assert st.carried and st.coefs is st.payload
+    calls = []
+    monkeypatch.setattr(slicelab.state, "from_modes", lambda *a: (
+        calls.append(1) or from_modes(*a)))
+    assert st.held_values is None
+    want = [from_modes(g, c, b).tobytes()
+            for c, b in zip(st.payload, STATE_BASES)]
+    for _ in range(2):
+        assert [a.tobytes() for a in state_arrays(st)] == want
+        assert st.u_t.values.tobytes() == want[2]
+    assert len(calls) == 4 and st.held_values is st.values
+    assert state_is_finite(st)
+
+
+def test_a_value_born_state_keeps_its_values_as_payload(tor64):
+    st = random_state(tor64, seed=2)
+    assert not st.carried and st.values is st.payload
+    assert st.held_values is st.payload
+    assert st.coefs is st.coefs  # transformed forward once, then kept

@@ -23,8 +23,14 @@ B``, ignoring the ``out_dir`` line of ``config.txt``, and one line per run
 with its exit status at both revisions (``STATUS`` when they differ).  Under
 a ``DIFFERS`` line of a CSV file or a ``key = value`` file it prints each
 differing column or key with the largest relative difference of its cells,
-|a - b| / max(|a|, |b|); ``inf`` marks cells that are not both numbers, or
-columns whose lengths differ.
+|a - b| / max(|a|, |b|), or, for ``max_div``, whose cells are roundoff, the
+largest absolute difference |a - b|; ``inf`` marks cells that are not both
+numbers, or columns whose lengths differ.  Under a ``DIFFERS`` line of a
+``checkpoint.bin`` it prints the largest relative difference of the value
+arrays that each revision's own ``read_checkpoint`` decodes, per array
+max |a - b| / max(max |a|, max |b|), so a changed layout with the same
+state reads as a small number; ``inf`` marks a file that a revision cannot
+decode or arrays whose shapes differ.
 Then prints each revision's size: the line count of ``src/slicelab/*.py``
 (as ``wc -l`` counts) and the length of ``slicelab.__all__``.  Exits 0
 when every status and every file agree.
@@ -37,6 +43,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -228,7 +236,12 @@ def _table(path: str):
     return None
 
 
-def _largest_relative(cells_a: list, cells_b: list) -> float:
+#: columns that are roundoff by construction: compared absolutely
+ABSOLUTE = {"max_div"}
+
+
+def _largest_difference(cells_a: list, cells_b: list,
+                        absolute: bool = False) -> float:
     if len(cells_a) != len(cells_b):
         return math.inf
     worst = 0.0
@@ -239,25 +252,60 @@ def _largest_relative(cells_a: list, cells_b: list) -> float:
             fx, fy = float(x), float(y)
         except ValueError:
             return math.inf
-        scale = max(abs(fx), abs(fy))
+        scale = 1.0 if absolute else max(abs(fx), abs(fy))
         rel = abs(fx - fy) / scale if scale else 0.0
         worst = max(worst, math.inf if math.isnan(rel) else rel)
     return worst
 
 
 def where_differs(path_a: str, path_b: str) -> list:
-    """(column or key, largest relative difference) for each column or key
-    that differs between two CSV or ``key = value`` files."""
+    """(column or key, largest difference) for each column or key that
+    differs between two CSV or ``key = value`` files: relative, or
+    absolute for the columns in `ABSOLUTE`."""
     table_a, table_b = _table(path_a), _table(path_b)
     if table_a is None or table_b is None:
         return []
     keys = list(table_a) + [k for k in table_b if k not in table_a]
-    return [(k, _largest_relative(table_a.get(k, []), table_b.get(k, []))
+    return [(k, _largest_difference(table_a.get(k, []), table_b.get(k, []),
+                                     k in ABSOLUTE)
              if k in table_a and k in table_b else math.inf)
             for k in keys if table_a.get(k) != table_b.get(k)]
 
 
-def compare(work_a: str, work_b: str, status_a: dict, status_b: dict) -> int:
+_DECODE = ("import sys, numpy as np\n"
+           "from slicelab.checkpoint import read_checkpoint\n"
+           "from slicelab.state import state_arrays\n"
+           "np.save(sys.argv[2], np.stack(state_arrays("
+           "read_checkpoint(sys.argv[1])[0])))\n")
+
+
+def decoded_values(tree: str, path: str):
+    """The value arrays of a checkpoint as `tree`'s own slicelab decodes
+    them, stacked; None when it cannot."""
+    with tempfile.TemporaryDirectory(prefix="decode_") as tmp:
+        out = os.path.join(tmp, "values.npy")
+        done = subprocess.run([sys.executable, "-c", _DECODE, path, out],
+                              env=_env(tree), stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode == 0
+        return np.load(out) if done else None
+
+
+def values_difference(values_a, values_b) -> float:
+    """Largest relative difference of two stacks of value arrays, per
+    array max |a - b| / max(max |a|, max |b|)."""
+    if values_a is None or values_b is None or \
+            values_a.shape != values_b.shape:
+        return math.inf
+    worst = 0.0
+    for a, b in zip(values_a, values_b):
+        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+        diff = float(np.max(np.abs(a - b)))
+        worst = max(worst, diff / scale if scale else diff)
+    return math.inf if math.isnan(worst) else worst
+
+
+def compare(work_a: str, work_b: str, status_a: dict, status_b: dict,
+            tree_a: str, tree_b: str) -> int:
     differences = 0
     for name, _, _ in runs():
         same = status_a[name] == status_b[name]
@@ -280,11 +328,18 @@ def compare(work_a: str, work_b: str, status_a: dict, status_b: dict) -> int:
                 verdict = "DIFFERS"
             differences += 1
             print(f"{verdict:8} {path}")
-            if verdict == "DIFFERS":
-                for key, worst in where_differs(os.path.join(top_a, rel),
-                                                os.path.join(top_b, rel)):
-                    print(f"{'':8}   {key}: largest relative difference "
-                          f"{worst:.3g}")
+            if verdict != "DIFFERS":
+                continue
+            file_a, file_b = (os.path.join(top, rel) for top in (top_a, top_b))
+            if os.path.basename(rel) == "checkpoint.bin":
+                worst = values_difference(decoded_values(tree_a, file_a),
+                                          decoded_values(tree_b, file_b))
+                print(f"{'':8}   decoded values: largest relative "
+                      f"difference {worst:.3g}")
+            for key, worst in where_differs(file_a, file_b):
+                kind = "absolute" if key in ABSOLUTE else "relative"
+                print(f"{'':8}   {key}: largest {kind} difference "
+                      f"{worst:.3g}")
     return differences
 
 
@@ -294,15 +349,16 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="compare_runs_") as tmp:
-        statuses, works, sizes = [], [], []
+        statuses, works, trees, sizes = [], [], [], []
         for label, rev in zip("AB", argv):
             tree, work = (os.path.join(tmp, label, d) for d in ("tree", "run"))
             os.makedirs(work)
             extract(rev, tree)
             statuses.append(run_all(tree, work))
             works.append(work)
+            trees.append(tree)
             sizes.append(tree_size(tree))
-        differences = compare(*works, *statuses)
+        differences = compare(*works, *statuses, *trees)
     for label, rev, (lines, exports) in zip("AB", argv, sizes):
         print(f"size     {label} {rev}: {lines} lines in src/slicelab/*.py, "
               f"{exports} exports")
