@@ -17,9 +17,11 @@ Layout (version 2), all little-endian:
     square coefficients, nz*(nx/2+1) complex128 for torus coefficients
     (the rfft2 half spectrum).
 
-A stepped state is written as the coefficients it carries, so a restart
-continues bit for bit.  Version 1 (no run block, values only) is refused:
-it records neither the mode nor the seed nor dt that a restart must match.
+Every state is written as its coefficients (payload kind 1), so a read
+gives back the state bit for bit and a restart continues as the run would
+have.  A values payload (kind 0, from an older build) is read through
+`make_state`.  Version 1 (no run block, values only) is refused: it
+records neither the mode nor the seed nor dt that a restart must match.
 
 A checkpoint is written to `<path>.tmp` and renamed over `path`, so a write
 that fails or is killed leaves the previous checkpoint in place.
@@ -60,9 +62,10 @@ def write_checkpoint(state: SimState, params: Params, path,
             fh.write(_HEAD.pack(MAGIC, VERSION, geom, g.nx, g.nz))
             fh.write(_REALS.pack(g.lx, g.lz, state.t, params.f, params.g,
                                  params.theta0, params.s, alpha))
+            # payload kind 1 (coefficients), no loop points
             fh.write(_RUN.pack(stamp.mode.encode("ascii"), *stamp[1:],
-                               state.carried, 0))
-            for block in state.payload:
+                               1, 0))
+            for block in state.coefs:
                 kind = "<c16" if np.iscomplexobj(block) else "<f8"
                 fh.write(np.ascontiguousarray(block, dtype=kind).tobytes())
         os.replace(tmp, path)
@@ -101,15 +104,15 @@ def read_checkpoint(path, expect_grid: Grid | None = None):
             f"bytes)", offset=len(data))
     lx, lz, t, f, gparam, theta0, s, alpha = _REALS.unpack_from(
         data, _HEAD.size)
-    mode, seed, dt, step, w, carried, n_loop = _RUN.unpack_from(
+    mode, seed, dt, step, w, kind, n_loop = _RUN.unpack_from(
         data, _HEAD.size + _REALS.size)
-    if carried not in (0, 1):
-        raise CheckpointFormatError(f"bad payload kind {carried}",
+    if kind not in (0, 1):
+        raise CheckpointFormatError(f"bad payload kind {kind}",
                                     offset=off - 5)
     off += 16 * n_loop  # loop points: none is written yet
 
     dtype, shape = (("<c16", (nz, nx // 2 + 1))
-                    if carried and geom == 0 else ("<f8", (nz, nx)))
+                    if kind and geom == 0 else ("<f8", (nz, nx)))
     need = off + 4 * np.dtype(dtype).itemsize * shape[0] * shape[1]
     if len(data) != need:
         raise CheckpointFormatError(
@@ -129,7 +132,8 @@ def read_checkpoint(path, expect_grid: Grid | None = None):
 
     blocks = np.frombuffer(data, dtype=dtype, offset=off).reshape(
         4, *shape).astype(dtype[1:])
-    state = make_state(grid, t, *blocks, carried=bool(carried))
+    state = (SimState(grid, t, tuple(blocks)) if kind
+             else make_state(grid, t, *blocks))
     stamp = RunStamp(mode.rstrip(b"\0").decode("ascii", "replace"), seed, dt,
                      step, w)
     return state, Params(f=f, g=gparam, theta0=theta0, s=s), alpha, stamp

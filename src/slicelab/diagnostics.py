@@ -200,9 +200,10 @@ def _circulation(state: SimState, params: Params, loop: MaterialLoop,
 
 def _first_derivatives(state: SimState):
     """One first-derivative pass, 8 inverse transforms plus the 4 that give
-    a carried state its values (or any other its coefficients): the (u_S,
-    u_T, theta_S) W^{1,inf} norms, bitwise norm(..., W1INF)'s, and the
-    row part: the state's coefficients and the 4 (d_x, d_z) value pairs,
+    the state its values if they have not been read yet: the (u_S, u_T,
+    theta_S) W^{1,inf} norms, bitwise state_component_norms(state,
+    W1INF), and the row part: the state's coefficients and the 4 (d_x,
+    d_z) value pairs,
     bitwise a step's own first-stage ones (`row[:2]` is a stepper's
     `_handed`), and the (coefficients, basis) of u_S's curl and
     divergence, formed as in `incompressible`."""

@@ -11,14 +11,14 @@ finite-mode Galerkin truncation of the truncated system.  The truncated
 tendency multiplies each advection term by the smooth cutoff of the matching
 running norm; linear couplings are never truncated.
 
-Every stepper runs its stages in coefficient space through one tendency,
-`_rhs_arrays`: 14 transforms a stage (u_S and 8 first derivatives back, 4
-products forward; 16 truncated, which reads all 4 fields' values), and a
-step ends with its projected coefficients, which the new state carries:
-56 per RK4 step of a carried state, 64 truncated, 14 per EM step.  A
-value-born state's step transforms its 4 arrays forward and its first
-stage reads their values (58, 64 and 16); a handed first-derivative pass
-saves that stage's 12 (52 per handed truncated step).
+Every stepper runs its stages on the state's coefficients through one
+tendency, `_rhs_arrays`: 14 transforms a stage (u_S and 8 first
+derivatives back, 4 products forward; 16 truncated, which reads all 4
+fields' values), and a step ends with its projected coefficients, which
+are the new state: 56 per RK4 step, 64 truncated, 14 per EM step.  The
+first stage takes the values that the state already holds, and a handed
+first-derivative pass saves that stage's derivatives (52 per handed
+truncated step).
 An `advect` scale on all advection terms and a `source_scale` on the z s
 source let the exponentially-transformed system share it.  At an infinite
 radius and unit scales every factor is exactly 1.0, so the float operation
@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ConfigError, DivergedError
-from .grid import (Geometry, Grid, derivative_values, from_modes,
-                   gaussian_lowpass, to_modes)
-from .incompressible import _project_modes, project_values
+from .grid import Geometry, Grid, derivative_values, from_modes, to_modes
+from .incompressible import _project_modes
 from .norms import W1INF, _max, _w1inf, state_component_norms
-from .state import (STATE_BASES, THETA_BASIS, Params, SimState, make_state,
+from .state import (STATE_BASES, THETA_BASIS, Params, SimState,
                     state_is_finite)
 
 
@@ -100,7 +101,7 @@ def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
 def _first_stage(state: SimState, handed=None):
     """A step's coefficients and its first stage's keywords: the state's
     coefficients and the values it holds (the stage transforms back those
-    it needs and a carried state does not hold), unless the state's
+    it needs and the state does not hold yet), unless the state's
     first-derivative pass is handed over as (coefficients, list of
     derivative value pairs), a list that the first stage empties."""
     coefs, grads = handed or (state.coefs, None)
@@ -191,11 +192,10 @@ def _rk4_arrays(y, f, t: float, dt: float, **first):
 
 
 def _finish_step(prev: SimState, coefs, t_new: float) -> SimState:
-    # u_S projected on the coefficients: the new state carries them
+    # u_S projected on the coefficients, which are the new state
     g = prev.grid
     cx, cz, ct, cth = coefs
-    new = make_state(g, t_new, *_project_modes(g, cx, cz), ct, cth,
-                     carried=True)
+    new = SimState(g, t_new, (*_project_modes(g, cx, cz), ct, cth))
     if not state_is_finite(new):
         raise DivergedError(f"non-finite state after step to t={t_new:.6g}",
                             last_state=prev)
@@ -239,12 +239,11 @@ def step_euler(state: SimState, params: Params, dt: float,
 
 
 def mollify(state: SimState, j: float) -> SimState:
-    """Scale every mode of every component by exp(-|k|^2/j^2); re-project."""
+    """Scale every mode of every component by exp(-|k|^2/j^2), |k| the
+    angular wavenumber; re-project u_S."""
     if j < 1:
         raise ConfigError(f"mollifier level must be >= 1, got {j}")
     g = state.grid
-    px, pz = project_values(g, gaussian_lowpass(state.u_s.x, j).values,
-                            gaussian_lowpass(state.u_s.z, j).values)
-    return make_state(g, state.t, px, pz,
-                      gaussian_lowpass(state.u_t, j).values,
-                      gaussian_lowpass(state.theta_s, j).values)
+    cx, cz, ct, cth = (c * np.exp(-g.k2(b) / float(j) ** 2)
+                       for c, b in zip(state.coefs, STATE_BASES))
+    return SimState(g, state.t, (*_project_modes(g, cx, cz), ct, cth))

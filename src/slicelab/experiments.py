@@ -21,8 +21,8 @@ from .dynamics import mollify, step_rk4
 from .errors import ConfigError, DivergedError
 from .grid import Grid
 from .norms import NormSpec, ZKP_DEFAULT, combine, norm, state_component_norms
-from .state import (Params, SimState, make_state, random_state,
-                    scale_state, state_arrays, zero_state)
+from .state import (Params, SimState, random_state, scale_state,
+                    state_arrays, zero_state)
 from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, OnlineMonitor,
                          LinearMultiplicative, WienerPath, refine_path,
                          sample_wiener, step_em, step_transformed,
@@ -269,19 +269,17 @@ class _RegularityPath:
 
 def _paths(batch: SimState, index) -> SimState:
     # path `index` (an int) or paths `index` (a list) of a batch state, as
-    # slices of its payload: the coefficients of a stepped batch
-    return make_state(batch.grid, batch.t, *(a[index] for a in
-                                             batch.payload), batch.carried)
+    # slices of its coefficients
+    return SimState(batch.grid, batch.t, tuple(c[index] for c in batch.coefs))
 
 
 def _batch_state(states: list) -> SimState | None:
-    # paths at one time, their payloads stacked along a leading axis; None
-    # for no paths
+    # paths at one time, their coefficients stacked along a leading axis;
+    # None for no paths
     if not states:
         return None
-    return make_state(states[0].grid, states[0].t, *(
-        np.stack(p) for p in zip(*(s.payload for s in states))),
-        states[0].carried)
+    return SimState(states[0].grid, states[0].t, tuple(
+        np.stack(c) for c in zip(*(s.coefs for s in states))))
 
 
 def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
@@ -525,7 +523,7 @@ def mollifier_cauchy_study(state0: SimState, params: Params, j_levels,
             cache[j] = solve(j)
 
     def distance(a: SimState, b: SimState) -> float:
-        return norm(make_state(a.grid, a.t, *(x - y for x, y in zip(
-            state_arrays(a), state_arrays(b)))), spec)
+        return norm(SimState(a.grid, a.t, tuple(
+            x - y for x, y in zip(a.coefs, b.coefs))), spec)
 
     return tuple((j, distance(cache[j], cache[2 * j])) for j in j_levels)

@@ -438,18 +438,6 @@ def dealias(field: ScalarField) -> ScalarField:
                                      * g.keep(b), b), b)
 
 
-def gaussian_lowpass(field: ScalarField, j: float) -> ScalarField:
-    """Multiply every mode coefficient by exp(-|k|^2 / j^2).
-
-    |k| is the angular wavenumber (equal to the integer mode number on the
-    2*pi torus and on the unit-pi square).
-    """
-    g = field.grid
-    coef = to_modes(g, field.values, field.basis) * np.exp(
-        -g.k2(field.basis) / float(j) ** 2)
-    return ScalarField(g, from_modes(g, coef, field.basis), field.basis)
-
-
 def integrate(grid: Grid, values: np.ndarray) -> float:
     """Domain integral by uniform cell-weight quadrature."""
     return float(values.sum()) * grid.cell_area

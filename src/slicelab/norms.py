@@ -12,12 +12,13 @@ The state norm Z^{k,p} combines the three component norms (u_S counted as
 one vector field) by an l^p sum, or a max when p = infinity.
 
 `_reduce` is the one reduction from derivative values: `_field_norm` feeds
-it from a field's own transforms, and the truncated tendency and the
-runner's first-derivative pass feed it W^{1,inf} from derivatives they
-already hold.  Values stacked along a leading path axis, shape (B, nz, nx),
-are reduced slice by slice: `_field_norm` and `state_component_norms` then
-give one norm (or triple) per path, each bit for bit the 2-D call's on
-that slice, with the transforms of one call shared by all B.
+it from a field's own transforms, `state_component_norms` from the state's
+coefficients, and the truncated tendency and the runner's first-derivative
+pass feed it W^{1,inf} from derivatives they already hold.  Values stacked
+along a leading path axis, shape (B, nz, nx), are reduced slice by slice:
+`_field_norm` and `state_component_norms` then give one norm (or triple)
+per path, each bit for bit the 2-D call's on that slice, with the
+transforms of one call shared by all B.
 """
 
 from __future__ import annotations
@@ -65,14 +66,24 @@ def _field_norm(components: list[ScalarField], spec: NormSpec):
     """W^{k,p} of a scalar (1 component) or vector (2 components) field, or
     the list of per-path norms of components stacked along a leading axis."""
     grid = components[0].grid
-    # only derivatives read coefficients; one multi-index alive at a time
+    bases = [f.basis for f in components]
+    # only derivatives read coefficients
     coefs = ([to_modes(grid, f.values, f.basis) for f in components]
              if spec.k else [])
+    return _norm_from(grid, lambda: [f.values for f in components], coefs,
+                      bases, spec)
+
+
+def _norm_from(grid, values, coefs, bases, spec: NormSpec):
+    """W^{k,p} of the components with coefficients `coefs` in `bases`;
+    `values()` gives their value arrays, read only by a k = 0 term.
+    W^{k,2}, k >= 1, is Parseval's; any other takes the derivatives' values
+    one multi-index at a time."""
     if spec.k and spec.p == 2:
-        return _parseval(grid, coefs, [f.basis for f in components], spec.k)
-    return _reduce(grid, ([f.values for f in components] if ax == az == 0
-                          else [derivative_values(grid, c, f.basis, ax, az)[0]
-                                for c, f in zip(coefs, components)]
+        return _parseval(grid, coefs, bases, spec.k)
+    return _reduce(grid, (values() if ax == az == 0
+                          else [derivative_values(grid, c, b, ax, az)[0]
+                                for c, b in zip(coefs, bases)]
                           for ax, az in _multi_indices(spec.k)), spec)
 
 
@@ -139,14 +150,11 @@ def l2(obj) -> float:
 
 def state_component_norms(state: SimState, spec: NormSpec):
     """(u_S, u_T, theta_S) norms as a tuple, for monitors and diagnostics;
-    a stacked state gives a list of such triples, one per path.  W^{k,2},
-    k >= 1, reads the state's coefficients: no transform when it carries
-    them."""
-    if spec.k and spec.p == 2:
-        c = state.coefs
-        parts = tuple(_parseval(state.grid, c[i:j], STATE_BASES[i:j], spec.k)
-                      for i, j in ((0, 2), (2, 3), (3, 4)))
-    else:
-        parts = (norm(state.u_s, spec), norm(state.u_t, spec),
-                 norm(state.theta_s, spec))
-    return list(zip(*parts)) if np.ndim(state.payload[0]) == 3 else parts
+    a stacked state gives a list of such triples, one per path.  Every
+    norm is taken from the state's coefficients (W^{k,2}, k >= 1, with no
+    transform) and its k = 0 term from the state's values."""
+    c = state.coefs
+    parts = tuple(_norm_from(state.grid, lambda i=i, j=j: state.values[i:j],
+                             c[i:j], STATE_BASES[i:j], spec)
+                  for i, j in ((0, 2), (2, 3), (3, 4)))
+    return list(zip(*parts)) if np.ndim(c[0]) == 3 else parts

@@ -84,15 +84,9 @@ def _open_diagnostics(path):
     return fh
 
 
-def append_diagnostics(rec: DiagnosticsRecord, out) -> None:
-    """Append one row to a file from `_open_diagnostics`, or to the CSV at
-    the path `out` (writing the header on first use)."""
-    row = format_row(rec) + "\n"
-    if isinstance(out, (str, os.PathLike)):
-        with _open_diagnostics(out) as fh:
-            fh.write(row)
-    else:
-        out.write(row)
+def append_diagnostics(rec: DiagnosticsRecord, fh) -> None:
+    """Append one row to a file from `_open_diagnostics`."""
+    fh.write(format_row(rec) + "\n")
 
 
 def read_diagnostics(path) -> list[DiagnosticsRecord]:

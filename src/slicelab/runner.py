@@ -276,7 +276,8 @@ def _run_diag(cfg: RunConfig) -> RunResult:
     _write_echo(cfg)
     rec = _row_record(state, params, cfg.loop(), cfg.norm_spec,
                       *_first_derivatives(state))
-    append_diagnostics(rec, os.path.join(cfg.out_dir, DIAG_FILE))
+    with _open_diagnostics(os.path.join(cfg.out_dir, DIAG_FILE)) as fh:
+        append_diagnostics(rec, fh)
     return RunResult(EXIT_COMPLETED, cfg.out_dir, state, payload=rec)
 
 

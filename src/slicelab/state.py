@@ -2,7 +2,11 @@
 
 The state triple is (u_S, u_T, theta_S): slice-plane velocity, transverse
 velocity, and the potential-temperature slice component, all sharing one
-grid, plus the model time.
+grid, plus the model time.  A state is the coefficients of the four arrays
+(u_x, u_z, u_T, theta_S) in `STATE_BASES`, a truncated Galerkin vector:
+every step, norm and checkpoint reads them, and value arrays are made only
+at the edge, by `make_state` (forward, once) and `SimState.values` (back,
+once, when first read).
 """
 
 from __future__ import annotations
@@ -56,35 +60,23 @@ class Params:
 
 @dataclass(frozen=True, eq=False)
 class SimState:
-    """A model time and the fields (u_x, u_z, u_T, theta_S) on one grid.
-
-    The payload is their four value arrays or, for a `carried` state (one
-    that a step made), their coefficients in `STATE_BASES`; the other form
-    is transformed from the payload once, when first read, and kept.
-    """
+    """A model time and the fields (u_x, u_z, u_T, theta_S) on one grid,
+    held as their coefficients in `STATE_BASES`; their value arrays are
+    transformed back once, when first read, and kept."""
 
     grid: Grid
     t: float
-    payload: tuple
-    carried: bool = False
+    coefs: tuple
 
     @cached_property
     def values(self) -> tuple:
-        return self._derived(from_modes) if self.carried else self.payload
-
-    @cached_property
-    def coefs(self) -> tuple:
-        return self.payload if self.carried else self._derived(to_modes)
-
-    def _derived(self, transform):
-        return tuple(transform(self.grid, a, b)
-                     for a, b in zip(self.payload, STATE_BASES))
+        return tuple(from_modes(self.grid, c, b)
+                     for c, b in zip(self.coefs, STATE_BASES))
 
     @property
     def held_values(self):
-        """The value arrays if the state holds them already, else None."""
-        return (self.values if not self.carried or "values" in vars(self)
-                else None)
+        """The value arrays if they have been read already, else None."""
+        return vars(self).get("values")
 
     @property
     def u_s(self) -> VectorField:
@@ -99,14 +91,14 @@ class SimState:
         return scalar_field(self.grid, self.values[3], THETA_BASIS)
 
 
-def make_state(grid: Grid, t, ux, uz, ut, theta,
-               carried: bool = False) -> SimState:
-    """A state of four value arrays, checked against the grid, or of their
-    coefficients in `STATE_BASES` when `carried`."""
-    arrays = (ux, uz, ut, theta)
-    if not carried:
-        arrays = tuple(scalar_field(grid, a).values for a in arrays)
-    return SimState(grid, float(t), arrays, carried)
+def make_state(grid: Grid, t, ux, uz, ut, theta) -> SimState:
+    """The state of four value arrays, checked against the grid and
+    transformed to `STATE_BASES` once; its `values` read back the
+    coefficients' inverse transforms, equal to the arrays within
+    roundoff."""
+    return SimState(grid, float(t), tuple(
+        to_modes(grid, scalar_field(grid, a).values, b)
+        for a, b in zip((ux, uz, ut, theta), STATE_BASES)))
 
 
 def zero_state(grid: Grid, t: float = 0.0) -> SimState:
@@ -120,12 +112,12 @@ def state_arrays(state: SimState):
 
 
 def state_is_finite(state: SimState) -> bool:
-    return all(np.isfinite(a).all() for a in state.payload)
+    return all(np.isfinite(c).all() for c in state.coefs)
 
 
 def scale_state(state: SimState, factor: float) -> SimState:
-    return make_state(state.grid, state.t, *(factor * a for a in
-                                             state.payload), state.carried)
+    return SimState(state.grid, state.t, tuple(factor * c
+                                               for c in state.coefs))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from .dynamics import (_axpy, _check_dt, _euler_arrays, _finish_step,
                        _first_stage, _rhs_arrays, _rk4_arrays)
 from .errors import ConfigError, DivergedError
 from .grid import dealias, to_modes
-from .incompressible import project_values
-from .state import (STATE_BASES, Params, SimState, scale_state, state_arrays,
+from .incompressible import _project_modes
+from .state import (STATE_BASES, Params, SimState, scale_state,
                     state_is_finite)
 
 #: |alpha W| beyond which exp() leaves double range; paths are declared
@@ -163,25 +163,32 @@ def _gain_values(gain, state: SimState, shape) -> np.ndarray:
 
 
 def noise_eval(model, state: SimState) -> list[tuple]:
-    """Per-mode diffusion value arrays (dux, duz, dut, dth), one tuple per
-    noise mode.
+    """Per-mode diffusion coefficients (dux, duz, dut, dth) in
+    `STATE_BASES`, one tuple per noise mode.
 
-    The linear model leaves u_S unprojected: a scalar multiple of a
-    divergence-free field is divergence-free.
+    The linear model's one mode is alpha times the state's coefficients,
+    u_S left unprojected: a scalar multiple of a divergence-free field is
+    divergence-free.  A Nemytskii mode is its gain-times-shape products,
+    transformed forward, with the u_S pair projected.
     """
     if not state_is_finite(state):
         raise DivergedError("non-finite state passed to noise evaluation",
                             last_state=None)
     if isinstance(model, LinearMultiplicative):
-        return [tuple(model.alpha * a for a in state_arrays(state))]
+        return [tuple(model.alpha * c for c in state.coefs)]
     if isinstance(model, PointwiseNemytskii):
-        shape = state.u_t.values.shape
-        g_us, g_ut, g_th = (_gain_values(g, state, shape)
-                            for g in model.gains)
-        return [(*project_values(state.grid, g_us * sx.values,
-                                 g_us * sz.values),
-                 g_ut * st_.values, g_th * th.values)
-                for sx, sz, st_, th in model.shapes]
+        g = state.grid
+        # the value shape, (nz, nx) or a batch's (B, nz, nx)
+        shape = (*state.coefs[0].shape[:-2], g.nz, g.nx)
+        g_us, g_ut, g_th = (_gain_values(gain, state, shape)
+                            for gain in model.gains)
+        diffs = []
+        for sx, sz, st_, th in model.shapes:
+            cx, cz, ct, cth = (to_modes(g, a, b) for a, b in zip(
+                (g_us * sx.values, g_us * sz.values, g_ut * st_.values,
+                 g_th * th.values), STATE_BASES))
+            diffs.append((*_project_modes(g, cx, cz), ct, cth))
+        return diffs
     raise ConfigError(f"unknown noise model {type(model).__name__}")
 
 
@@ -198,14 +205,8 @@ def step_em(state: SimState, params: Params, dt: float, dw, model,
     is accepted for single-mode models); diffusion is evaluated at the step
     start.  `_handed` as for `step_rk4`.
     """
-    y, y1 = _euler_arrays(state, params, dt, radius, _handed)
-    # per mode, the diffusion's coefficients, each taken as it is added
-    if isinstance(model, LinearMultiplicative):
-        diffs = [(model.alpha * c for c in y)]
-    else:
-        diffs = [(to_modes(state.grid, a, b) for a, b in zip(d, STATE_BASES))
-                 for d in noise_eval(model, state)]
-    del y
+    y1 = _euler_arrays(state, params, dt, radius, _handed)[1]
+    diffs = noise_eval(model, state)
     dw_arr = np.atleast_1d(np.asarray(dw, dtype=float))
     if dw_arr.shape != (len(diffs),):
         raise ConfigError(f"got {dw_arr.shape[0]} increments for "

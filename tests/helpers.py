@@ -7,9 +7,11 @@ path-by-path loop that the regularity experiment batches, the
 allocating hitting-law path loops that the in-place kernel replaced, the
 hitting fraction of supplied (refined) paths, the decay-rate fit, the
 value-space tendency and steppers that the coefficient-space stages
-replaced (their cut-off norms taken with transforms of their own), the
-coefficient-space first stage with its cut-offs through norm(..., W1INF),
-and the quadrature W^{k,2} norm that discrete Parseval replaced."""
+replaced (their cut-off norms taken with transforms of their own) and the
+value-space noise of their EM step, the coefficient-space first stage with
+its cut-offs through state_component_norms(..., W1INF), the stacking of
+states into one batch state, and the quadrature W^{k,2} norm that discrete
+Parseval replaced."""
 
 import math
 from dataclasses import replace
@@ -33,8 +35,9 @@ from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
                             SimState, make_state, random_state, scale_state,
                             state_arrays, state_is_finite)
 from slicelab.stochastic import (_KINDS, AMPLITUDE_THRESHOLD, GBM_THRESHOLD,
-                                 OnlineMonitor, StoppingRecord, _exp_guard,
-                                 _path_exp, noise_eval, step_transformed,
+                                 LinearMultiplicative, OnlineMonitor,
+                                 StoppingRecord, _exp_guard, _gain_values,
+                                 _path_exp, step_transformed,
                                  transform_forward)
 
 
@@ -50,6 +53,13 @@ def state_max_abs_diff(a: SimState, b: SimState) -> float:
 
 def with_time(state: SimState, t: float) -> SimState:
     return replace(state, t=float(t))
+
+
+def stacked_state(states) -> SimState:
+    """One batch state whose path i is states[i], coefficient for
+    coefficient."""
+    return SimState(states[0].grid, states[0].t, tuple(
+        np.stack(c) for c in zip(*(s.coefs for s in states))))
 
 
 def zero_scalar(grid, basis=None) -> ScalarField:
@@ -462,29 +472,41 @@ def step_transformed_oracle(state: SimState, params: Params, dt: float,
     return finish_step_oracle(state, tuple(damp * a for a in y1), t0 + dt)
 
 
+def noise_values_oracle(model, state: SimState) -> list[tuple]:
+    """Per-mode diffusion value arrays (dux, duz, dut, dth): alpha times
+    the state's values, or each Nemytskii mode's gain-times-shape products
+    with the u_S pair projected by a round trip."""
+    if isinstance(model, LinearMultiplicative):
+        return [tuple(model.alpha * a for a in state_arrays(state))]
+    shape = state.u_t.values.shape
+    g_us, g_ut, g_th = (_gain_values(g, state, shape) for g in model.gains)
+    return [(*project_values(state.grid, g_us * sx.values, g_us * sz.values),
+             g_ut * st_.values, g_th * th.values)
+            for sx, sz, st_, th in model.shapes]
+
+
 def step_em_oracle(state: SimState, params: Params, dt: float, dw, model,
                    radius: float = math.inf) -> SimState:
-    """step_em over value arrays, `noise_eval`'s arrays added as they are."""
+    """step_em over value arrays, `noise_values_oracle`'s arrays added as
+    they are."""
     _check_dt(dt)
     y = state_arrays(state)
     y1 = _axpy(y, rhs_arrays_oracle(state.grid, params, *y, radius=radius),
                dt)
     for w_j, d in zip(np.atleast_1d(np.asarray(dw, dtype=float)),
-                      noise_eval(model, state)):
+                      noise_values_oracle(model, state)):
         y1 = _axpy(y1, d, float(w_j))
     return finish_step_oracle(state, y1, state.t + dt)
 
 
-def rhs_norm_oracle(grid, params: Params, values, radius: float):
-    """The coefficient-space first stage at the state with value arrays
-    `values`, its cut-offs through norm(..., W1INF) of the state's fields:
-    the tendency's coefficient arrays."""
-    ux, uz, ut, th = values
-    coefs = [to_modes(grid, v, b) for v, b in zip(values, STATE_BASES)]
+def rhs_norm_oracle(grid, params: Params, state: SimState, radius: float):
+    """The coefficient-space first stage at `state`, its cut-offs through
+    state_component_norms(state, W1INF): the tendency's coefficient
+    arrays."""
+    ux, uz, ut, th = state.values
+    coefs = state.coefs
     c_us, c_ut, c_th = cutoffs_from_norms(
-        (norm(vector_field(grid, ux, uz), W1INF),
-         norm(scalar_field(grid, ut, UT_BASIS), W1INF),
-         norm(scalar_field(grid, th, THETA_BASIS), W1INF)), radius)
+        state_component_norms(state, W1INF), radius)
     adv = []
     for c, basis in zip(coefs, STATE_BASES):
         dx, dz = _gradient(grid, c, basis)

@@ -14,8 +14,8 @@ from slicelab.checkpoint import RunStamp, read_checkpoint, write_checkpoint
 from slicelab.cli import build_parser, main as cli_main
 from slicelab.config import MODES, parse_config, render_config
 from slicelab.errors import DiagnosticsFormatError
-from slicelab.runio import (DiagnosticsRecord, append_diagnostics,
-                            format_row, read_diagnostics)
+from slicelab.runio import (DiagnosticsRecord, _open_diagnostics,
+                            append_diagnostics, format_row, read_diagnostics)
 from slicelab.runner import run
 from slicelab.state import SimState, state_arrays
 
@@ -132,7 +132,8 @@ def test_checkpoint_round_trip_bit_exact(tor16, tmp_path):
     stamp = RunStamp("sim-transform", 11, 5e-3, 7, -0.25)
     write_checkpoint(st, p, path, alpha=0.25, stamp=stamp)
     st2, p2, a2, stamp2 = read_checkpoint(path)
-    assert state_max_abs_diff(st, st2) == 0.0 and not st2.carried
+    assert state_max_abs_diff(st, st2) == 0.0
+    assert [c.tobytes() for c in st2.coefs] == [c.tobytes() for c in st.coefs]
     assert st2.t == st.t and p2 == p and a2 == 0.25 and stamp2 == stamp
 
 
@@ -144,12 +145,50 @@ def test_checkpoint_of_a_stepped_state_holds_its_coefficients(tmp_path,
     path = tmp_path / "c.bin"
     write_checkpoint(st, sl.Params(), path)
     st2 = read_checkpoint(path)[0]
-    assert st2.carried and st2.t == st.t
-    assert [c.tobytes() for c in st2.payload] == [
-        c.tobytes() for c in st.payload]
+    assert st2.t == st.t and path.read_bytes()[129] == 1
+    assert [c.tobytes() for c in st2.coefs] == [
+        c.tobytes() for c in st.coefs]
     # torus coefficients are the complex half spectrum, 16 bytes a slot
     slots = 8 * (16 // 2 + 1) * 16 if geometry == "torus" else 8 * 16 * 8
     assert len(path.read_bytes()) == 134 + 4 * slots
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_read_back_initial_state_steps_as_the_original(tmp_path, geometry):
+    # a state made from values is written as its coefficients too, so a
+    # run restarted from its step-0 checkpoint steps as the run would have
+    g = sl.make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
+    st = sl.random_state(g, seed=5)
+    path = tmp_path / "i.bin"
+    write_checkpoint(st, sl.Params(), path)
+    back = read_checkpoint(path)[0]
+    assert path.read_bytes()[129] == 1
+    for step in (lambda s: sl.step_rk4(s, sl.Params(), 1e-3),
+                 lambda s: sl.step_em(s, sl.Params(), 1e-3, 0.02,
+                                      sl.LinearMultiplicative(0.5))):
+        assert [c.tobytes() for c in step(back).coefs] == [
+            c.tobytes() for c in step(st).coefs]
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_values_checkpoint_reads_back_through_make_state(tmp_path,
+                                                           geometry):
+    # payload kind 0, as an older build wrote a state made from values: the
+    # header packed by hand, then the four value blocks
+    g = sl.make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
+    arrays = state_arrays(sl.random_state(g, seed=5))
+    blob = (struct.pack("<4sIBII", b"ISMC", 2, geometry == "square", 16, 8)
+            + struct.pack("<8d", g.lx, g.lz, 0.5, 1.0, 1.0, 1.0, 1.0, 0.0)
+            + struct.pack("<16sqdQdBI", b"sim-det", 7, 1e-3, 3, 0.0, 0, 0)
+            + b"".join(np.asarray(a, "<f8").tobytes() for a in arrays))
+    path = tmp_path / "v.bin"
+    path.write_bytes(blob)
+    st, params, alpha, stamp = read_checkpoint(path)
+    want = sl.make_state(g, 0.5, *arrays)
+    assert [c.tobytes() for c in st.coefs] == [
+        c.tobytes() for c in want.coefs]
+    assert st.t == 0.5 and params == sl.Params() and alpha == 0.0
+    assert stamp == RunStamp("sim-det", 7, 1e-3, 3, 0.0)
 
 
 def test_checkpoint_layout(tor16, tmp_path):
@@ -164,9 +203,9 @@ def test_checkpoint_layout(tor16, tmp_path):
     assert int.from_bytes(blob[9:13], "little") == 16
     assert blob[81:97] == b"sim-sde" + bytes(9)
     assert struct.unpack("<qdQd", blob[97:129]) == (-3, 0.5, 9, 1.25)
-    assert blob[129] == 0  # a values payload
+    assert blob[129] == 1  # a coefficients payload
     assert int.from_bytes(blob[130:134], "little") == 0  # no loop points
-    assert len(blob) == 134 + 4 * 16 * 16 * 8
+    assert len(blob) == 134 + 4 * 16 * (16 // 2 + 1) * 16
 
 
 def test_checkpoint_bad_magic_offset_zero(tor16, tmp_path):
@@ -225,7 +264,7 @@ def test_failed_checkpoint_write_keeps_previous(tor16, tmp_path):
         def __array__(self, *args, **kwargs):
             raise OSError("disk full")
     zero = sl.zero_state(tor16)
-    broken = SimState(tor16, 0.0, (*zero.payload[:3], Failing()))
+    broken = SimState(tor16, 0.0, (*zero.coefs[:3], Failing()))
     with pytest.raises(OSError, match="disk full"):
         write_checkpoint(broken, sl.Params(), path)
     assert path.read_bytes() == good
@@ -250,7 +289,8 @@ def test_header_written_exactly(tmp_path):
     path = tmp_path / "d.csv"
     rec = DiagnosticsRecord(0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
                             0.0, 1.0)
-    append_diagnostics(rec, path)
+    with _open_diagnostics(path) as fh:
+        append_diagnostics(rec, fh)
     first = path.read_text().splitlines()[0]
     assert first == ("t, energy, l2_us, l2_ut, l2_th, w1inf_us, w1inf_ut, "
                      "w1inf_th, zkp, max_div, enstrophy_q2, circulation, "
@@ -273,7 +313,8 @@ def test_append_header_mismatch_errors(tmp_path):
     rec = DiagnosticsRecord(0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
                             0.0, 1.0)
     with pytest.raises(DiagnosticsFormatError, match="header mismatch"):
-        append_diagnostics(rec, path)
+        with _open_diagnostics(path) as fh:
+            append_diagnostics(rec, fh)
 
 
 _finite = hst.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -285,7 +326,8 @@ def test_rows_roundtrip_to_full_precision(required, optional):
     rec = DiagnosticsRecord(*required, *optional)
     with tempfile.TemporaryDirectory() as d:
         path = d + "/r.csv"
-        append_diagnostics(rec, path)
+        with _open_diagnostics(path) as fh:
+            append_diagnostics(rec, fh)
         back = read_diagnostics(path)[0]
     assert back == rec  # repr round trip is exact for binary64
 
@@ -406,15 +448,15 @@ def _restart_config(out, mode, geometry, t_final, extra=""):
 @pytest.mark.parametrize("mode", ["sim-det", "sim-sde", "sim-transform"])
 def test_restart_from_a_stepped_state_continues_bit_for_bit(
         tmp_path, mode, geometry):
-    # the checkpoint holds the coefficients the run carries, so the
+    # the checkpoint holds the state's coefficients, so the
     # restarted run's rows, stop and final checkpoint are the
     # uninterrupted run's, byte for byte
     full, half, rest = (tmp_path / d for d in ("full", "half", "rest"))
     status = run(_restart_config(full, mode, geometry, "0.1")).status
     assert status == (2 if mode == "sim-det" else 0)
     assert run(_restart_config(half, mode, geometry, "0.05")).status == 0
-    assert read_checkpoint(half / "checkpoint.bin")[0].carried
     ck = half / "checkpoint.bin"
+    assert ck.read_bytes()[129] == 1
     assert run(_restart_config(rest, mode, geometry, "0.05",
                                f"restart = {ck}\n")).status == status
     full_rows = (full / "diagnostics.csv").read_text().splitlines()
@@ -485,7 +527,8 @@ def test_sim_opens_its_diagnostics_once(tmp_path, monkeypatch):
     rows = read_diagnostics(out / "diagnostics.csv")
     assert len(rows) == 11
     for rec in rows:
-        append_diagnostics(rec, tmp_path / "by_path.csv")
+        with _open_diagnostics(tmp_path / "by_path.csv") as fh:
+            append_diagnostics(rec, fh)
     assert ((tmp_path / "by_path.csv").read_bytes()
             == (out / "diagnostics.csv").read_bytes())
 

@@ -8,7 +8,7 @@ from slicelab.diagnostics import (EnergyAccountingWarning, MaterialLoop,
                                   potential_vorticity)
 from slicelab.errors import ConfigError, LoopDomainError
 from slicelab.grid import COS, make_grid, scalar_field
-from slicelab.incompressible import curl, max_divergence
+from slicelab.incompressible import curl
 from slicelab.norms import ZKP_DEFAULT, l2, norm
 from slicelab.state import Params, make_state, random_state, zero_state
 
@@ -180,21 +180,28 @@ def test_circulation_rejects_outside_loop(sq64):
 
 def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
     # a row's enstrophy, circulation and max divergence share the state's
-    # one first-derivative pass, which transforms theta_S once (the state
-    # keeps the coefficients) for its d_x, d_z pair, and equal the separate
-    # calls, taken on the same data as another state, bit for bit
-    from slicelab import diagnostics, state
+    # one first-derivative pass, which differentiates theta_S's
+    # coefficients once for its d_x, d_z pair, and equal the separate
+    # calls, taken on the same data as another state, bit for bit (the
+    # divergence as `incompressible` forms it, of the state's coefficients)
+    from slicelab import diagnostics
+    from slicelab.grid import (VX_BASIS, VZ_BASIS, axis_derivative_modes,
+                               from_modes)
     p = Params(s=0.5)
     lp = circle_loop(PI / 2, PI / 2, 0.8)
     other = random_state(sq64, seed=9)
+    dx, basis = axis_derivative_modes(sq64, other.coefs[0], VX_BASIS, "x")
+    dz, _ = axis_derivative_modes(sq64, other.coefs[1], VZ_BASIS, "z")
     want = (generalized_enstrophy(other, p, np.square),
-            circulation(other, p, lp), max_divergence(other.u_s))
+            circulation(other, p, lp),
+            float(np.max(np.abs(from_modes(sq64, dx + dz, basis)))))
     st = random_state(sq64, seed=9)
     theta_calls = []
-    real = state.to_modes
-    monkeypatch.setattr(state, "to_modes", lambda g, v, b: (
-        theta_calls.append(b) if v is st.theta_s.values else None)
-        or real(g, v, b))
+    real = diagnostics.axis_derivative_modes
+    monkeypatch.setattr(diagnostics, "axis_derivative_modes", lambda g, c, b,
+                        axis, *order: (theta_calls.append(axis)
+                                       if c is st.coefs[3] else None)
+                        or real(g, c, b, axis, *order))
     derivs = diagnostics._first_derivatives(st)
 
     def terms(loop):
@@ -202,8 +209,22 @@ def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
         return rec.enstrophy_q2, rec.circulation, rec.max_div
 
     assert repr(terms(lp)) == repr(want)
-    assert theta_calls == [st.theta_s.basis]
+    assert theta_calls == ["x", "z"]
     assert repr(terms(None)) == repr((want[0], None, want[2]))
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_first_derivative_norms_are_the_state_norms(geometry):
+    # the pass's W^{1,inf} norms are state_component_norms(..., W1INF)'s
+    # bit for bit, for a state made from values and for a stepped one
+    from slicelab.diagnostics import _first_derivatives
+    from slicelab.norms import W1INF, state_component_norms
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    st = random_state(g, seed=3)
+    for _ in range(4):
+        assert state_component_norms(st, W1INF) == tuple(
+            _first_derivatives(st)[0])
+        st = dyn.step_rk4(st, Params(), 1e-2)
 
 
 def test_advect_loop_zero_velocity_is_identity(sq64):

@@ -18,9 +18,9 @@ from slicelab.stochastic import (LinearMultiplicative, PointwiseNemytskii,
                                  step_em, step_transformed)
 
 from helpers import (finish_step_oracle, rhs_norm_oracle, rhs_vorticity,
-                     state_max_abs_diff, step_em_oracle, step_rk4_oracle,
-                     step_rk4_vorticity, step_transformed_oracle,
-                     zero_scalar)
+                     stacked_state, state_max_abs_diff, step_em_oracle,
+                     step_rk4_oracle, step_rk4_vorticity,
+                     step_transformed_oracle, zero_scalar)
 
 PI = np.pi
 
@@ -159,29 +159,12 @@ def _transforms(count_calls):
     return lambda: calls["to_modes"] + calls["from_modes"]
 
 
-def _coefs(state):
-    return [to_modes(state.grid, v, b)
-            for v, b in zip(state_arrays(state), STATE_BASES)]
-
-
-@pytest.fixture
-def sq32_pair():
-    # one state twice: value-born, and carried as a step leaves a state
-    born = random_state(make_grid("square", 32, 32, PI, PI), seed=3)
-    carried = random_state(born.grid, seed=3)
-    return born, make_state(born.grid, 0.0, *_coefs(carried), carried=True)
-
-
-def _step_transforms(count_calls, pair, step):
-    # the transforms of one step of each state of the pair
-    pair[0].grid.z_weight_modes
+def _step_transforms(count_calls, state, step):
+    # the transforms of one step of the state
+    state.grid.z_weight_modes
     transforms = _transforms(count_calls)
-    counts = []
-    for state in pair:
-        before = transforms()
-        step(state)
-        counts.append(transforms() - before)
-    return counts
+    step(state)
+    return transforms()
 
 
 # the counts at s = 0 and, on the square, at s != 0, where every stage
@@ -195,40 +178,39 @@ def _step_transforms(count_calls, pair, step):
 def test_transforms_per_tendency(count_calls, sq32_state, s, radius,
                                  expected):
     # a later stage: coefficients in, the values it reads transformed back
-    coefs = _coefs(sq32_state)
+    coefs = sq32_state.coefs
     sq32_state.grid.z_weight_modes
     transforms = _transforms(count_calls)
     dyn._rhs_arrays(sq32_state.grid, Params(s=s), *coefs, radius=radius)
     assert transforms() == expected
 
 
-# per step of a value-born state (its 4 arrays go forward, its first stage
-# reads their values) and of a carried one (its first stage is a later
-# stage's cost); neither transforms back at the step end
+# per step of a state, made from values or by a step alike: its first
+# stage costs what a later one does, and nothing transforms back at the
+# step end
 
-@pytest.mark.parametrize("s,radius,born,carried", [
-    (0.0, float("inf"), 58, 56), (0.0, 1.0, 64, 64),
-    (1.0, float("inf"), 65, 64), (1.0, 1.0, 68, 68)])
-def test_transforms_per_rk4_step(count_calls, sq32_pair, s, radius, born,
-                                 carried):
-    assert _step_transforms(count_calls, sq32_pair, lambda st: dyn.step_rk4(
-        st, Params(s=s), 1e-3, radius=radius)) == [born, carried]
-
-
-def test_transforms_per_transformed_step(count_calls, sq32_pair):
-    assert _step_transforms(count_calls, sq32_pair, lambda st: (
-        step_transformed(st, Params(s=0.0), 1e-3, 0.7, 0.1, 0.2))) == [58, 56]
+@pytest.mark.parametrize("s,radius,expected", [
+    (0.0, float("inf"), 56), (0.0, 1.0, 64), (1.0, float("inf"), 64),
+    (1.0, 1.0, 68)])
+def test_transforms_per_rk4_step(count_calls, sq32_state, s, radius,
+                                 expected):
+    assert _step_transforms(count_calls, sq32_state, lambda st: dyn.step_rk4(
+        st, Params(s=s), 1e-3, radius=radius)) == expected
 
 
-@pytest.mark.parametrize("s,radius,born,carried", [
-    (0.0, float("inf"), 16, 14), (0.0, 1.0, 16, 16),
-    (1.0, float("inf"), 17, 16)])
-def test_transforms_per_em_step(count_calls, sq32_pair, s, radius, born,
-                                carried):
+def test_transforms_per_transformed_step(count_calls, sq32_state):
+    assert _step_transforms(count_calls, sq32_state, lambda st: (
+        step_transformed(st, Params(s=0.0), 1e-3, 0.7, 0.1, 0.2))) == 56
+
+
+@pytest.mark.parametrize("s,radius,expected", [
+    (0.0, float("inf"), 14), (0.0, 1.0, 16), (1.0, float("inf"), 16)])
+def test_transforms_per_em_step(count_calls, sq32_state, s, radius,
+                                expected):
     # linear noise scales the step's coefficients: no transform of its own
-    assert _step_transforms(count_calls, sq32_pair, lambda st: step_em(
+    assert _step_transforms(count_calls, sq32_state, lambda st: step_em(
         st, Params(s=s), 1e-3, 0.01, LinearMultiplicative(0.5),
-        radius=radius)) == [born, carried]
+        radius=radius)) == expected
 
 
 @pytest.mark.filterwarnings(
@@ -238,10 +220,10 @@ def test_transforms_per_em_step(count_calls, sq32_pair, s, radius, born,
 def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
                                        geometry, stride, rows, monitored):
     # a truncated sim-det run observes every state: a row with a loop takes
-    # 14 transforms (a stepped state's 4 values and 8 first derivatives
-    # back, u_S's curl and divergence; its Z^{3,2} column reads the state's
-    # coefficients), a state the monitor alone reads 12 (the initial
-    # state's 4 go forward instead); the two strides pin both counts.
+    # 14 transforms (a state's 4 values and 8 first derivatives back, u_S's
+    # curl and divergence; its Z^{3,2} column reads the state's
+    # coefficients), a state the monitor alone reads 12; the two strides
+    # pin both counts.
     # Each step takes its first stage from the pass: 64 - 12 = 52 at s = 0,
     # and at this s = 0.5 the square re-expands u_T once per stage (56);
     # the first step also builds the grid's z-weight table (one transform)
@@ -276,15 +258,16 @@ def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_transforms_per_state_norm(count_calls, geometry):
-    # a Z^{3,2} state norm taken alone: one forward transform per array of
-    # a value-born state, none of a carried one, and no inverse one; an
-    # L^2 norm reads the values only
+    # a Z^{3,2} state norm taken alone reads the coefficients: no
+    # transform; an L^2 norm reads the values, transformed back once, on
+    # first read, for a state made from values or by a step alike
     from slicelab.norms import NormSpec, ZKP_DEFAULT, norm
     st = random_state(make_grid(geometry, 32, 16, PI, PI), seed=3)
-    carried = make_state(st.grid, 0.0, *_coefs(st), carried=True)
+    stepped = dyn.step_rk4(st, Params(), 1e-3)
     calls = count_calls("grid", "to_modes", "from_modes")
-    for state, counts in ((st, ((4, 0), (0, 0))), (carried, ((0, 0), (0, 4)))):
-        for spec, expected in zip((ZKP_DEFAULT, NormSpec(0, 2)), counts):
+    for state in (st, stepped):
+        for spec, expected in ((ZKP_DEFAULT, (0, 0)), (NormSpec(0, 2), (0, 4)),
+                               (NormSpec(0, 2), (0, 0))):
             calls.update(to_modes=0, from_modes=0)
             norm(state, spec)
             assert (calls["to_modes"], calls["from_modes"]) == expected
@@ -292,9 +275,10 @@ def test_transforms_per_state_norm(count_calls, geometry):
 
 def test_rk4_step_wraps_and_checks_one_state(count_calls, sq32_state):
     # the stages pass raw arrays; only the new state is wrapped and checked
-    calls = count_calls("state", "make_state", "state_is_finite")
+    calls = count_calls("state", "SimState", "make_state", "state_is_finite")
     dyn.step_rk4(sq32_state, Params(), 1e-3)
-    assert (calls["make_state"], calls["state_is_finite"]) == (1, 1)
+    assert (calls["SimState"], calls["make_state"],
+            calls["state_is_finite"]) == (1, 0, 1)
 
 
 def test_harmonic_rotation_oracle(tor64):
@@ -443,7 +427,7 @@ def test_truncated_far_zone_drops_advection(tor64):
     p = Params(f=1.2, g=0.9, theta0=1.1, s=1.0)
     far = dyn.rhs_truncated(st, p, radius=1e-8)
     # the linear couplings alone, in the stage's coefficient-space order
-    cx, cz, ct, cth = _coefs(st)
+    cx, cz, ct, cth = st.coefs
     ref_x, ref_z = _project_modes(tor64, p.f * ct, p.buoyancy * cth)
     assert np.max(np.abs(far[0] - from_modes(tor64, ref_x, None))) == 0.0
     assert np.max(np.abs(far[2] - from_modes(
@@ -490,11 +474,11 @@ RADIUS_FACTORS = (10.0, 1.6, 1.01, 0.8, 0.4)
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_truncated_tendency_and_step_equal_the_norm_oracle(geometry):
     # a step's first stage takes its cut-off norms from the state's values
-    # and the derivatives its advection takes; they are norm(..., W1INF)'s
-    # bit for bit, so the stage and a one-stage (Euler) step equal the
-    # stage with its cut-offs through norm(..., W1INF).  (A later RK4 stage
-    # reads derivatives of its coefficients, which norm() of its values
-    # would re-transform; the value-space oracle test covers RK4.)
+    # and the derivatives its advection takes of the state's coefficients;
+    # they are state_component_norms(..., W1INF)'s bit for bit, so the
+    # stage and a one-stage (Euler) step equal the stage with its cut-offs
+    # through state_component_norms.  (A later RK4 stage is no state; the
+    # value-space oracle test covers RK4.)
     g = make_grid(geometry, 32, 32, 2 * PI, PI)
     st = _scaled_state(g)
     p = Params(f=1.2, g=0.9, theta0=1.1, s=1.0)
@@ -504,12 +488,12 @@ def test_truncated_tendency_and_step_equal_the_norm_oracle(geometry):
         r = factor * norms[0]
         seen.update((i, _cutoff_class(c)) for i, c in
                     enumerate(dyn.cutoffs_from_norms(norms, r)))
-        want = rhs_norm_oracle(g, p, state_arrays(st), r)
-        got = dyn._rhs_arrays(g, p, *_coefs(st), radius=r,
+        want = rhs_norm_oracle(g, p, st, r)
+        got = dyn._rhs_arrays(g, p, *st.coefs, radius=r,
                               values=state_arrays(st))
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
         got = dyn.step_euler(st, p, 1e-2, radius=r)
-        want = dyn._finish_step(st, dyn._axpy(_coefs(st), want, 1e-2), 1e-2)
+        want = dyn._finish_step(st, dyn._axpy(st.coefs, want, 1e-2), 1e-2)
         assert [a.tobytes() for a in state_arrays(got)] == [
             b.tobytes() for b in state_arrays(want)]
     assert seen == {(i, c) for i in range(3) for c in ("0", "between", "1")}
@@ -676,8 +660,7 @@ def test_batched_transformed_step_equals_serial_steps(geometry):
               for s in range(4)]
     w0 = np.array([0.0, 0.3, -0.2, 0.05])
     w1 = np.array([0.1, 0.25, -0.4, 0.0])
-    batch = make_state(g, 0.0, *(np.stack(a) for a in
-                                 zip(*map(state_arrays, states))))
+    batch = stacked_state(states)
     out = step_transformed(batch, P_S0, 1e-2, 3.0, w0, w1)
     for i, s in enumerate(states):
         want = step_transformed(s, P_S0, 1e-2, 3.0, w0[i], w1[i])

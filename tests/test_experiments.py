@@ -529,7 +529,7 @@ def test_mc_global_does_not_depend_on_scheduling(case, monkeypatch):
 
 
 def test_amplitude_monitor_matches_the_quadrature_oracle(monkeypatch):
-    # the monitor norms by discrete Parseval on the carried coefficients
+    # the monitor norms by discrete Parseval on the states' coefficients
     # against the same run monitored by quadrature on the values: the same
     # trigger steps, values within 1e-13
     import slicelab.norms

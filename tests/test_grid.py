@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slicelab.dynamics import mollify
 from slicelab.errors import ConfigError
 from slicelab.grid import (COS, SIN, Geometry, dealias, derivative_values,
-                           differentiate, from_modes, gaussian_lowpass,
-                           integrate, make_grid, scalar_field, to_modes,
-                           vector_field)
+                           differentiate, from_modes, integrate, make_grid,
+                           scalar_field, to_modes, vector_field)
 from slicelab.incompressible import (MeanVorticityWarning, leray_project,
                                      project_values, velocity_from_vorticity)
 from slicelab.norms import l2
-from slicelab.state import random_scalar_values
+from slicelab.state import STATE_BASES, make_state, random_scalar_values
 
 from helpers import (oracle_dealias, oracle_gaussian_lowpass,
                      oracle_project_values, oracle_velocity_from_vorticity)
@@ -200,12 +200,23 @@ def test_dealias_commutes_with_derivative(seed):
 
 # -- smoothing and quadrature -----------------------------------------------
 
+def oracle_mollify(grid, values, j):
+    # each array low-passed in its state basis, then u_S projected
+    ux, uz, ut, th = (oracle_gaussian_lowpass(grid, v, b, j)
+                      for v, b in zip(values, STATE_BASES))
+    return (*oracle_project_values(grid, ux, uz), ut, th)
+
+
 def test_gaussian_lowpass_single_mode(tor64):
-    f = scalar_field(tor64, np.sin(tor64.x_mesh))
+    # mollify low-passes a state: one |k| = 1 mode per array, u_S =
+    # (sin z, sin x) divergence-free
+    sx, sz = np.sin(tor64.x_mesh), np.sin(tor64.z_mesh)
+    fields = (sz, sx, sx, sz)
+    st = make_state(tor64, 0.0, *fields)
     for j in (2, 8):
-        m = gaussian_lowpass(f, j)
-        want = np.exp(-1.0 / j**2) * np.sin(tor64.x_mesh)
-        assert np.max(np.abs(m.values - want)) <= 1e-13
+        got = mollify(st, j).values
+        for m, f in zip(got, fields):
+            assert np.max(np.abs(m - np.exp(-1.0 / j**2) * f)) <= 1e-13
 
 
 def test_integrate_sin_squared(tor64):
@@ -257,8 +268,8 @@ def test_torus_half_spectrum_matches_full_fft(nx, nz, lz):
     keep = (np.abs(mx) <= nx / 3) & (np.abs(mz) <= nz / 3)
     assert _close_to(dealias(scalar_field(g, f)).values, inv(F * keep))
 
-    k2 = kx_d ** 2 + kz_d ** 2
-    dot = (kx_d * A + kz_d * B) / np.where(k2 > 0, k2, 1.0)
+    k2_d = kx_d ** 2 + kz_d ** 2
+    dot = (kx_d * A + kz_d * B) / np.where(k2_d > 0, k2_d, 1.0)
     p = leray_project(vector_field(g, a, b))
     assert _close_to(p.x.values, inv(A - kx_d * dot))
     assert _close_to(p.z.values, inv(B - kz_d * dot))
@@ -270,8 +281,14 @@ def test_torus_half_spectrum_matches_full_fft(nx, nz, lz):
     assert _close_to(u.x.values, inv(-1j * kz_d * psi))
     assert _close_to(u.z.values, inv(1j * kx_d * psi))
 
-    smooth = gaussian_lowpass(scalar_field(g, f), 5.0)
-    assert _close_to(smooth.values, inv(F * np.exp(-k2 / 25.0)))
+    # mollify: every mode times exp(-|k|^2/25), then u_S projected
+    low = np.exp(-k2 / 25.0)
+    smooth = mollify(make_state(g, 0.0, a, b, f, f), 5.0)
+    dot = (kx_d * A + kz_d * B) * low / np.where(k2_d > 0, k2_d, 1.0)
+    assert _close_to(smooth.u_s.x.values, inv(A * low - kx_d * dot))
+    assert _close_to(smooth.u_s.z.values, inv(B * low - kz_d * dot))
+    assert _close_to(smooth.u_t.values, inv(F * low))
+    assert _close_to(smooth.theta_s.values, inv(F * low))
 
 
 def test_odd_x_derivatives_of_nyquist_column_vanish(tor64):
@@ -309,10 +326,13 @@ def test_operators_match_per_geometry_oracles_bitwise(geometry, nx, nz, lx,
             u = velocity_from_vorticity(omega)
         ox, oz = oracle_velocity_from_vorticity(g, f)
         assert same(u.x.values, ox) and same(u.z.values, oz), seed
+        # mollify works on coefficients, the oracle on values: roundoff
+        got = mollify(make_state(g, 0.0, a, b, f, f), 3).values
+        want = oracle_mollify(g, (a, b, f, f), 3)
+        assert all(np.max(np.abs(m - o)) <= 1e-13
+                   for m, o in zip(got, want)), seed
         for basis in bases:
             field = scalar_field(g, f, basis)
-            assert same(gaussian_lowpass(field, 3).values,
-                        oracle_gaussian_lowpass(g, f, basis, 3)), basis
             assert same(dealias(field).values,
                         oracle_dealias(g, f, basis)), basis
 

@@ -108,14 +108,14 @@ def test_stacked_norms_equal_per_slice_calls(geometry, nx, nz):
     # each path's value is the 2-D call's to the last bit
     from slicelab.grid import make_grid
     from slicelab.norms import _field_norm
-    from slicelab.state import make_state, state_arrays
+    from slicelab.state import make_state
     g = make_grid(geometry, nx, nz, 2 * PI, PI)
     rng = np.random.default_rng([nx, nz, len(geometry)])
     n_paths = 4
     # white noise fills every slot, the Nyquist row and column included
-    batch = make_state(g, 0.0, *(rng.standard_normal((n_paths, nz, nx))
-                                 for _ in range(4)))
-    paths = [make_state(g, 0.0, *(a[i] for a in state_arrays(batch)))
+    arrays = [rng.standard_normal((n_paths, nz, nx)) for _ in range(4)]
+    batch = make_state(g, 0.0, *arrays)
+    paths = [make_state(g, 0.0, *(a[i] for a in arrays))
              for i in range(n_paths)]
     for spec in STACK_SPECS:
         got = _field_norm([batch.u_s.x, batch.u_s.z], spec)
@@ -161,14 +161,13 @@ def test_nan_slice_changes_only_its_own_norms(geometry):
 def test_sup_norms_of_a_nan_field_are_nan(geometry, k):
     # one NaN in u_x: the max over grid points and over multi-indices keeps
     # it, where a fold with Python's max would drop it and read 0.0
-    from slicelab.grid import make_grid
-    from slicelab.state import make_state
+    from slicelab.grid import VX_BASIS, make_grid, to_modes
+    from slicelab.state import SimState
     g = make_grid(geometry, 64, 32, 2 * PI, PI)
     s = random_state(g, seed=5)
     ux = s.u_s.x.values.copy()
     ux[7, 11] = np.nan
-    dirty = make_state(g, 0.0, ux, s.u_s.z.values, s.u_t.values,
-                       s.theta_s.values)
+    dirty = SimState(g, 0.0, (to_modes(g, ux, VX_BASIS), *s.coefs[1:]))
     spec = NormSpec(k, math.inf)
     assert math.isnan(norm(dirty.u_s, spec))
     assert math.isnan(state_component_norms(dirty, spec)[0])
@@ -191,20 +190,26 @@ def _w1inf_inputs(g, state):
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_w1inf_from_derivatives_equals_the_field_norm(geometry):
     # the truncated tendency and the runner's pass reduce derivatives they
-    # already hold; the result is norm(..., W1INF)'s, 2-D and stacked
+    # already hold; the result is norm(..., W1INF)'s of the values they
+    # come from, 2-D and stacked, and state_component_norms(..., W1INF)'s
+    # of the coefficients they come from
+    from helpers import stacked_state
+    from slicelab.dynamics import _gradient
     from slicelab.grid import make_grid
     from slicelab.norms import _w1inf
-    from slicelab.state import make_state, state_arrays
+    from slicelab.state import STATE_BASES
     g = make_grid(geometry, 64, 32, 2 * PI, PI)
     paths = [random_state(g, seed=s, max_mode=5) for s in range(3)]
-    batch = make_state(g, 0.0, *(np.stack(a) for a in
-                                 zip(*map(state_arrays, paths))))
+    batch = stacked_state(paths)
     for state in (*paths, batch):
         for field, values, grads in _w1inf_inputs(g, state):
             got = _w1inf(g, values, grads)
             assert type(got) is type(norm(field, W1INF))
             assert got == norm(field, W1INF)
-    assert [_w1inf(g, v, d) for _, v, d in _w1inf_inputs(g, batch)] == [
+    v, c = batch.values, batch.coefs
+    assert [_w1inf(g, v[i:j], [_gradient(g, c[n], STATE_BASES[n])
+                               for n in range(i, j)])
+            for i, j in ((0, 2), (2, 3), (3, 4))] == [
         list(col) for col in zip(*(state_component_norms(s, W1INF)
                                    for s in paths))]
 

@@ -64,11 +64,16 @@ def test_random_state_amplitude(any_grid):
 
 
 def test_state_arrays_order(sq64):
+    # the arrays read back in order, each the round trip of its own basis
+    from slicelab.grid import from_modes, to_modes
+    from slicelab.state import STATE_BASES
     g = sq64
     ux = np.full((64, 64), 1.0)
     s = make_state(g, 0.0, ux, 2 * ux, 3 * ux, 4 * ux)
     vals = [a[0, 0] for a in state_arrays(s)]
-    assert vals == [1.0, 2.0, 3.0, 4.0]
+    assert vals == [from_modes(g, to_modes(g, k * ux, b), b)[0, 0]
+                    for k, b in zip((1, 2, 3, 4), STATE_BASES)]
+    assert np.round(vals).tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_scale_and_diff(tor64):
@@ -105,23 +110,19 @@ def test_random_state_band_limit(tor64):
     assert np.max(np.abs(c[far])) <= 1e-10 * np.max(np.abs(c))
 
 
-@pytest.mark.parametrize("geometry", ["torus", "square"])
-def test_a_carried_state_derives_its_values_once(geometry, monkeypatch):
-    # a stepped state carries its coefficients; its values are from_modes
-    # of them byte for byte, inverse-transformed once, on first read
+def _reads_back_its_coefficients(st, monkeypatch):
+    # the state's values are from_modes of its coefficients byte for byte,
+    # inverse-transformed once, on first read
     import slicelab.state
-    from slicelab.dynamics import step_rk4
-    from slicelab.grid import from_modes, make_grid
+    from slicelab.grid import from_modes
     from slicelab.state import STATE_BASES
-    g = make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
-    st = step_rk4(random_state(g, seed=2), Params(s=0.0), 1e-3)
-    assert st.carried and st.coefs is st.payload
+    g = st.grid
     calls = []
     monkeypatch.setattr(slicelab.state, "from_modes", lambda *a: (
         calls.append(1) or from_modes(*a)))
     assert st.held_values is None
     want = [from_modes(g, c, b).tobytes()
-            for c, b in zip(st.payload, STATE_BASES)]
+            for c, b in zip(st.coefs, STATE_BASES)]
     for _ in range(2):
         assert [a.tobytes() for a in state_arrays(st)] == want
         assert st.u_t.values.tobytes() == want[2]
@@ -129,8 +130,26 @@ def test_a_carried_state_derives_its_values_once(geometry, monkeypatch):
     assert state_is_finite(st)
 
 
-def test_a_value_born_state_keeps_its_values_as_payload(tor64):
-    st = random_state(tor64, seed=2)
-    assert not st.carried and st.values is st.payload
-    assert st.held_values is st.payload
-    assert st.coefs is st.coefs  # transformed forward once, then kept
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_carried_state_derives_its_values_once(geometry, monkeypatch):
+    # a stepped state is the coefficients the step ends with
+    from slicelab.dynamics import step_rk4
+    from slicelab.grid import make_grid
+    g = make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
+    st = step_rk4(random_state(g, seed=2), Params(s=0.0), 1e-3)
+    _reads_back_its_coefficients(st, monkeypatch)
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_value_made_state_reads_back_its_coefficients(geometry,
+                                                         monkeypatch):
+    # make_state transforms its arrays forward once, and only that: the
+    # values it gives back are the coefficients' inverse transforms
+    from slicelab.grid import make_grid, to_modes
+    from slicelab.state import STATE_BASES
+    g = make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
+    arrays = state_arrays(random_state(g, seed=2))
+    st = make_state(g, 0.0, *arrays)
+    assert [c.tobytes() for c in st.coefs] == [
+        to_modes(g, a, b).tobytes() for a, b in zip(arrays, STATE_BASES)]
+    _reads_back_its_coefficients(st, monkeypatch)

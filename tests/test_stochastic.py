@@ -94,8 +94,8 @@ def test_linear_noise_scales_state(tor64):
     s = sl.random_state(tor64, seed=3, max_mode=4, amplitude=0.5)
     d = st.noise_eval(st.LinearMultiplicative(alpha=0.7), s)
     assert len(d) == 1 and len(d[0]) == 4
-    for got, a in zip(d[0], state_arrays(s)):
-        assert np.array_equal(got, 0.7 * a)
+    for got, c in zip(d[0], s.coefs):
+        assert np.array_equal(got, 0.7 * c)
 
 
 def test_nemytskii_projects_velocity_shape(tor64):
@@ -110,7 +110,8 @@ def test_nemytskii_projects_velocity_shape(tor64):
                  sl.scalar_field(tor64, zero), sl.scalar_field(tor64, zero)),))
     d = st.noise_eval(model, s)
     assert len(d) == 1 and model.modes == 1
-    dux, duz, _, _ = d[0]
+    dux, duz = (from_modes(tor64, c, b)
+                for c, b in zip(d[0][:2], STATE_BASES))
     assert np.max(np.abs(dux - sz)) <= PROJ_TOL
     assert np.max(np.abs(duz)) <= PROJ_TOL
 
@@ -124,9 +125,10 @@ def test_nemytskii_state_dependent_gain(tor64):
                lambda stt: stt.u_t.values),
         shapes=((sl.scalar_field(tor64, zero), sl.scalar_field(tor64, zero),
                  sl.scalar_field(tor64, sz), sl.scalar_field(tor64, sz)),))
+    # the u_T and theta_S channels: the products, transformed forward
     _, _, dut, dth = st.noise_eval(model, s)[0]
-    assert np.array_equal(dut, sz)
-    assert np.array_equal(dth, s.u_t.values * sz)
+    assert np.array_equal(dut, to_modes(tor64, sz, None))
+    assert np.array_equal(dth, to_modes(tor64, s.u_t.values * sz, None))
 
 
 @pytest.mark.parametrize("bad_gain", [
@@ -200,7 +202,7 @@ def test_em_linear_matches_manual_update(tor64):
     got = st.step_em(s, p, 1e-3, np.array([0.0123]),
                      st.LinearMultiplicative(alpha=0.7))
     y = state_arrays(s)
-    c = _coefs(tor64, y)
+    c = s.coefs
     drift = dyn._rhs_arrays(tor64, p, *c, values=y)
     y1 = tuple(a + 1e-3 * b for a, b in zip(c, drift))
     y2 = tuple(a + 0.0123 * (0.7 * b) for a, b in zip(y1, c))
@@ -214,7 +216,6 @@ def test_em_linear_matches_manual_update(tor64):
 
 @pytest.mark.parametrize("geom", ["torus", "square"])
 def test_em_nemytskii_two_modes_matches_manual_update(geom):
-    from slicelab.incompressible import project_values
     g = (sl.make_grid("torus", 32, 32, 2 * np.pi, 2 * np.pi)
          if geom == "torus" else sl.make_grid("square", 32, 32, np.pi, np.pi))
     s = sl.random_state(g, seed=3, max_mode=4, amplitude=0.5)
@@ -233,15 +234,18 @@ def test_em_nemytskii_two_modes_matches_manual_update(geom):
     dw = np.array([0.021, -0.013])
     got = st.step_em(s, p, 1e-3, dw, model)
     y = state_arrays(s)
-    c = _coefs(g, y)
+    c = s.coefs
     drift = dyn._rhs_arrays(g, p, *c, values=y)
     y1 = tuple(a + 1e-3 * b for a, b in zip(c, drift))
-    # each mode's value arrays go forward and are added to the coefficients
+    # each mode's products go forward, u_S is projected on the coefficients,
+    # and the mode is added to the step's coefficients
     for w_j, (sx, sz, su, sth) in zip(dw, shapes):
-        gx, gz = project_values(g, 0.3 * sx.values, 0.3 * sz.values)
-        sigma = (gx, gz, (1.0 + s.theta_s.values) * su.values,
+        sigma = (0.3 * sx.values, 0.3 * sz.values,
+                 (1.0 + s.theta_s.values) * su.values,
                  s.u_t.values * sth.values)
-        y1 = tuple(a + w_j * b for a, b in zip(y1, _coefs(g, sigma)))
+        cx, cz, ct, cth = _coefs(g, sigma)
+        y1 = tuple(a + w_j * b for a, b in zip(
+            y1, (*_project_modes(g, cx, cz), ct, cth)))
     for a, b in zip(state_arrays(got), _values(g, y1)):
         assert np.array_equal(a, b)
 
@@ -338,9 +342,8 @@ def test_transformed_pure_decay(tor64):
     alpha = 1.3
     out = st.step_transformed(s, p, 0.01, alpha, 0.0, 0.9)
     fac = math.exp(-0.5 * alpha * alpha * 0.01)
-    for got, field in ((out.u_t, s.u_t), (out.theta_s, s.theta_s)):
-        assert np.array_equal(got.values, from_modes(
-            tor64, fac * to_modes(tor64, field.values, None), None))
+    for got, c in ((out.u_t, s.coefs[2]), (out.theta_s, s.coefs[3])):
+        assert np.array_equal(got.values, from_modes(tor64, fac * c, None))
 
 
 def test_transformed_overflow_guard(tor64):
