@@ -18,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _gradient, _rk4_arrays
+from .dynamics import _rk4_arrays
 from .errors import ConfigError, LoopDomainError
 from .grid import (Geometry, Grid, NEUMANN_BASIS, ScalarField, VectorField,
-                   VX_BASIS, VZ_BASIS, axis_derivative_modes, from_modes,
-                   integrate, scalar_field)
-from .incompressible import curl
-from .norms import NormSpec, ZKP_DEFAULT, _w1inf, l2, norm
+                   VX_BASIS, VZ_BASIS, from_modes, integrate, scalar_field)
+from .incompressible import curl_modes, divergence_modes
+from .norms import NormSpec, ZKP_DEFAULT, combine, state_component_norms
 from .runio import DiagnosticsRecord
-from .state import STATE_BASES, Params, SimState, state_arrays
+from .state import Params, SimState, state_arrays
 
 
 class EnergyAccountingWarning(UserWarning):
@@ -53,15 +52,11 @@ def energy(state: SimState, params: Params) -> float:
 def potential_vorticity(state: SimState, params: Params) -> ScalarField:
     """q as above.  On the square the returned basis is cos.cos, the parity
     class of the s = 0 expression; values are exact for any s."""
-    return _potential_vorticity(state, params, _first_derivatives(state)[1])
-
-
-def _potential_vorticity(state: SimState, params: Params,
-                         row) -> ScalarField:
-    _, (*_, (dx_ut, dz_ut), (dx_th, dz_th)), vorticity, _ = row
-    om = from_modes(state.grid, *vorticity)
+    g = state.grid
+    *_, (dx_ut, dz_ut), (dx_th, dz_th) = state.gradients
+    om = from_modes(g, *curl_modes(g, *state.coefs[:2]))
     q = params.s * om - (dx_ut + params.f) * dz_th + dz_ut * dx_th
-    return scalar_field(state.grid, q, NEUMANN_BASIS)
+    return scalar_field(g, q, NEUMANN_BASIS)
 
 
 def generalized_enstrophy(state: SimState, params: Params, phi) -> float:
@@ -77,11 +72,13 @@ def bkm_bound(state: SimState, params: Params, c2: float = 1.0) -> float:
     """C2 ||u_S||_L2 + C2 ||omega||_inf (1 + log+ (||u_S||_Zkp/||omega||_inf))."""
     if c2 <= 0:
         raise ConfigError(f"BKM constant must be positive, got {c2}")
-    u_l2 = l2(state.u_s)
-    om_inf = float(np.max(np.abs(curl(state.u_s).values)))
+    g = state.grid
+    u_l2 = state_component_norms(state, NormSpec(0, 2))[0]
+    om_inf = float(np.max(np.abs(from_modes(g, *curl_modes(
+        g, *state.coefs[:2])))))
     if om_inf == 0.0:
         return c2 * u_l2
-    ratio = norm(state.u_s, ZKP_DEFAULT) / om_inf
+    ratio = state_component_norms(state, ZKP_DEFAULT)[0] / om_inf
     return c2 * u_l2 + c2 * om_inf * (1.0 + max(0.0, math.log(ratio)))
 
 
@@ -178,19 +175,14 @@ def _interp_pair(grid: Grid, x_values, z_values, pts: np.ndarray,
 def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
     """Trapezoidal line integral of v_S = s u_S - (u_T + f x) grad theta_S
     around the loop, with bilinear sampling of the integrand fields."""
-    return _circulation(state, params, loop, _gradient(
-        state.grid, state.coefs[3], STATE_BASES[3]))
-
-
-def _circulation(state: SimState, params: Params, loop: MaterialLoop,
-                 grad_th) -> float:
     g = state.grid
     pts = loop.points
     _check_inside(g, pts)
-    dx_th, dz_th = grad_th
-    coef = state.u_t.values + params.f * g.x_mesh
-    vx_vals = params.s * state.u_s.x.values - coef * dx_th
-    vz_vals = params.s * state.u_s.z.values - coef * dz_th
+    ux, uz, ut, _ = state.values
+    dx_th, dz_th = state.gradients[3]
+    coef = ut + params.f * g.x_mesh
+    vx_vals = params.s * ux - coef * dx_th
+    vz_vals = params.s * uz - coef * dz_th
     v = _interp_pair(g, vx_vals, vz_vals, pts)
     nxt = np.roll(np.arange(pts.shape[0]), -1)
     seg = pts[nxt] - pts
@@ -198,44 +190,22 @@ def _circulation(state: SimState, params: Params, loop: MaterialLoop,
     return float(np.sum(mid[:, 0] * seg[:, 0] + mid[:, 1] * seg[:, 1]))
 
 
-def _first_derivatives(state: SimState):
-    """One first-derivative pass, 8 inverse transforms plus the 4 that give
-    the state its values if they have not been read yet: the (u_S, u_T,
-    theta_S) W^{1,inf} norms, bitwise state_component_norms(state,
-    W1INF), and the row part: the state's coefficients and the 4 (d_x,
-    d_z) value pairs,
-    bitwise a step's own first-stage ones (`row[:2]` is a stepper's
-    `_handed`), and the (coefficients, basis) of u_S's curl and
-    divergence, formed as in `incompressible`."""
-    g, arrays, coefs = state.grid, state.values, state.coefs
-    # (d_x, d_z) of each array as (coefficients, basis), then as values
-    (xx, zx), (xz, zz), *_ = modes = [[axis_derivative_modes(
-        g, c, b, a) for a in "xz"] for c, b in zip(coefs, STATE_BASES)]
-    grads = [[from_modes(g, *cb) for cb in pair] for pair in modes]
-    w1inf = [_w1inf(g, arrays[:2], grads[:2])] + [
-        _w1inf(g, (v,), (d,)) for v, d in zip(arrays[2:], grads[2:])]
-    return w1inf, (coefs, grads, (xz[0] - zx[0], xz[1]),
-                   (xx[0] + zz[0], xx[1]))
-
-
 def _row_record(state: SimState, params: Params, loop: MaterialLoop | None,
-                spec: NormSpec, w1inf, row, lam=None, w_t=None,
+                spec: NormSpec, w1inf, lam=None, w_t=None,
                 cutoffs=(None, None, None)) -> DiagnosticsRecord:
-    """One diagnostics row from the state's `_first_derivatives` pass
-    (w1inf, row): enstrophy_q2 is generalized_enstrophy(state, params,
-    np.square), circulation None without a loop; lam, w_t and the cutoffs
-    are the caller's."""
+    """One diagnostics row of the state, its (u_S, u_T, theta_S) W^{1,inf}
+    norms `w1inf` taken already; circulation None without a loop; lam,
+    w_t and the cutoffs are the caller's."""
     g = state.grid
-    _, (*_, grad_th), _, div = row
-    q = _potential_vorticity(state, params, row).values
-    enstrophy_q2 = integrate(g, np.square(q))
-    circ = None if loop is None else _circulation(state, params, loop,
-                                                  grad_th)
-    max_div = float(np.max(np.abs(from_modes(g, *div))))
+    enstrophy_q2 = generalized_enstrophy(state, params, np.square)
+    circ = None if loop is None else circulation(state, params, loop)
+    max_div = float(np.max(np.abs(from_modes(g, *divergence_modes(
+        g, *state.coefs[:2])))))
     # the arguments in CSV column order
     return DiagnosticsRecord(
-        state.t, energy(state, params), l2(state.u_s), l2(state.u_t),
-        l2(state.theta_s), *w1inf, norm(state, spec), max_div,
+        state.t, energy(state, params),
+        *state_component_norms(state, NormSpec(0, 2)), *w1inf,
+        combine(state_component_norms(state, spec), spec.p), max_div,
         enstrophy_q2, circ, lam, w_t, *cutoffs)
 
 

@@ -16,9 +16,10 @@ tendency, `_rhs_arrays`: 14 transforms a stage (u_S and 8 first
 derivatives back, 4 products forward; 16 truncated, which reads all 4
 fields' values), and a step ends with its projected coefficients, which
 are the new state: 56 per RK4 step, 64 truncated, 14 per EM step.  The
-first stage takes the values that the state already holds, and a handed
-first-derivative pass saves that stage's derivatives (52 per handed
-truncated step).
+first stage takes the values and the gradient pass that the state already
+holds (`SimState.gradients`, read by its W^{1,inf} norms: 52 per
+truncated step of such a state) and computes the rest without keeping
+them.
 An `advect` scale on all advection terms and a `source_scale` on the z s
 source let the exponentially-transformed system share it.  At an infinite
 radius and unit scales every factor is exactly 1.0, so the float operation
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DivergedError
-from .grid import Geometry, Grid, derivative_values, from_modes, to_modes
+from .grid import Geometry, Grid, from_modes, gradient_values, to_modes
 from .incompressible import _project_modes
 from .norms import W1INF, _max, _w1inf, state_component_norms
 from .state import (STATE_BASES, THETA_BASIS, Params, SimState,
@@ -44,20 +45,12 @@ from .state import (STATE_BASES, THETA_BASIS, Params, SimState,
 # tendencies
 # ---------------------------------------------------------------------------
 
-def _gradient(grid: Grid, coef, basis):
-    """(d_x, d_z) values of a field from its coefficients."""
-    return (derivative_values(grid, coef, basis, 1, 0)[0],
-            derivative_values(grid, coef, basis, 0, 1)[0])
-
-
 def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
                 radius: float = math.inf, advect: float = 1.0,
                 source_scale: float = 1.0, values=None, grads=None):
     """The tendency's coefficients (dux, duz, dut, dth) at the stage with
     coefficients (cx, cz, ct, cth) in `STATE_BASES`; its values and their
-    (d_x, d_z) pairs are taken from these unless given (a given list of
-    pairs is emptied as they are read, so each is freed after its use, as
-    the stage's own ones are).  A finite radius
+    (d_x, d_z) pairs are taken from these unless given.  A finite radius
     truncates with the W^{1,inf} norms of the same arrays; an infinite one
     and unit scales give the bitwise-plain tendency.  On the square a
     nonzero s re-expands u_T in theta_S's basis."""
@@ -71,7 +64,8 @@ def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
     ux, uz, ut, _ = values
     adv, w1inf, held = [], [], []
     for i, (c, basis) in enumerate(zip(coefs, STATE_BASES)):
-        dx, dz = grad = grads.pop(0) if grads else _gradient(grid, c, basis)
+        dx, dz = grad = (grads[i] if grads
+                         else gradient_values(grid, c, basis))
         adv.append(to_modes(grid, ux * dx + uz * dz, basis)
                    * grid.keep(basis))
         if truncated:
@@ -98,14 +92,12 @@ def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
     return dux, duz, dut, dth
 
 
-def _first_stage(state: SimState, handed=None):
-    """A step's coefficients and its first stage's keywords: the state's
-    coefficients and the values it holds (the stage transforms back those
-    it needs and the state does not hold yet), unless the state's
-    first-derivative pass is handed over as (coefficients, list of
-    derivative value pairs), a list that the first stage empties."""
-    coefs, grads = handed or (state.coefs, None)
-    return tuple(coefs), dict(values=state.held_values, grads=grads)
+def _first_stage(state: SimState):
+    """A step's coefficients and its first stage's keywords: the values
+    and gradients the state holds (the stage transforms back those it
+    needs and the state does not hold yet, and does not keep them)."""
+    return tuple(state.coefs), dict(values=state.held("values"),
+                                    grads=state.held("gradients"))
 
 
 def rhs_deterministic(state: SimState, params: Params):
@@ -208,25 +200,24 @@ def _check_dt(dt: float):
 
 
 def step_rk4(state: SimState, params: Params, dt: float,
-             radius: float = math.inf, _handed=None) -> SimState:
+             radius: float = math.inf) -> SimState:
     """One classical RK4 step of the system truncated at `radius` (plain at
-    infinity); u_S re-projected afterwards.  `_handed`: see `_first_stage`."""
+    infinity); u_S re-projected afterwards."""
     _check_dt(dt)
     g = state.grid
 
     def f(t, y, **first):
         return _rhs_arrays(g, params, *y, radius=radius, **first)
 
-    y, first = _first_stage(state, _handed)
+    y, first = _first_stage(state)
     return _finish_step(state, _rk4_arrays(y, f, state.t, dt, **first),
                         state.t + dt)
 
 
-def _euler_arrays(state: SimState, params: Params, dt: float, radius: float,
-                  handed=None):
+def _euler_arrays(state: SimState, params: Params, dt: float, radius: float):
     # the step's coefficients and its drift update, before projection
     _check_dt(dt)
-    y, first = _first_stage(state, handed)
+    y, first = _first_stage(state)
     return y, _axpy(y, _rhs_arrays(state.grid, params, *y, radius=radius,
                                    **first), dt)
 

@@ -419,6 +419,12 @@ def derivative_values(grid: Grid, coef: np.ndarray, basis, order_x: int,
     return from_modes(grid, coef, basis), basis
 
 
+def gradient_values(grid: Grid, coef: np.ndarray, basis):
+    """(d_x, d_z) values of the field with raw coefficients `coef`."""
+    return (derivative_values(grid, coef, basis, 1, 0)[0],
+            derivative_values(grid, coef, basis, 0, 1)[0])
+
+
 def differentiate(field: ScalarField, axis: str) -> ScalarField:
     """Spectral first derivative along "x" or "z"."""
     if axis not in ("x", "z"):

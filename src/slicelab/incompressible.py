@@ -55,12 +55,27 @@ def curl(v: VectorField) -> ScalarField:
     return _derivative_pair(v.grid, v.z, "x", operator.sub, v.x, "z")
 
 
-def _project_modes(grid: Grid, cx, cz):
-    """Project velocity coefficients in the (VX_BASIS, VZ_BASIS) bases."""
+def divergence_modes(grid: Grid, cx, cz):
+    """(coefficients, basis) of d_x u_x + d_z u_z, from velocity
+    coefficients in the (VX_BASIS, VZ_BASIS) bases."""
     dx, basis = axis_derivative_modes(grid, cx, VX_BASIS, "x")
     dz, _ = axis_derivative_modes(grid, cz, VZ_BASIS, "z")
+    return dx + dz, basis
+
+
+def curl_modes(grid: Grid, cx, cz):
+    """(coefficients, basis) of d_x u_z - d_z u_x, from velocity
+    coefficients in the (VX_BASIS, VZ_BASIS) bases."""
+    dx, basis = axis_derivative_modes(grid, cz, VZ_BASIS, "x")
+    dz, _ = axis_derivative_modes(grid, cx, VX_BASIS, "z")
+    return dx - dz, basis
+
+
+def _project_modes(grid: Grid, cx, cz):
+    """Project velocity coefficients in the (VX_BASIS, VZ_BASIS) bases."""
+    div, basis = divergence_modes(grid, cx, cz)
     # dividing (not multiplying by a reciprocal) keeps the square bitwise
-    phi = (dx + dz) / grid.laplacian_symbol(basis, odd=True)
+    phi = div / grid.laplacian_symbol(basis, odd=True)
     gx, _ = axis_derivative_modes(grid, phi, basis, "x")
     gz, _ = axis_derivative_modes(grid, phi, basis, "z")
     return cx - gx, cz - gz

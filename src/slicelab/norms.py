@@ -13,12 +13,13 @@ one vector field) by an l^p sum, or a max when p = infinity.
 
 `_reduce` is the one reduction from derivative values: `_field_norm` feeds
 it from a field's own transforms, `state_component_norms` from the state's
-coefficients, and the truncated tendency and the runner's first-derivative
-pass feed it W^{1,inf} from derivatives they already hold.  Values stacked
-along a leading path axis, shape (B, nz, nx), are reduced slice by slice:
-`_field_norm` and `state_component_norms` then give one norm (or triple)
-per path, each bit for bit the 2-D call's on that slice, with the
-transforms of one call shared by all B.
+coefficients, its first-order terms from the state's cached gradient pass
+(`SimState.gradients`, which a step's first stage then reuses), and the
+truncated tendency feeds it W^{1,inf} from the derivatives its stage
+holds.  Values stacked along a leading path axis, shape (B, nz, nx), are
+reduced slice by slice: `_field_norm` and `state_component_norms` then
+give one norm (or triple) per path, each bit for bit the 2-D call's on
+that slice, with the transforms of one call shared by all B.
 """
 
 from __future__ import annotations
@@ -74,14 +75,17 @@ def _field_norm(components: list[ScalarField], spec: NormSpec):
                       bases, spec)
 
 
-def _norm_from(grid, values, coefs, bases, spec: NormSpec):
+def _norm_from(grid, values, coefs, bases, spec: NormSpec, grads=None):
     """W^{k,p} of the components with coefficients `coefs` in `bases`;
-    `values()` gives their value arrays, read only by a k = 0 term.
-    W^{k,2}, k >= 1, is Parseval's; any other takes the derivatives' values
-    one multi-index at a time."""
+    `values()` gives their value arrays, read only by a k = 0 term, and
+    `grads()`, if given, their (d_x, d_z) value pairs, read only by the
+    first-order terms.  W^{k,2}, k >= 1, is Parseval's; any other takes
+    the derivatives' values one multi-index at a time."""
     if spec.k and spec.p == 2:
         return _parseval(grid, coefs, bases, spec.k)
     return _reduce(grid, (values() if ax == az == 0
+                          else [p[az] for p in grads()]
+                          if grads and ax + az == 1
                           else [derivative_values(grid, c, b, ax, az)[0]
                                 for c, b in zip(coefs, bases)]
                           for ax, az in _multi_indices(spec.k)), spec)
@@ -152,9 +156,11 @@ def state_component_norms(state: SimState, spec: NormSpec):
     """(u_S, u_T, theta_S) norms as a tuple, for monitors and diagnostics;
     a stacked state gives a list of such triples, one per path.  Every
     norm is taken from the state's coefficients (W^{k,2}, k >= 1, with no
-    transform) and its k = 0 term from the state's values."""
+    transform), its k = 0 term from the state's values and its first-order
+    terms from the state's gradients."""
     c = state.coefs
     parts = tuple(_norm_from(state.grid, lambda i=i, j=j: state.values[i:j],
-                             c[i:j], STATE_BASES[i:j], spec)
+                             c[i:j], STATE_BASES[i:j], spec,
+                             lambda i=i, j=j: state.gradients[i:j])
                   for i, j in ((0, 2), (2, 3), (3, 4)))
     return list(zip(*parts)) if np.ndim(c[0]) == 3 else parts

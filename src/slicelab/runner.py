@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 from . import experiments as experiments_mod
 from .checkpoint import RunStamp, read_checkpoint, write_checkpoint
 from .config import RunConfig, render_config, with_grid
-from .diagnostics import _first_derivatives, _row_record
+from .diagnostics import _row_record
 from .dynamics import cutoffs_from_norms, step_rk4
 from .errors import ConfigError, DivergedError
+from .norms import W1INF, state_component_norms
 from .runio import (_open_diagnostics, append_diagnostics, write_key_values,
                     write_stopping_record)
 from .state import random_state
@@ -97,10 +98,9 @@ def _run_sim(cfg: RunConfig) -> RunResult:
             os.remove(stale)  # a re-run replaces, never extends, its outputs
 
     w = None
-    # hand: the state's first-derivative pass, where the run observed it
     if cfg.mode == "sim-det":
-        def advance(s, i, hand):
-            return step_rk4(s, params, cfg.dt, cfg.radius, hand)
+        def advance(s, i):
+            return step_rk4(s, params, cfg.dt, cfg.radius)
     else:
         # a restart at step k0 continues the run's own Wiener path: a longer
         # path from the same seed begins with the shorter one's increments
@@ -110,22 +110,22 @@ def _run_sim(cfg: RunConfig) -> RunResult:
         if cfg.mode == "sim-sde":
             model = LinearMultiplicative(cfg.alpha)
 
-            def advance(s, i, hand):
+            def advance(s, i):
                 return step_em(s, params, cfg.dt, inc[:, i], model,
-                               cfg.radius, hand)
+                               cfg.radius)
         else:
             # v = e^{-alpha W} u is u itself at W(0) = 0, and a checkpoint
             # of this mode already holds v
-            def advance(s, i, hand):
+            def advance(s, i):
                 return step_transformed(s, params, cfg.dt, cfg.alpha,
-                                        float(w[i]), float(w[i + 1]), hand)
+                                        float(w[i]), float(w[i + 1]))
     monitor = OnlineMonitor(NORM_THRESHOLD, cfg.radius) if truncated else None
     row_cutoffs = truncated and cfg.mode != "sim-transform"
 
     mu = -cfg.alpha * cfg.alpha / 32.0
     diag = None  # the CSV, opened once, at the first row
 
-    def emit(s, step, w1inf, row):
+    def emit(s, step, w1inf):
         nonlocal diag
         lam = w_t = None
         if w is not None:
@@ -133,23 +133,23 @@ def _run_sim(cfg: RunConfig) -> RunResult:
             lam = math.exp(cfg.alpha * w_t + mu * s.t)
         cut = (cutoffs_from_norms(w1inf, cfg.radius) if row_cutoffs
                else (None, None, None))
-        rec = _row_record(s, params, loop, cfg.norm_spec, w1inf, row, lam,
-                          w_t, cut)
+        rec = _row_record(s, params, loop, cfg.norm_spec, w1inf, lam, w_t, cut)
         if diag is None:
             diag = _open_diagnostics(diag_path)
         append_diagnostics(rec, diag)
 
     def observe(s, step, row_due):
-        # one first-derivative pass per state feeds the row, the monitor
-        # (stopping at the first crossing of the cutoff radius) and the
-        # next step: (stop, hand); a state that stops the run gets its row
+        # the state's W^{1,inf} norms feed the row and the monitor (stopping
+        # at the first crossing of the cutoff radius) and leave the state
+        # holding the gradients its next step's first stage takes; a state
+        # that stops the run gets its row
         if not row_due and monitor is None:
-            return False, None
-        w1inf, row = _first_derivatives(s)
+            return False
+        w1inf = state_component_norms(s, W1INF)
         stop = monitor is not None and monitor.update(s.t, max(w1inf))
         if row_due or stop:
-            emit(s, step, w1inf, row)
-        return stop, row[:2]
+            emit(s, step, w1inf)
+        return stop
 
     def checkpoint(s, step):
         stamp = RunStamp(cfg.mode, cfg.seed, cfg.dt, k0 + step,
@@ -163,19 +163,19 @@ def _run_sim(cfg: RunConfig) -> RunResult:
         return RunResult(EXIT_STOPPED, cfg.out_dir, s, stopping=rec)
 
     try:
-        stop, hand = observe(state, 0, True)
+        stop = observe(state, 0, True)
         if stop:
             return finish_stopped(state, 0)
 
         for i in range(n):
             try:
-                state = advance(state, i, hand)
+                state = advance(state, i)
             except DivergedError:
                 # the state before the failed step is the last valid one
                 checkpoint(state, i)
                 return RunResult(EXIT_DIVERGED, cfg.out_dir, state)
-            stop, hand = observe(state, i + 1,
-                                 (i + 1) % cfg.stride == 0 or i + 1 == n)
+            stop = observe(state, i + 1,
+                           (i + 1) % cfg.stride == 0 or i + 1 == n)
             if stop:
                 return finish_stopped(state, i + 1)
 
@@ -275,7 +275,7 @@ def _run_diag(cfg: RunConfig) -> RunResult:
         cfg = with_grid(cfg, state.grid)
     _write_echo(cfg)
     rec = _row_record(state, params, cfg.loop(), cfg.norm_spec,
-                      *_first_derivatives(state))
+                      state_component_norms(state, W1INF))
     with _open_diagnostics(os.path.join(cfg.out_dir, DIAG_FILE)) as fh:
         append_diagnostics(rec, fh)
     return RunResult(EXIT_COMPLETED, cfg.out_dir, state, payload=rec)

@@ -6,7 +6,9 @@ grid, plus the model time.  A state is the coefficients of the four arrays
 (u_x, u_z, u_T, theta_S) in `STATE_BASES`, a truncated Galerkin vector:
 every step, norm and checkpoint reads them, and value arrays are made only
 at the edge, by `make_state` (forward, once) and `SimState.values` (back,
-once, when first read).
+once, when first read).  `SimState.gradients`, the first-derivative pass
+that the W^{1,inf} norms, the diagnostics and a step's first stage share,
+is likewise taken once, when first read, and kept.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import (Grid, Geometry, SCALAR_BASIS, ScalarField, VectorField,
-                   VX_BASIS, VZ_BASIS, differentiate, from_modes, scalar_field,
-                   to_modes, vector_field)
+                   VX_BASIS, VZ_BASIS, differentiate, from_modes,
+                   gradient_values, scalar_field, to_modes, vector_field)
 
 #: Square parity classes of u_T and theta_S (the torus ignores them).  The
 #: f-coupling (du_x gains f u_T, du_T loses f u_x) forces u_T into the
@@ -61,8 +63,9 @@ class Params:
 @dataclass(frozen=True, eq=False)
 class SimState:
     """A model time and the fields (u_x, u_z, u_T, theta_S) on one grid,
-    held as their coefficients in `STATE_BASES`; their value arrays are
-    transformed back once, when first read, and kept."""
+    held as their coefficients in `STATE_BASES`; their value arrays and
+    their gradients are transformed back once, when first read, and
+    kept."""
 
     grid: Grid
     t: float
@@ -73,10 +76,16 @@ class SimState:
         return tuple(from_modes(self.grid, c, b)
                      for c, b in zip(self.coefs, STATE_BASES))
 
-    @property
-    def held_values(self):
-        """The value arrays if they have been read already, else None."""
-        return vars(self).get("values")
+    @cached_property
+    def gradients(self) -> tuple:
+        """The (d_x, d_z) value pairs of the four arrays."""
+        return tuple(gradient_values(self.grid, c, b)
+                     for c, b in zip(self.coefs, STATE_BASES))
+
+    def held(self, name: str):
+        """`values` or `gradients` if they have been read already, else
+        None."""
+        return vars(self).get(name)
 
     @property
     def u_s(self) -> VectorField:

@@ -197,15 +197,15 @@ def noise_eval(model, state: SimState) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 def step_em(state: SimState, params: Params, dt: float, dw, model,
-            radius: float = math.inf, _handed=None) -> SimState:
+            radius: float = math.inf) -> SimState:
     """Euler-Maruyama: drift step (truncated at a finite `radius`) plus
     per-mode diffusion * increment, on the step's coefficients.
 
     dw holds this step's Brownian increments, one per noise mode (a scalar
     is accepted for single-mode models); diffusion is evaluated at the step
-    start.  `_handed` as for `step_rk4`.
+    start.
     """
-    y1 = _euler_arrays(state, params, dt, radius, _handed)[1]
+    y1 = _euler_arrays(state, params, dt, radius)[1]
     diffs = noise_eval(model, state)
     dw_arr = np.atleast_1d(np.asarray(dw, dtype=float))
     if dw_arr.shape != (len(diffs),):
@@ -248,7 +248,7 @@ def transform_backward(state: SimState, alpha: float, w_t: float) -> SimState:
 
 
 def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
-                     w_start, w_end, _handed=None) -> SimState:
+                     w_start, w_end) -> SimState:
     """One RK4 step of the transformed (random-coefficient) system.
 
     Advection is scaled by exp(+alpha W(tau)) and the z s source by
@@ -256,7 +256,7 @@ def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
     linear couplings are invariant under the rescaling.  The half-alpha-
     squared damping has the exact one-step solution exp(-alpha^2 dt/2), so
     it is applied as an integrating factor after the stage combination
-    rather than folded into the tendency.  `_handed` as for `step_rk4`.
+    rather than folded into the tendency.
 
     A batch of B paths is a state whose fields have shape (B, nz, nx), with
     w_start and w_end of shape (B,); each path's slice equals its own
@@ -273,7 +273,7 @@ def step_transformed(state: SimState, params: Params, dt: float, alpha: float,
         return _rhs_arrays(g, params, *y, advect=_path_exp(alpha * w),
                            source_scale=_path_exp(-alpha * w), **first)
 
-    y, first = _first_stage(state, _handed)
+    y, first = _first_stage(state)
     y1 = _rk4_arrays(y, f, t0, dt, **first)
     damp = math.exp(-0.5 * alpha * alpha * dt)
     return _finish_step(state, tuple(damp * a for a in y1), t0 + dt)

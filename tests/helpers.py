@@ -19,12 +19,12 @@ from dataclasses import replace
 import numpy as np
 import scipy.fft as sfft
 
-from slicelab.dynamics import (_axpy, _check_dt, _gradient, _rk4_arrays,
+from slicelab.dynamics import (_axpy, _check_dt, _rk4_arrays,
                                cutoffs_from_norms)
 from slicelab.errors import ConfigError, DivergedError
 from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
                            VX_BASIS, VZ_BASIS, axis_derivative_modes,
-                           derivative_values, from_modes,
+                           derivative_values, from_modes, gradient_values,
                            scalar_field, to_modes, vector_field)
 from slicelab.experiments import _path_rng
 from slicelab.incompressible import (_project_modes, project_values,
@@ -84,7 +84,7 @@ def dealias_values(grid, values, basis):
 
 def value_gradient(g, values, basis):
     """(d_x, d_z) values of a field from its values: three transforms."""
-    return _gradient(g, to_modes(g, values, basis), basis)
+    return gradient_values(g, to_modes(g, values, basis), basis)
 
 
 def _advect(g, ux, uz, grad, basis):
@@ -508,8 +508,7 @@ def rhs_norm_oracle(grid, params: Params, state: SimState, radius: float):
     c_us, c_ut, c_th = cutoffs_from_norms(
         state_component_norms(state, W1INF), radius)
     adv = []
-    for c, basis in zip(coefs, STATE_BASES):
-        dx, dz = _gradient(grid, c, basis)
+    for (dx, dz), basis in zip(state.gradients, STATE_BASES):
         adv.append(to_modes(grid, ux * dx + uz * dz, basis)
                    * grid.keep(basis))
     adv_x, adv_z, adv_t, adv_s = adv

@@ -180,13 +180,14 @@ def test_circulation_rejects_outside_loop(sq64):
 
 def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
     # a row's enstrophy, circulation and max divergence share the state's
-    # one first-derivative pass, which differentiates theta_S's
+    # one cached gradient pass, which differentiates theta_S's
     # coefficients once for its d_x, d_z pair, and equal the separate
     # calls, taken on the same data as another state, bit for bit (the
-    # divergence as `incompressible` forms it, of the state's coefficients)
-    from slicelab import diagnostics
+    # divergence that of the state's velocity coefficients)
+    from slicelab import diagnostics, grid
     from slicelab.grid import (VX_BASIS, VZ_BASIS, axis_derivative_modes,
                                from_modes)
+    from slicelab.norms import W1INF, state_component_norms
     p = Params(s=0.5)
     lp = circle_loop(PI / 2, PI / 2, 0.8)
     other = random_state(sq64, seed=9)
@@ -197,15 +198,15 @@ def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
             float(np.max(np.abs(from_modes(sq64, dx + dz, basis)))))
     st = random_state(sq64, seed=9)
     theta_calls = []
-    real = diagnostics.axis_derivative_modes
-    monkeypatch.setattr(diagnostics, "axis_derivative_modes", lambda g, c, b,
+    real = grid.axis_derivative_modes
+    monkeypatch.setattr(grid, "axis_derivative_modes", lambda g, c, b,
                         axis, *order: (theta_calls.append(axis)
                                        if c is st.coefs[3] else None)
                         or real(g, c, b, axis, *order))
-    derivs = diagnostics._first_derivatives(st)
+    w1inf = state_component_norms(st, W1INF)
 
     def terms(loop):
-        rec = diagnostics._row_record(st, p, loop, ZKP_DEFAULT, *derivs)
+        rec = diagnostics._row_record(st, p, loop, ZKP_DEFAULT, w1inf)
         return rec.enstrophy_q2, rec.circulation, rec.max_div
 
     assert repr(terms(lp)) == repr(want)
@@ -215,15 +216,21 @@ def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_first_derivative_norms_are_the_state_norms(geometry):
-    # the pass's W^{1,inf} norms are state_component_norms(..., W1INF)'s
-    # bit for bit, for a state made from values and for a stepped one
-    from slicelab.diagnostics import _first_derivatives
-    from slicelab.norms import W1INF, state_component_norms
+    # the state's W^{1,inf} norms reduce its values and its gradient pass,
+    # bit for bit the reduction of derivative values taken afresh from its
+    # coefficients, for a state made from values and for a stepped one
+    from slicelab.grid import derivative_values
+    from slicelab.norms import W1INF, _w1inf, state_component_norms
+    from slicelab.state import STATE_BASES
     g = make_grid(geometry, 32, 32, 2 * PI, PI)
     st = random_state(g, seed=3)
     for _ in range(4):
-        assert state_component_norms(st, W1INF) == tuple(
-            _first_derivatives(st)[0])
+        v, c = st.values, st.coefs
+        fresh = [tuple(derivative_values(g, c[n], STATE_BASES[n], ax, 1 - ax)
+                       [0] for ax in (1, 0)) for n in range(4)]
+        want = tuple(_w1inf(g, v[i:j], fresh[i:j])
+                     for i, j in ((0, 2), (2, 3), (3, 4)))
+        assert state_component_norms(st, W1INF) == want
         st = dyn.step_rk4(st, Params(), 1e-2)
 
 

@@ -12,7 +12,7 @@ from slicelab.incompressible import (_project_modes, curl, max_divergence,
                                      project_values)
 from slicelab.norms import W1INF, l2, state_component_norms
 from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
-                            make_state, random_state, scale_state,
+                            SimState, make_state, random_state, scale_state,
                             state_arrays, zero_state)
 from slicelab.stochastic import (LinearMultiplicative, PointwiseNemytskii,
                                  step_em, step_transformed)
@@ -219,12 +219,13 @@ def test_transforms_per_em_step(count_calls, sq32_state, s, radius,
 @pytest.mark.parametrize("stride,rows,monitored", [(2, 4, 2), (5, 2, 4)])
 def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
                                        geometry, stride, rows, monitored):
-    # a truncated sim-det run observes every state: a row with a loop takes
-    # 14 transforms (a state's 4 values and 8 first derivatives back, u_S's
-    # curl and divergence; its Z^{3,2} column reads the state's
-    # coefficients), a state the monitor alone reads 12; the two strides
-    # pin both counts.
-    # Each step takes its first stage from the pass: 64 - 12 = 52 at s = 0,
+    # a truncated sim-det run observes every state: its W^{1,inf} norms
+    # read the state's 4 values and 8 first derivatives back (12, all a
+    # state the monitor alone reads), and a row with a loop adds u_S's curl
+    # and divergence (14; its Z^{3,2} column reads the state's
+    # coefficients); the two strides pin both counts.
+    # Each step's first stage takes the values and gradients the state
+    # holds: 64 - 12 = 52 at s = 0,
     # and at this s = 0.5 the square re-expands u_T once per stage (56);
     # the first step also builds the grid's z-weight table (one transform)
     from slicelab import runner
@@ -572,23 +573,48 @@ def test_steppers_agree_with_the_value_space_oracle(geometry, s):
 
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
-def test_a_handed_pass_gives_the_unhanded_step(geometry):
-    # the runner hands a state's first-derivative pass to the next step's
-    # first stage; the step is the one that transforms the state itself
-    from slicelab.diagnostics import _first_derivatives
+def test_a_state_whose_pass_was_read_steps_as_its_cold_copy(geometry):
+    # a step's first stage takes the values and gradients the state holds;
+    # the step is the one of a copy that holds neither, and a step keeps
+    # none of its own
     g = make_grid(geometry, 32, 32, 2 * PI, PI)
     st = _scaled_state(g)
     p = Params(f=1.2, g=0.9, theta0=1.1, s=0.5)
     r = 1.01 * state_component_norms(st, W1INF)[0]
-    for step in (lambda **kw: dyn.step_rk4(st, p, 1e-2, r, **kw),
-                 lambda **kw: step_transformed(st, p, 1e-2, 0.7, 0.1, 0.3,
-                                               **kw),
-                 lambda **kw: step_em(st, p, 1e-2, 0.05,
-                                      LinearMultiplicative(0.5), r, **kw)):
-        hand = _first_derivatives(st)[1][:2]
-        assert [a.tobytes() for a in state_arrays(step(_handed=hand))] == [
-            a.tobytes() for a in state_arrays(step())]
-        assert hand[1] == []  # the first stage freed the handed pairs
+    assert st.held("gradients") is st.gradients
+    cold = SimState(g, st.t, st.coefs)
+    for step in (lambda s: dyn.step_rk4(s, p, 1e-2, r),
+                 lambda s: step_transformed(s, p, 1e-2, 0.7, 0.1, 0.3),
+                 lambda s: step_em(s, p, 1e-2, 0.05,
+                                   LinearMultiplicative(0.5), r)):
+        assert [a.tobytes() for a in step(st).coefs] == [
+            a.tobytes() for a in step(cold).coefs]
+        assert cold.held("values") is cold.held("gradients") is None
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_state_gradients_are_its_derivative_values(count_calls, geometry):
+    # the pass is derivative_values of each array's coefficients, byte for
+    # byte, and two reads cost its 8 inverse transforms in all
+    from slicelab.grid import derivative_values
+    st = random_state(make_grid(geometry, 32, 32, PI, PI), seed=3)
+    want = [[derivative_values(st.grid, c, b, ax, 1 - ax)[0].tobytes()
+             for ax in (1, 0)] for c, b in zip(st.coefs, STATE_BASES)]
+    calls = count_calls("grid", "to_modes", "from_modes")
+    for _ in range(2):
+        assert [[d.tobytes() for d in pair] for pair in st.gradients] == want
+    assert (calls["to_modes"], calls["from_modes"]) == (0, 8)
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_transforms_per_truncated_step_after_a_norm_read(count_calls,
+                                                         geometry):
+    # a state whose W^{1,inf} norms were read holds its values and
+    # gradients: its truncated RK4 step saves the first stage's 12
+    st = random_state(make_grid(geometry, 32, 32, PI, PI), seed=3)
+    state_component_norms(st, W1INF)
+    assert _step_transforms(count_calls, st, lambda s: dyn.step_rk4(
+        s, Params(s=0.0), 1e-3, radius=1.0)) == 52
 
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])

@@ -189,15 +189,13 @@ def _w1inf_inputs(g, state):
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_w1inf_from_derivatives_equals_the_field_norm(geometry):
-    # the truncated tendency and the runner's pass reduce derivatives they
-    # already hold; the result is norm(..., W1INF)'s of the values they
-    # come from, 2-D and stacked, and state_component_norms(..., W1INF)'s
-    # of the coefficients they come from
+    # the truncated tendency reduces derivatives its stage already holds;
+    # the result is norm(..., W1INF)'s of the values they come from, 2-D
+    # and stacked, and, from a batch state's gradient pass, each path's
+    # state_component_norms(..., W1INF)
     from helpers import stacked_state
-    from slicelab.dynamics import _gradient
     from slicelab.grid import make_grid
     from slicelab.norms import _w1inf
-    from slicelab.state import STATE_BASES
     g = make_grid(geometry, 64, 32, 2 * PI, PI)
     paths = [random_state(g, seed=s, max_mode=5) for s in range(3)]
     batch = stacked_state(paths)
@@ -206,9 +204,8 @@ def test_w1inf_from_derivatives_equals_the_field_norm(geometry):
             got = _w1inf(g, values, grads)
             assert type(got) is type(norm(field, W1INF))
             assert got == norm(field, W1INF)
-    v, c = batch.values, batch.coefs
-    assert [_w1inf(g, v[i:j], [_gradient(g, c[n], STATE_BASES[n])
-                               for n in range(i, j)])
+    v, d = batch.values, batch.gradients
+    assert [_w1inf(g, v[i:j], d[i:j])
             for i, j in ((0, 2), (2, 3), (3, 4))] == [
         list(col) for col in zip(*(state_component_norms(s, W1INF)
                                    for s in paths))]
@@ -284,12 +281,12 @@ def test_parseval_matches_the_quadrature_oracle(k):
     "ignore::slicelab.diagnostics.EnergyAccountingWarning")
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_row_norm_is_the_state_norm(k):
-    # a row's norm column, by Parseval from the first-derivative pass's
-    # coefficients when p = 2, is norm(state, spec) to the last bit
-    from slicelab.diagnostics import _first_derivatives, _row_record
+    # a row's norm column, by Parseval from the state's coefficients when
+    # p = 2, is norm(state, spec) to the last bit
+    from slicelab.diagnostics import _row_record
     from slicelab.state import Params
     for case, state in _parseval_cases():
-        derivs = _first_derivatives(state)
+        w1inf = state_component_norms(state, W1INF)
         for spec in (NormSpec(k, 2), NormSpec(k, 3), NormSpec(k, math.inf)):
-            rec = _row_record(state, Params(), None, spec, *derivs)
+            rec = _row_record(state, Params(), None, spec, w1inf)
             assert repr(rec.zkp) == repr(norm(state, spec)), (case, spec)

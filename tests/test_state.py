@@ -120,13 +120,13 @@ def _reads_back_its_coefficients(st, monkeypatch):
     calls = []
     monkeypatch.setattr(slicelab.state, "from_modes", lambda *a: (
         calls.append(1) or from_modes(*a)))
-    assert st.held_values is None
+    assert st.held("values") is None
     want = [from_modes(g, c, b).tobytes()
             for c, b in zip(st.coefs, STATE_BASES)]
     for _ in range(2):
         assert [a.tobytes() for a in state_arrays(st)] == want
         assert st.u_t.values.tobytes() == want[2]
-    assert len(calls) == 4 and st.held_values is st.values
+    assert len(calls) == 4 and st.held("values") is st.values
     assert state_is_finite(st)
 
 
