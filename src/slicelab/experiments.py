@@ -6,12 +6,14 @@ computable first-passage law, which makes it the sharp end of the test
 suite.  The regularity experiment couples the same path functional to the
 transformed PDE solver.  Every MC routine derives one RNG stream per path
 from (seed, path index), so results do not depend on how paths are
-scheduled or batched.
+scheduled or batched, nor on how many CPUs the hitting-law paths run on.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -34,8 +36,8 @@ class AmplitudeBudgetWarning(UserWarning):
 
 
 def _path_rng(seed: int, index: int) -> np.random.Generator:
-    # per-path stream keyed by (seed, index): identical results at any
-    # parallelism degree, since nothing is drawn from a shared generator
+    # per-path stream keyed by (seed, index): nothing is drawn from a shared
+    # generator, so results do not depend on which worker runs a path
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
@@ -97,6 +99,10 @@ class McSummary:
 #: sets the rounding of every series value.
 _CHUNK_MAX = 131072
 
+#: Paths of fewer steps run on the calling thread alone: they hold the GIL
+#: for most of their time, so threads would only hand it back and forth.
+_THREAD_STEPS = 16384
+
 
 def _step_count(horizon: float, dt: float) -> int:
     """Steps of the grid dt, 2 dt, ... up to horizon; at least one."""
@@ -146,18 +152,58 @@ def _first_crossing(rng: np.random.Generator, alpha: float, log_r: float,
     return False, float(series[-1])
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _path_crossings(alpha: float, r: float, horizon: float, dt: float,
                     n_paths: int, seed: int) -> list:
-    """`_first_crossing` of log r on each path (seed, index), sharing one
-    drift ramp and one draw buffer."""
+    """`_first_crossing` of log r on each path (seed, index).  Workers (the
+    caller, and from `_THREAD_STEPS` steps a thread per other usable CPU)
+    take an index and build its stream under one lock, then draw the path
+    in their own buffer.  The first error stops them all and is raised."""
     n_steps = _step_count(horizon, dt)
     log_r = math.log(r) if r > 0 else -math.inf
     mu = -(alpha * alpha) / 32.0
     ramp = mu * dt * np.arange(1, n_steps + 1)
-    buf = np.empty(min(n_steps, _CHUNK_MAX))
     sqrt_dt = math.sqrt(dt)
-    return [_first_crossing(_path_rng(seed, idx), alpha, log_r, sqrt_dt,
-                            ramp, buf) for idx in range(n_paths)]
+    out = [None] * n_paths
+    todo = iter(range(n_paths))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        buf = np.empty(min(n_steps, _CHUNK_MAX))
+        try:
+            while not errors:
+                with lock:
+                    idx = next(todo, None)
+                    if idx is None:
+                        return
+                    rng = _path_rng(seed, idx)
+                out[idx] = _first_crossing(rng, alpha, log_r, sqrt_dt, ramp,
+                                           buf)
+        except BaseException as exc:  # raised in the caller after the joins
+            errors.append(exc)
+
+    workers = min(n_paths, _worker_count()) if n_steps >= _THREAD_STEPS else 1
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    except BaseException as exc:
+        errors.append(exc)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def mc_hitting(alpha: float, r: float, horizon: float, dt: float,

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -256,6 +258,136 @@ def test_hitting_harnesses_reject_bad_time_grids(horizon, dt):
         ex.mc_hitting(1.0, 2.0, horizon, dt, 100, 1)
     with pytest.raises(sl.ConfigError):
         ex.stopped_lambda_mean(1.0, 2.0, horizon, dt, 100, 1)
+
+
+# -- paths on every usable CPU ------------------------------------------------
+
+def _serial_crossings(alpha, r, horizon, dt, n_paths, seed):
+    # the one-buffer loop over the paths in index order
+    n_steps = int(round(horizon / dt))
+    ramp = -(alpha * alpha) / 32.0 * dt * np.arange(1, n_steps + 1)
+    buf = np.empty(min(n_steps, ex._CHUNK_MAX))
+    log_r = math.log(r) if r > 0 else -math.inf
+    return [ex._first_crossing(ex._path_rng(seed, idx), alpha, log_r,
+                               math.sqrt(dt), ramp, buf)
+            for idx in range(n_paths)]
+
+
+WORKER_CASES = {
+    # tools/compare_runs.py's mc-hitting-chunks sizing: paths first cross
+    # in chunks 1, 2 and 3 or never, so they have uneven lengths
+    "chunks": (-1.0, math.exp(3.0), 50.0, 0.01, 200, 21),
+    "one-chunk": (1.0, 2.0, 10.0, 0.01, 150, 9),
+    "threshold-one": (1.0, 1.0, 10.0, 0.1, 100, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKER_CASES))
+def test_hitting_paths_do_not_depend_on_the_worker_count(case, monkeypatch):
+    alpha, r, horizon, dt, n_paths, seed = args = WORKER_CASES[case]
+    serial = _serial_crossings(*args)
+    if case == "chunks":
+        firsts = {path_hits_oracle(ex._path_rng(seed, idx), alpha,
+                                   math.log(r), 5000, dt)
+                  for idx in range(n_paths)}
+        assert {n if hit else None for hit, n in firsts} == {1, 2, 3, None}
+    hits = sum(crossed for crossed, _ in serial)
+    vals = np.array([math.exp(stopped / 16.0) for _, stopped in serial])
+    lam = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths)))
+    before = threading.active_count()
+    monkeypatch.setattr(ex, "_THREAD_STEPS", 1)
+    for workers in (1, 2, 3, n_paths + 3):
+        monkeypatch.setattr(ex, "_worker_count", lambda: workers)
+        assert ex._path_crossings(*args) == serial, workers
+        summary = ex.mc_hitting(*args)
+        assert summary == ex.McSummary(
+            n_paths, hits, hits / n_paths, math.sqrt(
+                hits / n_paths * (1.0 - hits / n_paths) / n_paths),
+            seed, alpha, r, horizon, dt)
+        assert ex.stopped_lambda_mean(*args) == lam, workers
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_steps", [ex._THREAD_STEPS - 1, ex._THREAD_STEPS])
+def test_only_paths_of_thread_steps_start_threads(n_steps, monkeypatch):
+    # each worker sleeps in every path, so each one gets some
+    real = ex._first_crossing
+    runners = set()
+
+    def slow(*args):
+        runners.add(threading.get_ident())
+        time.sleep(2e-3)
+        return real(*args)
+
+    monkeypatch.setattr(ex, "_first_crossing", slow)
+    monkeypatch.setattr(ex, "_worker_count", lambda: 3)
+    ex._path_crossings(0.5, math.exp(20.0), n_steps * 0.01, 0.01, 20, 1)
+    assert len(runners) == (3 if n_steps >= ex._THREAD_STEPS else 1)
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_path_streams_are_built_one_at_a_time(workers, monkeypatch):
+    # each stream is built under the workers' lock: never two at once, and
+    # once for each index, while the paths themselves overlap
+    args = (1.0, 2.0, 1.0, 0.01, 60, 3)
+    serial = _serial_crossings(*args)
+    real = ex._path_rng
+    guard = threading.Lock()
+    entered, inside, most = [], [0], [0]
+
+    def counted(seed, idx):
+        with guard:
+            entered.append(idx)
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+        time.sleep(1e-3)
+        with guard:
+            inside[0] -= 1
+        return real(seed, idx)
+
+    monkeypatch.setattr(ex, "_path_rng", counted)
+    monkeypatch.setattr(ex, "_worker_count", lambda: workers)
+    monkeypatch.setattr(ex, "_THREAD_STEPS", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = ex._path_crossings(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert most[0] == 1
+    assert sorted(entered) == list(range(60))
+    assert got == serial
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_failing_path_stops_the_workers(workers, error, monkeypatch):
+    # a RuntimeError on path 7 in whichever worker runs it, or an interrupt
+    # in the calling thread at its first path from 7 on: the others take
+    # no more paths, every thread is joined and the error is raised
+    real = ex._first_crossing
+    taken, raised = [], []
+
+    def failing(rng, *rest):
+        idx = rng.bit_generator.seed_seq.entropy[1]
+        taken.append(idx)
+        if error is RuntimeError and idx == 7 or (
+                error is KeyboardInterrupt and idx >= 7
+                and threading.current_thread() is threading.main_thread()):
+            raised.append(len(taken))
+            raise error(f"path {idx}")
+        return real(rng, *rest)
+
+    monkeypatch.setattr(ex, "_first_crossing", failing)
+    monkeypatch.setattr(ex, "_worker_count", lambda: workers)
+    monkeypatch.setattr(ex, "_THREAD_STEPS", 1)
+    before = threading.active_count()
+    with pytest.raises(error, match="path"):
+        ex.mc_hitting(1.0, math.exp(20.0), 100.0, 0.01, 400, 5)
+    assert threading.active_count() == before
+    # a worker may start the path it holds, and take one more before the
+    # error is handed on
+    assert len(raised) == 1 and len(taken) - raised[0] <= 2 * (workers - 1)
 
 
 def test_scalar_modes_never_import_scipy_fft():

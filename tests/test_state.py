@@ -4,8 +4,9 @@ import pytest
 from slicelab.errors import ConfigError
 from slicelab.grid import COS, SIN, Geometry
 from slicelab.incompressible import max_divergence
-from slicelab.state import (Params, make_state, random_state, scale_state,
-                            state_arrays, state_is_finite, zero_state)
+from slicelab.state import (Params, SimState, make_state, random_state,
+                            scale_state, state_arrays, state_is_finite,
+                            zero_state)
 
 from helpers import state_max_abs_diff, states_close, with_time
 
@@ -99,6 +100,37 @@ def test_state_is_finite(tor64):
         np.full((64, 64), np.nan) if i == 2 else np.zeros((64, 64))
         for i in range(4)))
     assert not state_is_finite(bad)
+
+
+def _laid_out(coefs, layout):
+    # the same coefficients as they stand, as path 1 of a 3-path batch
+    # stacked on axis 1 (not contiguous, last axis contiguous), or as a
+    # view whose last axis is strided
+    if layout == "batch slice":
+        return tuple(np.stack([np.ones_like(c), c, np.ones_like(c)],
+                              axis=1)[:, 1] for c in coefs)
+    if layout == "strided":
+        return tuple(np.repeat(c, 2, axis=-1)[..., ::2] for c in coefs)
+    return coefs
+
+
+@pytest.mark.parametrize("layout", ["as made", "batch slice", "strided"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("geometry, part", [
+    ("torus", "real"), ("torus", "imag"), ("square", "real")])
+def test_state_is_finite_reports_each_part_in_every_layout(
+        request, geometry, part, bad, layout):
+    # torus coefficients are complex, the square's are real
+    g = request.getfixturevalue({"torus": "tor64", "square": "sq64"}[geometry])
+    s = random_state(g, seed=4)
+    assert np.iscomplexobj(s.coefs[0]) == (geometry == "torus")
+    assert state_is_finite(SimState(g, 0.0, _laid_out(s.coefs, layout)))
+    for i in range(4):
+        coefs = [c.copy() for c in s.coefs]
+        getattr(coefs[i], part)[5, 3] = bad
+        laid = _laid_out(tuple(coefs), layout)
+        assert not laid[i].flags.c_contiguous or layout == "as made"
+        assert not state_is_finite(SimState(g, 0.0, laid)), i
 
 
 def test_random_state_band_limit(tor64):
