@@ -4,11 +4,12 @@ stepper, the batch oracle of the online stopping monitor, the
 stopping-record reader, per-geometry oracles of the spectral operators
 that the grid's per-basis tables now serve with one body, the
 path-by-path loop that the regularity experiment batches, the
-allocating hitting-law path loops that the in-place kernel replaced, the
-hitting fraction of supplied (refined) paths, the decay-rate fit, the
-value-space tendency and steppers that the coefficient-space stages
-replaced (their cut-off norms taken with transforms of their own) and the
-value-space noise of their EM step, the coefficient-space first stage with
+allocating hitting-law path loops (the per-step reference for the grid
+law and the block kernel with its arrays allocated), the hitting fraction
+of supplied (refined) paths, the decay-rate fit, the value-space tendency
+and steppers that the coefficient-space stages replaced (their cut-off
+norms taken with transforms of their own) and the value-space noise of
+their EM step, the coefficient-space first stage with
 its cut-offs through state_component_norms(..., W1INF), the stacking of
 states into one batch state, and the quadrature W^{k,2} norm that discrete
 Parseval replaced."""
@@ -26,7 +27,7 @@ from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
                            VX_BASIS, VZ_BASIS, axis_derivative_modes,
                            derivative_values, from_modes, gradient_values,
                            scalar_field, to_modes, vector_field)
-from slicelab.experiments import _path_rng
+from slicelab.experiments import _BLOCK, _path_rng
 from slicelab.incompressible import (_project_modes, project_values,
                                      velocity_from_vorticity)
 from slicelab.norms import (W1INF, ZKP_DEFAULT, _multi_indices, _reduce,
@@ -329,8 +330,9 @@ def serial_mc_global(grid, params, alpha, r, amplitude, n_paths, horizon, dt,
 def path_hits_oracle(rng, alpha: float, log_r: float, n_steps: int,
                      dt: float):
     """Does max over the discrete grid of alpha W - (alpha^2/32) t reach
-    log_r?  Draws in growing chunks and exits on the first crossing:
-    (hit, number of chunks drawn), (True, 0) at the t = 0 grid point."""
+    log_r?  Draws every step, in growing chunks, and exits on the first
+    crossing: (hit, number of chunks drawn), (True, 0) at the t = 0 grid
+    point.  The per-step reference for the law the block kernel samples."""
     if 0.0 >= log_r:
         return True, 0
     mu = -(alpha * alpha) / 32.0
@@ -352,23 +354,62 @@ def path_hits_oracle(rng, alpha: float, log_r: float, n_steps: int,
     return False, n_chunks
 
 
+def block_ends_oracle(rng, alpha: float, log_r: float, n_steps: int,
+                      dt: float):
+    """The first level of the block kernel, every array allocated: the
+    block lengths, the series at the block ends from 0 (one normal per
+    block, all drawn at once) and which blocks are refined (the end
+    reaches log_r, or the gaps below it give a bridge crossing probability
+    exp(-2 g_a g_b / (alpha^2 L dt)) above 2^-54)."""
+    lengths = np.array([min(_BLOCK, n_steps - start)
+                        for start in range(0, n_steps, _BLOCK)])
+    span = lengths * dt
+    incr = (rng.standard_normal(lengths.size) * (alpha * np.sqrt(span))
+            + -(alpha * alpha) / 32.0 * span)
+    ends = np.concatenate(([0.0], np.cumsum(incr)))
+    gaps = log_r - ends
+    refine = ((gaps[:-1] * gaps[1:] < 27.0 * math.log(2.0) * alpha * alpha
+               * span) | (gaps[1:] <= 0.0))
+    return lengths, ends, refine
+
+
+def bridge_oracle(rng, alpha: float, dt: float, a: float, b: float,
+                  n: int) -> np.ndarray:
+    """The n steps of a block from a to b: alpha sqrt(dt) times a discrete
+    Brownian bridge of n normals, plus the line from a to b, the last step
+    set to b."""
+    cs = alpha * math.sqrt(dt) * np.cumsum(rng.standard_normal(n))
+    x = a + cs + np.arange(1, n + 1) / n * (b - a - cs[-1])
+    x[-1] = b
+    return x
+
+
+def block_crossing_oracle(rng, alpha: float, log_r: float, n_steps: int,
+                          dt: float) -> tuple[bool, float]:
+    """`_first_crossing` with every array allocated: the block ends at
+    once, then the refined blocks in order from the same stream, each a
+    bridge between its ends; (True, the series at the first step reaching
+    log_r) or (False, the series at the last step)."""
+    if log_r <= 0.0:
+        return True, 0.0
+    lengths, ends, refine = block_ends_oracle(rng, alpha, log_r, n_steps, dt)
+    for j in np.flatnonzero(refine):
+        x = bridge_oracle(rng, alpha, dt, float(ends[j]), float(ends[j + 1]),
+                          int(lengths[j]))
+        crossed = np.flatnonzero(x >= log_r)
+        if crossed.size:
+            return True, float(x[crossed[0]])
+    return False, float(ends[-1])
+
+
 def stopped_lambda_oracle(alpha: float, r: float, horizon: float, dt: float,
                           n_paths: int, seed: int) -> np.ndarray:
-    """Lambda(horizon ^ hitting time)^{1/16} of each path, every step of the
-    path drawn at once."""
+    """Lambda(horizon ^ hitting time)^{1/16} of each path (seed, index),
+    from `block_crossing_oracle`."""
     n_steps = int(round(horizon / dt))
-    log_r = math.log(r)
-    mu = -(alpha * alpha) / 32.0
-    sqrt_dt = math.sqrt(dt)
-    vals = np.empty(n_paths)
-    for idx in range(n_paths):
-        rng = _path_rng(seed, idx)
-        cs = np.cumsum(rng.standard_normal(n_steps) * sqrt_dt)
-        series = alpha * cs + mu * dt * np.arange(1, n_steps + 1)
-        crossed = np.nonzero(series >= log_r)[0]
-        stopped = series[crossed[0]] if crossed.size else series[-1]
-        vals[idx] = math.exp(stopped / 16.0)
-    return vals
+    return np.array([math.exp(block_crossing_oracle(
+        _path_rng(seed, idx), alpha, math.log(r), n_steps, dt)[1] / 16.0)
+        for idx in range(n_paths)])
 
 
 def hitting_fraction_on_paths(paths, alpha: float, r: float) -> float:

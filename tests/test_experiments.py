@@ -4,8 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -16,7 +14,8 @@ from slicelab import experiments as ex
 from slicelab import stochastic as st
 from slicelab.norms import l2
 
-from helpers import (decay_rate_fit, hitting_fraction_on_paths,
+from helpers import (block_crossing_oracle, block_ends_oracle, bridge_oracle,
+                     decay_rate_fit, hitting_fraction_on_paths,
                      path_hits_oracle, serial_mc_global, stopped_lambda_oracle)
 
 # the closed-form oracle is exact arithmetic; MC comparisons carry their
@@ -185,28 +184,27 @@ def test_stopped_lambda_mean_is_one():
         ex.stopped_lambda_mean(1.0, 2.0, 1.0, 0.01, 50, seed=5)
 
 
-# -- the in-place path kernel against the allocating loop ---------------------
+# -- the block kernel against its allocating form ----------------------------
 
-@pytest.mark.parametrize("n_steps", [1, 1024, 1025, 3072, 100_000])
+@pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 100, 255, 256, 257, 1024,
+                                     1025, 3072, 5000, 100_000])
 @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.0])
 def test_first_crossing_decides_as_the_allocating_loop(alpha, n_steps):
+    # same decision and bit for bit the same stopped value; 1025 steps end
+    # in a block of one step
     dt, seed, n_paths = 0.01, 4, 40
-    ramp = -(alpha * alpha) / 32.0 * dt * np.arange(1, n_steps + 1)
-    buf = np.empty(min(n_steps, ex._CHUNK_MAX))
-    first_chunks = set()
+    blocks = ex._path_blocks(alpha, dt, n_steps)
+    buf = np.empty(blocks[0].size + 1)
+    results = set()
     for log_r in (0.05, 0.5, 3.0, 8.0):
         for idx in range(n_paths):
-            hit, n_chunks = path_hits_oracle(ex._path_rng(seed, idx), alpha,
-                                             log_r, n_steps, dt)
-            crossed, _ = ex._first_crossing(ex._path_rng(seed, idx), alpha,
-                                            log_r, math.sqrt(dt), ramp, buf)
-            assert crossed == hit, (log_r, idx)
-            first_chunks.add(n_chunks if hit else None)
-    if alpha == 0.0:
-        assert first_chunks == {None}
-    elif n_steps == 100_000:
-        # paths first cross in the first, second and third chunk, or never
-        assert {1, 2, 3, None} <= first_chunks
+            want = block_crossing_oracle(ex._path_rng(seed, idx), alpha,
+                                         log_r, n_steps, dt)
+            got = ex._first_crossing(ex._path_rng(seed, idx), alpha, log_r,
+                                     math.sqrt(dt), blocks, buf)
+            assert got == want, (log_r, idx)
+            results.add(got[0])
+    assert results == ({False} if alpha == 0.0 else {False, True})
 
 
 def test_mc_hitting_equals_the_allocating_loop_at_the_benchmark_sizing():
@@ -214,10 +212,23 @@ def test_mc_hitting_equals_the_allocating_loop_at_the_benchmark_sizing():
     # 1000 at dt 0.01 (100,000 steps), 750 paths, seed 1
     alpha, r, horizon, dt, n_paths, seed = (0.5, math.exp(20.0), 1000.0,
                                             0.01, 750, 1)
-    hits = sum(path_hits_oracle(ex._path_rng(seed, idx), alpha, math.log(r),
-                                100_000, dt)[0] for idx in range(n_paths))
+    hits = sum(block_crossing_oracle(ex._path_rng(seed, idx), alpha,
+                                     math.log(r), 100_000, dt)[0]
+               for idx in range(n_paths))
     s = ex.mc_hitting(alpha, r, horizon, dt, n_paths, seed)
     assert s.hits == hits and s.fraction == hits / n_paths
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 2.0, 1.0, 0.01, 500, 5), (1.0, 2.0, 10.24, 0.01, 500, 5),
+    (-1.0, math.exp(3.0), 50.0, 0.01, 200, 21)], ids=["100", "1024", "5000"])
+def test_stopped_lambda_mean_equals_the_allocating_loop(args):
+    # 100, 1024 and 5000 steps: one block, four full ones, and twenty with
+    # a short last one
+    n_paths = args[4]
+    vals = stopped_lambda_oracle(*args)
+    assert ex.stopped_lambda_mean(*args) == (
+        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths)))
 
 
 @pytest.mark.parametrize("r", [1.0, 0.5, 0.0])
@@ -227,26 +238,7 @@ def test_threshold_at_most_one_is_reached_at_t0(r):
     assert ex.stopped_lambda_mean(-1.0, r, 10.0, 0.1, 100, seed=2) == (
         1.0, 0.0)
     assert ex._first_crossing(None, -1.0, math.log(r) if r else -math.inf,
-                              0.1, np.empty(0), np.empty(0)) == (True, 0.0)
-
-
-@pytest.mark.parametrize("horizon", [1.0, 10.24])
-def test_stopped_lambda_mean_within_one_chunk_is_bitwise(horizon):
-    # up to 1024 steps the kernel's one chunk starts at w = 0.0
-    vals = stopped_lambda_oracle(1.0, 2.0, horizon, 0.01, 500, 5)
-    assert ex.stopped_lambda_mean(1.0, 2.0, horizon, 0.01, 500, 5) == (
-        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(500)))
-
-
-def test_stopped_lambda_mean_over_chunks_agrees_with_one_cumsum():
-    # 5000 steps in chunks of 1024, 2048 and 1928: the running sum restarts
-    # at each chunk, so agreement is to rounding
-    vals = stopped_lambda_oracle(-1.0, math.exp(3.0), 50.0, 0.01, 200, 21)
-    mean, se = ex.stopped_lambda_mean(-1.0, math.exp(3.0), 50.0, 0.01, 200,
-                                      21)
-    assert mean == pytest.approx(float(vals.mean()), rel=1e-12, abs=0.0)
-    assert se == pytest.approx(float(vals.std(ddof=1) / math.sqrt(200)),
-                               rel=1e-12, abs=0.0)
+                              0.1, (), np.empty(0)) == (True, 0.0)
 
 
 @pytest.mark.parametrize("horizon, dt", [
@@ -260,134 +252,102 @@ def test_hitting_harnesses_reject_bad_time_grids(horizon, dt):
         ex.stopped_lambda_mean(1.0, 2.0, horizon, dt, 100, 1)
 
 
-# -- paths on every usable CPU ------------------------------------------------
+# -- the law the block kernel samples -----------------------------------------
 
-def _serial_crossings(alpha, r, horizon, dt, n_paths, seed):
-    # the one-buffer loop over the paths in index order
+@pytest.mark.parametrize("dt", [0.5, 0.1, 0.01])
+def test_block_kernel_samples_the_grid_law(dt):
+    # 20 and 100 steps in one block, 1000 in four: the fraction is the
+    # per-step grid maximum's, within 4 combined standard errors.  At dt
+    # 0.5 and 0.1 the continuous law (gbm_max_oracle), where a kernel that
+    # crossed on the bridges' continuous maxima would land, is more than
+    # twice that far; a kernel that looked only at the block ends would
+    # land farther still, below.
+    alpha, r, horizon, n_paths = 1.0, 2.0, 10.0, 20_000
+    s = ex.mc_hitting(alpha, r, horizon, dt, n_paths, seed=11)
+    rng = np.random.default_rng(12)
     n_steps = int(round(horizon / dt))
-    ramp = -(alpha * alpha) / 32.0 * dt * np.arange(1, n_steps + 1)
-    buf = np.empty(min(n_steps, ex._CHUNK_MAX))
-    log_r = math.log(r) if r > 0 else -math.inf
-    return [ex._first_crossing(ex._path_rng(seed, idx), alpha, log_r,
-                               math.sqrt(dt), ramp, buf)
-            for idx in range(n_paths)]
+    grid = sum(path_hits_oracle(rng, alpha, math.log(r), n_steps, dt)[0]
+               for _ in range(n_paths)) / n_paths
+    se = math.hypot(s.standard_error,
+                    math.sqrt(grid * (1.0 - grid) / n_paths))
+    assert abs(s.fraction - grid) <= 4.0 * se, (s.fraction, grid, se)
+    if dt >= 0.1:
+        assert ex.gbm_max_oracle(alpha, r, horizon) - grid > 8.0 * se
 
 
-WORKER_CASES = {
-    # tools/compare_runs.py's mc-hitting-chunks sizing: paths first cross
-    # in chunks 1, 2 and 3 or never, so they have uneven lengths
-    "chunks": (-1.0, math.exp(3.0), 50.0, 0.01, 200, 21),
-    "one-chunk": (1.0, 2.0, 10.0, 0.01, 150, 9),
+def test_skipped_blocks_do_not_reach_the_barrier():
+    # every block that 300 paths skip, with both ends below log r, is
+    # refined once from a stream of its own: none reaches log r, also the
+    # half of them within twice the skip bound (a kernel that refined only
+    # the blocks whose end reaches log r would skip 4547, and 247 of them
+    # would reach it)
+    alpha, log_r, n_steps, dt = 1.0, 3.0, 5000, 0.01
+    rng = np.random.default_rng(99)
+    skipped = []
+    for idx in range(300):
+        lengths, ends, refine = block_ends_oracle(
+            ex._path_rng(21, idx), alpha, log_r, n_steps, dt)
+        for j in np.flatnonzero(~refine & (ends[1:] < log_r)
+                                & (ends[:-1] < log_r)):
+            skipped.append((float(ends[j]), float(ends[j + 1]),
+                            int(lengths[j])))
+    near = 0
+    for a, b, n in skipped:
+        x = bridge_oracle(rng, alpha, dt, a, b, n)
+        assert x.max() < log_r, (a, b, n)
+        near += (log_r - a) * (log_r - b) < 2.0 * ex._SKIP * n * dt
+    assert len(skipped) > 1000 and near > 500
+
+
+def test_skip_bound_is_a_bridge_crossing_probability_of_2_to_minus_54():
+    # at its edge g_a g_b = bound, a block's Brownian bridge reaches the
+    # barrier with probability exp(-2 g_a g_b / (alpha^2 L dt)) = 2^-54
+    for alpha, dt, n_steps in ((1.0, 0.01, 5000), (-0.5, 0.1, 300),
+                               (3.0, 1e-3, 256)):
+        scale, drift, bound, lengths = ex._path_blocks(alpha, dt, n_steps)
+        assert int(lengths.sum()) == n_steps and lengths.max() == ex._BLOCK
+        assert (lengths[:-1] == ex._BLOCK).all() and lengths[-1] >= 1
+        span = lengths * dt
+        assert scale == pytest.approx(alpha * np.sqrt(span), rel=1e-15,
+                                      abs=0.0)
+        assert drift == pytest.approx(-alpha ** 2 / 32.0 * span, rel=1e-15,
+                                      abs=0.0)
+        assert np.exp(-2.0 * bound / (alpha ** 2 * span)) == pytest.approx(
+            2.0 ** -54, rel=1e-12, abs=0.0)
+
+
+# -- paths in any order --------------------------------------------------------
+
+HITTING_CASES = {
+    # tools/compare_runs.py's mc-hitting-blocks sizing: 5000 steps in 20
+    # blocks; paths first cross in 19 of them, the short last one among
+    # them, or never, so they stop at uneven lengths
+    "blocks": (-1.0, math.exp(3.0), 50.0, 0.01, 200, 21),
+    "one-block": (1.0, 2.0, 1.0, 0.01, 150, 9),
     "threshold-one": (1.0, 1.0, 10.0, 0.1, 100, 0),
 }
 
 
-@pytest.mark.parametrize("case", sorted(WORKER_CASES))
-def test_hitting_paths_do_not_depend_on_the_worker_count(case, monkeypatch):
-    alpha, r, horizon, dt, n_paths, seed = args = WORKER_CASES[case]
-    serial = _serial_crossings(*args)
-    if case == "chunks":
-        firsts = {path_hits_oracle(ex._path_rng(seed, idx), alpha,
-                                   math.log(r), 5000, dt)
-                  for idx in range(n_paths)}
-        assert {n if hit else None for hit, n in firsts} == {1, 2, 3, None}
-    hits = sum(crossed for crossed, _ in serial)
-    vals = np.array([math.exp(stopped / 16.0) for _, stopped in serial])
-    lam = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths)))
-    before = threading.active_count()
-    monkeypatch.setattr(ex, "_THREAD_STEPS", 1)
-    for workers in (1, 2, 3, n_paths + 3):
-        monkeypatch.setattr(ex, "_worker_count", lambda: workers)
-        assert ex._path_crossings(*args) == serial, workers
-        summary = ex.mc_hitting(*args)
-        assert summary == ex.McSummary(
-            n_paths, hits, hits / n_paths, math.sqrt(
-                hits / n_paths * (1.0 - hits / n_paths) / n_paths),
-            seed, alpha, r, horizon, dt)
-        assert ex.stopped_lambda_mean(*args) == lam, workers
-        assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("n_steps", [ex._THREAD_STEPS - 1, ex._THREAD_STEPS])
-def test_only_paths_of_thread_steps_start_threads(n_steps, monkeypatch):
-    # each worker sleeps in every path, so each one gets some
-    real = ex._first_crossing
-    runners = set()
-
-    def slow(*args):
-        runners.add(threading.get_ident())
-        time.sleep(2e-3)
-        return real(*args)
-
-    monkeypatch.setattr(ex, "_first_crossing", slow)
-    monkeypatch.setattr(ex, "_worker_count", lambda: 3)
-    ex._path_crossings(0.5, math.exp(20.0), n_steps * 0.01, 0.01, 20, 1)
-    assert len(runners) == (3 if n_steps >= ex._THREAD_STEPS else 1)
-
-
-@pytest.mark.parametrize("workers", [2, 5])
-def test_path_streams_are_built_one_at_a_time(workers, monkeypatch):
-    # each stream is built under the workers' lock: never two at once, and
-    # once for each index, while the paths themselves overlap
-    args = (1.0, 2.0, 1.0, 0.01, 60, 3)
-    serial = _serial_crossings(*args)
-    real = ex._path_rng
-    guard = threading.Lock()
-    entered, inside, most = [], [0], [0]
-
-    def counted(seed, idx):
-        with guard:
-            entered.append(idx)
-            inside[0] += 1
-            most[0] = max(most[0], inside[0])
-        time.sleep(1e-3)
-        with guard:
-            inside[0] -= 1
-        return real(seed, idx)
-
-    monkeypatch.setattr(ex, "_path_rng", counted)
-    monkeypatch.setattr(ex, "_worker_count", lambda: workers)
-    monkeypatch.setattr(ex, "_THREAD_STEPS", 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = ex._path_crossings(*args)
-    finally:
-        sys.setswitchinterval(interval)
-    assert most[0] == 1
-    assert sorted(entered) == list(range(60))
-    assert got == serial
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_a_failing_path_stops_the_workers(workers, error, monkeypatch):
-    # a RuntimeError on path 7 in whichever worker runs it, or an interrupt
-    # in the calling thread at its first path from 7 on: the others take
-    # no more paths, every thread is joined and the error is raised
-    real = ex._first_crossing
-    taken, raised = [], []
-
-    def failing(rng, *rest):
-        idx = rng.bit_generator.seed_seq.entropy[1]
-        taken.append(idx)
-        if error is RuntimeError and idx == 7 or (
-                error is KeyboardInterrupt and idx >= 7
-                and threading.current_thread() is threading.main_thread()):
-            raised.append(len(taken))
-            raise error(f"path {idx}")
-        return real(rng, *rest)
-
-    monkeypatch.setattr(ex, "_first_crossing", failing)
-    monkeypatch.setattr(ex, "_worker_count", lambda: workers)
-    monkeypatch.setattr(ex, "_THREAD_STEPS", 1)
-    before = threading.active_count()
-    with pytest.raises(error, match="path"):
-        ex.mc_hitting(1.0, math.exp(20.0), 100.0, 0.01, 400, 5)
-    assert threading.active_count() == before
-    # a worker may start the path it holds, and take one more before the
-    # error is handed on
-    assert len(raised) == 1 and len(taken) - raised[0] <= 2 * (workers - 1)
+@pytest.mark.parametrize("case", sorted(HITTING_CASES))
+def test_hitting_paths_do_not_depend_on_the_path_order(case):
+    alpha, r, horizon, dt, n_paths, seed = args = HITTING_CASES[case]
+    n_steps = ex._step_count(horizon, dt)
+    blocks = ex._path_blocks(alpha, dt, n_steps)
+    buf = np.empty(blocks[0].size + 1)
+    log_r = math.log(r)
+    backwards = {idx: ex._first_crossing(ex._path_rng(seed, idx), alpha,
+                                         log_r, math.sqrt(dt), blocks, buf)
+                 for idx in reversed(range(n_paths))}
+    paths = [backwards[idx] for idx in range(n_paths)]
+    assert ex._path_crossings(*args) == paths
+    hits = sum(crossed for crossed, _ in paths)
+    frac = hits / n_paths
+    assert ex.mc_hitting(*args) == ex.McSummary(
+        n_paths, hits, frac, math.sqrt(frac * (1.0 - frac) / n_paths), seed,
+        alpha, r, horizon, dt)
+    vals = np.array([math.exp(stopped / 16.0) for _, stopped in paths])
+    assert ex.stopped_lambda_mean(*args) == (
+        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths)))
 
 
 def test_scalar_modes_never_import_scipy_fft():

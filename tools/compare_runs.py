@@ -12,8 +12,8 @@ loop, a square ``convergence`` run, a square ``mc-global`` run and a torus
 one whose low threshold stops paths at different steps (both with a
 part-filled last batch of paths), a torus ``mc-global`` run monitoring
 W^{1,inf} and a square one monitoring W^{2,3}, an ``mc-hitting`` run at
-alpha < 0 whose paths first cross in each of its three draw chunks or
-never, and a ``diag`` run with a ``[grid]`` section on the ``sim-sde``
+alpha < 0 whose paths first cross in 19 of its 20 blocks (the short last
+one among them) or never, and a ``diag`` run with a ``[grid]`` section on the ``sim-sde``
 checkpoint.  Every run works in the same relative directory under its
 tree's run root, so the configs and echoes of the two revisions name the
 same paths.
@@ -137,10 +137,10 @@ EXTRA_RUNS = {
         "data": {"seed": 17, "amplitude": 20.0, "max_mode": 2},
         "mc": {"n_paths": 6},
     }),
-    # 5000 steps in draw chunks of 1024, 2048 and 1928 at alpha < 0: of the
-    # 200 paths, 74 never cross and 67, 44 and 15 first cross in the
-    # first, second and third chunk
-    "mc-hitting-chunks": ("mc-hitting", {
+    # 5000 steps in 19 blocks of 256 and one of 136 at alpha < 0: of the
+    # 200 paths, 84 never cross, and the others first cross in 19 of the
+    # 20 blocks (48 in the first three, 2 in the short last one)
+    "mc-hitting-blocks": ("mc-hitting", {
         "": {"seed": 21},
         "noise": {"alpha": -1.0},
         "time": {"dt": 0.01, "t_final": 50.0},
