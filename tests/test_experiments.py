@@ -350,6 +350,42 @@ def test_hitting_paths_do_not_depend_on_the_path_order(case):
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths)))
 
 
+@pytest.mark.parametrize("n_blocks", [2, 5])
+def test_path_streams_are_built_one_at_a_time(n_blocks, monkeypatch):
+    # once for each index, in index order, each just before its path runs
+    # and after the one before it returned; the path's two levels both draw
+    # from that one stream.  The benchmark's set-up hook and its per-path
+    # span sit on _path_rng.
+    args = (1.0, math.exp(3.0), n_blocks * ex._BLOCK * 0.01, 0.01, 60, 3)
+    real_rng, real_kernel = ex._path_rng, ex._first_crossing
+    events, streams, want = [], {}, []
+
+    def counted_rng(seed, idx):
+        events.append(("stream", idx))
+        streams[idx] = rng = real_rng(seed, idx)
+        want.append(real_kernel(real_rng(seed, idx), *rest[0]))
+        return rng
+
+    def counted_kernel(rng, *more):
+        idx = rng.bit_generator.seed_seq.entropy[1]
+        assert rng is streams[idx]
+        events.append(("path", idx))
+        out = real_kernel(rng, *more)
+        events.append(("done", idx))
+        return out
+
+    n_steps = ex._step_count(args[2], args[3])
+    blocks = ex._path_blocks(args[0], args[3], n_steps)
+    rest = [(args[0], math.log(args[1]), math.sqrt(args[3]), blocks,
+             np.empty(blocks[0].size + 1))]
+    monkeypatch.setattr(ex, "_path_rng", counted_rng)
+    monkeypatch.setattr(ex, "_first_crossing", counted_kernel)
+    got = ex._path_crossings(*args)
+    assert events == [(step, idx) for idx in range(60)
+                      for step in ("stream", "path", "done")]
+    assert got == want and {crossed for crossed, _ in got} == {False, True}
+
+
 def test_scalar_modes_never_import_scipy_fft():
     # scipy.fft loads with the first Grid; a hitting-law run builds none
     script = ("import sys, slicelab\n"
