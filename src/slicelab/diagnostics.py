@@ -22,7 +22,7 @@ from .dynamics import _rk4_arrays
 from .errors import ConfigError, LoopDomainError
 from .grid import (Geometry, Grid, NEUMANN_BASIS, ScalarField, VectorField,
                    VX_BASIS, VZ_BASIS, from_modes, integrate, scalar_field)
-from .incompressible import curl_modes, divergence_modes
+from .incompressible import divergence_modes
 from .norms import NormSpec, ZKP_DEFAULT, combine, state_component_norms
 from .runio import DiagnosticsRecord
 from .state import Params, SimState, state_arrays
@@ -52,11 +52,10 @@ def energy(state: SimState, params: Params) -> float:
 def potential_vorticity(state: SimState, params: Params) -> ScalarField:
     """q as above.  On the square the returned basis is cos.cos, the parity
     class of the s = 0 expression; values are exact for any s."""
-    g = state.grid
     *_, (dx_ut, dz_ut), (dx_th, dz_th) = state.gradients
-    om = from_modes(g, *curl_modes(g, *state.coefs[:2]))
-    q = params.s * om - (dx_ut + params.f) * dz_th + dz_ut * dx_th
-    return scalar_field(g, q, NEUMANN_BASIS)
+    q = (params.s * state.vorticity - (dx_ut + params.f) * dz_th
+         + dz_ut * dx_th)
+    return scalar_field(state.grid, q, NEUMANN_BASIS)
 
 
 def generalized_enstrophy(state: SimState, params: Params, phi) -> float:
@@ -72,10 +71,8 @@ def bkm_bound(state: SimState, params: Params, c2: float = 1.0) -> float:
     """C2 ||u_S||_L2 + C2 ||omega||_inf (1 + log+ (||u_S||_Zkp/||omega||_inf))."""
     if c2 <= 0:
         raise ConfigError(f"BKM constant must be positive, got {c2}")
-    g = state.grid
     u_l2 = state_component_norms(state, NormSpec(0, 2))[0]
-    om_inf = float(np.max(np.abs(from_modes(g, *curl_modes(
-        g, *state.coefs[:2])))))
+    om_inf = float(np.max(np.abs(state.vorticity)))
     if om_inf == 0.0:
         return c2 * u_l2
     ratio = state_component_norms(state, ZKP_DEFAULT)[0] / om_inf

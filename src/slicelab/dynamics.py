@@ -12,19 +12,28 @@ tendency multiplies each advection term by the smooth cutoff of the matching
 running norm; linear couplings are never truncated.
 
 Every stepper runs its stages on the state's coefficients through one
-tendency, `_rhs_arrays`: 14 transforms a stage (u_S and 8 first
-derivatives back, 4 products forward; 16 truncated, which reads all 4
-fields' values), and a step ends with its projected coefficients, which
-are the new state: 56 per RK4 step, 64 truncated, 14 per EM step.  The
-first stage takes the values and the gradient pass that the state already
-holds (`SimState.gradients`, read by its W^{1,inf} norms: 52 per
-truncated step of such a state) and computes the rest without keeping
-them.
+tendency, `_rhs_arrays`.  u_S's own advection takes the rotational form
+P[omega (-u_z, u_x)], whose dealiased products equal P[(u_S.grad)u_S]'s
+to roundoff while u_S lies in the 2/3 band; out of it (an s source or a
+Nemytskii noise puts it there) a stage takes the u.grad u products.  A
+truncated stage first bounds its W^{1,inf} norms from the coefficients
+(`norms.w1inf_bound`); where the bounds are within the radius every
+cut-off is exactly 1.0 and the stage is a plain one.  At s = 0 a plain
+stage transforms 11 times (u_S's values and vorticity and u_T's and
+theta_S's 4 first derivatives back, 4 products forward; 14 advective),
+and one that reduces its norms 17 (it also reads u_T's and theta_S's
+values and u_S's derivatives; 16 advective).  A step ends with its
+projected coefficients, which are the new state: 44 per RK4 step, 68 when
+no stage is certified, 11 per EM step.  The first stage takes the values,
+gradients, vorticity and W^{1,inf} norms that the state already holds
+(`SimState.gradients` and `SimState.w1inf`, read for a diagnostics row,
+whose potential vorticity reads `SimState.vorticity`: 37 per truncated
+step of such a state) and computes the rest without keeping them.
 An `advect` scale on all advection terms and a `source_scale` on the z s
 source let the exponentially-transformed system share it.  At an infinite
-radius and unit scales every factor is exactly 1.0, so the float operation
-sequence is the plain one, which the bit-equality contracts of the
-steppers rely on.
+radius and unit scales, or in a certified stage, every factor is exactly
+1.0, so the float operation sequence is the plain one, which the
+bit-equality contracts of the steppers rely on.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ import numpy as np
 
 from .errors import ConfigError, DivergedError
 from .grid import Geometry, Grid, from_modes, gradient_values, to_modes
-from .incompressible import _project_modes
-from .norms import W1INF, _max, _w1inf, state_component_norms
+from .incompressible import _project_modes, curl_modes
+from .norms import _max, _w1inf, w1inf_bound
 from .state import (STATE_BASES, THETA_BASIS, Params, SimState,
                     state_is_finite)
 
@@ -47,38 +56,64 @@ from .state import (STATE_BASES, THETA_BASIS, Params, SimState,
 
 def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
                 radius: float = math.inf, advect: float = 1.0,
-                source_scale: float = 1.0, values=None, grads=None):
+                source_scale: float = 1.0, values=None, gradients=None,
+                vorticity=None, w1inf=None):
     """The tendency's coefficients (dux, duz, dut, dth) at the stage with
-    coefficients (cx, cz, ct, cth) in `STATE_BASES`; its values and their
-    (d_x, d_z) pairs are taken from these unless given.  A finite radius
-    truncates with the W^{1,inf} norms of the same arrays; an infinite one
-    and unit scales give the bitwise-plain tendency.  On the square a
+    coefficients (cx, cz, ct, cth) in `STATE_BASES`; its values, their
+    (d_x, d_z) pairs, u_S's vorticity and a finite radius's W^{1,inf}
+    norms are taken from these unless given.  A finite radius truncates
+    with the cut-offs of those norms, which are exactly 1.0 where
+    `w1inf_bound` certifies them within the radius: such a stage, and an
+    infinite radius with unit scales, give the bitwise-plain tendency.
+    u_S's advection takes the rotational form while u_S lies in the 2/3
+    band (`_in_band`), the advective one otherwise.  On the square a
     nonzero s re-expands u_T in theta_S's basis."""
-    truncated = math.isfinite(radius)
     coefs = (cx, cz, ct, cth)
     cross = params.s and grid.geometry is Geometry.SQUARE
+    # the cut-offs from norms given, or exactly 1.0 at an infinite or a
+    # certified radius, or (None) from the norms the stage reduces
+    cuts = (1.0, 1.0, 1.0)
+    if w1inf is not None and math.isfinite(radius):
+        cuts = cutoffs_from_norms(w1inf, radius)
+    elif not _certified(grid, coefs, radius):
+        cuts = None
+    exact = cuts is None
+    rotational = _in_band(grid, cx, cz)
     if values is None:
-        need = (True, True, truncated or cross, truncated)
+        need = (True, True, exact or cross, exact)
         values = [from_modes(grid, c, b) if n else None
                   for c, b, n in zip(coefs, STATE_BASES, need)]
     ux, uz, ut, _ = values
-    adv, w1inf, held = [], [], []
+    adv = []
+    if rotational:
+        # (u.grad)u = grad(|u|^2/2) + omega (-u_z, u_x), and the projection
+        # removes the gradient
+        om = (from_modes(grid, *curl_modes(grid, cx, cz))
+              if vorticity is None else vorticity)
+        adv = [to_modes(grid, a * b, basis) * grid.keep(basis)
+               for a, b, basis in ((-om, uz, STATE_BASES[0]),
+                                   (om, ux, STATE_BASES[1]))]
+        del om
+    reduced, held = [], []
     for i, (c, basis) in enumerate(zip(coefs, STATE_BASES)):
-        dx, dz = grad = (grads[i] if grads
+        if i < 2 and rotational and not exact:
+            continue  # u_S's derivatives would feed its norm only
+        dx, dz = grad = (gradients[i] if gradients
                          else gradient_values(grid, c, basis))
-        adv.append(to_modes(grid, ux * dx + uz * dz, basis)
-                   * grid.keep(basis))
-        if truncated:
+        if i >= 2 or not rotational:
+            adv.append(to_modes(grid, ux * dx + uz * dz, basis)
+                       * grid.keep(basis))
+        if exact:
             held.append((values[i], grad))
             if i:  # the u_S norm pairs u_x's derivatives with u_z's
-                w1inf.append(_w1inf(grid, *zip(*held)))
+                reduced.append(_w1inf(grid, *zip(*held)))
                 held = []
         del dx, dz, grad
     ct_th = to_modes(grid, ut, THETA_BASIS) if cross else ct
     del values, ux, uz, ut
     adv_x, adv_z, adv_t, adv_s = adv
-    c_us, c_ut, c_th = (cutoffs_from_norms(w1inf, radius) if truncated
-                        else (1.0, 1.0, 1.0))
+    c_us, c_ut, c_th = (cutoffs_from_norms(reduced, radius) if exact
+                        else cuts)
 
     buoy = params.buoyancy
     adv_us = advect * c_us
@@ -92,12 +127,48 @@ def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
     return dux, duz, dut, dth
 
 
+#: the relative margin by which a stage's `w1inf_bound` must stay within
+#: the radius, far above the roundoff between the bound and the norms
+PLATEAU_MARGIN = 1e-9
+
+
+def _certified(grid: Grid, coefs, radius: float) -> bool:
+    # every cut-off is exactly 1.0 when the bounds, with the margin, are at
+    # most the radius; an infinite radius needs no bound, a nan bound fails
+    return not math.isfinite(radius) or float(np.max(
+        w1inf_bound(grid, coefs))) * (1.0 + PLATEAU_MARGIN) <= radius
+
+
+#: the l2 share of u_S's coefficients outside the 2/3 band up to which its
+#: advection takes the rotational form.  Roundoff leaves about 1e-14 there;
+#: the s source and the Nemytskii products put 1e-9 or more there within a
+#: step, where the two forms differ by their aliasing errors.
+BAND_TOLERANCE = 1e-12
+
+
+def _in_band(grid: Grid, cx, cz) -> bool:
+    # where u_S lies in the 2/3 band, the dealiased products are exact and
+    # the two forms differ by a projected-out gradient only.  A batch is in
+    # band when each of its paths is; a path holding a nan counts as in
+    # band, so that it cannot change the form of the others (a batch that
+    # mixed finite paths in and out of band would step them all in the
+    # advective form, within roundoff of their serial steps)
+    out = total = 0.0
+    for c, basis in ((cx, STATE_BASES[0]), (cz, STATE_BASES[1])):
+        energy = np.abs(c)
+        energy *= energy
+        total = total + energy.sum(axis=(-2, -1))
+        out = out + energy.sum(axis=(-2, -1), where=~grid.keep(basis))
+    return not np.any(out > BAND_TOLERANCE ** 2 * total)
+
+
 def _first_stage(state: SimState):
-    """A step's coefficients and its first stage's keywords: the values
-    and gradients the state holds (the stage transforms back those it
-    needs and the state does not hold yet, and does not keep them)."""
-    return tuple(state.coefs), dict(values=state.held("values"),
-                                    grads=state.held("gradients"))
+    """A step's coefficients and its first stage's keywords: the values,
+    gradients, vorticity and W^{1,inf} norms the state holds (the stage
+    computes those it needs and the state does not hold yet, and does not
+    keep them)."""
+    return tuple(state.coefs), {name: state.held(name) for name in (
+        "values", "gradients", "vorticity", "w1inf")}
 
 
 def rhs_deterministic(state: SimState, params: Params):
@@ -130,7 +201,7 @@ def _bump(t: float) -> float:
 def cutoff_factors(state: SimState, radius: float):
     """The three advection cutoffs (u_S equation, u_T equation, theta_S
     equation), from the state's W^{1,inf} norms."""
-    return cutoffs_from_norms(state_component_norms(state, W1INF), radius)
+    return cutoffs_from_norms(state.w1inf, radius)
 
 
 def cutoffs_from_norms(norms, radius: float):

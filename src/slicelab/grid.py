@@ -41,6 +41,8 @@ an (x-parity, z-parity) pair; the torus ignores it.
   divisor that inverts the Laplacian (or div.grad) off its null modes;
 * `keep(basis)`: the 2/3-rule mask;
 * `sobolev_weight(basis, k)`: the discrete Parseval weights of W^{k,2};
+* `sup_weight(basis)`: per-axis sup weights, which bound a field's and its
+  first derivatives' max norms from its coefficients;
 * `derivative_factor(axis, order)`: the torus (i*k)^order.
 
 The coefficient-space maps never need the analytic normalisation factors.
@@ -250,6 +252,32 @@ class Grid:
             axis(1, az)[:, None] * axis(0, ax)[None, :]
             for ax in range(k + 1) for az in range(k + 1 - ax)))
 
+    def sup_weight(self, basis) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis weights (wz, wx), each of shape (2, n): row a weighs
+        each slot by the sup of the order-a derivative of its basis
+        function as `from_modes` scales it, so the sum over the slots of
+        wz[a_z] x wx[a_x] x abs(coef) bounds the sup of d_z^a_z d_x^a_x of
+        the field (sum |c_k| sup|phi_k|).  Row 0: torus 1/n, doubled off
+        the x columns 0 and nx/2; square 1/n, halved at cosine mode 0 and
+        the top sine slot.  Row 1 is row 0 times |k| (the odd
+        wavenumbers), 0 at the top sine slot, whose derivative the
+        transform drops."""
+        px, pz = self._parities(basis)
+
+        def axis(i):
+            n, parity = ((self.nx, px), (self.nz, pz))[i]
+            k = self.wavenumbers(basis, True)[i]
+            w = np.full(k.shape, 1.0 / n)
+            if parity is not None:
+                w[0 if parity == COS else -1] = 0.5 / n
+            elif i == 0:
+                w[1:-1] *= 2.0
+            dw = np.abs(k) * w
+            if parity == SIN:
+                dw[-1] = 0.0
+            return np.stack([w, dw])
+        return self._cached(("sup", px, pz), lambda: (axis(1), axis(0)))
+
     def derivative_factor(self, axis: str, order: int) -> np.ndarray:
         """Torus (i*k)^order along `axis`, broadcast over the half spectrum."""
         def build():
@@ -395,13 +423,19 @@ def axis_derivative_modes(grid: Grid, coef: np.ndarray, basis, axis: str,
         k = ksin if parity == SIN else kcos
         out = out * along((-(k ** 2)) ** half)
     if rem:
-        shifted = np.zeros_like(out)
+        # the products are written in place, and the one slot left empty
+        # is zeroed
+        shifted = np.empty_like(out)
         if parity == SIN:
             # sin mode m -> +k_m * cos mode m: cos slot m <- sin slot m-1
-            shifted[slots(1, None)] = along(kcos[1:]) * out[slots(None, -1)]
+            shifted[slots(0, 1)] = 0.0
+            np.multiply(along(kcos[1:]), out[slots(None, -1)],
+                        out=shifted[slots(1, None)])
         else:
             # cos mode m -> -k_m * sin mode m: sin slot m-1 <- cos slot m
-            shifted[slots(None, -1)] = -along(ksin[:-1]) * out[slots(1, None)]
+            shifted[slots(-1, None)] = 0.0
+            np.multiply(-along(ksin[:-1]), out[slots(1, None)],
+                        out=shifted[slots(None, -1)])
         out = shifted
         parity = _flip(parity)
     new_basis = (parity, basis[1]) if bi == 0 else (basis[0], parity)

@@ -20,6 +20,10 @@ holds.  Values stacked along a leading path axis, shape (B, nz, nx), are
 reduced slice by slice: `_field_norm` and `state_component_norms` then
 give one norm (or triple) per path, each bit for bit the 2-D call's on
 that slice, with the transforms of one call shared by all B.
+
+`w1inf_bound` bounds a state's three W^{1,inf} norms from its coefficients
+alone, with no transform: the truncated tendency's certificate that all
+its cut-offs are exactly 1.0.
 """
 
 from __future__ import annotations
@@ -100,16 +104,30 @@ def _parseval(grid, coefs, bases, k: int):
     return norms.tolist() if norms.ndim else float(norms)
 
 
+def _magnitude_term(d, p: float):
+    """Per slice, max |v| (p = inf) or sum |v|^p over the nodes, |v| the
+    pointwise magnitude of one component or of a pair.  A pair takes the
+    square root of its squares' sum, within roundoff of hypot's at a tenth
+    of the cost, and hypot's only in a slice where that is not finite."""
+    def term(mag, power):
+        return (mag.max(axis=(-2, -1)) if p == INF
+                else np.sum(mag ** power, axis=(-2, -1)))
+    if len(d) == 1:
+        return term(np.abs(d[0]), p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = term(d[0] * d[0] + d[1] * d[1], p / 2)
+    if p == INF:
+        fast = np.sqrt(fast)
+    bad = ~np.isfinite(fast)
+    return np.where(bad, term(np.hypot(*d), p), fast) if bad.any() else fast
+
+
 def _reduce(grid, derivs, spec: NormSpec):
     """W^{k,p} from derivative values: per multi-index, in `_multi_indices`
     order, the list of one (scalar) or two (vector) component arrays; at
     W^{1,inf} values, d_z, d_x.  Stacked arrays give per-slice norms."""
-    terms = []
-    for d in derivs:
-        mag = np.abs(d[0]) if len(d) == 1 else np.hypot(*d)
-        # one term per multi-index and slice
-        terms.append(mag.max(axis=(-2, -1)) if spec.p == INF
-                     else np.sum(mag ** spec.p, axis=(-2, -1)))
+    # one term per multi-index and slice
+    terms = [_magnitude_term(d, spec.p) for d in derivs]
     # the scalar epilogue per path, in Python floats
     norms = []
     for row in np.reshape(terms, (len(terms), -1)).T.tolist():
@@ -127,6 +145,27 @@ def _w1inf(grid, values, grads):
     """W^{1,inf} from component values and their (d_x, d_z) value pairs."""
     return _reduce(grid, (values, [g[1] for g in grads],
                           [g[0] for g in grads]), W1INF)
+
+
+def w1inf_bound(grid, coefs):
+    """Upper bounds of the (u_S, u_T, theta_S) W^{1,inf} norms of the state
+    with coefficients `coefs` in `STATE_BASES`, from the coefficients alone
+    (`Grid.sup_weight`; u_S pairs its components per multi-index with
+    hypot): an array of shape (3,), or (3, B) for stacked coefficients,
+    at least the norms `state_component_norms` takes, up to roundoff."""
+    terms = []
+    for c, b in zip(coefs, STATE_BASES):
+        (wz, dwz), (wx, dwx) = grid.sup_weight(b)
+        mag = np.abs(c)
+        # the weighted sums along x, then along z (elementwise: a BLAS
+        # product would map its library's pages for three numbers)
+        along_x, along_dx = ((mag * w).sum(axis=-1) for w in (wx, dwx))
+        terms.append(np.array([(along_x * wz).sum(axis=-1),
+                               (along_x * dwz).sum(axis=-1),
+                               (along_dx * wz).sum(axis=-1)]))
+    # the max over the multi-indices (0, 0), (1, 0) and (0, 1)
+    return np.stack([np.hypot(terms[0], terms[1]), terms[2],
+                     terms[3]]).max(axis=1)
 
 
 def combine(parts, p: float) -> float:

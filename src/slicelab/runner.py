@@ -17,7 +17,6 @@ from .config import RunConfig, render_config, with_grid
 from .diagnostics import _row_record
 from .dynamics import cutoffs_from_norms, step_rk4
 from .errors import ConfigError, DivergedError
-from .norms import W1INF, state_component_norms
 from .runio import (_open_diagnostics, append_diagnostics, write_key_values,
                     write_stopping_record)
 from .state import random_state
@@ -141,11 +140,11 @@ def _run_sim(cfg: RunConfig) -> RunResult:
     def observe(s, step, row_due):
         # the state's W^{1,inf} norms feed the row and the monitor (stopping
         # at the first crossing of the cutoff radius) and leave the state
-        # holding the gradients its next step's first stage takes; a state
-        # that stops the run gets its row
+        # holding them, and the gradients, that its next step's first stage
+        # takes; a state that stops the run gets its row
         if not row_due and monitor is None:
             return False
-        w1inf = state_component_norms(s, W1INF)
+        w1inf = s.w1inf
         stop = monitor is not None and monitor.update(s.t, max(w1inf))
         if row_due or stop:
             emit(s, step, w1inf)
@@ -275,7 +274,7 @@ def _run_diag(cfg: RunConfig) -> RunResult:
         cfg = with_grid(cfg, state.grid)
     _write_echo(cfg)
     rec = _row_record(state, params, cfg.loop(), cfg.norm_spec,
-                      state_component_norms(state, W1INF))
+                      state.w1inf)
     with _open_diagnostics(os.path.join(cfg.out_dir, DIAG_FILE)) as fh:
         append_diagnostics(rec, fh)
     return RunResult(EXIT_COMPLETED, cfg.out_dir, state, payload=rec)

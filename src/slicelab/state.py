@@ -8,7 +8,8 @@ every step, norm and checkpoint reads them, and value arrays are made only
 at the edge, by `make_state` (forward, once) and `SimState.values` (back,
 once, when first read).  `SimState.gradients`, the first-derivative pass
 that the W^{1,inf} norms, the diagnostics and a step's first stage share,
-is likewise taken once, when first read, and kept.
+u_S's `vorticity` and the `w1inf` norms are likewise taken once, when
+first read, and kept.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import ConfigError
 from .grid import (Grid, Geometry, SCALAR_BASIS, ScalarField, VectorField,
                    VX_BASIS, VZ_BASIS, differentiate, from_modes,
                    gradient_values, scalar_field, to_modes, vector_field)
+from .incompressible import curl_modes
 
 #: Square parity classes of u_T and theta_S (the torus ignores them).  The
 #: f-coupling (du_x gains f u_T, du_T loses f u_x) forces u_T into the
@@ -63,9 +65,9 @@ class Params:
 @dataclass(frozen=True, eq=False)
 class SimState:
     """A model time and the fields (u_x, u_z, u_T, theta_S) on one grid,
-    held as their coefficients in `STATE_BASES`; their value arrays and
-    their gradients are transformed back once, when first read, and
-    kept."""
+    held as their coefficients in `STATE_BASES`; their value arrays,
+    their gradients and u_S's vorticity are transformed back once, when
+    first read, and kept, as are the W^{1,inf} norms."""
 
     grid: Grid
     t: float
@@ -82,9 +84,22 @@ class SimState:
         return tuple(gradient_values(self.grid, c, b)
                      for c, b in zip(self.coefs, STATE_BASES))
 
+    @cached_property
+    def vorticity(self) -> np.ndarray:
+        """The values of u_S's vorticity d_x u_z - d_z u_x, by `curl_modes`
+        (one inverse transform)."""
+        return from_modes(self.grid, *curl_modes(self.grid, *self.coefs[:2]))
+
+    @cached_property
+    def w1inf(self):
+        """The (u_S, u_T, theta_S) W^{1,inf} norms (a list of triples for a
+        stacked state), reduced from `values` and `gradients`."""
+        from .norms import W1INF, state_component_norms
+        return state_component_norms(self, W1INF)
+
     def held(self, name: str):
-        """`values` or `gradients` if they have been read already, else
-        None."""
+        """`values`, `gradients`, `vorticity` or `w1inf` if they have been
+        read already, else None."""
         return vars(self).get(name)
 
     @property

@@ -10,7 +10,8 @@ of supplied (refined) paths, the decay-rate fit, the value-space tendency
 and steppers that the coefficient-space stages replaced (their cut-off
 norms taken with transforms of their own) and the value-space noise of
 their EM step, the coefficient-space first stage with
-its cut-offs through state_component_norms(..., W1INF), the stacking of
+its cut-offs through state_component_norms(..., W1INF) (in the rotational
+form where u_S lies in the 2/3 band), the stacking of
 states into one batch state, and the quadrature W^{k,2} norm that discrete
 Parseval replaced."""
 
@@ -20,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.fft as sfft
 
-from slicelab.dynamics import (_axpy, _check_dt, _rk4_arrays,
+from slicelab.dynamics import (_axpy, _check_dt, _in_band, _rk4_arrays,
                                cutoffs_from_norms)
 from slicelab.errors import ConfigError, DivergedError
 from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
@@ -28,8 +29,8 @@ from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
                            derivative_values, from_modes, gradient_values,
                            scalar_field, to_modes, vector_field)
 from slicelab.experiments import _BLOCK, _path_rng
-from slicelab.incompressible import (_project_modes, project_values,
-                                     velocity_from_vorticity)
+from slicelab.incompressible import (_project_modes, curl_modes,
+                                     project_values, velocity_from_vorticity)
 from slicelab.norms import (W1INF, ZKP_DEFAULT, _multi_indices, _reduce,
                             combine, norm, state_component_norms)
 from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
@@ -543,7 +544,9 @@ def step_em_oracle(state: SimState, params: Params, dt: float, dw, model,
 def rhs_norm_oracle(grid, params: Params, state: SimState, radius: float):
     """The coefficient-space first stage at `state`, its cut-offs through
     state_component_norms(state, W1INF): the tendency's coefficient
-    arrays."""
+    arrays.  u_S's advection is the projected Lamb vector omega (-u_z, u_x),
+    omega by `curl_modes`, while u_S lies in the 2/3 band (`_in_band`),
+    else its u.grad products."""
     ux, uz, ut, th = state.values
     coefs = state.coefs
     c_us, c_ut, c_th = cutoffs_from_norms(
@@ -552,6 +555,10 @@ def rhs_norm_oracle(grid, params: Params, state: SimState, radius: float):
     for (dx, dz), basis in zip(state.gradients, STATE_BASES):
         adv.append(to_modes(grid, ux * dx + uz * dz, basis)
                    * grid.keep(basis))
+    if _in_band(grid, *coefs[:2]):
+        om = from_modes(grid, *curl_modes(grid, *coefs[:2]))
+        adv[:2] = [to_modes(grid, -om * uz, VX_BASIS) * grid.keep(VX_BASIS),
+                   to_modes(grid, om * ux, VZ_BASIS) * grid.keep(VZ_BASIS)]
     adv_x, adv_z, adv_t, adv_s = adv
     cx, cz, ct, cth = coefs
     ct_th = (ct if grid.geometry is Geometry.TORUS

@@ -10,16 +10,16 @@ from slicelab.grid import (from_modes, make_grid, scalar_field, to_modes,
                            vector_field)
 from slicelab.incompressible import (_project_modes, curl, max_divergence,
                                      project_values)
-from slicelab.norms import W1INF, l2, state_component_norms
+from slicelab.norms import W1INF, l2, state_component_norms, w1inf_bound
 from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
                             SimState, make_state, random_state, scale_state,
                             state_arrays, zero_state)
 from slicelab.stochastic import (LinearMultiplicative, PointwiseNemytskii,
                                  step_em, step_transformed)
 
-from helpers import (finish_step_oracle, rhs_norm_oracle, rhs_vorticity,
-                     stacked_state, state_max_abs_diff, step_em_oracle,
-                     step_rk4_oracle, step_rk4_vorticity,
+from helpers import (finish_step_oracle, rhs_arrays_oracle, rhs_norm_oracle,
+                     rhs_vorticity, stacked_state, state_max_abs_diff,
+                     step_em_oracle, step_rk4_oracle, step_rk4_vorticity,
                      step_transformed_oracle, zero_scalar)
 
 PI = np.pi
@@ -170,11 +170,37 @@ def _step_transforms(count_calls, state, step):
 # the counts at s = 0 and, on the square, at s != 0, where every stage
 # re-expands u_T in theta_S's basis (one forward transform, and an inverse
 # one where the stage holds no u_T values); the grid builds its z-weight
-# table for the s source once, before the counts start
+# table for the s source once, before the counts start.  A plain stage in
+# rotational form takes u_S's values and vorticity and u_T's and
+# theta_S's first derivatives back (7) and 4 products forward: 11.  A
+# LARGE radius is above the state's `w1inf_bound`, so every stage is
+# certified and costs the plain count; a SMALL one is below its exact
+# norms, and a stage then also reads u_T's and theta_S's values and u_S's
+# derivatives for its norms: 17.  In a step at s != 0 the s source puts
+# u_S out of the 2/3 band from the third stage on, which then takes the
+# advective form (14 plain, 16 with its norms, each + 2 for the s terms).
 
-@pytest.mark.parametrize("s,radius,expected", [
-    (0.0, float("inf"), 14), (0.0, 1.0, 16), (1.0, float("inf"), 16),
-    (1.0, 1.0, 17)])
+LARGE, SMALL = 1e6, 1e-3
+RADII = {"inf": math.inf, "certified": LARGE, "uncertified": SMALL}
+
+
+def _count_cases(counts):
+    # {(s, radius name): transforms} as parameters whose ids name the case,
+    # not its count, so that a change of count keeps the test's id
+    return [pytest.param(s, RADII[r], n, id=f"s{s:g}-{r}")
+            for (s, r), n in counts.items()]
+
+
+def test_the_pinned_radii_straddle_the_norms(sq32_state):
+    # LARGE certifies the pinned state; SMALL is below its exact norms
+    assert max(w1inf_bound(sq32_state.grid, sq32_state.coefs)) < LARGE
+    assert min(sq32_state.w1inf) > SMALL
+    assert dyn._in_band(sq32_state.grid, *sq32_state.coefs[:2])
+
+
+@pytest.mark.parametrize("s,radius,expected", _count_cases({
+    (0.0, "inf"): 11, (0.0, "certified"): 11, (0.0, "uncertified"): 17,
+    (1.0, "inf"): 13, (1.0, "certified"): 13, (1.0, "uncertified"): 18}))
 def test_transforms_per_tendency(count_calls, sq32_state, s, radius,
                                  expected):
     # a later stage: coefficients in, the values it reads transformed back
@@ -187,11 +213,11 @@ def test_transforms_per_tendency(count_calls, sq32_state, s, radius,
 
 # per step of a state, made from values or by a step alike: its first
 # stage costs what a later one does, and nothing transforms back at the
-# step end
+# step end; at s = 1, 13 + 13 + 16 + 16 (18 + 18 + 17 + 17 with norms)
 
-@pytest.mark.parametrize("s,radius,expected", [
-    (0.0, float("inf"), 56), (0.0, 1.0, 64), (1.0, float("inf"), 64),
-    (1.0, 1.0, 68)])
+@pytest.mark.parametrize("s,radius,expected", _count_cases({
+    (0.0, "inf"): 44, (0.0, "certified"): 44, (0.0, "uncertified"): 68,
+    (1.0, "inf"): 58, (1.0, "certified"): 58, (1.0, "uncertified"): 70}))
 def test_transforms_per_rk4_step(count_calls, sq32_state, s, radius,
                                  expected):
     assert _step_transforms(count_calls, sq32_state, lambda st: dyn.step_rk4(
@@ -200,11 +226,12 @@ def test_transforms_per_rk4_step(count_calls, sq32_state, s, radius,
 
 def test_transforms_per_transformed_step(count_calls, sq32_state):
     assert _step_transforms(count_calls, sq32_state, lambda st: (
-        step_transformed(st, Params(s=0.0), 1e-3, 0.7, 0.1, 0.2))) == 56
+        step_transformed(st, Params(s=0.0), 1e-3, 0.7, 0.1, 0.2))) == 44
 
 
-@pytest.mark.parametrize("s,radius,expected", [
-    (0.0, float("inf"), 14), (0.0, 1.0, 16), (1.0, float("inf"), 16)])
+@pytest.mark.parametrize("s,radius,expected", _count_cases({
+    (0.0, "inf"): 11, (0.0, "certified"): 11, (0.0, "uncertified"): 17,
+    (1.0, "inf"): 13}))
 def test_transforms_per_em_step(count_calls, sq32_state, s, radius,
                                 expected):
     # linear noise scales the step's coefficients: no transform of its own
@@ -221,16 +248,24 @@ def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
                                        geometry, stride, rows, monitored):
     # a truncated sim-det run observes every state: its W^{1,inf} norms
     # read the state's 4 values and 8 first derivatives back (12, all a
-    # state the monitor alone reads), and a row with a loop adds u_S's curl
-    # and divergence (14; its Z^{3,2} column reads the state's
+    # state the monitor alone reads), and a row with a loop adds u_S's
+    # vorticity and divergence (14; its Z^{3,2} column reads the state's
     # coefficients); the two strides pin both counts.
-    # Each step's first stage takes the values and gradients the state
-    # holds: 64 - 12 = 52 at s = 0,
-    # and at this s = 0.5 the square re-expands u_T once per stage (56);
-    # the first step also builds the grid's z-weight table (one transform)
+    # Each step's first stage takes the norms, values, gradients and
+    # vorticity the state holds, and the radius certifies the later
+    # stages.  At s = 0 a step after a row takes 4 + 3 * 11 = 37, and
+    # after the monitor alone 38, since it transforms the vorticity back.
+    # At s = 0.5 the first step takes 4 + 11 + 14 + 14 = 43, its last two
+    # stages advective, and the later ones, whose states are out of the
+    # band, 4 + 3 * 14 = 46; the square re-expands u_T once per stage
+    # (+ 7), and the first step builds the z-weight table (+ 1).
     from slicelab import runner
     from slicelab.config import parse_config
-    transforms = _transforms(count_calls)
+    calls = count_calls("grid", "to_modes", "from_modes")
+
+    def transforms():
+        return calls["to_modes"] + calls["from_modes"]
+
     elsewhere = []
 
     def outside_observation(fn):
@@ -245,16 +280,24 @@ def test_transforms_per_observed_state(count_calls, monkeypatch, tmp_path,
     for name in ("step_rk4", "_initial_state"):
         monkeypatch.setattr(runner, name,
                             outside_observation(getattr(runner, name)))
-    cfg = parse_config(
-        f"[grid]\ngeometry = {geometry}\nnx = 16\n[params]\ns = 0.5\n"
-        f"[time]\ndt = 1e-3\nt_final = 5e-3\n[monitor]\nradius = 1e6\n"
-        f"[data]\nseed = 3\namplitude = 0.3\n[output]\n"
-        f"out_dir = {tmp_path}\nstride = {stride}\nloop_radius = 0.5\n",
-        mode="sim-det")
-    assert runner.run(cfg).status == 0
-    per_step = 52 if geometry == "torus" else 56
-    assert elsewhere[1:] == [per_step + 1] + [per_step] * 4
-    assert transforms() - sum(elsewhere) == 14 * rows + 12 * monitored
+    for s in (0.0, 0.5):
+        cfg = parse_config(
+            f"[grid]\ngeometry = {geometry}\nnx = 16\n[params]\ns = {s}\n"
+            f"[time]\ndt = 1e-3\nt_final = 5e-3\n[monitor]\n"
+            f"radius = 1e6\n[data]\nseed = 3\namplitude = 0.3\n"
+            f"[output]\nout_dir = {tmp_path}\nstride = {stride}\n"
+            f"loop_radius = 0.5\n", mode="sim-det")
+        calls["to_modes"] = calls["from_modes"] = 0
+        elsewhere.clear()
+        assert runner.run(cfg).status == 0
+        if s:
+            cross = 7 * (geometry == "square")
+            per_step = [44 + cross] + [46 + cross] * 4
+        else:
+            # the state step k starts from had a row
+            per_step = [37 if k % stride == 0 else 38 for k in range(5)]
+        assert elsewhere[1:] == per_step, s
+        assert transforms() - sum(elsewhere) == 14 * rows + 12 * monitored
 
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
@@ -572,6 +615,82 @@ def test_steppers_agree_with_the_value_space_oracle(geometry, s):
         assert _relative(new, ref) <= 1e-12, name
 
 
+@pytest.mark.parametrize("s", [0.0, 0.5])
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_the_rotational_tendency_agrees_with_the_value_space_oracle(
+        geometry, s):
+    # u_S in the 2/3 band: its projected Lamb vector is its projected
+    # u.grad u up to roundoff, for one path and a batch of paths alike
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    p = Params(f=1.2, g=0.9, theta0=1.1, s=s)
+    states = [random_state(g, seed=k, max_mode=4, amplitude=0.5)
+              for k in range(3)]
+    for st in (*states, stacked_state(states)):
+        assert dyn._in_band(g, *st.coefs[:2])
+        got = [from_modes(g, c, b) for c, b in zip(
+            dyn._rhs_arrays(g, p, *st.coefs), STATE_BASES)]
+        want = rhs_arrays_oracle(g, p, *state_arrays(st))
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_batched_step_agrees_with_the_value_space_oracle(geometry):
+    # the rotational form on a batch, within 1e-13 relative per step
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    batch = stacked_state([random_state(g, seed=k, max_mode=4,
+                                        amplitude=0.5) for k in range(3)])
+    w = np.array([[0.0, 0.2, -0.1], [0.1, 0.1, -0.3]])
+    for step, oracle in (
+            (lambda st: dyn.step_rk4(st, P_S0, 5e-3),
+             lambda st: step_rk4_oracle(st, P_S0, 5e-3)),
+            (lambda st: step_transformed(st, P_S0, 5e-3, 0.7, *w),
+             lambda st: step_transformed_oracle(st, P_S0, 5e-3, 0.7, *w))):
+        ref = batch
+        for _ in range(5):
+            assert _relative(step(ref), oracle(ref)) <= 1e-13
+            ref = oracle(ref)
+
+
+def test_out_of_band_u_s_takes_the_advective_form():
+    # the s source puts u_S out of the band within a step; such a stage
+    # takes u.grad u, bit for bit the coefficient-space stage's products
+    g = make_grid("square", 32, 32, 2 * PI, PI)
+    p = Params(f=1.2, g=0.9, theta0=1.1, s=0.5)
+    st = dyn.step_rk4(_scaled_state(g), p, 5e-3)
+    assert not dyn._in_band(g, *st.coefs[:2])
+    r = 1.01 * max(st.w1inf)
+    got = dyn._rhs_arrays(g, p, *st.coefs, radius=r)
+    assert [a.tobytes() for a in got] == [
+        b.tobytes() for b in rhs_norm_oracle(g, p, st, r)]
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_a_certified_stage_is_the_uncertified_one(count_calls, geometry):
+    # for radii just around the state's exact norms and around its bound,
+    # a stage equals bit for bit the one with its cut-offs through
+    # state_component_norms; where the bound certifies the plateau it
+    # makes no reduction
+    g = make_grid(geometry, 32, 32, 2 * PI, PI)
+    p = Params(f=1.2, g=0.9, theta0=1.1, s=0.0)
+    st = _scaled_state(g)
+    exact = max(st.w1inf)
+    bound = float(max(w1inf_bound(g, st.coefs)))
+    calls = count_calls("norms", "_reduce")
+    seen = set()
+    for r0 in (exact, bound, bound * (1.0 + dyn.PLATEAU_MARGIN)):
+        for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+            r = r0 * factor
+            calls["_reduce"] = 0
+            got = dyn._rhs_arrays(g, p, *st.coefs, radius=r)
+            certified = dyn._certified(g, st.coefs, r)
+            assert calls["_reduce"] == (0 if certified else 3)
+            seen.add(certified)
+            assert [a.tobytes() for a in got] == [
+                b.tobytes() for b in rhs_norm_oracle(g, p, st, r)]
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_a_state_whose_pass_was_read_steps_as_its_cold_copy(geometry):
     # a step's first stage takes the values and gradients the state holds;
@@ -582,6 +701,10 @@ def test_a_state_whose_pass_was_read_steps_as_its_cold_copy(geometry):
     p = Params(f=1.2, g=0.9, theta0=1.1, s=0.5)
     r = 1.01 * state_component_norms(st, W1INF)[0]
     assert st.held("gradients") is st.gradients
+    # its norms and vorticity too: omega is the curl's transform, never
+    # formed from the held derivatives
+    norms, om = st.w1inf, st.vorticity
+    assert st.held("w1inf") is norms and st.held("vorticity") is om
     cold = SimState(g, st.t, st.coefs)
     for step in (lambda s: dyn.step_rk4(s, p, 1e-2, r),
                  lambda s: step_transformed(s, p, 1e-2, 0.7, 0.1, 0.3),
@@ -589,7 +712,8 @@ def test_a_state_whose_pass_was_read_steps_as_its_cold_copy(geometry):
                                    LinearMultiplicative(0.5), r)):
         assert [a.tobytes() for a in step(st).coefs] == [
             a.tobytes() for a in step(cold).coefs]
-        assert cold.held("values") is cold.held("gradients") is None
+        assert all(cold.held(name) is None for name in (
+            "values", "gradients", "vorticity", "w1inf"))
 
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
@@ -609,12 +733,54 @@ def test_state_gradients_are_its_derivative_values(count_calls, geometry):
 @pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_transforms_per_truncated_step_after_a_norm_read(count_calls,
                                                          geometry):
-    # a state whose W^{1,inf} norms were read holds its values and
-    # gradients: its truncated RK4 step saves the first stage's 12
+    # a state whose W^{1,inf} norms were read holds them, its values and
+    # its gradients: its truncated RK4 step's first stage transforms back
+    # only u_S's vorticity (5 with the 4 products), and the later stages
+    # cost 11 each when certified, 17 when not
+    transforms = _transforms(count_calls)
+    for radius, expected in ((LARGE, 38), (SMALL, 56)):
+        st = random_state(make_grid(geometry, 32, 32, PI, PI), seed=3)
+        st.w1inf
+        before = transforms()
+        dyn.step_rk4(st, Params(s=0.0), 1e-3, radius=radius)
+        assert transforms() - before == expected
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_an_observed_state_s_first_stage_takes_its_norms(count_calls,
+                                                        geometry):
+    # an uncertified first stage of a state whose norms were read takes
+    # the state's triple and reduces none of its own; a stage at the same
+    # coefficients that holds nothing reduces its three norms, and both
+    # give the same bits
     st = random_state(make_grid(geometry, 32, 32, PI, PI), seed=3)
-    state_component_norms(st, W1INF)
-    assert _step_transforms(count_calls, st, lambda s: dyn.step_rk4(
-        s, Params(s=0.0), 1e-3, radius=1.0)) == 52
+    radius = 0.9 * max(st.w1inf)
+    assert not dyn._certified(st.grid, st.coefs, radius)
+    calls = count_calls("norms", "_reduce")
+    y, first = dyn._first_stage(st)
+    got = dyn._rhs_arrays(st.grid, P_S0, *y, radius=radius, **first)
+    assert calls["_reduce"] == 0
+    want = dyn._rhs_arrays(st.grid, P_S0, *y, radius=radius)
+    assert calls["_reduce"] == 3
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_state_vorticity_is_its_curl_values(count_calls, geometry):
+    # the cached vorticity is curl_modes' coefficients transformed back,
+    # byte for byte, once; a row's potential vorticity and the BKM bound
+    # read it, and a step's first stage takes it
+    from slicelab.diagnostics import bkm_bound, potential_vorticity
+    from slicelab.incompressible import curl_modes
+    st = random_state(make_grid(geometry, 32, 32, PI, PI), seed=3)
+    want = from_modes(st.grid, *curl_modes(st.grid, *st.coefs[:2]))
+    calls = count_calls("grid", "to_modes", "from_modes")
+    potential_vorticity(st, P_S0)
+    assert (calls["to_modes"], calls["from_modes"]) == (0, 9)
+    bkm_bound(st, P_S0)
+    assert st.held("vorticity").tobytes() == want.tobytes()
+    assert (calls["to_modes"], calls["from_modes"]) == (0, 13)
+    assert dyn._first_stage(st)[1]["vorticity"] is st.vorticity
 
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from slicelab.errors import ConfigError
 from slicelab.norms import (W1INF, ZKP_DEFAULT, NormSpec, combine, l2, norm,
-                            state_component_norms)
-from slicelab.grid import scalar_field, vector_field
-from slicelab.state import random_state
+                            state_component_norms, w1inf_bound)
+from slicelab.grid import Geometry, make_grid, scalar_field, vector_field
+from slicelab.state import STATE_BASES, SimState, make_state, random_state
+
+from helpers import stacked_state
 
 PI = np.pi
 
@@ -290,3 +292,77 @@ def test_row_norm_is_the_state_norm(k):
         for spec in (NormSpec(k, 2), NormSpec(k, 3), NormSpec(k, math.inf)):
             rec = _row_record(state, Params(), None, spec, w1inf)
             assert repr(rec.zkp) == repr(norm(state, spec)), (case, spec)
+
+
+# -- the coefficient bound of the W^{1,inf} norms --------------------------
+
+def _noise_state(g, seed):
+    # white noise in every field: every slot holds energy, the square's top
+    # sine slot and the torus' Nyquist column included
+    rng = np.random.default_rng(seed)
+    return make_state(g, 0.0, *rng.standard_normal((4, g.nz, g.nx)))
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_w1inf_bound_is_at_least_the_norms(geometry):
+    # the certificate of the cut-off plateau: on random states, smooth or
+    # not, one at a time or stacked, the bound is at least each exact norm
+    g = make_grid(geometry, 32, 16, 2.0, 1.0)
+    states = [_noise_state(g, k) for k in range(3)] + [
+        random_state(g, seed=k, max_mode=5, amplitude=0.5) for k in range(3)]
+    for state in states:
+        bound = w1inf_bound(g, state.coefs)
+        assert bound.shape == (3,)
+        assert (bound >= np.array(state.w1inf) * (1.0 - 1e-12)).all()
+    stacked = stacked_state(states)
+    bound = w1inf_bound(g, stacked.coefs)
+    assert bound.shape == (3, len(states))
+    assert (bound.T >= np.array(stacked.w1inf) * (1.0 - 1e-12)).all()
+
+
+def _peak_slots(g, basis):
+    # (z, x) slots whose basis function, and its derivatives, peak on the
+    # nodes: the square's cosine mode 0 and top sine slot (whose derivative
+    # the transform drops); the torus' x columns 0, 1 and nx/2 and z rows 1
+    # and nz/2 (its Nyquist row)
+    if g.geometry is Geometry.SQUARE:
+        return [tuple(0 if parity == "cos" else n - 1
+                      for parity, n in ((basis[1], g.nz), (basis[0], g.nx)))]
+    return [(0, 0), (0, 1), (0, g.nx // 2), (1, 0), (g.nz // 2, 0)]
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_w1inf_bound_is_the_norm_where_the_nodes_reach_the_sup(geometry):
+    g = make_grid(geometry, 32, 16, 2.0, 1.0)
+    zero = random_state(g, seed=1).coefs
+    for i, basis in enumerate(STATE_BASES):
+        for slot in _peak_slots(g, basis):
+            coefs = [np.zeros_like(c) for c in zero]
+            coefs[i][slot] = 1.7
+            state = SimState(g, 0.0, tuple(coefs))
+            part = max(i - 1, 0)  # u_x and u_z are the u_S part
+            assert w1inf_bound(g, coefs)[part] == pytest.approx(
+                state.w1inf[part], rel=1e-13, abs=0.0), (basis, slot)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+def test_a_pair_magnitude_is_hypot_s_within_roundoff(p):
+    # the squares' sum stands in for hypot; where it overflows (|v| near
+    # 1e200) or is not finite, the slice takes hypot's term exactly
+    from slicelab.norms import _magnitude_term
+    rng = np.random.default_rng(5)
+    pair = rng.standard_normal((2, 3, 16, 8))
+    pair[:, 1] *= 1e200
+    pair[0, 2, 3, 4] = np.nan
+
+    def hypot_term(d):
+        mag = np.hypot(*d)
+        return (mag.max(axis=(-2, -1)) if p == math.inf
+                else np.sum(mag ** p, axis=(-2, -1)))
+    got, want = _magnitude_term(pair, p), hypot_term(pair)
+    assert abs(got[0] - want[0]) <= 1e-15 * want[0]
+    assert got[1] == want[1] and math.isfinite(got[1]) == (p == math.inf)
+    assert math.isnan(got[2])
+    for i in range(3):
+        assert _magnitude_term(pair[:, i], p).tobytes() == got[i].tobytes()
