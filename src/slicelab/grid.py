@@ -20,8 +20,9 @@ flattening gives index iz*nx + ix.  A stack of fields of shape
 and projection act on the last two axes only, bit for bit as on each
 slice alone, which is how the Monte Carlo harness steps its paths
 together.  Square coefficients live in the raw DST-II/DCT-II layout,
-shape (nz, nx).  Torus coefficients are the rfft2
-half spectrum, shape (nz, nx//2 + 1): rows are the signed z modes
+shape (nz, nx), from scipy.fft, which only a square grid imports.  Torus
+coefficients are the rfft2 half spectrum, shape (nz, nx//2 + 1), from
+numpy.fft, part of numpy itself: rows are the signed z modes
 0..nz/2-1, -nz/2..-1 and columns the x modes 0..nx/2.  The columns of
 negative x modes are not stored: for real fields, mode (-m_z, -m_x) is the
 complex conjugate of mode (m_z, m_x).  The Nyquist mode of each
@@ -58,9 +59,10 @@ import numpy as np
 
 from .errors import ConfigError
 
-#: scipy.fft, imported when the first Grid is built: the scalar Monte Carlo
-#: modes build none and never load it, and the transforms pay nothing per
-#: call for the deferral
+#: scipy.fft, imported when the first square Grid is built, for the
+#: DST-II/DCT-II that numpy lacks: torus runs and the scalar Monte Carlo
+#: modes never load it, and the transforms pay nothing per call for the
+#: deferral
 sfft = None
 
 SIN = "sin"
@@ -97,7 +99,7 @@ class Grid:
 
     def __post_init__(self):
         global sfft
-        if sfft is None:
+        if sfft is None and self.geometry is Geometry.SQUARE:
             import scipy.fft as sfft
 
     # -- sample coordinates -------------------------------------------------
@@ -178,7 +180,7 @@ class Grid:
         def build():
             if self.geometry is Geometry.TORUS:
                 return (np.arange(self.nx // 2 + 1),
-                        np.rint(sfft.fftfreq(self.nz) * self.nz).astype(int))
+                        np.rint(np.fft.fftfreq(self.nz) * self.nz).astype(int))
             return tuple(np.arange(1, n + 1) if p == SIN else np.arange(n)
                          for n, p in ((self.nx, px), (self.nz, pz)))
         return self._cached(("modes", px, pz), build)
@@ -367,10 +369,18 @@ def vector_field(grid: Grid, x_values, z_values) -> VectorField:
 # ---------------------------------------------------------------------------
 # transforms (raw coefficient layout; torus: rfft2 half spectrum)
 # ---------------------------------------------------------------------------
+# The torus takes its rfft2 as two 1-D passes, x then z, the second in
+# place: numpy's n-D rfft2 runs the z pass out of place and is about twice
+# as slow, and the two passes are bitwise equal to scipy's rfft2/irfft2.
+# numpy's passes keep their input's memory order, so inputs are made
+# C-ordered first and outputs are C-ordered as scipy's are (a copy only for
+# strided inputs, such as the broadcast `z_mesh`); the argument is never
+# written, as it may be a state's cached coefficients.
 
 def to_modes(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
     if grid.geometry is Geometry.TORUS:
-        return sfft.rfft2(values)
+        coef = np.fft.rfft(np.ascontiguousarray(values), axis=-1)
+        return np.fft.fft(coef, axis=-2, out=coef)
     coef = values
     # the last axis is x, the one before it z; any leading axes are batch
     coef = sfft.dst(coef, type=2, axis=-1) if basis[0] == SIN else sfft.dct(coef, type=2, axis=-1)
@@ -380,7 +390,8 @@ def to_modes(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
 
 def from_modes(grid: Grid, coef: np.ndarray, basis) -> np.ndarray:
     if grid.geometry is Geometry.TORUS:
-        return sfft.irfft2(coef, s=(grid.nz, grid.nx))
+        return np.fft.irfft(np.fft.ifft(np.ascontiguousarray(coef), axis=-2),
+                            grid.nx, axis=-1)
     vals = coef
     vals = sfft.idst(vals, type=2, axis=-2) if basis[1] == SIN else sfft.idct(vals, type=2, axis=-2)
     vals = sfft.idst(vals, type=2, axis=-1) if basis[0] == SIN else sfft.idct(vals, type=2, axis=-1)

@@ -386,19 +386,49 @@ def test_path_streams_are_built_one_at_a_time(n_blocks, monkeypatch):
     assert got == want and {crossed for crossed, _ in got} == {False, True}
 
 
+def _run_python(script, *args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl.__file__)))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
 def test_scalar_modes_never_import_scipy_fft():
-    # scipy.fft loads with the first Grid; a hitting-law run builds none
+    # scipy.fft loads with the first square Grid, for its DST/DCT; a
+    # hitting-law run builds no grid and a torus grid takes numpy.fft
     script = ("import sys, slicelab\n"
               "slicelab.mc_hitting(1.0, 2.0, 1.0, 0.01, 100, 1)\n"
               "slicelab.stopped_lambda_mean(1.0, 2.0, 1.0, 0.01, 100, 1)\n"
               "print('scipy.fft' in sys.modules)\n"
               "slicelab.make_grid('torus', 8, 8, 1.0, 1.0)\n"
+              "print('scipy.fft' in sys.modules)\n"
+              "slicelab.make_grid('square', 8, 8, 1.0, 1.0)\n"
               "print('scipy.fft' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sl.__file__)))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.split() == ["False", "True"]
+    assert _run_python(script).split() == ["False", "False", "True"]
+
+
+@pytest.mark.parametrize("mode,config", [
+    ("sim-sde", "[grid]\ngeometry = torus\nnx = 16\n[params]\ns = 0\n"
+                "[noise]\nalpha = 0.5\n[time]\ndt = 1e-3\nt_final = 4e-3\n"
+                "[data]\namplitude = 0.25\nmax_mode = 4\nseed = 3\n"),
+    ("mc-global", "[grid]\ngeometry = torus\nnx = 16\n[params]\ns = 0\n"
+                  "[noise]\nalpha = 20.0\n[time]\ndt = 5e-4\n"
+                  "t_final = 2e-3\n[monitor]\nthreshold = 2.0\n"
+                  "c_tilde = 1.0\n[data]\namplitude = 0.5\nmax_mode = 2\n"
+                  "seed = 3\n[mc]\nn_paths = 2\n")])
+def test_torus_cli_runs_never_import_scipy(tmp_path, mode, config):
+    # the torus transforms are numpy.fft's: a whole CLI run, from its
+    # imports to its outputs, loads no scipy module
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    script = ("import sys, slicelab.cli\n"
+              "status = slicelab.cli.main(sys.argv[1:])\n"
+              "print(status, sorted(m for m in sys.modules\n"
+              "                     if m.split('.')[0] == 'scipy'))\n")
+    out = _run_python(script, mode, "--config", str(cfg), "--seed", "5",
+                      "--out-dir", str(tmp_path / "out"))
+    assert out.split("\n")[-2] == "0 []"
+    assert (tmp_path / "out").is_dir()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -289,6 +290,37 @@ def test_torus_half_spectrum_matches_full_fft(nx, nz, lz):
     assert _close_to(smooth.u_s.z.values, inv(B * low - kz_d * dot))
     assert _close_to(smooth.u_t.values, inv(F * low))
     assert _close_to(smooth.theta_s.values, inv(F * low))
+
+
+@pytest.mark.parametrize("nz,nx", [(8, 64), (64, 8), (256, 256)])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_torus_transforms_equal_scipy_rfft2_bitwise(nz, nx, batch):
+    # numpy.fft's two 1-D passes against scipy's n-D rfft2/irfft2 (scipy
+    # is only this test's oracle): same bits, C-ordered outputs, whatever
+    # the input's memory order, and the argument left as it was
+    g = make_grid("torus", nx, nz, 2 * PI, 1.0)
+    lead = () if batch is None else (batch,)
+    rng = np.random.default_rng([nz, nx, batch or 0])
+    inputs = {
+        "c-ordered": rng.standard_normal(lead + (nz, nx)),
+        "transposed": rng.standard_normal(lead + (nx, nz)).swapaxes(-1, -2),
+        "zero-stride": np.broadcast_to(g.z_mesh, lead + (nz, nx)),
+        "x-mesh": np.broadcast_to(g.x_mesh, lead + (nz, nx)),
+    }
+    for name, values in inputs.items():
+        before = values.copy()
+        coef = to_modes(g, values, None)
+        want = sfft.rfft2(values)
+        assert coef.tobytes() == want.tobytes(), name
+        assert coef.flags.c_contiguous, name
+        assert np.array_equal(values, before), name
+        for c in (coef, np.asfortranarray(coef),
+                  np.broadcast_to(coef[..., :1, :], coef.shape)):
+            c_before = c.copy()
+            back = from_modes(g, c, None)
+            assert back.tobytes() == sfft.irfft2(c, s=(nz, nx)).tobytes(), name
+            assert back.flags.c_contiguous, name
+            assert np.array_equal(c, c_before), name
 
 
 def test_odd_x_derivatives_of_nyquist_column_vanish(tor64):
