@@ -14,8 +14,7 @@ from .errors import (CheckpointFormatError, ConfigError,
                      SliceLabError)
 from .grid import (Geometry, Grid, ScalarField, VectorField, dealias,
                    differentiate, make_grid, scalar_field, vector_field)
-from .incompressible import (curl, divergence, leray_project, max_divergence,
-                             velocity_from_vorticity)
+from .incompressible import curl, divergence, leray_project, max_divergence
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import MODES, RunConfig, parse_config, render_config
 from .experiments import (AmplitudeBudgetWarning, GlobalRegularityResult,
@@ -48,7 +47,6 @@ __all__ = [
     "Geometry", "Grid", "ScalarField", "VectorField", "dealias",
     "differentiate", "make_grid", "scalar_field", "vector_field",
     "curl", "divergence", "leray_project", "max_divergence",
-    "velocity_from_vorticity",
     "NormSpec", "W1INF", "ZKP_DEFAULT", "norm",
     "Params", "SimState", "make_state", "random_state", "zero_state",
     "AMPLITUDE_THRESHOLD", "GBM_THRESHOLD", "NORM_THRESHOLD",

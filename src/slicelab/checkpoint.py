@@ -10,18 +10,18 @@ Layout (version 2), all little-endian:
     bytes 81..96   the run's mode, ASCII, NUL-padded
     bytes 97..104  i64 seed
     bytes 105..128 f64 dt, u64 step index, f64 W(t)
-    byte  129      payload kind (0 values, 1 coefficients)
+    byte  129      payload kind (1 coefficients)
     bytes 130..133 u32 loop-point count, then that many (x, z) f64 pairs
     then the payload, four blocks u_S.x, u_S.z, u_T, theta_S in their
-    `STATE_BASES`, row-major x-fastest: nx*nz f64 each for values and for
-    square coefficients, nz*(nx/2+1) complex128 for torus coefficients
-    (the rfft2 half spectrum).
+    `STATE_BASES`, row-major x-fastest: nx*nz f64 each for square
+    coefficients, nz*(nx/2+1) complex128 for torus coefficients (the rfft2
+    half spectrum).
 
 Every state is written as its coefficients (payload kind 1), so a read
 gives back the state bit for bit and a restart continues as the run would
-have.  A values payload (kind 0, from an older build) is read through
-`make_state`.  Version 1 (no run block, values only) is refused: it
-records neither the mode nor the seed nor dt that a restart must match.
+have.  A values payload (kind 0), which only older builds wrote, is
+refused, as is version 1 (no run block, values only): it records neither
+the mode nor the seed nor dt that a restart must match.
 
 A checkpoint is written to `<path>.tmp` and renamed over `path`, so a write
 that fails or is killed leaves the previous checkpoint in place.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CheckpointFormatError, ConfigError
 from .grid import Geometry, Grid, make_grid
-from .state import Params, SimState, make_state
+from .state import Params, SimState
 
 MAGIC = b"ISMC"
 VERSION = 2
@@ -106,13 +106,14 @@ def read_checkpoint(path, expect_grid: Grid | None = None):
         data, _HEAD.size)
     mode, seed, dt, step, w, kind, n_loop = _RUN.unpack_from(
         data, _HEAD.size + _REALS.size)
-    if kind not in (0, 1):
-        raise CheckpointFormatError(f"bad payload kind {kind}",
-                                    offset=off - 5)
+    if kind != 1:
+        raise CheckpointFormatError(
+            f"unsupported payload kind {kind} (this build reads kind 1, "
+            f"coefficients)", offset=off - 5)
     off += 16 * n_loop  # loop points: none is written yet
 
-    dtype, shape = (("<c16", (nz, nx // 2 + 1))
-                    if kind and geom == 0 else ("<f8", (nz, nx)))
+    dtype, shape = (("<c16", (nz, nx // 2 + 1)) if geom == 0
+                    else ("<f8", (nz, nx)))
     need = off + 4 * np.dtype(dtype).itemsize * shape[0] * shape[1]
     if len(data) != need:
         raise CheckpointFormatError(
@@ -132,8 +133,7 @@ def read_checkpoint(path, expect_grid: Grid | None = None):
 
     blocks = np.frombuffer(data, dtype=dtype, offset=off).reshape(
         4, *shape).astype(dtype[1:])
-    state = (SimState(grid, t, tuple(blocks)) if kind
-             else make_state(grid, t, *blocks))
+    state = SimState(grid, t, tuple(blocks))
     stamp = RunStamp(mode.rstrip(b"\0").decode("ascii", "replace"), seed, dt,
                      step, w)
     return state, Params(f=f, g=gparam, theta0=theta0, s=s), alpha, stamp

@@ -89,13 +89,20 @@ class RunConfig:
                            self.loop_points)
 
     def n_steps(self) -> int:
-        n = int(round(self.t_final / self.dt))
-        if n < 1 or abs(n * self.dt - self.t_final) > 1e-9 * max(
-                1.0, abs(self.t_final)):
-            raise ConfigError(
-                f"t_final = {self.t_final} is not a positive integer "
-                f"multiple of dt = {self.dt}")
-        return n
+        return step_count(self.t_final, self.dt, "t_final")
+
+
+def step_count(span: float, dt: float, name: str) -> int:
+    """The steps of dt in the time span `name`, a positive whole number of
+    them within a relative 1e-9."""
+    if not (dt > 0 and math.isfinite(dt)) or not (
+            span > 0 and math.isfinite(span)):
+        raise ConfigError(f"bad time grid: dt={dt}, {name}={span}")
+    n = int(round(span / dt))
+    if n < 1 or abs(n * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ConfigError(f"{name} = {span} is not a positive integer "
+                          f"multiple of dt = {dt}")
+    return n
 
 
 # (section, key) -> (python type, attribute name)

@@ -25,7 +25,7 @@ from .grid import (Geometry, Grid, NEUMANN_BASIS, ScalarField, VectorField,
 from .incompressible import divergence_modes
 from .norms import NormSpec, ZKP_DEFAULT, combine, state_component_norms
 from .runio import DiagnosticsRecord
-from .state import Params, SimState, state_arrays
+from .state import Params, SimState
 
 
 class EnergyAccountingWarning(UserWarning):
@@ -36,7 +36,7 @@ class EnergyAccountingWarning(UserWarning):
 def energy(state: SimState, params: Params) -> float:
     """E = integral of (|u_S|^2 + u_T^2)/2 - (g/theta0) z theta_S."""
     g = state.grid
-    ux, uz, ut, th = state_arrays(state)
+    ux, uz, ut, th = state.values
     if g.geometry is Geometry.TORUS:
         mean = float(np.mean(th))
         scale = max(1.0, float(np.max(np.abs(th))))

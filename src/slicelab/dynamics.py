@@ -18,11 +18,13 @@ to roundoff while u_S lies in the 2/3 band; out of it (an s source or a
 Nemytskii noise puts it there) a stage takes the u.grad u products.  A
 truncated stage first bounds its W^{1,inf} norms from the coefficients
 (`norms.w1inf_bound`); where the bounds are within the radius every
-cut-off is exactly 1.0 and the stage is a plain one.  At s = 0 a plain
-stage transforms 11 times (u_S's values and vorticity and u_T's and
-theta_S's 4 first derivatives back, 4 products forward; 14 advective),
-and one that reduces its norms 17 (it also reads u_T's and theta_S's
-values and u_S's derivatives; 16 advective).  A step ends with its
+cut-off is exactly 1.0 and the stage is a plain one, and otherwise it
+reduces its three norms from its 4 values and 8 derivative pairs
+(`norms._w1inf`) and then runs as a plain stage with their cut-offs.
+At s = 0 a plain stage transforms 11 times (u_S's values and vorticity
+and u_T's and theta_S's 4 first derivatives back, 4 products forward; 14
+advective), and one that reduces its norms 17 (it also reads u_T's and
+theta_S's values and u_S's derivatives; 16 advective).  A step ends with its
 projected coefficients, which are the new state: 44 per RK4 step, 68 when
 no stage is certified, 11 per EM step.  The first stage takes the values,
 gradients, vorticity and W^{1,inf} norms that the state already holds
@@ -70,19 +72,23 @@ def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
     nonzero s re-expands u_T in theta_S's basis."""
     coefs = (cx, cz, ct, cth)
     cross = params.s and grid.geometry is Geometry.SQUARE
-    # the cut-offs from norms given, or exactly 1.0 at an infinite or a
-    # certified radius, or (None) from the norms the stage reduces
-    cuts = (1.0, 1.0, 1.0)
-    if w1inf is not None and math.isfinite(radius):
-        cuts = cutoffs_from_norms(w1inf, radius)
-    elif not _certified(grid, coefs, radius):
-        cuts = None
-    exact = cuts is None
+    if w1inf is None and not _certified(grid, coefs, radius):
+        # an uncertified stage reduces its norms from all its values and
+        # derivative pairs, held or transformed back, which its loop reads
+        values = values or [from_modes(grid, c, b)
+                            for c, b in zip(coefs, STATE_BASES)]
+        gradients = gradients or [gradient_values(grid, c, b)
+                                  for c, b in zip(coefs, STATE_BASES)]
+        w1inf = [_w1inf(grid, values[i:j], gradients[i:j])
+                 for i, j in ((0, 2), (2, 3), (3, 4))]
+    # the cut-offs, exactly 1.0 at an infinite or a certified radius
+    c_us, c_ut, c_th = (cutoffs_from_norms(w1inf, radius)
+                        if w1inf is not None and math.isfinite(radius)
+                        else (1.0, 1.0, 1.0))
     rotational = _in_band(grid, cx, cz)
     if values is None:
-        need = (True, True, exact or cross, exact)
-        values = [from_modes(grid, c, b) if n else None
-                  for c, b, n in zip(coefs, STATE_BASES, need)]
+        values = [from_modes(grid, c, b) if n else None for c, b, n in
+                  zip(coefs, STATE_BASES, (True, True, cross, False))]
     ux, uz, ut, _ = values
     adv = []
     if rotational:
@@ -94,26 +100,17 @@ def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
                for a, b, basis in ((-om, uz, STATE_BASES[0]),
                                    (om, ux, STATE_BASES[1]))]
         del om
-    reduced, held = [], []
     for i, (c, basis) in enumerate(zip(coefs, STATE_BASES)):
-        if i < 2 and rotational and not exact:
-            continue  # u_S's derivatives would feed its norm only
-        dx, dz = grad = (gradients[i] if gradients
-                         else gradient_values(grid, c, basis))
-        if i >= 2 or not rotational:
-            adv.append(to_modes(grid, ux * dx + uz * dz, basis)
-                       * grid.keep(basis))
-        if exact:
-            held.append((values[i], grad))
-            if i:  # the u_S norm pairs u_x's derivatives with u_z's
-                reduced.append(_w1inf(grid, *zip(*held)))
-                held = []
-        del dx, dz, grad
+        if i < 2 and rotational:
+            continue  # u_S's advection is in the rotational form
+        dx, dz = gradients[i] if gradients else gradient_values(grid, c,
+                                                                 basis)
+        adv.append(to_modes(grid, ux * dx + uz * dz, basis)
+                   * grid.keep(basis))
+        del dx, dz
     ct_th = to_modes(grid, ut, THETA_BASIS) if cross else ct
-    del values, ux, uz, ut
+    del values, gradients, ux, uz, ut
     adv_x, adv_z, adv_t, adv_s = adv
-    c_us, c_ut, c_th = (cutoffs_from_norms(reduced, radius) if exact
-                        else cuts)
 
     buoy = params.buoyancy
     adv_us = advect * c_us
@@ -286,17 +283,17 @@ def step_rk4(state: SimState, params: Params, dt: float,
 
 
 def _euler_arrays(state: SimState, params: Params, dt: float, radius: float):
-    # the step's coefficients and its drift update, before projection
+    # the step's drift update of the coefficients, before projection
     _check_dt(dt)
     y, first = _first_stage(state)
-    return y, _axpy(y, _rhs_arrays(state.grid, params, *y, radius=radius,
-                                   **first), dt)
+    return _axpy(y, _rhs_arrays(state.grid, params, *y, radius=radius,
+                                **first), dt)
 
 
 def step_euler(state: SimState, params: Params, dt: float,
                radius: float = math.inf) -> SimState:
     """One explicit Euler step (the drift half of Euler-Maruyama)."""
-    return _finish_step(state, _euler_arrays(state, params, dt, radius)[1],
+    return _finish_step(state, _euler_arrays(state, params, dt, radius),
                         state.t + dt)
 
 

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import step_count
 from .dynamics import mollify, step_rk4
 from .errors import ConfigError, DivergedError
 from .grid import Grid
 from .norms import NormSpec, ZKP_DEFAULT, combine, norm, state_component_norms
-from .state import (Params, SimState, random_state, scale_state,
-                    state_arrays, zero_state)
+from .state import Params, SimState, random_state, scale_state, zero_state
 from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, OnlineMonitor,
                          LinearMultiplicative, WienerPath, refine_path,
                          sample_wiener, step_em, step_transformed,
@@ -111,17 +111,6 @@ _BLOCK = 256
 _SKIP = 27.0 * math.log(2.0)
 
 
-def _step_count(horizon: float, dt: float) -> int:
-    """Steps of the grid dt, 2 dt, ... up to horizon; at least one."""
-    if not (dt > 0 and math.isfinite(dt)) or not (
-            horizon > 0 and math.isfinite(horizon)):
-        raise ConfigError(f"bad time grid: dt={dt}, horizon={horizon}")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        raise ConfigError(f"horizon {horizon} shorter than one step {dt}")
-    return n_steps
-
-
 def _path_blocks(alpha: float, dt: float, n_steps: int) -> tuple:
     """Block tables of a path of n_steps: per block the scale
     alpha sqrt(L dt) and the drift -(alpha^2/32) L dt of its end's
@@ -186,7 +175,7 @@ def _path_crossings(alpha: float, r: float, horizon: float, dt: float,
                     n_paths: int, seed: int) -> list:
     """`_first_crossing` of log r on each path (seed, index), in index
     order, with one set of block tables and one buffer."""
-    n_steps = _step_count(horizon, dt)
+    n_steps = step_count(horizon, dt, "horizon")
     log_r = math.log(r) if r > 0 else -math.inf
     blocks = _path_blocks(alpha, dt, n_steps)
     buf = np.empty(blocks[0].size + 1)
@@ -347,7 +336,7 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
         raise ConfigError("the regularity experiment requires s = 0")
     if n_paths < 1:
         raise ConfigError(f"need at least one path, got {n_paths}")
-    n_steps = _step_count(horizon, dt)
+    n_steps = step_count(horizon, dt, "horizon")
 
     budget = amplitude_threshold(alpha, r, c_tilde)
     amplitude_ok = amplitude <= budget
@@ -483,7 +472,7 @@ def strong_convergence_study(grid: Grid, params: Params, state0: SimState,
         raise ConfigError(f"need at least 4 dyadic levels, got {levels}")
     if n_paths < 1:
         raise ConfigError(f"need at least one path, got {n_paths}")
-    n_coarse = _step_count(horizon, coarse_dt)
+    n_coarse = step_count(horizon, coarse_dt, "horizon")
     if alpha == 0.0:
         n_paths = 1
     model = LinearMultiplicative(alpha=alpha)
@@ -510,7 +499,7 @@ def strong_convergence_study(grid: Grid, params: Params, state0: SimState,
         ref = run_transform(paths[-1])
         for lev, pth in enumerate(paths):
             diff = sum(float(np.sum((a - b) ** 2)) for a, b in
-                       zip(state_arrays(run_em(pth)), state_arrays(ref)))
+                       zip(run_em(pth).values, ref.values))
             sq_err[lev] += diff * grid.cell_area
     rms = np.sqrt(sq_err / n_paths)
     dts = np.array([coarse_dt / 2 ** k for k in range(levels)])
@@ -544,7 +533,7 @@ def mollifier_cauchy_study(state0: SimState, params: Params, j_levels,
         if b != 2 * a:
             raise ConfigError(f"smoothing levels must be dyadic, "
                               f"got {a} followed by {b}")
-    n_steps = _step_count(horizon, dt)
+    n_steps = step_count(horizon, dt, "horizon")
 
     def solve(j: int) -> SimState:
         s = mollify(state0, j)

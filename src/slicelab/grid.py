@@ -350,6 +350,14 @@ class VectorField:
     def __post_init__(self):
         if self.x.grid is not self.z.grid and self.x.grid != self.z.grid:
             raise ConfigError("vector components on different grids")
+        # a square velocity is wall-tangent: its components are in the u.n = 0
+        # bases, which every vector operator assumes
+        if self.grid.geometry is Geometry.SQUARE and (
+                self.x.basis, self.z.basis) != (VX_BASIS, VZ_BASIS):
+            raise ConfigError(
+                f"square vector components must be in the bases "
+                f"{VX_BASIS!r}, {VZ_BASIS!r}, got {self.x.basis!r}, "
+                f"{self.z.basis!r}")
 
     @property
     def grid(self) -> Grid:

@@ -61,7 +61,11 @@ def _parse_row(line: str, lineno: int) -> DiagnosticsRecord:
         raise DiagnosticsFormatError(
             f"row at line {lineno} has {len(parts)} fields, "
             f"expected {len(_FIELDS)}")
-    vals = [None if p == "" else float(p) for p in parts]
+    try:
+        vals = [None if p == "" else float(p) for p in parts]
+    except ValueError as err:
+        raise DiagnosticsFormatError(
+            f"row at line {lineno} has a non-numeric field: {err}") from None
     return DiagnosticsRecord(*vals)
 
 

@@ -47,8 +47,11 @@ def run(cfg: RunConfig) -> RunResult:
     runner = _RUNNERS.get(cfg.mode)
     if runner is None:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_echo(cfg)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        _write_echo(cfg)
+    except OSError as err:
+        raise ConfigError(f"cannot write to output directory: {err}") from None
     return runner(cfg)
 
 

@@ -130,11 +130,6 @@ def zero_state(grid: Grid, t: float = 0.0) -> SimState:
                                  for _ in range(4)))
 
 
-def state_arrays(state: SimState):
-    """The four value arrays (ux, uz, u_t, theta_s)."""
-    return state.values
-
-
 def state_is_finite(state: SimState) -> bool:
     # a complex value is finite exactly when both its parts are: their float
     # view, where the last axis allows one, is checked twice as fast

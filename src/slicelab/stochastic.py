@@ -205,7 +205,7 @@ def step_em(state: SimState, params: Params, dt: float, dw, model,
     is accepted for single-mode models); diffusion is evaluated at the step
     start.
     """
-    y1 = _euler_arrays(state, params, dt, radius)[1]
+    y1 = _euler_arrays(state, params, dt, radius)
     diffs = noise_eval(model, state)
     dw_arr = np.atleast_1d(np.asarray(dw, dtype=float))
     if dw_arr.shape != (len(diffs),):

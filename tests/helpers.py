@@ -29,13 +29,12 @@ from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
                            derivative_values, from_modes, gradient_values,
                            scalar_field, to_modes, vector_field)
 from slicelab.experiments import _BLOCK, _path_rng
-from slicelab.incompressible import (_project_modes, curl_modes,
-                                     project_values, velocity_from_vorticity)
+from slicelab.incompressible import _project_modes, curl_modes, project_values
 from slicelab.norms import (W1INF, ZKP_DEFAULT, _multi_indices, _reduce,
                             combine, norm, state_component_norms)
 from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
                             SimState, make_state, random_state, scale_state,
-                            state_arrays, state_is_finite)
+                            state_is_finite)
 from slicelab.stochastic import (_KINDS, AMPLITUDE_THRESHOLD, GBM_THRESHOLD,
                                  LinearMultiplicative, OnlineMonitor,
                                  StoppingRecord, _exp_guard, _gain_values,
@@ -45,12 +44,12 @@ from slicelab.stochastic import (_KINDS, AMPLITUDE_THRESHOLD, GBM_THRESHOLD,
 
 def states_close(a: SimState, b: SimState, tol: float) -> bool:
     return all(np.max(np.abs(x - y)) <= tol
-               for x, y in zip(state_arrays(a), state_arrays(b)))
+               for x, y in zip(a.values, b.values))
 
 
 def state_max_abs_diff(a: SimState, b: SimState) -> float:
     return max(float(np.max(np.abs(x - y))) if x.size else 0.0
-               for x, y in zip(state_arrays(a), state_arrays(b)))
+               for x, y in zip(a.values, b.values))
 
 
 def with_time(state: SimState, t: float) -> SimState:
@@ -98,13 +97,12 @@ def rhs_vorticity(omega: ScalarField, u_t: ScalarField, theta_s: ScalarField,
                   params: Params):
     """Vorticity-form tendencies (domega, du_T, dtheta_S).
 
-    u_S is recovered from omega by the Biot-Savart solve; the couplings are
-    the curl of the primitive ones: domega = -(u.grad)omega - f d_z u_T
-    + (g/theta0) d_x theta_S.
+    u_S is recovered from omega by `oracle_velocity_from_vorticity`; the
+    couplings are the curl of the primitive ones: domega = -(u.grad)omega
+    - f d_z u_T + (g/theta0) d_x theta_S.
     """
     g = omega.grid
-    u = velocity_from_vorticity(omega)
-    ux, uz = u.x.values, u.z.values
+    ux, uz = oracle_velocity_from_vorticity(g, omega.values)
     go = value_gradient(g, omega.values, omega.basis)
     gt = value_gradient(g, u_t.values, u_t.basis)
     gs = value_gradient(g, theta_s.values, theta_s.basis)
@@ -491,7 +489,7 @@ def step_rk4_oracle(state: SimState, params: Params, dt: float,
     def f(t, y):
         return rhs_arrays_oracle(g, params, *y, radius=radius)
 
-    y1 = _rk4_arrays(state_arrays(state), f, state.t, dt)
+    y1 = _rk4_arrays(state.values, f, state.t, dt)
     return finish_step_oracle(state, y1, state.t + dt)
 
 
@@ -509,7 +507,7 @@ def step_transformed_oracle(state: SimState, params: Params, dt: float,
         return rhs_arrays_oracle(g, params, *y, advect=_path_exp(alpha * w),
                                  source_scale=_path_exp(-alpha * w))
 
-    y1 = _rk4_arrays(state_arrays(state), f, t0, dt)
+    y1 = _rk4_arrays(state.values, f, t0, dt)
     damp = math.exp(-0.5 * alpha * alpha * dt)
     return finish_step_oracle(state, tuple(damp * a for a in y1), t0 + dt)
 
@@ -519,7 +517,7 @@ def noise_values_oracle(model, state: SimState) -> list[tuple]:
     the state's values, or each Nemytskii mode's gain-times-shape products
     with the u_S pair projected by a round trip."""
     if isinstance(model, LinearMultiplicative):
-        return [tuple(model.alpha * a for a in state_arrays(state))]
+        return [tuple(model.alpha * a for a in state.values)]
     shape = state.u_t.values.shape
     g_us, g_ut, g_th = (_gain_values(g, state, shape) for g in model.gains)
     return [(*project_values(state.grid, g_us * sx.values, g_us * sz.values),
@@ -532,7 +530,7 @@ def step_em_oracle(state: SimState, params: Params, dt: float, dw, model,
     """step_em over value arrays, `noise_values_oracle`'s arrays added as
     they are."""
     _check_dt(dt)
-    y = state_arrays(state)
+    y = state.values
     y1 = _axpy(y, rhs_arrays_oracle(state.grid, params, *y, radius=radius),
                dt)
     for w_j, d in zip(np.atleast_1d(np.asarray(dw, dtype=float)),

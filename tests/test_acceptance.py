@@ -22,7 +22,7 @@ from slicelab.grid import (NEUMANN_BASIS, differentiate, from_modes,
                            scalar_field, vector_field)
 from slicelab.incompressible import divergence, leray_project, max_divergence
 from slicelab.norms import W1INF, l2, state_component_norms
-from slicelab.state import STATE_BASES, state_arrays
+from slicelab.state import STATE_BASES
 
 from helpers import state_max_abs_diff, stopping_monitor
 
@@ -156,8 +156,8 @@ def test_criterion_03_spectral_convergence():
         stride = 256 // nres
         errs[nres] = max(
             float(np.max(np.abs(a - b[::stride, ::stride])))
-            for a, b in zip(state_arrays(solved[nres]),
-                            state_arrays(solved[256])))
+            for a, b in zip(solved[nres].values,
+                            solved[256].values))
     drop = errs[32] / errs[64]
     assert drop >= 100.0, f"error drop {drop:.1f}x ({errs})"
 
@@ -246,7 +246,7 @@ def test_criterion_07_truncated_system(tor32, tmp_path):
     assert cutoff(2.0 * tiny, tiny) == 0.0
     assert cutoff_factors(state, tiny) == (0.0, 0.0, 0.0)
     got = rhs_truncated(state, p, tiny)
-    y = state_arrays(state)
+    y = state.values
     linear = [from_modes(tor32, c, b) for c, b in zip(_rhs_arrays(
         tor32, p, *state.coefs, advect=0.0, values=y), STATE_BASES)]
     for a, b in zip(got, linear):

@@ -17,7 +17,7 @@ from slicelab.errors import DiagnosticsFormatError
 from slicelab.runio import (DiagnosticsRecord, _open_diagnostics,
                             append_diagnostics, format_row, read_diagnostics)
 from slicelab.runner import run
-from slicelab.state import SimState, state_arrays
+from slicelab.state import SimState
 
 from helpers import read_stopping_record, state_max_abs_diff
 
@@ -171,24 +171,21 @@ def test_a_read_back_initial_state_steps_as_the_original(tmp_path, geometry):
 
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
-def test_a_values_checkpoint_reads_back_through_make_state(tmp_path,
-                                                           geometry):
+def test_a_values_checkpoint_is_refused(tmp_path, geometry):
     # payload kind 0, as an older build wrote a state made from values: the
     # header packed by hand, then the four value blocks
     g = sl.make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
-    arrays = state_arrays(sl.random_state(g, seed=5))
+    arrays = sl.random_state(g, seed=5).values
     blob = (struct.pack("<4sIBII", b"ISMC", 2, geometry == "square", 16, 8)
             + struct.pack("<8d", g.lx, g.lz, 0.5, 1.0, 1.0, 1.0, 1.0, 0.0)
             + struct.pack("<16sqdQdBI", b"sim-det", 7, 1e-3, 3, 0.0, 0, 0)
             + b"".join(np.asarray(a, "<f8").tobytes() for a in arrays))
     path = tmp_path / "v.bin"
     path.write_bytes(blob)
-    st, params, alpha, stamp = read_checkpoint(path)
-    want = sl.make_state(g, 0.5, *arrays)
-    assert [c.tobytes() for c in st.coefs] == [
-        c.tobytes() for c in want.coefs]
-    assert st.t == 0.5 and params == sl.Params() and alpha == 0.0
-    assert stamp == RunStamp("sim-det", 7, 1e-3, 3, 0.0)
+    with pytest.raises(sl.CheckpointFormatError,
+                       match="unsupported payload kind 0") as err:
+        read_checkpoint(path)
+    assert err.value.offset == 129
 
 
 def test_checkpoint_layout(tor16, tmp_path):
@@ -317,6 +314,16 @@ def test_append_header_mismatch_errors(tmp_path):
             append_diagnostics(rec, fh)
 
 
+def test_read_non_numeric_cell_errors(tmp_path):
+    path = tmp_path / "d.csv"
+    cells = ["0.5"] * len(sl.CSV_HEADER.split(","))
+    path.write_text(sl.CSV_HEADER + "\n" + ",".join(cells) + "\n"
+                    + ",".join(["abc"] + cells[1:]) + "\n")
+    with pytest.raises(DiagnosticsFormatError,
+                       match="row at line 3 has a non-numeric field"):
+        read_diagnostics(path)
+
+
 _finite = hst.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -424,8 +431,8 @@ def test_a_run_hands_each_step_its_own_state_pass(tmp_path, geometry):
                             amplitude=0.3)
     for _ in range(10):
         state = sl.step_rk4(state, cfg.params, 5e-3, radius=50.0)
-    assert [a.tobytes() for a in state_arrays(res.final_state)] == [
-        a.tobytes() for a in state_arrays(state)]
+    assert [a.tobytes() for a in res.final_state.values] == [
+        a.tobytes() for a in state.values]
 
 
 def _restart_config(out, mode, geometry, t_final, extra=""):
@@ -763,6 +770,19 @@ def test_cli_unreadable_restart_is_usage_error(tmp_path, capsys, mode):
     err = capsys.readouterr().err
     assert err.startswith("slicelab: cannot read checkpoint")
     assert err.count("\n") == 1
+
+
+def test_cli_unwritable_out_dir_is_usage_error(tmp_path, capsys):
+    # the output directory would sit below a file: no directory can be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(_sim_text(tmp_path / "out"))
+    assert cli_main(["sim-det", "--config", str(cfg), "--out-dir",
+                     str(blocker / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slicelab: cannot write to output directory")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_convergence_writes_table(tmp_path):

@@ -7,7 +7,7 @@ from slicelab.diagnostics import (EnergyAccountingWarning, MaterialLoop,
                                   circulation, energy, generalized_enstrophy,
                                   potential_vorticity)
 from slicelab.errors import ConfigError, LoopDomainError
-from slicelab.grid import COS, make_grid, scalar_field
+from slicelab.grid import COS, make_grid
 from slicelab.incompressible import curl
 from slicelab.norms import ZKP_DEFAULT, l2, norm
 from slicelab.state import Params, make_state, random_state, zero_state

@@ -13,13 +13,13 @@ from slicelab.incompressible import (_project_modes, curl, max_divergence,
 from slicelab.norms import W1INF, l2, state_component_norms, w1inf_bound
 from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
                             SimState, make_state, random_state, scale_state,
-                            state_arrays, zero_state)
+                            zero_state)
 from slicelab.stochastic import (LinearMultiplicative, PointwiseNemytskii,
                                  step_em, step_transformed)
 
-from helpers import (finish_step_oracle, rhs_arrays_oracle, rhs_norm_oracle,
-                     rhs_vorticity, stacked_state, state_max_abs_diff,
-                     step_em_oracle, step_rk4_oracle, step_rk4_vorticity,
+from helpers import (rhs_arrays_oracle, rhs_norm_oracle, rhs_vorticity,
+                     stacked_state, state_max_abs_diff, step_em_oracle,
+                     step_rk4_oracle, step_rk4_vorticity,
                      step_transformed_oracle, zero_scalar)
 
 PI = np.pi
@@ -483,7 +483,7 @@ def test_truncated_far_zone_drops_advection(tor64):
 
 def test_truncated_mid_blend(tor64):
     base = random_state(tor64, seed=6, max_mode=3, amplitude=0.5)
-    ux, uz, ut, th = state_arrays(base)
+    ux, uz, ut, th = base.values
     # push the scalars well below u_S so all three channel norms equal the
     # u_S norm and every blend factor is the same half
     st = make_state(tor64, 0.0, ux, uz, 1e-3 * ut, 1e-3 * th)
@@ -507,7 +507,7 @@ def _scaled_state(g):
     # at 1, strictly between 0 and 1, and at 0
     base = random_state(g, seed=4, max_mode=4, amplitude=0.5)
     n_us, n_ut, n_th = state_component_norms(base, W1INF)
-    ux, uz, ut, th = state_arrays(base)
+    ux, uz, ut, th = base.values
     return make_state(g, 0.0, ux, uz, (1.5 * n_us / n_ut) * ut,
                       (3.0 * n_us / n_th) * th)
 
@@ -534,12 +534,12 @@ def test_truncated_tendency_and_step_equal_the_norm_oracle(geometry):
                     enumerate(dyn.cutoffs_from_norms(norms, r)))
         want = rhs_norm_oracle(g, p, st, r)
         got = dyn._rhs_arrays(g, p, *st.coefs, radius=r,
-                              values=state_arrays(st))
+                              values=st.values)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
         got = dyn.step_euler(st, p, 1e-2, radius=r)
         want = dyn._finish_step(st, dyn._axpy(st.coefs, want, 1e-2), 1e-2)
-        assert [a.tobytes() for a in state_arrays(got)] == [
-            b.tobytes() for b in state_arrays(want)]
+        assert [a.tobytes() for a in got.values] == [
+            b.tobytes() for b in want.values]
     assert seen == {(i, c) for i in range(3) for c in ("0", "between", "1")}
 
 
@@ -594,7 +594,7 @@ def _oracle_cases(g, n_us):
 
 def _relative(a, b):
     return max(float(np.max(np.abs(x - y)) / np.max(np.abs(y)))
-               for x, y in zip(state_arrays(a), state_arrays(b)))
+               for x, y in zip(a.values, b.values))
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5])
@@ -629,7 +629,7 @@ def test_the_rotational_tendency_agrees_with_the_value_space_oracle(
         assert dyn._in_band(g, *st.coefs[:2])
         got = [from_modes(g, c, b) for c, b in zip(
             dyn._rhs_arrays(g, p, *st.coefs), STATE_BASES)]
-        want = rhs_arrays_oracle(g, p, *state_arrays(st))
+        want = rhs_arrays_oracle(g, p, *st.values)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
@@ -747,6 +747,32 @@ def test_transforms_per_truncated_step_after_a_norm_read(count_calls,
 
 
 @pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_held_values_and_gradients_feed_the_first_stage(count_calls,
+                                                        geometry):
+    # a state whose norms were taken by state_component_norms holds its
+    # values and gradients but not its w1inf: its truncated RK4 step's
+    # first stage reduces its norms, if it must, from the held arrays and
+    # transforms back only u_S's vorticity, so the step costs 6 fewer
+    # transforms when certified and 12 fewer when not than that of its
+    # cold copy, and gives the same bits
+    transforms = _transforms(count_calls)
+    for radius, warm, cold_cost in ((LARGE, 38, 44), (SMALL, 56, 68)):
+        st = random_state(make_grid(geometry, 32, 32, PI, PI), seed=3)
+        state_component_norms(st, W1INF)
+        assert st.held("values") is not None
+        assert st.held("gradients") is not None
+        assert st.held("w1inf") is None
+        steps = []
+        for state, expected in ((st, warm),
+                                (SimState(st.grid, st.t, st.coefs), cold_cost)):
+            before = transforms()
+            steps.append(dyn.step_rk4(state, Params(s=0.0), 1e-3, radius))
+            assert transforms() - before == expected, radius
+        assert [a.tobytes() for a in steps[0].coefs] == [
+            a.tobytes() for a in steps[1].coefs]
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
 def test_an_observed_state_s_first_stage_takes_its_norms(count_calls,
                                                         geometry):
     # an uncertified first stage of a state whose norms were read takes
@@ -789,7 +815,7 @@ def test_a_step_projects_a_non_solenoidal_state(geometry):
     # sum, so a divergent u_S at the step start leaves none after it
     g = make_grid(geometry, 32, 32, 2 * PI, PI)
     st = random_state(g, seed=5, max_mode=3, amplitude=0.5)
-    ux, uz, ut, th = state_arrays(st)
+    ux, uz, ut, th = st.values
     bumped = make_state(g, 0.0, ux + 0.3 * np.sin(g.x_mesh), uz, ut, th)
     assert max_divergence(bumped.u_s) > 0.1
     for new in (dyn.step_rk4(bumped, Params(), 1e-3),
@@ -824,7 +850,7 @@ def test_mollify_distance_decreases_with_j(tor64):
     for j in (8, 16, 32, 64):
         m = dyn.mollify(st, j)
         d = np.sqrt(sum(np.sum((a - b) ** 2) for a, b in
-                        zip(state_arrays(m), state_arrays(st)))
+                        zip(m.values, st.values))
                     * tor64.cell_area)
         dists.append(d)
     assert all(a > b for a, b in zip(dists, dists[1:]))
@@ -856,7 +882,7 @@ def test_batched_transformed_step_equals_serial_steps(geometry):
     out = step_transformed(batch, P_S0, 1e-2, 3.0, w0, w1)
     for i, s in enumerate(states):
         want = step_transformed(s, P_S0, 1e-2, 3.0, w0[i], w1[i])
-        for got, ref in zip(state_arrays(out), state_arrays(want)):
+        for got, ref in zip(out.values, want.values):
             assert got[i].tobytes() == ref.tobytes(), i
 
 
@@ -870,7 +896,7 @@ def test_nan_in_one_slice_stays_in_its_slice(geometry):
     g = make_grid(geometry, 16, 16, 2 * PI, PI)
     states = [random_state(g, seed=s, max_mode=3, amplitude=0.4)
               for s in range(3)]
-    clean = [np.stack(a) for a in zip(*map(state_arrays, states))]
+    clean = [np.stack(a) for a in zip(*(st.values for st in states))]
     dirty = [a.copy() for a in clean]
     for a in dirty:
         a[1, 3, 5] = np.nan

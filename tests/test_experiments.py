@@ -12,6 +12,7 @@ import pytest
 import slicelab as sl
 from slicelab import experiments as ex
 from slicelab import stochastic as st
+from slicelab.config import step_count
 from slicelab.norms import l2
 
 from helpers import (block_crossing_oracle, block_ends_oracle, bridge_oracle,
@@ -252,6 +253,18 @@ def test_hitting_harnesses_reject_bad_time_grids(horizon, dt):
         ex.stopped_lambda_mean(1.0, 2.0, horizon, dt, 100, 1)
 
 
+def test_harness_horizons_are_whole_numbers_of_steps():
+    # 1.0 is 2.5 steps of 0.4, which rounding made 2: a run stepped to 0.8
+    # and reported horizon 1.0.  A horizon within the run config's relative
+    # 1e-9 of a whole number of steps is that number
+    harnesses = [lambda h: ex.mc_hitting(1.0, 2.0, h, 0.4, 200, 1).hits,
+                 lambda h: ex.stopped_lambda_mean(1.0, 2.0, h, 0.4, 200, 1)]
+    for run in harnesses:
+        with pytest.raises(sl.ConfigError, match="integer multiple of dt"):
+            run(1.0)
+        assert run(1.2 * (1 + 1e-12)) == run(1.2)
+
+
 # -- the law the block kernel samples -----------------------------------------
 
 @pytest.mark.parametrize("dt", [0.5, 0.1, 0.01])
@@ -331,7 +344,7 @@ HITTING_CASES = {
 @pytest.mark.parametrize("case", sorted(HITTING_CASES))
 def test_hitting_paths_do_not_depend_on_the_path_order(case):
     alpha, r, horizon, dt, n_paths, seed = args = HITTING_CASES[case]
-    n_steps = ex._step_count(horizon, dt)
+    n_steps = step_count(horizon, dt, "horizon")
     blocks = ex._path_blocks(alpha, dt, n_steps)
     buf = np.empty(blocks[0].size + 1)
     log_r = math.log(r)
@@ -374,7 +387,7 @@ def test_path_streams_are_built_one_at_a_time(n_blocks, monkeypatch):
         events.append(("done", idx))
         return out
 
-    n_steps = ex._step_count(args[2], args[3])
+    n_steps = step_count(args[2], args[3], "horizon")
     blocks = ex._path_blocks(args[0], args[3], n_steps)
     rest = [(args[0], math.log(args[1]), math.sqrt(args[3]), blocks,
              np.empty(blocks[0].size + 1))]

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -11,13 +9,12 @@ from slicelab.errors import ConfigError
 from slicelab.grid import (COS, SIN, Geometry, dealias, derivative_values,
                            differentiate, from_modes, integrate, make_grid,
                            scalar_field, to_modes, vector_field)
-from slicelab.incompressible import (MeanVorticityWarning, leray_project,
-                                     project_values, velocity_from_vorticity)
+from slicelab.incompressible import leray_project, project_values
 from slicelab.norms import l2
 from slicelab.state import STATE_BASES, make_state, random_scalar_values
 
 from helpers import (oracle_dealias, oracle_gaussian_lowpass,
-                     oracle_project_values, oracle_velocity_from_vorticity)
+                     oracle_project_values)
 
 PI = np.pi
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -275,14 +272,8 @@ def test_torus_half_spectrum_matches_full_fft(nx, nz, lz):
     assert _close_to(p.x.values, inv(A - kx_d * dot))
     assert _close_to(p.z.values, inv(B - kz_d * dot))
 
-    omega = f - f.mean()
-    k2 = kx ** 2 + kz ** 2
-    psi = -fwd(omega) / np.where(k2 > 0, k2, np.inf)
-    u = velocity_from_vorticity(scalar_field(g, omega))
-    assert _close_to(u.x.values, inv(-1j * kz_d * psi))
-    assert _close_to(u.z.values, inv(1j * kx_d * psi))
-
     # mollify: every mode times exp(-|k|^2/25), then u_S projected
+    k2 = kx ** 2 + kz ** 2
     low = np.exp(-k2 / 25.0)
     smooth = mollify(make_state(g, 0.0, a, b, f, f), 5.0)
     dot = (kx_d * A + kz_d * B) * low / np.where(k2_d > 0, k2_d, 1.0)
@@ -352,12 +343,6 @@ def test_operators_match_per_geometry_oracles_bitwise(geometry, nx, nz, lx,
         px, pz = project_values(g, a, b)
         ox, oz = oracle_project_values(g, a, b)
         assert same(px, ox) and same(pz, oz), seed
-        omega = scalar_field(g, f, None if geometry == "torus" else (SIN, SIN))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MeanVorticityWarning)
-            u = velocity_from_vorticity(omega)
-        ox, oz = oracle_velocity_from_vorticity(g, f)
-        assert same(u.x.values, ox) and same(u.z.values, oz), seed
         # mollify works on coefficients, the oracle on values: roundoff
         got = mollify(make_state(g, 0.0, a, b, f, f), 3).values
         want = oracle_mollify(g, (a, b, f, f), 3)

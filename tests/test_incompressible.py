@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slicelab.grid import (integrate, make_grid, scalar_field, vector_field)
-from slicelab.incompressible import (MeanVorticityWarning, curl, divergence,
-                                     leray_project, max_divergence,
-                                     velocity_from_vorticity)
+from slicelab.errors import ConfigError
+from slicelab.grid import (COS, VX_BASIS, VZ_BASIS, ScalarField, VectorField,
+                           integrate, make_grid, scalar_field, vector_field)
+from slicelab.incompressible import (curl, divergence, leray_project,
+                                     max_divergence)
 from slicelab.norms import l2
 from slicelab.state import random_state
 
-from helpers import streamfunction_velocity
+from helpers import oracle_velocity_from_vorticity, streamfunction_velocity
 
 PI = np.pi
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -57,6 +58,16 @@ def test_project_fixes_solenoidal_field(any_grid):
     assert np.max(np.abs(p.z.values - u.z.values)) <= 1e-11
 
 
+def test_square_vector_field_refuses_other_bases(sq64):
+    zero = np.zeros((64, 64))
+    with pytest.raises(ConfigError, match="must be in the bases"):
+        VectorField(ScalarField(sq64, zero, (COS, COS)),
+                    ScalarField(sq64, zero, VZ_BASIS))
+    with pytest.raises(ConfigError, match="must be in the bases"):
+        VectorField(ScalarField(sq64, zero, VZ_BASIS),
+                    ScalarField(sq64, zero, VX_BASIS))
+
+
 def test_curl_of_grad_perp(tor64):
     X, Z = tor64.x_mesh, tor64.z_mesh
     psi = scalar_field(tor64, np.sin(X) * np.sin(Z))
@@ -64,25 +75,11 @@ def test_curl_of_grad_perp(tor64):
     assert np.max(np.abs(w.values + 2 * np.sin(X) * np.sin(Z))) <= 1e-11
 
 
-def test_velocity_from_vorticity_example(tor64):
-    X, Z = tor64.x_mesh, tor64.z_mesh
-    om = scalar_field(tor64, -2 * np.sin(X) * np.sin(Z))
-    u = velocity_from_vorticity(om)
-    assert np.max(np.abs(u.x.values + np.sin(X) * np.cos(Z))) <= 1e-11
-    assert np.max(np.abs(u.z.values - np.cos(X) * np.sin(Z))) <= 1e-11
-
-
 def test_vorticity_round_trip(any_grid):
     u = random_velocity(any_grid, 19)
-    back = velocity_from_vorticity(curl(u))
-    assert np.max(np.abs(back.x.values - u.x.values)) <= 1e-11
-    assert np.max(np.abs(back.z.values - u.z.values)) <= 1e-11
-
-
-def test_mean_vorticity_warns(tor64):
-    om = scalar_field(tor64, 1.0 + np.sin(tor64.x_mesh) * np.sin(tor64.z_mesh))
-    with pytest.warns(MeanVorticityWarning):
-        velocity_from_vorticity(om)
+    bx, bz = oracle_velocity_from_vorticity(any_grid, curl(u).values)
+    assert np.max(np.abs(bx - u.x.values)) <= 1e-11
+    assert np.max(np.abs(bz - u.z.values)) <= 1e-11
 
 
 # -- projector algebra ------------------------------------------------------

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from slicelab.errors import ConfigError
-from slicelab.grid import COS, SIN, Geometry
+from slicelab.grid import COS, SIN
 from slicelab.incompressible import max_divergence
 from slicelab.state import (Params, SimState, make_state, random_state,
-                            scale_state, state_arrays, state_is_finite,
-                            zero_state)
+                            scale_state, state_is_finite, zero_state)
 
 from helpers import state_max_abs_diff, states_close, with_time
 
@@ -60,7 +59,7 @@ def test_random_state_velocity_is_solenoidal(any_grid):
 
 def test_random_state_amplitude(any_grid):
     s = random_state(any_grid, seed=5, amplitude=0.25)
-    for arr in state_arrays(s):
+    for arr in s.values:
         assert np.max(np.abs(arr)) <= 0.25 + 1e-12
 
 
@@ -71,7 +70,7 @@ def test_state_arrays_order(sq64):
     g = sq64
     ux = np.full((64, 64), 1.0)
     s = make_state(g, 0.0, ux, 2 * ux, 3 * ux, 4 * ux)
-    vals = [a[0, 0] for a in state_arrays(s)]
+    vals = [a[0, 0] for a in s.values]
     assert vals == [from_modes(g, to_modes(g, k * ux, b), b)[0, 0]
                     for k, b in zip((1, 2, 3, 4), STATE_BASES)]
     assert np.round(vals).tolist() == [1.0, 2.0, 3.0, 4.0]
@@ -81,7 +80,7 @@ def test_scale_and_diff(tor64):
     s = random_state(tor64, seed=1)
     doubled = scale_state(s, 2.0)
     assert state_max_abs_diff(s, doubled) == pytest.approx(
-        max(np.max(np.abs(a)) for a in state_arrays(s)))
+        max(np.max(np.abs(a)) for a in s.values))
     assert states_close(s, s, 0.0)
     assert not states_close(s, doubled, 1e-6)
 
@@ -156,7 +155,7 @@ def _reads_back_its_coefficients(st, monkeypatch):
     want = [from_modes(g, c, b).tobytes()
             for c, b in zip(st.coefs, STATE_BASES)]
     for _ in range(2):
-        assert [a.tobytes() for a in state_arrays(st)] == want
+        assert [a.tobytes() for a in st.values] == want
         assert st.u_t.values.tobytes() == want[2]
     assert len(calls) == 4 and st.held("values") is st.values
     assert state_is_finite(st)
@@ -180,7 +179,7 @@ def test_a_value_made_state_reads_back_its_coefficients(geometry,
     from slicelab.grid import make_grid, to_modes
     from slicelab.state import STATE_BASES
     g = make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
-    arrays = state_arrays(random_state(g, seed=2))
+    arrays = random_state(g, seed=2).values
     st = make_state(g, 0.0, *arrays)
     assert [c.tobytes() for c in st.coefs] == [
         to_modes(g, a, b).tobytes() for a, b in zip(arrays, STATE_BASES)]

@@ -12,7 +12,7 @@ from slicelab import stochastic as st
 from slicelab.grid import VX_BASIS, VZ_BASIS, from_modes, to_modes
 from slicelab.incompressible import _project_modes
 from slicelab.norms import l2
-from slicelab.state import STATE_BASES, state_arrays
+from slicelab.state import STATE_BASES
 
 from helpers import state_max_abs_diff, stopping_monitor
 
@@ -201,7 +201,7 @@ def test_em_linear_matches_manual_update(tor64):
     p = sl.Params()
     got = st.step_em(s, p, 1e-3, np.array([0.0123]),
                      st.LinearMultiplicative(alpha=0.7))
-    y = state_arrays(s)
+    y = s.values
     c = s.coefs
     drift = dyn._rhs_arrays(tor64, p, *c, values=y)
     y1 = tuple(a + 1e-3 * b for a, b in zip(c, drift))
@@ -233,7 +233,7 @@ def test_em_nemytskii_two_modes_matches_manual_update(geom):
     model = st.PointwiseNemytskii(gains=gains, shapes=shapes)
     dw = np.array([0.021, -0.013])
     got = st.step_em(s, p, 1e-3, dw, model)
-    y = state_arrays(s)
+    y = s.values
     c = s.coefs
     drift = dyn._rhs_arrays(g, p, *c, values=y)
     y1 = tuple(a + 1e-3 * b for a, b in zip(c, drift))
@@ -246,7 +246,7 @@ def test_em_nemytskii_two_modes_matches_manual_update(geom):
         cx, cz, ct, cth = _coefs(g, sigma)
         y1 = tuple(a + w_j * b for a, b in zip(
             y1, (*_project_modes(g, cx, cz), ct, cth)))
-    for a, b in zip(state_arrays(got), _values(g, y1)):
+    for a, b in zip(got.values, _values(g, y1)):
         assert np.array_equal(a, b)
 
 
@@ -373,7 +373,7 @@ def test_transform_equivalence_shrinks_with_dt():
             s_tr = st.step_transformed(s_tr, p, pth.dt, alpha, w[i], w[i + 1])
         back = st.transform_backward(s_tr, alpha, w[-1])
         diff = math.sqrt(sum(np.sum((a - b) ** 2) for a, b in
-                             zip(state_arrays(s_em), state_arrays(back)))
+                             zip(s_em.values, back.values))
                          * g.cell_area)
         errs.append(diff)
     assert all(b < a for a, b in zip(errs, errs[1:])), errs

@@ -274,9 +274,8 @@ def where_differs(path_a: str, path_b: str) -> list:
 
 _DECODE = ("import sys, numpy as np\n"
            "from slicelab.checkpoint import read_checkpoint\n"
-           "from slicelab.state import state_arrays\n"
-           "np.save(sys.argv[2], np.stack(state_arrays("
-           "read_checkpoint(sys.argv[1])[0])))\n")
+           "np.save(sys.argv[2], np.stack("
+           "read_checkpoint(sys.argv[1])[0].values))\n")
 
 
 def decoded_values(tree: str, path: str):
