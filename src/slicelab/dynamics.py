@@ -81,6 +81,8 @@ def _rhs_arrays(grid: Grid, params: Params, cx, cz, ct, cth,
                                   for c, b in zip(coefs, STATE_BASES)]
         w1inf = [_w1inf(grid, values[i:j], gradients[i:j])
                  for i, j in ((0, 2), (2, 3), (3, 4))]
+        if np.ndim(cx) == 3:
+            w1inf = list(zip(*w1inf))  # a batch's per-path triples
     # the cut-offs, exactly 1.0 at an infinite or a certified radius
     c_us, c_ut, c_th = (cutoffs_from_norms(w1inf, radius)
                         if w1inf is not None and math.isfinite(radius)
@@ -203,7 +205,12 @@ def cutoff_factors(state: SimState, radius: float):
 
 def cutoffs_from_norms(norms, radius: float):
     """Cutoffs from (u_S, u_T, theta_S) W^{1,inf} norms already taken; pair
-    norms combine with max, which is nan when either norm is."""
+    norms combine with max, which is nan when either norm is.  A batch's
+    list of per-path triples (as `SimState.w1inf` holds them) gives each
+    path's scalar cut-offs as (B, 1, 1) scales."""
+    if np.ndim(norms) == 2:
+        return tuple(np.reshape(c, (-1, 1, 1)) for c in zip(*(
+            cutoffs_from_norms(path, radius) for path in norms)))
     n_us, n_ut, n_th = norms
     return (cutoff(n_us, radius),
             cutoff(_max((n_us, n_ut)), radius),

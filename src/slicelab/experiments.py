@@ -27,9 +27,9 @@ from .grid import Grid
 from .norms import NormSpec, ZKP_DEFAULT, combine, norm, state_component_norms
 from .state import Params, SimState, random_state, scale_state, zero_state
 from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, OnlineMonitor,
-                         LinearMultiplicative, WienerPath, refine_path,
-                         sample_wiener, step_em, step_transformed,
-                         transform_backward, transform_forward)
+                         LinearMultiplicative, refine_path, sample_wiener,
+                         step_em, step_transformed, transform_backward,
+                         transform_forward)
 
 
 class AmplitudeBudgetWarning(UserWarning):
@@ -270,10 +270,19 @@ class GlobalRegularityResult:
     amplitude_ok: bool
 
 
-#: Values per field in one batch of regularity paths (B = 4 paths at 32^2,
-#: one path per batch from 64^2 up).  A memory cap only: results do not
-#: depend on it.
-_BATCH_VALUES = 4096
+#: Values per field in one batch of ensemble paths: 64 paths at 16^2, 16 at
+#: 32^2, 4 at 64^2 and one from 128^2 up, so a batch's complex coefficient
+#: arrays are about L2-sized.  A path-step gets cheaper with B up to about
+#: there and no further: a `step_transformed` path-step at 32^2 took 1.27,
+#: 0.65, 0.52 and 0.50 ms at B = 1, 4, 16 and 64, and at 64^2 2.17, 1.78
+#: and 1.87 ms at B = 1, 4 and 16 (process CPU time, best of 7, on a 2-CPU
+#: x86_64 host).  A memory cap only: results do not depend on it.
+_BATCH_VALUES = 16384
+
+
+def _batch_width(grid: Grid) -> int:
+    # paths per ensemble batch on this grid, at least one
+    return max(1, _BATCH_VALUES // (grid.nx * grid.nz))
 
 
 class _RegularityPath:
@@ -387,7 +396,7 @@ def mc_global_regularity(grid: Grid, params: Params, alpha: float, r: float,
     # every path starts from state0, so they share its norms; taken with
     # the first batch, as path work
     parts0 = None
-    width = max(1, _BATCH_VALUES // (grid.nx * grid.nz))
+    width = _batch_width(grid)
     paths = []
     for first in range(0, n_paths, width):
         live = [_RegularityPath(seed, idx, n_steps, dt, amp_threshold, r)
@@ -461,12 +470,19 @@ def strong_convergence_study(grid: Grid, params: Params, state0: SimState,
                              seed: int = 0) -> StrongConvergenceResult:
     """EM error at dyadic step sizes against the finest transform solve.
 
-    One Brownian path per MC repetition, shared across levels by bridge
-    refinement; the reference for each path is the transformed solver at
-    the finest level, back-transformed.  Errors are root-mean-square L2
-    differences over paths (a single path's strong error fluctuates by an
-    O(1) factor between levels).  With the noise off the paths drop out
-    and one repetition suffices.
+    One Brownian path per MC repetition, keyed by (seed, index) and shared
+    across levels by bridge refinement; the reference for each path is the
+    transformed solver at the finest level, back-transformed.  Errors are
+    root-mean-square L2 differences over paths (a single path's strong
+    error fluctuates by an O(1) factor between levels).  With the noise
+    off the paths drop out and one repetition suffices.
+
+    Paths are stepped together in batches of consecutive indices, capped
+    by `_BATCH_VALUES`: at each level a batch's EM runs are one
+    (B, nz, nx) state through `step_em`, and its finest-level references
+    one through `step_transformed`.  Each path's squared error is summed
+    from its own slice and added in path order, so the results equal the
+    path-by-path loop's bit for bit.
     """
     if levels < 4:
         raise ConfigError(f"need at least 4 dyadic levels, got {levels}")
@@ -477,30 +493,43 @@ def strong_convergence_study(grid: Grid, params: Params, state0: SimState,
         n_paths = 1
     model = LinearMultiplicative(alpha=alpha)
 
-    def run_em(pth: WienerPath) -> SimState:
-        s = state0
-        for i in range(pth.n_steps):
-            s = step_em(s, params, pth.dt, pth.increments[0, i], model)
-        return s
-
-    def run_transform(pth: WienerPath) -> SimState:
-        w = pth.w_series()
-        s = transform_forward(state0, alpha, 0.0)
-        for i in range(pth.n_steps):
-            s = step_transformed(s, params, pth.dt, alpha, w[i], w[i + 1])
-        return transform_backward(s, alpha, w[-1])
-
-    sq_err = np.zeros(levels)
-    for idx in range(n_paths):
+    def ladder(idx: int) -> list:
+        # path idx at every level, coarse to fine
         path_seed = int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
         paths = [sample_wiener(coarse_dt, n_coarse, 1, seed=path_seed)]
         for _ in range(levels - 1):
             paths.append(refine_path(paths[-1]))
-        ref = run_transform(paths[-1])
-        for lev, pth in enumerate(paths):
-            diff = sum(float(np.sum((a - b) ** 2)) for a, b in
-                       zip(run_em(pth).values, ref.values))
-            sq_err[lev] += diff * grid.cell_area
+        return paths
+
+    # `level` holds one WienerPath per path of the batch, all on one grid
+    def run_em(start: SimState, level) -> SimState:
+        dw = np.stack([p.increments for p in level], axis=-1)
+        s = start
+        for i in range(level[0].n_steps):
+            s = step_em(s, params, level[0].dt, dw[:, i], model)
+        return s
+
+    def run_transform(start: SimState, level) -> SimState:
+        w = np.stack([p.w_series() for p in level], axis=-1)
+        s = transform_forward(start, alpha, 0.0)
+        for i in range(level[0].n_steps):
+            s = step_transformed(s, params, level[0].dt, alpha, w[i],
+                                 w[i + 1])
+        return transform_backward(s, alpha, w[-1])
+
+    sq_err = np.zeros(levels)
+    width = _batch_width(grid)
+    for first in range(0, n_paths, width):
+        by_level = list(zip(*(ladder(idx) for idx in
+                              range(first, min(first + width, n_paths)))))
+        start = _batch_state([state0] * len(by_level[0]))
+        ref = run_transform(start, by_level[-1]).values
+        for lev, level in enumerate(by_level):
+            em = run_em(start, level).values
+            for b in range(len(level)):
+                diff = sum(float(np.sum((x[b] - y[b]) ** 2))
+                           for x, y in zip(em, ref))
+                sq_err[lev] += diff * grid.cell_area
     rms = np.sqrt(sq_err / n_paths)
     dts = np.array([coarse_dt / 2 ** k for k in range(levels)])
     entries = tuple((float(d), float(e)) for d, e in zip(dts, rms))

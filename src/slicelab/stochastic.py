@@ -203,16 +203,27 @@ def step_em(state: SimState, params: Params, dt: float, dw, model,
 
     dw holds this step's Brownian increments, one per noise mode (a scalar
     is accepted for single-mode models); diffusion is evaluated at the step
-    start.
+    start.  A batch of B paths, fields of shape (B, nz, nx), takes dw of
+    shape (modes, B), each path's increments as a (B, 1, 1) scale; each
+    path's slice equals its own serial step bit for bit.
     """
     y1 = _euler_arrays(state, params, dt, radius)
     diffs = noise_eval(model, state)
-    dw_arr = np.atleast_1d(np.asarray(dw, dtype=float))
-    if dw_arr.shape != (len(diffs),):
-        raise ConfigError(f"got {dw_arr.shape[0]} increments for "
-                          f"{len(diffs)} noise modes")
-    for w_j, d in zip(dw_arr, diffs):
-        y1 = _axpy(y1, d, float(w_j))
+    dw_arr = np.asarray(dw, dtype=float)
+    if np.ndim(state.coefs[0]) == 3:
+        want = (len(diffs), state.coefs[0].shape[0])
+        if dw_arr.shape != want:
+            raise ConfigError(f"batch increment array of shape "
+                              f"{dw_arr.shape}, need {want} (modes, paths)")
+        scales = dw_arr.reshape(*want, 1, 1)
+    else:
+        scales = np.atleast_1d(dw_arr)
+        if scales.shape != (len(diffs),):
+            raise ConfigError(f"got {scales.shape[0]} increments for "
+                              f"{len(diffs)} noise modes")
+        scales = [float(w_j) for w_j in scales]
+    for w_j, d in zip(scales, diffs):
+        y1 = _axpy(y1, d, w_j)
     return _finish_step(state, y1, state.t + dt)
 
 
@@ -236,13 +247,14 @@ def _path_exp(x):
     return np.array([math.exp(v) for v in x]).reshape(-1, 1, 1)
 
 
-def transform_forward(state: SimState, alpha: float, w_t: float) -> SimState:
-    """Multiply all fields by exp(-alpha W_t)."""
+def transform_forward(state: SimState, alpha: float, w_t) -> SimState:
+    """Multiply all fields by exp(-alpha W_t); a batch takes one W_t per
+    path."""
     _exp_guard(alpha, w_t)
-    return scale_state(state, math.exp(-alpha * w_t))
+    return scale_state(state, _path_exp(-alpha * np.asarray(w_t)))
 
 
-def transform_backward(state: SimState, alpha: float, w_t: float) -> SimState:
+def transform_backward(state: SimState, alpha: float, w_t) -> SimState:
     """Inverse of transform_forward."""
     return transform_forward(state, -alpha, w_t)
 

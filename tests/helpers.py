@@ -3,8 +3,8 @@ stream-function velocity, the vorticity-form cross-check of the primitive
 stepper, the batch oracle of the online stopping monitor, the
 stopping-record reader, per-geometry oracles of the spectral operators
 that the grid's per-basis tables now serve with one body, the
-path-by-path loop that the regularity experiment batches, the
-allocating hitting-law path loops (the per-step reference for the grid
+path-by-path loops that the regularity experiment and the strong
+convergence study batch, the allocating hitting-law path loops (the per-step reference for the grid
 law and the block kernel with its arrays allocated), the hitting fraction
 of supplied (refined) paths, the decay-rate fit, the value-space tendency
 and steppers that the coefficient-space stages replaced (their cut-off
@@ -38,8 +38,9 @@ from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
 from slicelab.stochastic import (_KINDS, AMPLITUDE_THRESHOLD, GBM_THRESHOLD,
                                  LinearMultiplicative, OnlineMonitor,
                                  StoppingRecord, _exp_guard, _gain_values,
-                                 _path_exp, step_transformed,
-                                 transform_forward)
+                                 _path_exp, refine_path, sample_wiener,
+                                 step_em, step_transformed,
+                                 transform_backward, transform_forward)
 
 
 def states_close(a: SimState, b: SimState, tol: float) -> bool:
@@ -322,6 +323,48 @@ def serial_mc_global(grid, params, alpha, r, amplitude, n_paths, horizon, dt,
                 break
         out.append((amp.record(), gbm.record(), diverged, bounded))
     return out
+
+
+def serial_strong_convergence(grid, params, state0, alpha, horizon,
+                              coarse_dt, levels=4, n_paths=16, seed=0):
+    """`strong_convergence_study` one path at a time, each level's EM run
+    and the finest-level transformed reference as 2-D solves: the
+    (entries, slope) pair."""
+    n_coarse = int(round(horizon / coarse_dt))
+    if alpha == 0.0:
+        n_paths = 1
+    model = LinearMultiplicative(alpha=alpha)
+
+    def run_em(pth):
+        s = state0
+        for i in range(pth.n_steps):
+            s = step_em(s, params, pth.dt, pth.increments[0, i], model)
+        return s
+
+    def run_transform(pth):
+        w = pth.w_series()
+        s = transform_forward(state0, alpha, 0.0)
+        for i in range(pth.n_steps):
+            s = step_transformed(s, params, pth.dt, alpha, w[i], w[i + 1])
+        return transform_backward(s, alpha, w[-1])
+
+    sq_err = np.zeros(levels)
+    for idx in range(n_paths):
+        path_seed = int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
+        paths = [sample_wiener(coarse_dt, n_coarse, 1, seed=path_seed)]
+        for _ in range(levels - 1):
+            paths.append(refine_path(paths[-1]))
+        ref = run_transform(paths[-1])
+        for lev, pth in enumerate(paths):
+            diff = sum(float(np.sum((a - b) ** 2)) for a, b in
+                       zip(run_em(pth).values, ref.values))
+            sq_err[lev] += diff * grid.cell_area
+    rms = np.sqrt(sq_err / n_paths)
+    dts = np.array([coarse_dt / 2 ** k for k in range(levels)])
+    entries = tuple((float(d), float(e)) for d, e in zip(dts, rms))
+    if np.all(rms == 0.0):
+        return entries, None
+    return entries, float(np.polyfit(np.log(dts), np.log(rms), 1)[0])
 
 
 # -- the allocating hitting-law path loops --------------------------------------

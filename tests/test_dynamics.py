@@ -886,6 +886,34 @@ def test_batched_transformed_step_equals_serial_steps(geometry):
             assert got[i].tobytes() == ref.tobytes(), i
 
 
+# amplitudes that put the paths' W^{1,inf} norms below, inside and past
+# the cut-off's transition band [1e-3, 2e-3]
+UNCERTIFIED_AMPLITUDES = {"torus": (3e-4, 6e-4, 8e-4),
+                          "square": (6e-4, 1.2e-3, 1.6e-3)}
+
+
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_batched_truncated_step_at_an_uncertified_radius(geometry):
+    # each path's cut-offs are its own scalar ones, applied as (B, 1, 1)
+    # scales: the batch equals its paths' serial steps bit for bit
+    g = make_grid(geometry, 16, 16, 2 * PI, 2 * PI)
+    radius = 1e-3
+    states = [random_state(g, seed=k, max_mode=3, amplitude=a)
+              for k, a in enumerate(UNCERTIFIED_AMPLITUDES[geometry])]
+    cuts = [dyn.cutoff_factors(s, radius) for s in states]
+    assert cuts[0] == (1.0, 1.0, 1.0)
+    assert any(0.0 < c < 1.0 for c in cuts[1] + cuts[2])
+    batch = stacked_state(states)
+    assert not dyn._certified(g, batch.coefs, radius)
+    out = dyn.step_rk4(batch, P_S0, 1e-3, radius)
+    for i, s in enumerate(states):
+        want = dyn.step_rk4(s, P_S0, 1e-3, radius)
+        for got, ref in zip(out.coefs, want.coefs):
+            assert got[i].tobytes() == ref.tobytes(), i
+    for got, want in zip(dyn.cutoff_factors(batch, radius), zip(*cuts)):
+        assert got.shape == (3, 1, 1) and got.ravel().tolist() == list(want)
+
+
 def _batch_coefs(g, arrays):
     return [to_modes(g, a, b) for a, b in zip(arrays, STATE_BASES)]
 

@@ -17,7 +17,8 @@ from slicelab.norms import l2
 
 from helpers import (block_crossing_oracle, block_ends_oracle, bridge_oracle,
                      decay_rate_fit, hitting_fraction_on_paths,
-                     path_hits_oracle, serial_mc_global, stopped_lambda_oracle)
+                     path_hits_oracle, serial_mc_global,
+                     serial_strong_convergence, stopped_lambda_oracle)
 
 # the closed-form oracle is exact arithmetic; MC comparisons carry their
 # own SE-based bands
@@ -477,6 +478,41 @@ def test_strong_convergence_zero_data(tor32):
     assert all(e == 0.0 for _, e in res.entries)
 
 
+# the noise-off case collapses the paths to one
+CONVERGENCE_CASES = {"torus": ("torus", 0.5), "square": ("square", 0.5),
+                     "torus-noise-off": ("torus", 0.0)}
+
+
+@pytest.mark.parametrize("case", sorted(CONVERGENCE_CASES))
+def test_strong_convergence_does_not_depend_on_scheduling(case, monkeypatch):
+    # entries and slope equal the path-by-path loop's bit for bit, whatever
+    # the batch cap
+    geometry, alpha = CONVERGENCE_CASES[case]
+    n_paths = 5
+    side = 2 * np.pi if geometry == "torus" else np.pi
+    g = sl.make_grid(geometry, 16, 16, side, side)
+    s0 = sl.random_state(g, seed=3, max_mode=4, amplitude=0.25)
+    kw = dict(alpha=alpha, horizon=0.04, coarse_dt=1e-2, levels=4,
+              n_paths=n_paths, seed=2)
+    entries, slope = serial_strong_convergence(g, sl.Params(s=0.0), s0,
+                                               **kw)
+    assert slope is not None
+    batches = []
+    real_batch_state = ex._batch_state
+    monkeypatch.setattr(ex, "_batch_state", lambda states: batches.append(
+        len(states)) or real_batch_state(states))
+    for cap in (1, 3, n_paths):
+        monkeypatch.setattr(ex, "_BATCH_VALUES", cap * g.nx * g.nz)
+        batches.clear()
+        res = ex.strong_convergence_study(g, sl.Params(s=0.0), s0, **kw)
+        assert res.entries == entries, cap
+        assert res.slope == slope, cap
+        n = 1 if alpha == 0.0 else n_paths
+        assert res.n_paths == n
+        assert batches == [min(cap, n - first)
+                           for first in range(0, n, cap)], cap
+
+
 def test_strong_convergence_needs_four_levels(tor32):
     with pytest.raises(sl.ConfigError):
         ex.strong_convergence_study(tor32, sl.Params(s=0.0),
@@ -697,6 +733,37 @@ def test_mc_global_does_not_depend_on_scheduling(case, monkeypatch):
         assert res.summary.hits == sum(p[1].triggered for p in serial)
         if cap == kw["n_paths"] and len(ok) == len(serial):
             assert len(calls) <= n_steps  # one batch: one call per step
+
+
+@pytest.mark.parametrize("n, width", [(16, 64), (32, 16), (64, 4),
+                                      (128, 1), (256, 1)])
+def test_batch_width_is_about_l2_sized(n, width):
+    # 16384 values per field: 64, 16 and 4 paths at 16^2, 32^2 and 64^2,
+    # one path from 128^2 up
+    g = sl.make_grid("torus", n, n, 2 * np.pi, 2 * np.pi)
+    assert ex._batch_width(g) == width
+
+
+def test_benchmark_sized_mc_global_is_one_batch(monkeypatch):
+    # 8 paths at 32^2, the benchmark's mc-global: one step_transformed
+    # call per step of the longest path, at the cap as it stands
+    g = sl.make_grid("torus", 32, 32, 2 * np.pi, 2 * np.pi)
+    calls = []
+    monkeypatch.setattr(ex, "step_transformed",
+                        lambda *a, **k: calls.append(np.size(a[4])) or
+                        st.step_transformed(*a, **k))
+    dt, n_steps = 5e-4, 32
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = ex.mc_global_regularity(
+            g, sl.Params(s=0.0), alpha=20.0, r=1e4, amplitude=0.5,
+            n_paths=8, horizon=n_steps * dt, dt=dt, seed=3, c_tilde=1.0,
+            data_seed=3)
+    assert res.n_diverged == 0
+    assert calls[0] == 8
+    longest = max(round(rec.trigger_time / dt) if rec.triggered else n_steps
+                  for rec in res.gbm_records)
+    assert len(calls) == longest
 
 
 def test_amplitude_monitor_matches_the_quadrature_oracle(monkeypatch):

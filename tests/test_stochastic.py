@@ -14,7 +14,7 @@ from slicelab.incompressible import _project_modes
 from slicelab.norms import l2
 from slicelab.state import STATE_BASES
 
-from helpers import state_max_abs_diff, stopping_monitor
+from helpers import stacked_state, state_max_abs_diff, stopping_monitor
 
 # identical-arithmetic contracts are asserted exactly (== 0.0); everything
 # else gets a few ulp of slack
@@ -214,20 +214,24 @@ def test_em_linear_matches_manual_update(tor64):
     assert got.t == pytest.approx(1e-3)
 
 
+def _two_mode_shapes(g):
+    # per mode c, band-limited shapes in each channel's square basis (u_T
+    # shares u_x's, theta_S u_z's); the torus ignores the bases
+    trig = {"sin": np.sin, "cos": np.cos}
+    return tuple(
+        tuple(sl.scalar_field(g, trig[bx](c * g.x_mesh)
+                              * trig[bz]((3 - c) * g.z_mesh), (bx, bz))
+              for bx, bz in (VX_BASIS, VZ_BASIS, VX_BASIS, VZ_BASIS))
+        for c in (1, 2))
+
+
 @pytest.mark.parametrize("geom", ["torus", "square"])
 def test_em_nemytskii_two_modes_matches_manual_update(geom):
     g = (sl.make_grid("torus", 32, 32, 2 * np.pi, 2 * np.pi)
          if geom == "torus" else sl.make_grid("square", 32, 32, np.pi, np.pi))
     s = sl.random_state(g, seed=3, max_mode=4, amplitude=0.5)
     p = sl.Params()
-    trig = {"sin": np.sin, "cos": np.cos}
-    # per mode c, band-limited shapes in each channel's square basis
-    # (u_T shares u_x's, theta_S u_z's); the torus ignores the bases
-    shapes = tuple(
-        tuple(sl.scalar_field(g, trig[bx](c * g.x_mesh)
-                              * trig[bz]((3 - c) * g.z_mesh), (bx, bz))
-              for bx, bz in (VX_BASIS, VZ_BASIS, VX_BASIS, VZ_BASIS))
-        for c in (1, 2))
+    shapes = _two_mode_shapes(g)
     gains = (lambda stt: 0.3, lambda stt: 1.0 + stt.theta_s.values,
              lambda stt: stt.u_t.values)
     model = st.PointwiseNemytskii(gains=gains, shapes=shapes)
@@ -274,6 +278,43 @@ def test_em_increment_count_mismatch(tor64):
     with pytest.raises(sl.ConfigError):
         st.step_em(s, sl.Params(), 1e-3, np.array([0.1, 0.2]),
                    st.LinearMultiplicative(alpha=0.5))
+
+
+@pytest.mark.parametrize("geom", ["torus", "square"])
+@pytest.mark.parametrize("noise", ["linear", "nemytskii"])
+def test_batched_em_step_equals_serial_steps(geom, noise):
+    # per-path increments of shape (modes, B): each path's slice is its
+    # own serial step bit for bit
+    side = 2 * np.pi if geom == "torus" else np.pi
+    g = sl.make_grid(geom, 16, 16, side, side)
+    states = [sl.random_state(g, seed=k, max_mode=3, amplitude=0.4)
+              for k in range(3)]
+    if noise == "linear":
+        model = st.LinearMultiplicative(alpha=0.7)
+        dw = np.array([[0.02, -0.013, 0.0]])
+    else:
+        model = st.PointwiseNemytskii(
+            gains=(lambda _s: 0.3, lambda _s: 1.1, lambda _s: -0.4),
+            shapes=_two_mode_shapes(g))
+        dw = np.array([[0.02, -0.013, 0.0], [0.005, 0.011, -0.03]])
+    p = sl.Params(s=0.0)
+    out = st.step_em(stacked_state(states), p, 1e-3, dw, model)
+    for i, s in enumerate(states):
+        want = st.step_em(s, p, 1e-3, dw[:, i], model)
+        for got, ref in zip(out.coefs, want.coefs):
+            assert got[i].tobytes() == ref.tobytes(), i
+
+
+@pytest.mark.parametrize("dw_shape", [(3,), (1, 2), (3, 1), (1, 3, 1)])
+def test_em_refuses_a_batch_increment_array_of_the_wrong_shape(dw_shape):
+    g = sl.make_grid("torus", 16, 16, 2 * np.pi, 2 * np.pi)
+    batch = stacked_state([sl.random_state(g, seed=k, max_mode=3)
+                           for k in range(3)])
+    with pytest.raises(sl.ConfigError) as exc:
+        st.step_em(batch, sl.Params(), 1e-3, np.zeros(dw_shape),
+                   st.LinearMultiplicative(alpha=0.5))
+    assert str(dw_shape) in str(exc.value)
+    assert "(1, 3)" in str(exc.value)
 
 
 def test_em_nan_increment_diverges(tor64):

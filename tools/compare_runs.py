@@ -9,12 +9,12 @@ read-only) at seeds 1 and 2, plus a truncated square ``sim-sde`` with a
 loop and stride 3, a truncated torus ``sim-det`` with a loop and stride 2
 that its radius stops off the stride, a torus ``sim-transform`` with a
 loop, a square ``convergence`` run, a square ``mc-global`` run and a torus
-one whose low threshold stops paths at different steps (both with a
-part-filled last batch of paths), a torus ``mc-global`` run monitoring
-W^{1,inf} and a square one monitoring W^{2,3}, an ``mc-hitting`` run at
-alpha < 0 whose paths first cross in 19 of its 20 blocks (the short last
-one among them) or never, and a ``diag`` run with a ``[grid]`` section on the ``sim-sde``
-checkpoint.  Every run works in the same relative directory under its
+one whose low threshold stops paths at different steps (all three at 32^2,
+16 paths to a batch, with a part-filled last batch of paths), a torus
+``mc-global`` run monitoring W^{1,inf} and a square one monitoring
+W^{2,3}, an ``mc-hitting`` run at alpha < 0 whose paths first cross in 19
+of its 20 blocks (the short last one among them) or never, and a ``diag``
+run with a ``[grid]`` section on the ``sim-sde`` checkpoint.  Every run works in the same relative directory under its
 tree's run root, so the configs and echoes of the two revisions name the
 same paths.
 
@@ -82,27 +82,27 @@ EXTRA_RUNS = {
         "data": {"seed": 7, "amplitude": 0.3, "max_mode": 3},
         "output": {"stride": 2, "loop_radius": 1.0},
     }),
+    # the ensemble harnesses step paths in batches of 16 at 32^2: 18 and 20
+    # paths leave part-filled last batches, and the low torus threshold
+    # makes paths leave their batch at different steps
     "convergence-square": ("convergence", {
         "": {"seed": 8},
-        "grid": {"geometry": "square", "nx": 16},
+        "grid": {"geometry": "square", "nx": 32},
         "params": {"s": 0.0},
         "noise": {"alpha": 0.5},
-        "time": {"dt": 2e-2, "t_final": 0.1},
+        "time": {"dt": 2e-2, "t_final": 0.04},
         "data": {"seed": 9, "amplitude": 0.25, "max_mode": 3},
-        "mc": {"n_paths": 3, "levels": 4},
+        "mc": {"n_paths": 18, "levels": 4},
     }),
-    # mc-global steps paths in batches of 4 at 32^2: 7 and 10 paths leave
-    # part-filled last batches, and the low torus threshold makes paths
-    # leave their batch at different steps
     "mc-global-square": ("mc-global", {
         "": {"seed": 10},
         "grid": {"geometry": "square", "nx": 32},
         "params": {"s": 0.0},
         "noise": {"alpha": 20.0},
-        "time": {"dt": 5e-4, "t_final": 8e-3},
+        "time": {"dt": 5e-4, "t_final": 4e-3},
         "monitor": {"threshold": 3.0, "c_tilde": 1.0},
         "data": {"seed": 11, "amplitude": 0.5, "max_mode": 2},
-        "mc": {"n_paths": 7},
+        "mc": {"n_paths": 20},
     }),
     "mc-global-torus-low-threshold": ("mc-global", {
         "": {"seed": 12},
@@ -112,7 +112,7 @@ EXTRA_RUNS = {
         "time": {"dt": 5e-4, "t_final": 1.2e-2},
         "monitor": {"threshold": 1.5, "c_tilde": 1.0},
         "data": {"seed": 13, "amplitude": 0.5, "max_mode": 2},
-        "mc": {"n_paths": 10},
+        "mc": {"n_paths": 20},
     }),
     # the stacked monitor norms' two reductions, max for p = inf and the
     # power sum for finite p; at this small alpha the norms grow, so each
