@@ -8,13 +8,13 @@ from .diagnostics import (MaterialLoop, advect_loop, bkm_bound, circle_loop,
                           circulation, energy, generalized_enstrophy,
                           potential_vorticity)
 from .dynamics import (cutoff, cutoff_factors, mollify, rhs_deterministic,
-                       rhs_truncated, step_euler, step_rk4)
+                       rhs_truncated, step_rk4)
 from .errors import (CheckpointFormatError, ConfigError,
                      DiagnosticsFormatError, DivergedError, LoopDomainError,
                      SliceLabError)
-from .grid import (Geometry, Grid, ScalarField, VectorField, dealias,
-                   differentiate, make_grid, scalar_field, vector_field)
-from .incompressible import curl, divergence, leray_project, max_divergence
+from .grid import (Geometry, Grid, ScalarField, VectorField, differentiate,
+                   make_grid, vector_field)
+from .incompressible import divergence, max_divergence
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import MODES, RunConfig, parse_config, render_config
 from .experiments import (AmplitudeBudgetWarning, GlobalRegularityResult,
@@ -24,8 +24,7 @@ from .experiments import (AmplitudeBudgetWarning, GlobalRegularityResult,
                           mollifier_cauchy_study, stopped_lambda_mean,
                           strong_convergence_study)
 from .norms import NormSpec, W1INF, ZKP_DEFAULT, norm
-from .runio import (CSV_HEADER, DiagnosticsRecord, append_diagnostics,
-                    read_diagnostics)
+from .runio import CSV_HEADER, DiagnosticsRecord, append_diagnostics
 from .runner import RunResult, run
 from .state import Params, SimState, make_state, random_state, zero_state
 from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, NORM_THRESHOLD,
@@ -41,12 +40,12 @@ __all__ = [
     "MaterialLoop", "advect_loop", "bkm_bound", "circle_loop", "circulation",
     "energy", "generalized_enstrophy", "potential_vorticity",
     "cutoff", "cutoff_factors", "mollify", "rhs_deterministic",
-    "rhs_truncated", "step_euler", "step_rk4",
+    "rhs_truncated", "step_rk4",
     "CheckpointFormatError", "ConfigError", "DiagnosticsFormatError",
     "DivergedError", "LoopDomainError", "SliceLabError",
-    "Geometry", "Grid", "ScalarField", "VectorField", "dealias",
-    "differentiate", "make_grid", "scalar_field", "vector_field",
-    "curl", "divergence", "leray_project", "max_divergence",
+    "Geometry", "Grid", "ScalarField", "VectorField", "differentiate",
+    "make_grid", "vector_field",
+    "divergence", "max_divergence",
     "NormSpec", "W1INF", "ZKP_DEFAULT", "norm",
     "Params", "SimState", "make_state", "random_state", "zero_state",
     "AMPLITUDE_THRESHOLD", "GBM_THRESHOLD", "NORM_THRESHOLD",
@@ -61,6 +60,5 @@ __all__ = [
     "read_checkpoint", "write_checkpoint",
     "MODES", "RunConfig", "parse_config", "render_config",
     "CSV_HEADER", "DiagnosticsRecord", "append_diagnostics",
-    "read_diagnostics",
     "RunResult", "run",
 ]

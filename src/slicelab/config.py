@@ -140,8 +140,7 @@ _SCHEMA = {
     ("output", "loop_points"): (int, "loop_points"),
 }
 
-_SECTIONS = ("", "grid", "params", "noise", "time", "monitor", "data", "mc",
-             "output")
+_SECTIONS = tuple(dict.fromkeys(s for s, _ in _SCHEMA))
 
 
 def _parse_lines(text: str):

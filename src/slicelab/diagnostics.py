@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import _rk4_arrays
 from .errors import ConfigError, LoopDomainError
 from .grid import (Geometry, Grid, NEUMANN_BASIS, ScalarField, VectorField,
-                   VX_BASIS, VZ_BASIS, from_modes, integrate, scalar_field)
+                   VX_BASIS, VZ_BASIS, from_modes, integrate)
 from .incompressible import divergence_modes
 from .norms import NormSpec, ZKP_DEFAULT, combine, state_component_norms
 from .runio import DiagnosticsRecord
@@ -55,7 +55,7 @@ def potential_vorticity(state: SimState, params: Params) -> ScalarField:
     *_, (dx_ut, dz_ut), (dx_th, dz_th) = state.gradients
     q = (params.s * state.vorticity - (dx_ut + params.f) * dz_th
          + dz_ut * dx_th)
-    return scalar_field(state.grid, q, NEUMANN_BASIS)
+    return ScalarField(state.grid, q, NEUMANN_BASIS)
 
 
 def generalized_enstrophy(state: SimState, params: Params, phi) -> float:
@@ -188,11 +188,11 @@ def circulation(state: SimState, params: Params, loop: MaterialLoop) -> float:
 
 
 def _row_record(state: SimState, params: Params, loop: MaterialLoop | None,
-                spec: NormSpec, w1inf, lam=None, w_t=None,
+                spec: NormSpec, lam=None, w_t=None,
                 cutoffs=(None, None, None)) -> DiagnosticsRecord:
-    """One diagnostics row of the state, its (u_S, u_T, theta_S) W^{1,inf}
-    norms `w1inf` taken already; circulation None without a loop; lam,
-    w_t and the cutoffs are the caller's."""
+    """One diagnostics row of the state, its W^{1,inf} columns the state's
+    own `w1inf`; circulation None without a loop; lam, w_t and the cutoffs
+    are the caller's."""
     g = state.grid
     enstrophy_q2 = generalized_enstrophy(state, params, np.square)
     circ = None if loop is None else circulation(state, params, loop)
@@ -201,7 +201,7 @@ def _row_record(state: SimState, params: Params, loop: MaterialLoop | None,
     # the arguments in CSV column order
     return DiagnosticsRecord(
         state.t, energy(state, params),
-        *state_component_norms(state, NormSpec(0, 2)), *w1inf,
+        *state_component_norms(state, NormSpec(0, 2)), *state.w1inf,
         combine(state_component_norms(state, spec), spec.p), max_div,
         enstrophy_q2, circ, lam, w_t, *cutoffs)
 

@@ -289,21 +289,6 @@ def step_rk4(state: SimState, params: Params, dt: float,
                         state.t + dt)
 
 
-def _euler_arrays(state: SimState, params: Params, dt: float, radius: float):
-    # the step's drift update of the coefficients, before projection
-    _check_dt(dt)
-    y, first = _first_stage(state)
-    return _axpy(y, _rhs_arrays(state.grid, params, *y, radius=radius,
-                                **first), dt)
-
-
-def step_euler(state: SimState, params: Params, dt: float,
-               radius: float = math.inf) -> SimState:
-    """One explicit Euler step (the drift half of Euler-Maruyama)."""
-    return _finish_step(state, _euler_arrays(state, params, dt, radius),
-                        state.t + dt)
-
-
 def mollify(state: SimState, j: float) -> SimState:
     """Scale every mode of every component by exp(-|k|^2/j^2), |k| the
     angular wavenumber; re-project u_S."""

@@ -364,10 +364,6 @@ class VectorField:
         return self.x.grid
 
 
-def scalar_field(grid: Grid, values, basis: tuple[str, str] | None = None) -> ScalarField:
-    return ScalarField(grid, values, basis)
-
-
 def vector_field(grid: Grid, x_values, z_values) -> VectorField:
     """Velocity-like vector field; square components get the u.n = 0 bases."""
     return VectorField(ScalarField(grid, x_values, VX_BASIS),

@@ -13,9 +13,9 @@ v_hat - k (k.v_hat)/|k|^2 with first-derivative wavenumbers: div and grad
 both kill the Nyquist direction, so the symbol is that of div.grad, not
 the full Laplacian, and the modes where it vanishes are left untouched.
 The grid owns every wavenumber table; this module only composes them.
-`divergence` and `curl` are value shells over `divergence_modes` and
-`curl_modes`; a `VectorField` on the square holds its components in
-(VX_BASIS, VZ_BASIS), the bases those assume.
+`divergence` is a value shell over `divergence_modes`; a `VectorField` on
+the square holds its components in (VX_BASIS, VZ_BASIS), the bases it
+assumes.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import (Grid, ScalarField, VectorField, VX_BASIS, VZ_BASIS,
-                   axis_derivative_modes, from_modes, scalar_field, to_modes,
-                   vector_field)
+                   axis_derivative_modes, from_modes, to_modes)
 
 
 def divergence_modes(grid: Grid, cx, cz):
@@ -60,29 +59,13 @@ def project_values(grid: Grid, x_values: np.ndarray, z_values: np.ndarray):
     return from_modes(grid, px, VX_BASIS), from_modes(grid, pz, VZ_BASIS)
 
 
-def _value_shell(modes_op, v: VectorField) -> ScalarField:
-    # a velocity field's components are in (VX_BASIS, VZ_BASIS)
-    g = v.grid
-    c, basis = modes_op(g, to_modes(g, v.x.values, VX_BASIS),
-                        to_modes(g, v.z.values, VZ_BASIS))
-    return scalar_field(g, from_modes(g, c, basis), basis)
-
-
 def divergence(v: VectorField) -> ScalarField:
     """d_x v_x + d_z v_z, by `divergence_modes`."""
-    return _value_shell(divergence_modes, v)
-
-
-def curl(v: VectorField) -> ScalarField:
-    """Scalar curl d_x v_z - d_z v_x (the vorticity operator), by
-    `curl_modes`."""
-    return _value_shell(curl_modes, v)
-
-
-def leray_project(v: VectorField) -> VectorField:
+    # a velocity field's components are in (VX_BASIS, VZ_BASIS)
     g = v.grid
-    px, pz = project_values(g, v.x.values, v.z.values)
-    return vector_field(g, px, pz)
+    c, basis = divergence_modes(g, to_modes(g, v.x.values, VX_BASIS),
+                                to_modes(g, v.z.values, VZ_BASIS))
+    return ScalarField(g, from_modes(g, c, basis), basis)
 
 
 def max_divergence(u: VectorField) -> float:

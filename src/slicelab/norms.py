@@ -187,10 +187,6 @@ def norm(obj, spec: NormSpec) -> float:
     raise ConfigError(f"cannot take a norm of {type(obj).__name__}")
 
 
-def l2(obj) -> float:
-    return norm(obj, NormSpec(0, 2))
-
-
 def state_component_norms(state: SimState, spec: NormSpec):
     """(u_S, u_T, theta_S) norms as a tuple, for monitors and diagnostics;
     a stacked state gives a list of such triples, one per path.  Every

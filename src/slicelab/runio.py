@@ -13,13 +13,6 @@ from dataclasses import dataclass, fields
 from .errors import DiagnosticsFormatError
 from .stochastic import StoppingRecord
 
-CSV_HEADER = ("t, energy, l2_us, l2_ut, l2_th, w1inf_us, w1inf_ut, "
-              "w1inf_th, zkp, max_div, enstrophy_q2, circulation, lambda, "
-              "w_t, cutoff_us, cutoff_ut, cutoff_th")
-
-_COLUMNS = tuple(c.strip() for c in CSV_HEADER.split(","))
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     """One monitored-step row; None marks a quantity that does not apply."""
@@ -44,7 +37,8 @@ class DiagnosticsRecord:
 
 
 _FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
-assert len(_FIELDS) == len(_COLUMNS)
+#: the record's fields in order, `lambda_` written as `lambda`
+CSV_HEADER = ", ".join(name.rstrip("_") for name in _FIELDS)
 
 
 def format_row(rec: DiagnosticsRecord) -> str:
@@ -53,20 +47,6 @@ def format_row(rec: DiagnosticsRecord) -> str:
         v = getattr(rec, name)
         parts.append("" if v is None else repr(float(v)))
     return ",".join(parts)
-
-
-def _parse_row(line: str, lineno: int) -> DiagnosticsRecord:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) != len(_FIELDS):
-        raise DiagnosticsFormatError(
-            f"row at line {lineno} has {len(parts)} fields, "
-            f"expected {len(_FIELDS)}")
-    try:
-        vals = [None if p == "" else float(p) for p in parts]
-    except ValueError as err:
-        raise DiagnosticsFormatError(
-            f"row at line {lineno} has a non-numeric field: {err}") from None
-    return DiagnosticsRecord(*vals)
 
 
 def _check_header(fh, path) -> None:
@@ -91,13 +71,6 @@ def _open_diagnostics(path):
 def append_diagnostics(rec: DiagnosticsRecord, fh) -> None:
     """Append one row to a file from `_open_diagnostics`."""
     fh.write(format_row(rec) + "\n")
-
-
-def read_diagnostics(path) -> list[DiagnosticsRecord]:
-    with open(path, "r", encoding="ascii") as fh:
-        _check_header(fh, path)
-        return [_parse_row(line.rstrip("\n"), i)
-                for i, line in enumerate(fh, start=2) if line.strip()]
 
 
 def write_stopping_record(rec: StoppingRecord, path) -> None:

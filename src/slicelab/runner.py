@@ -15,7 +15,7 @@ from . import experiments as experiments_mod
 from .checkpoint import RunStamp, read_checkpoint, write_checkpoint
 from .config import RunConfig, render_config, with_grid
 from .diagnostics import _row_record
-from .dynamics import cutoffs_from_norms, step_rk4
+from .dynamics import cutoff_factors, step_rk4
 from .errors import ConfigError, DivergedError
 from .runio import (_open_diagnostics, append_diagnostics, write_key_values,
                     write_stopping_record)
@@ -127,15 +127,15 @@ def _run_sim(cfg: RunConfig) -> RunResult:
     mu = -cfg.alpha * cfg.alpha / 32.0
     diag = None  # the CSV, opened once, at the first row
 
-    def emit(s, step, w1inf):
+    def emit(s, step):
         nonlocal diag
         lam = w_t = None
         if w is not None:
             w_t = float(w[step])
             lam = math.exp(cfg.alpha * w_t + mu * s.t)
-        cut = (cutoffs_from_norms(w1inf, cfg.radius) if row_cutoffs
+        cut = (cutoff_factors(s, cfg.radius) if row_cutoffs
                else (None, None, None))
-        rec = _row_record(s, params, loop, cfg.norm_spec, w1inf, lam, w_t, cut)
+        rec = _row_record(s, params, loop, cfg.norm_spec, lam, w_t, cut)
         if diag is None:
             diag = _open_diagnostics(diag_path)
         append_diagnostics(rec, diag)
@@ -147,10 +147,9 @@ def _run_sim(cfg: RunConfig) -> RunResult:
         # takes; a state that stops the run gets its row
         if not row_due and monitor is None:
             return False
-        w1inf = s.w1inf
-        stop = monitor is not None and monitor.update(s.t, max(w1inf))
+        stop = monitor is not None and monitor.update(s.t, max(s.w1inf))
         if row_due or stop:
-            emit(s, step, w1inf)
+            emit(s, step)
         return stop
 
     def checkpoint(s, step):
@@ -276,8 +275,7 @@ def _run_diag(cfg: RunConfig) -> RunResult:
         # the loop centre follows the checkpoint's domain
         cfg = with_grid(cfg, state.grid)
     _write_echo(cfg)
-    rec = _row_record(state, params, cfg.loop(), cfg.norm_spec,
-                      state.w1inf)
+    rec = _row_record(state, params, cfg.loop(), cfg.norm_spec)
     with _open_diagnostics(os.path.join(cfg.out_dir, DIAG_FILE)) as fh:
         append_diagnostics(rec, fh)
     return RunResult(EXIT_COMPLETED, cfg.out_dir, state, payload=rec)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import (Grid, Geometry, SCALAR_BASIS, ScalarField, VectorField,
                    VX_BASIS, VZ_BASIS, differentiate, from_modes,
-                   gradient_values, scalar_field, to_modes, vector_field)
+                   gradient_values, to_modes, vector_field)
 from .incompressible import curl_modes
 
 #: Square parity classes of u_T and theta_S (the torus ignores them).  The
@@ -108,11 +108,11 @@ class SimState:
 
     @property
     def u_t(self) -> ScalarField:
-        return scalar_field(self.grid, self.values[2], UT_BASIS)
+        return ScalarField(self.grid, self.values[2], UT_BASIS)
 
     @property
     def theta_s(self) -> ScalarField:
-        return scalar_field(self.grid, self.values[3], THETA_BASIS)
+        return ScalarField(self.grid, self.values[3], THETA_BASIS)
 
 
 def make_state(grid: Grid, t, ux, uz, ut, theta) -> SimState:
@@ -121,7 +121,7 @@ def make_state(grid: Grid, t, ux, uz, ut, theta) -> SimState:
     coefficients' inverse transforms, equal to the arrays within
     roundoff."""
     return SimState(grid, float(t), tuple(
-        to_modes(grid, scalar_field(grid, a).values, b)
+        to_modes(grid, ScalarField(grid, a).values, b)
         for a, b in zip((ux, uz, ut, theta), STATE_BASES)))
 
 
@@ -181,7 +181,7 @@ def random_state(grid: Grid, seed: int, max_mode: int = 3,
     (divergence-free and wall-tangent by construction), random u_T, theta_S."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     psi_vals = random_scalar_values(grid, rng, max_mode, 1.0)
-    psi = scalar_field(grid, psi_vals)
+    psi = ScalarField(grid, psi_vals)
     ux = -differentiate(psi, "z").values
     uz = differentiate(psi, "x").values
     speed = np.max(np.hypot(ux, uz))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_axpy, _check_dt, _euler_arrays, _finish_step,
-                       _first_stage, _rhs_arrays, _rk4_arrays)
+from .dynamics import (_axpy, _check_dt, _finish_step, _first_stage,
+                       _rhs_arrays, _rk4_arrays)
 from .errors import ConfigError, DivergedError
 from .grid import dealias, to_modes
 from .incompressible import _project_modes
@@ -60,10 +60,6 @@ class WienerPath:
             raise ConfigError(f"increment array shape {inc.shape} does not "
                               f"match ({self.modes}, {self.n_steps})")
         object.__setattr__(self, "increments", inc)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
 
     @property
     def values(self) -> np.ndarray:
@@ -199,30 +195,26 @@ def noise_eval(model, state: SimState) -> list[tuple]:
 def step_em(state: SimState, params: Params, dt: float, dw, model,
             radius: float = math.inf) -> SimState:
     """Euler-Maruyama: drift step (truncated at a finite `radius`) plus
-    per-mode diffusion * increment, on the step's coefficients.
+    per-mode diffusion * increment, on the step's coefficients; at zero
+    increments it is the explicit Euler step.
 
-    dw holds this step's Brownian increments, one per noise mode (a scalar
-    is accepted for single-mode models); diffusion is evaluated at the step
-    start.  A batch of B paths, fields of shape (B, nz, nx), takes dw of
-    shape (modes, B), each path's increments as a (B, 1, 1) scale; each
-    path's slice equals its own serial step bit for bit.
+    dw holds this step's Brownian increments, shape (modes,), a scalar
+    counting as (1,); diffusion is evaluated at the step start.  A batch
+    of B paths, fields of shape (B, nz, nx), takes dw of shape (modes, B),
+    each path's increments as a (B, 1, 1) scale; each path's slice equals
+    its own serial step bit for bit.
     """
-    y1 = _euler_arrays(state, params, dt, radius)
+    _check_dt(dt)
+    y, first = _first_stage(state)
+    y1 = _axpy(y, _rhs_arrays(state.grid, params, *y, radius=radius,
+                              **first), dt)
     diffs = noise_eval(model, state)
     dw_arr = np.asarray(dw, dtype=float)
-    if np.ndim(state.coefs[0]) == 3:
-        want = (len(diffs), state.coefs[0].shape[0])
-        if dw_arr.shape != want:
-            raise ConfigError(f"batch increment array of shape "
-                              f"{dw_arr.shape}, need {want} (modes, paths)")
-        scales = dw_arr.reshape(*want, 1, 1)
-    else:
-        scales = np.atleast_1d(dw_arr)
-        if scales.shape != (len(diffs),):
-            raise ConfigError(f"got {scales.shape[0]} increments for "
-                              f"{len(diffs)} noise modes")
-        scales = [float(w_j) for w_j in scales]
-    for w_j, d in zip(scales, diffs):
+    want = (len(diffs), *state.coefs[0].shape[:-2])
+    if (dw_arr.shape or (1,)) != want:
+        raise ConfigError(f"increment array of shape {dw_arr.shape}, need "
+                          f"{want}: one per noise mode and path")
+    for w_j, d in zip(dw_arr.reshape(*want, 1, 1), diffs):
         y1 = _axpy(y1, d, w_j)
     return _finish_step(state, y1, state.t + dt)
 

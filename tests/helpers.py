@@ -6,7 +6,9 @@ that the grid's per-basis tables now serve with one body, the
 path-by-path loops that the regularity experiment and the strong
 convergence study batch, the allocating hitting-law path loops (the per-step reference for the grid
 law and the block kernel with its arrays allocated), the hitting fraction
-of supplied (refined) paths, the decay-rate fit, the value-space tendency
+of supplied (refined) paths and a path's grid times, the decay-rate
+fit, the value shells `curl` and `leray_project`, the l2 norm, the
+diagnostics CSV reader, the value-space tendency
 and steppers that the coefficient-space stages replaced (their cut-off
 norms taken with transforms of their own) and the value-space noise of
 their EM step, the coefficient-space first stage with
@@ -23,15 +25,16 @@ import scipy.fft as sfft
 
 from slicelab.dynamics import (_axpy, _check_dt, _in_band, _rk4_arrays,
                                cutoffs_from_norms)
-from slicelab.errors import ConfigError, DivergedError
+from slicelab.errors import ConfigError, DiagnosticsFormatError, DivergedError
 from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
                            VX_BASIS, VZ_BASIS, axis_derivative_modes,
                            derivative_values, from_modes, gradient_values,
-                           scalar_field, to_modes, vector_field)
+                           to_modes, vector_field)
 from slicelab.experiments import _BLOCK, _path_rng
 from slicelab.incompressible import _project_modes, curl_modes, project_values
-from slicelab.norms import (W1INF, ZKP_DEFAULT, _multi_indices, _reduce,
-                            combine, norm, state_component_norms)
+from slicelab.norms import (W1INF, ZKP_DEFAULT, NormSpec, _multi_indices,
+                            _reduce, combine, norm, state_component_norms)
+from slicelab.runio import _FIELDS, DiagnosticsRecord, _check_header
 from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
                             SimState, make_state, random_state, scale_state,
                             state_is_finite)
@@ -112,9 +115,9 @@ def rhs_vorticity(omega: ScalarField, u_t: ScalarField, theta_s: ScalarField,
     dut = (-_advect(g, ux, uz, gt, u_t.basis) - params.f * ux
            - params.buoyancy * params.s * g.z_weight)
     dth = -_advect(g, ux, uz, gs, theta_s.basis) - params.s * u_t.values
-    return (scalar_field(g, domega, omega.basis),
-            scalar_field(g, dut, u_t.basis),
-            scalar_field(g, dth, theta_s.basis))
+    return (ScalarField(g, domega, omega.basis),
+            ScalarField(g, dut, u_t.basis),
+            ScalarField(g, dth, theta_s.basis))
 
 
 def step_rk4_vorticity(omega: ScalarField, u_t: ScalarField,
@@ -126,11 +129,60 @@ def step_rk4_vorticity(omega: ScalarField, u_t: ScalarField,
     bases = (omega.basis, u_t.basis, theta_s.basis)
 
     def f(t, y):
-        fields = [scalar_field(g, v, b) for v, b in zip(y, bases)]
+        fields = [ScalarField(g, v, b) for v, b in zip(y, bases)]
         return tuple(o.values for o in rhs_vorticity(*fields, params))
 
     y1 = _rk4_arrays((omega.values, u_t.values, theta_s.values), f, 0.0, dt)
-    return tuple(scalar_field(g, v, b) for v, b in zip(y1, bases))
+    return tuple(ScalarField(g, v, b) for v, b in zip(y1, bases))
+
+
+# -- the value shells, the l2 norm and the CSV reader --------------------------
+
+def curl(v: VectorField) -> ScalarField:
+    """Scalar curl d_x v_z - d_z v_x (the vorticity operator), by
+    `curl_modes`; a velocity field's components are in (VX_BASIS,
+    VZ_BASIS)."""
+    g = v.grid
+    c, basis = curl_modes(g, to_modes(g, v.x.values, VX_BASIS),
+                          to_modes(g, v.z.values, VZ_BASIS))
+    return ScalarField(g, from_modes(g, c, basis), basis)
+
+
+def leray_project(v: VectorField) -> VectorField:
+    """The Leray projection of a velocity field, by `project_values`."""
+    return vector_field(v.grid, *project_values(v.grid, v.x.values,
+                                                v.z.values))
+
+
+def l2(obj) -> float:
+    return norm(obj, NormSpec(0, 2))
+
+
+def path_times(path) -> np.ndarray:
+    """The grid times t_0 = 0, ..., t_n of a `WienerPath`."""
+    return path.dt * np.arange(path.n_steps + 1)
+
+
+def _parse_row(line: str, lineno: int) -> DiagnosticsRecord:
+    parts = [p.strip() for p in line.split(",")]
+    if len(parts) != len(_FIELDS):
+        raise DiagnosticsFormatError(
+            f"row at line {lineno} has {len(parts)} fields, "
+            f"expected {len(_FIELDS)}")
+    try:
+        vals = [None if p == "" else float(p) for p in parts]
+    except ValueError as err:
+        raise DiagnosticsFormatError(
+            f"row at line {lineno} has a non-numeric field: {err}") from None
+    return DiagnosticsRecord(*vals)
+
+
+def read_diagnostics(path) -> list[DiagnosticsRecord]:
+    """The rows of a diagnostics CSV, its header checked first."""
+    with open(path, "r", encoding="ascii") as fh:
+        _check_header(fh, path)
+        return [_parse_row(line.rstrip("\n"), i)
+                for i, line in enumerate(fh, start=2) if line.strip()]
 
 
 def stopping_monitor(times, values, kind: str,
@@ -461,7 +513,8 @@ def hitting_fraction_on_paths(paths, alpha: float, r: float) -> float:
     log_r = math.log(r)
     hits = 0
     for p in paths:
-        series = alpha * p.w_series() - (alpha * alpha / 32.0) * p.times
+        series = (alpha * p.w_series()
+                  - (alpha * alpha / 32.0) * path_times(p))
         if float(series.max()) >= log_r:
             hits += 1
     return hits / len(paths)
@@ -481,7 +534,7 @@ def rhs_arrays_oracle(grid, params: Params, ux, uz, ut, th,
                       source_scale: float = 1.0):
     """The tendency as value arrays, every stage transformed afresh: the
     three W^{1,inf} norms through norm(vector_field(...), W1INF) and
-    norm(scalar_field(...), W1INF), then every field transformed again for
+    norm(ScalarField(...), W1INF), then every field transformed again for
     its advection product, each product dealiased by a round trip and u_S
     projected by another (36 transforms at a finite radius, 24 at an
     infinite one)."""
@@ -490,8 +543,8 @@ def rhs_arrays_oracle(grid, params: Params, ux, uz, ut, th,
     if math.isfinite(radius):
         c_us, c_ut, c_th = cutoffs_from_norms(
             (norm(vector_field(grid, ux, uz), W1INF),
-             norm(scalar_field(grid, ut, bt), W1INF),
-             norm(scalar_field(grid, th, bth), W1INF)), radius)
+             norm(ScalarField(grid, ut, bt), W1INF),
+             norm(ScalarField(grid, th, bth), W1INF)), radius)
     adv = []
     for values, basis in ((ux, bx), (uz, bz), (ut, bt), (th, bth)):
         coef = to_modes(grid, values, basis)

@@ -18,13 +18,14 @@ from slicelab.diagnostics import (advect_loop, circle_loop, circulation,
                                   energy, generalized_enstrophy)
 from slicelab.dynamics import (_rhs_arrays, cutoff, cutoff_factors,
                                rhs_truncated)
-from slicelab.grid import (NEUMANN_BASIS, differentiate, from_modes,
-                           scalar_field, vector_field)
-from slicelab.incompressible import divergence, leray_project, max_divergence
-from slicelab.norms import W1INF, l2, state_component_norms
+from slicelab.grid import (NEUMANN_BASIS, ScalarField, differentiate,
+                           from_modes, vector_field)
+from slicelab.incompressible import divergence, max_divergence
+from slicelab.norms import W1INF, state_component_norms
 from slicelab.state import STATE_BASES
 
-from helpers import state_max_abs_diff, stopping_monitor
+from helpers import (l2, leray_project, state_max_abs_diff,
+                     stopping_monitor)
 
 PI = np.pi
 
@@ -68,7 +69,7 @@ def test_criterion_01_projection_suite(tor64, sq64):
         for i, j, amp in ((1, 2, 0.7), (3, 1, -0.4), (2, 4, 0.25),
                           (0, 3, 0.5), (4, 0, -0.3)):
             vals += amp * np.cos(i * x) * np.cos(j * z)
-        phi = scalar_field(g, vals, NEUMANN_BASIS)
+        phi = ScalarField(g, vals, NEUMANN_BASIS)
         gx = differentiate(phi, "x")
         gz = differentiate(phi, "z")
         killed = leray_project(vector_field(g, gx.values, gz.values))

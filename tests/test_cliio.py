@@ -15,11 +15,12 @@ from slicelab.cli import build_parser, main as cli_main
 from slicelab.config import MODES, parse_config, render_config
 from slicelab.errors import DiagnosticsFormatError
 from slicelab.runio import (DiagnosticsRecord, _open_diagnostics,
-                            append_diagnostics, format_row, read_diagnostics)
+                            append_diagnostics, format_row)
 from slicelab.runner import run
 from slicelab.state import SimState
 
-from helpers import read_stopping_record, state_max_abs_diff
+from helpers import (read_diagnostics, read_stopping_record,
+                     state_max_abs_diff)
 
 
 def _sim_text(out, *, extra="", t_final="0.05", dt="5e-3", s="0",

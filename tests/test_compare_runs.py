@@ -65,3 +65,24 @@ def test_checkpoints_compare_by_their_decoded_values(tmp_path):
     missing = str(tmp_path / "missing.bin")
     assert tool.values_difference(a, tool.decoded_values(ROOT, missing)) \
         == math.inf
+
+
+def test_sizes_name_the_exports_only_one_tree_has(tmp_path, capsys):
+    tool = _tool()
+    sizes = []
+    for name, exports in (("a", ["run", "curl", "dealias"]),
+                          ("b", ["run", "norm"])):
+        pkg = tmp_path / name / "src" / "slicelab"
+        pkg.mkdir(parents=True)
+        _write(pkg / "__init__.py", f"__all__ = {exports!r}\n")
+        sizes.append(tool.tree_size(str(tmp_path / name)))
+    assert sizes == [(1, ["curl", "dealias", "run"]), (1, ["norm", "run"])]
+    tool.print_sizes(["A1", "B1"], sizes)
+    assert capsys.readouterr().out.splitlines() == [
+        "size     A A1: 1 lines in src/slicelab/*.py, 3 exports",
+        "size     B B1: 1 lines in src/slicelab/*.py, 2 exports",
+        "exports only A: curl, dealias",
+        "exports only B: norm"]
+    tool.print_sizes(["A1", "A1"], sizes[:1] * 2)
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "exports only A: none", "exports only B: none"]

@@ -8,9 +8,10 @@ from slicelab.diagnostics import (EnergyAccountingWarning, MaterialLoop,
                                   potential_vorticity)
 from slicelab.errors import ConfigError, LoopDomainError
 from slicelab.grid import COS, make_grid
-from slicelab.incompressible import curl
-from slicelab.norms import ZKP_DEFAULT, l2, norm
+from slicelab.norms import ZKP_DEFAULT, norm
 from slicelab.state import Params, make_state, random_state, zero_state
+
+from helpers import curl, l2
 
 PI = np.pi
 
@@ -187,7 +188,6 @@ def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
     from slicelab import diagnostics, grid
     from slicelab.grid import (VX_BASIS, VZ_BASIS, axis_derivative_modes,
                                from_modes)
-    from slicelab.norms import W1INF, state_component_norms
     p = Params(s=0.5)
     lp = circle_loop(PI / 2, PI / 2, 0.8)
     other = random_state(sq64, seed=9)
@@ -203,10 +203,9 @@ def test_row_terms_take_the_theta_gradient_once(sq64, monkeypatch):
                         axis, *order: (theta_calls.append(axis)
                                        if c is st.coefs[3] else None)
                         or real(g, c, b, axis, *order))
-    w1inf = state_component_norms(st, W1INF)
 
     def terms(loop):
-        rec = diagnostics._row_record(st, p, loop, ZKP_DEFAULT, w1inf)
+        rec = diagnostics._row_record(st, p, loop, ZKP_DEFAULT)
         return rec.enstrophy_q2, rec.circulation, rec.max_div
 
     assert repr(terms(lp)) == repr(want)

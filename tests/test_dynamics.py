@@ -6,18 +6,19 @@ import pytest
 
 from slicelab import dynamics as dyn
 from slicelab.errors import ConfigError, DivergedError
-from slicelab.grid import (from_modes, make_grid, scalar_field, to_modes,
+from slicelab.grid import (ScalarField, from_modes, make_grid, to_modes,
                            vector_field)
-from slicelab.incompressible import (_project_modes, curl, max_divergence,
+from slicelab.incompressible import (_project_modes, max_divergence,
                                      project_values)
-from slicelab.norms import W1INF, l2, state_component_norms, w1inf_bound
+from slicelab.norms import W1INF, state_component_norms, w1inf_bound
 from slicelab.state import (STATE_BASES, THETA_BASIS, UT_BASIS, Params,
                             SimState, make_state, random_state, scale_state,
                             zero_state)
 from slicelab.stochastic import (LinearMultiplicative, PointwiseNemytskii,
                                  step_em, step_transformed)
 
-from helpers import (rhs_arrays_oracle, rhs_norm_oracle, rhs_vorticity,
+from helpers import (curl, l2, rhs_arrays_oracle, rhs_norm_oracle,
+                     rhs_vorticity,
                      stacked_state, state_max_abs_diff, step_em_oracle,
                      step_rk4_oracle, step_rk4_vorticity,
                      step_transformed_oracle, zero_scalar)
@@ -72,7 +73,7 @@ def test_vorticity_rhs_buoyancy(tor64):
     X = tor64.x_mesh
     p = Params(f=2.0, g=3.0, theta0=1.5, s=0.0)
     dom, dut, dth = rhs_vorticity(zero_scalar(tor64), zero_scalar(tor64),
-                                      scalar_field(tor64, np.sin(X)), p)
+                                      ScalarField(tor64, np.sin(X)), p)
     assert np.max(np.abs(dom.values - p.buoyancy * np.cos(X))) <= 1e-13
     assert np.max(np.abs(dut.values)) <= 1e-13
 
@@ -88,7 +89,7 @@ def test_cross_formulation_rhs(geom):
     td = dyn.rhs_deterministic(st, p)
     dom_ref = curl(vector_field(g, td[0], td[1]))
     scale = max(l2(om), 1.0)
-    err = l2(scalar_field(g, dom.values - dom_ref.values, dom.basis))
+    err = l2(ScalarField(g, dom.values - dom_ref.values, dom.basis))
     assert err <= 1e-9 * scale
     assert np.max(np.abs(dut.values - td[2])) <= 1e-9
     assert np.max(np.abs(dth.values - td[3])) <= 1e-9
@@ -96,10 +97,15 @@ def test_cross_formulation_rhs(geom):
 
 # -- time stepping ----------------------------------------------------------
 
+def euler(st, p, dt, radius=math.inf):
+    """The explicit Euler step: Euler-Maruyama at a zero increment."""
+    return step_em(st, p, dt, 0.0, LinearMultiplicative(0.0), radius)
+
+
 def test_step_advances_time(tor64):
     st = random_state(tor64, seed=1)
     assert dyn.step_rk4(st, P_S0, 0.01).t == pytest.approx(0.01)
-    assert dyn.step_euler(st, P_S0, 0.01).t == pytest.approx(0.01)
+    assert euler(st, P_S0, 0.01).t == pytest.approx(0.01)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
@@ -366,8 +372,8 @@ def test_euler_fixed_horizon_order():
     st = random_state(g, seed=3, max_mode=3, amplitude=0.5)
     p = Params()
     ref = run_to(st, p, 0.1 / 320, 320)
-    e_coarse = state_max_abs_diff(run_to(st, p, 0.01, 10, dyn.step_euler), ref)
-    e_fine = state_max_abs_diff(run_to(st, p, 0.005, 20, dyn.step_euler), ref)
+    e_coarse = state_max_abs_diff(run_to(st, p, 0.01, 10, euler), ref)
+    e_fine = state_max_abs_diff(run_to(st, p, 0.005, 20, euler), ref)
     assert 1.6 <= e_coarse / e_fine <= 2.6
 
 
@@ -395,7 +401,7 @@ def test_cross_formulation_trajectories(geom):
         st = dyn.step_rk4(st, p, 1e-3)
         om, ut, th = step_rk4_vorticity(om, ut, th, p, 1e-3)
     om_ref = curl(st.u_s)
-    err = l2(scalar_field(g, om.values - om_ref.values, om.basis))
+    err = l2(ScalarField(g, om.values - om_ref.values, om.basis))
     assert err <= 1e-6 * l2(om_ref)
 
 
@@ -536,7 +542,7 @@ def test_truncated_tendency_and_step_equal_the_norm_oracle(geometry):
         got = dyn._rhs_arrays(g, p, *st.coefs, radius=r,
                               values=st.values)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-        got = dyn.step_euler(st, p, 1e-2, radius=r)
+        got = euler(st, p, 1e-2, radius=r)
         want = dyn._finish_step(st, dyn._axpy(st.coefs, want, 1e-2), 1e-2)
         assert [a.tobytes() for a in got.values] == [
             b.tobytes() for b in want.values]
@@ -549,7 +555,7 @@ def _nemytskii(g):
     trig = {"sin": np.sin, "cos": np.cos}
     x, z = 2 * PI * g.x_mesh / g.lx, 2 * PI * g.z_mesh / g.lz
     shapes = tuple(
-        tuple(scalar_field(g, trig[bx](c * x) * trig[bz]((3 - c) * z),
+        tuple(ScalarField(g, trig[bx](c * x) * trig[bz]((3 - c) * z),
                            (bx, bz))
               for bx, bz in STATE_BASES)
         for c in (1, 2))
@@ -819,7 +825,7 @@ def test_a_step_projects_a_non_solenoidal_state(geometry):
     bumped = make_state(g, 0.0, ux + 0.3 * np.sin(g.x_mesh), uz, ut, th)
     assert max_divergence(bumped.u_s) > 0.1
     for new in (dyn.step_rk4(bumped, Params(), 1e-3),
-                dyn.step_euler(bumped, Params(), 1e-3),
+                euler(bumped, Params(), 1e-3),
                 step_transformed(bumped, Params(), 1e-3, 0.7, 0.0, 0.1),
                 step_em(bumped, Params(), 1e-3, 0.1,
                         LinearMultiplicative(0.5))):

@@ -13,10 +13,9 @@ import slicelab as sl
 from slicelab import experiments as ex
 from slicelab import stochastic as st
 from slicelab.config import step_count
-from slicelab.norms import l2
 
 from helpers import (block_crossing_oracle, block_ends_oracle, bridge_oracle,
-                     decay_rate_fit, hitting_fraction_on_paths,
+                     decay_rate_fit, hitting_fraction_on_paths, l2,
                      path_hits_oracle, serial_mc_global,
                      serial_strong_convergence, stopped_lambda_oracle)
 

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 
 from slicelab.dynamics import mollify
 from slicelab.errors import ConfigError
-from slicelab.grid import (COS, SIN, Geometry, dealias, derivative_values,
-                           differentiate, from_modes, integrate, make_grid,
-                           scalar_field, to_modes, vector_field)
-from slicelab.incompressible import leray_project, project_values
-from slicelab.norms import l2
+from slicelab.grid import (COS, SIN, Geometry, ScalarField, dealias,
+                           derivative_values, differentiate, from_modes,
+                           integrate, make_grid, to_modes, vector_field)
+from slicelab.incompressible import project_values
 from slicelab.state import STATE_BASES, make_state, random_scalar_values
 
-from helpers import (oracle_dealias, oracle_gaussian_lowpass,
-                     oracle_project_values)
+from helpers import (l2, leray_project, oracle_dealias,
+                     oracle_gaussian_lowpass, oracle_project_values)
 
 PI = np.pi
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -25,7 +24,7 @@ def random_field(grid, seed, max_mode=8, basis=None):
     if grid.geometry is Geometry.SQUARE and basis is None:
         basis = ("sin", "sin")
     vals = random_scalar_values(grid, rng, max_mode, 1.0, basis=basis)
-    return scalar_field(grid, vals, basis)
+    return ScalarField(grid, vals, basis)
 
 
 # -- construction -----------------------------------------------------------
@@ -121,28 +120,28 @@ def test_round_trip_square(seed, basis):
 # -- derivatives ------------------------------------------------------------
 
 def test_derivative_sin_torus(tor64):
-    f = scalar_field(tor64, np.sin(tor64.x_mesh))
+    f = ScalarField(tor64, np.sin(tor64.x_mesh))
     df = differentiate(f, "x")
     assert np.max(np.abs(df.values - np.cos(tor64.x_mesh))) <= 1e-12
 
 
 def test_derivative_constant(any_grid):
     basis = ("cos", "cos") if any_grid.geometry is Geometry.SQUARE else None
-    f = scalar_field(any_grid, np.full((any_grid.nz, any_grid.nx), 3.7), basis)
+    f = ScalarField(any_grid, np.full((any_grid.nz, any_grid.nx), 3.7), basis)
     for ax in ("x", "z"):
         assert np.max(np.abs(differentiate(f, ax).values)) <= 1e-12
 
 
 def test_derivative_mixed_torus(tor64):
     X, Z = tor64.x_mesh, tor64.z_mesh
-    f = scalar_field(tor64, np.sin(2 * X) * np.cos(3 * Z))
+    f = ScalarField(tor64, np.sin(2 * X) * np.cos(3 * Z))
     df = differentiate(f, "z")
     assert np.max(np.abs(df.values + 3 * np.sin(2 * X) * np.sin(3 * Z))) <= 1e-11
 
 
 def test_derivative_square_parity_flip(sq64):
     X, Z = sq64.x_mesh, sq64.z_mesh
-    f = scalar_field(sq64, np.sin(2 * X) * np.sin(3 * Z), (SIN, SIN))
+    f = ScalarField(sq64, np.sin(2 * X) * np.sin(3 * Z), (SIN, SIN))
     dx = differentiate(f, "x")
     assert dx.basis == (COS, SIN)
     assert np.max(np.abs(dx.values - 2 * np.cos(2 * X) * np.sin(3 * Z))) <= 1e-11
@@ -150,7 +149,7 @@ def test_derivative_square_parity_flip(sq64):
 
 def test_derivative_multi_square(sq64):
     X, Z = sq64.x_mesh, sq64.z_mesh
-    f = scalar_field(sq64, np.sin(2 * X) * np.sin(3 * Z), (SIN, SIN))
+    f = ScalarField(sq64, np.sin(2 * X) * np.sin(3 * Z), (SIN, SIN))
     d, _ = derivative_values(sq64, to_modes(sq64, f.values, f.basis),
                              f.basis, 1, 2)
     want = 2 * np.cos(2 * X) * (-9) * np.sin(3 * Z)
@@ -158,7 +157,7 @@ def test_derivative_multi_square(sq64):
 
 
 def test_invalid_axis(tor64):
-    f = scalar_field(tor64, np.zeros((64, 64)))
+    f = ScalarField(tor64, np.zeros((64, 64)))
     with pytest.raises(ConfigError):
         differentiate(f, "y")
 
@@ -174,14 +173,14 @@ def test_dealias_keeps_low_modes(any_grid):
 def test_dealias_kills_nyquist(tor64):
     coef = np.zeros((64, 64), dtype=complex)
     coef[0, 32] = 1.0  # mode k_x = nx/2
-    f = scalar_field(tor64, np.real(np.fft.ifft2(coef) * 64 * 64))
+    f = ScalarField(tor64, np.real(np.fft.ifft2(coef) * 64 * 64))
     assert np.max(np.abs(dealias(f).values)) <= 1e-13
 
 
 @given(seeds)
 def test_dealias_idempotent(seed):
     g = make_grid("torus", 32, 32, 2 * PI, 2 * PI)
-    f = scalar_field(g, np.random.default_rng(seed).standard_normal((32, 32)))
+    f = ScalarField(g, np.random.default_rng(seed).standard_normal((32, 32)))
     once = dealias(f)
     twice = dealias(once)
     assert np.max(np.abs(twice.values - once.values)) <= 1e-13
@@ -193,7 +192,7 @@ def test_dealias_commutes_with_derivative(seed):
     f = random_field(g, seed, max_mode=14)
     a = dealias(differentiate(f, "x"))
     b = differentiate(dealias(f), "x")
-    assert l2(scalar_field(g, a.values - b.values, a.basis)) <= 1e-12 * max(1.0, l2(f))
+    assert l2(ScalarField(g, a.values - b.values, a.basis)) <= 1e-12 * max(1.0, l2(f))
 
 
 # -- smoothing and quadrature -----------------------------------------------
@@ -264,7 +263,7 @@ def test_torus_half_spectrum_matches_full_fft(nx, nz, lz):
         assert _close_to(got, inv(F * sym)), (ox, oz)
 
     keep = (np.abs(mx) <= nx / 3) & (np.abs(mz) <= nz / 3)
-    assert _close_to(dealias(scalar_field(g, f)).values, inv(F * keep))
+    assert _close_to(dealias(ScalarField(g, f)).values, inv(F * keep))
 
     k2_d = kx_d ** 2 + kz_d ** 2
     dot = (kx_d * A + kz_d * B) / np.where(k2_d > 0, k2_d, 1.0)
@@ -349,7 +348,7 @@ def test_operators_match_per_geometry_oracles_bitwise(geometry, nx, nz, lx,
         assert all(np.max(np.abs(m - o)) <= 1e-13
                    for m, o in zip(got, want)), seed
         for basis in bases:
-            field = scalar_field(g, f, basis)
+            field = ScalarField(g, f, basis)
             assert same(dealias(field).values,
                         oracle_dealias(g, f, basis)), basis
 
@@ -382,8 +381,8 @@ def test_leading_axis_matches_per_slice_calls_bitwise(geometry, nx, nz):
                                                      *orders)
                 assert got_basis == want_basis
                 assert same(got[i], want), (basis, orders, i)
-        assert same(dealias(scalar_field(g, a, basis)).values,
-                    [dealias(scalar_field(g, x, basis)).values
+        assert same(dealias(ScalarField(g, a, basis)).values,
+                    [dealias(ScalarField(g, x, basis)).values
                      for x in a]), basis
     px, pz = project_values(g, a, b)
     for i in range(n_paths):

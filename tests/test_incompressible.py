@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from slicelab.errors import ConfigError
 from slicelab.grid import (COS, VX_BASIS, VZ_BASIS, ScalarField, VectorField,
-                           integrate, make_grid, scalar_field, vector_field)
-from slicelab.incompressible import (curl, divergence, leray_project,
-                                     max_divergence)
-from slicelab.norms import l2
+                           integrate, make_grid, vector_field)
+from slicelab.incompressible import divergence, max_divergence
 from slicelab.state import random_state
 
-from helpers import oracle_velocity_from_vorticity, streamfunction_velocity
+from helpers import (curl, l2, leray_project, oracle_velocity_from_vorticity,
+                     streamfunction_velocity)
 
 PI = np.pi
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -70,7 +69,7 @@ def test_square_vector_field_refuses_other_bases(sq64):
 
 def test_curl_of_grad_perp(tor64):
     X, Z = tor64.x_mesh, tor64.z_mesh
-    psi = scalar_field(tor64, np.sin(X) * np.sin(Z))
+    psi = ScalarField(tor64, np.sin(X) * np.sin(Z))
     w = curl(streamfunction_velocity(psi))
     assert np.max(np.abs(w.values + 2 * np.sin(X) * np.sin(Z))) <= 1e-11
 

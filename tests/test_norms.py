@@ -6,24 +6,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slicelab.errors import ConfigError
-from slicelab.norms import (W1INF, ZKP_DEFAULT, NormSpec, combine, l2, norm,
+from slicelab.norms import (W1INF, ZKP_DEFAULT, NormSpec, combine, norm,
                             state_component_norms, w1inf_bound)
-from slicelab.grid import Geometry, make_grid, scalar_field, vector_field
+from slicelab.grid import Geometry, ScalarField, make_grid, vector_field
 from slicelab.state import STATE_BASES, SimState, make_state, random_state
 
-from helpers import stacked_state
+from helpers import l2, stacked_state
 
 PI = np.pi
 
 
 def test_l2_of_single_mode(tor64):
-    f = scalar_field(tor64, np.sin(tor64.x_mesh))
+    f = ScalarField(tor64, np.sin(tor64.x_mesh))
     # integral of sin^2 over [0,2pi)^2 is 2 pi^2
     assert abs(l2(f) - math.sqrt(2 * PI**2)) <= 1e-10
 
 
 def test_w1inf_of_single_mode(tor64):
-    f = scalar_field(tor64, np.sin(tor64.x_mesh))
+    f = ScalarField(tor64, np.sin(tor64.x_mesh))
     # max over multi-indices: the field and its x-derivative both peak at 1
     assert abs(norm(f, W1INF) - 1.0) <= 1e-10
 
@@ -288,9 +288,8 @@ def test_row_norm_is_the_state_norm(k):
     from slicelab.diagnostics import _row_record
     from slicelab.state import Params
     for case, state in _parseval_cases():
-        w1inf = state_component_norms(state, W1INF)
         for spec in (NormSpec(k, 2), NormSpec(k, 3), NormSpec(k, math.inf)):
-            rec = _row_record(state, Params(), None, spec, w1inf)
+            rec = _row_record(state, Params(), None, spec)
             assert repr(rec.zkp) == repr(norm(state, spec)), (case, spec)
 
 

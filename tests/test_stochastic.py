@@ -11,10 +11,10 @@ from slicelab import dynamics as dyn
 from slicelab import stochastic as st
 from slicelab.grid import VX_BASIS, VZ_BASIS, from_modes, to_modes
 from slicelab.incompressible import _project_modes
-from slicelab.norms import l2
 from slicelab.state import STATE_BASES
 
-from helpers import stacked_state, state_max_abs_diff, stopping_monitor
+from helpers import (l2, path_times, stacked_state, state_max_abs_diff,
+                     stopping_monitor)
 
 # identical-arithmetic contracts are asserted exactly (== 0.0); everything
 # else gets a few ulp of slack
@@ -31,7 +31,8 @@ def test_path_starts_at_zero():
     w = p.values
     assert w.shape == (3, 51)
     assert np.all(w[:, 0] == 0.0)
-    assert p.times[0] == 0.0 and p.times[-1] == pytest.approx(0.05)
+    times = path_times(p)
+    assert times[0] == 0.0 and times[-1] == pytest.approx(0.05)
 
 
 def test_path_same_seed_bitwise():
@@ -106,8 +107,8 @@ def test_nemytskii_projects_velocity_shape(tor64):
     zero = np.zeros_like(sz)
     model = st.PointwiseNemytskii(
         gains=(lambda _s: 1.0, lambda _s: 1.0, lambda _s: 1.0),
-        shapes=((sl.scalar_field(tor64, sz), sl.scalar_field(tor64, zero),
-                 sl.scalar_field(tor64, zero), sl.scalar_field(tor64, zero)),))
+        shapes=((sl.ScalarField(tor64, sz), sl.ScalarField(tor64, zero),
+                 sl.ScalarField(tor64, zero), sl.ScalarField(tor64, zero)),))
     d = st.noise_eval(model, s)
     assert len(d) == 1 and model.modes == 1
     dux, duz = (from_modes(tor64, c, b)
@@ -123,8 +124,8 @@ def test_nemytskii_state_dependent_gain(tor64):
     model = st.PointwiseNemytskii(
         gains=(lambda _s: 0.0, lambda _s: 1.0,
                lambda stt: stt.u_t.values),
-        shapes=((sl.scalar_field(tor64, zero), sl.scalar_field(tor64, zero),
-                 sl.scalar_field(tor64, sz), sl.scalar_field(tor64, sz)),))
+        shapes=((sl.ScalarField(tor64, zero), sl.ScalarField(tor64, zero),
+                 sl.ScalarField(tor64, sz), sl.ScalarField(tor64, sz)),))
     # the u_T and theta_S channels: the products, transformed forward
     _, _, dut, dth = st.noise_eval(model, s)[0]
     assert np.array_equal(dut, to_modes(tor64, sz, None))
@@ -138,7 +139,7 @@ def test_nemytskii_state_dependent_gain(tor64):
 ])
 def test_nemytskii_rejects_gain_of_wrong_shape(tor64, bad_gain):
     s = sl.random_state(tor64, seed=3, max_mode=4, amplitude=0.5)
-    sz = sl.scalar_field(tor64, np.sin(tor64.z_mesh))
+    sz = sl.ScalarField(tor64, np.sin(tor64.z_mesh))
     model = st.PointwiseNemytskii(
         gains=(lambda _s: 1.0, bad_gain, lambda _s: 1.0),
         shapes=((sz, sz, sz, sz),))
@@ -153,9 +154,9 @@ def test_nemytskii_rejects_aliased_shape(tor64):
     with pytest.raises(sl.ConfigError):
         st.PointwiseNemytskii(
             gains=(lambda _s: 1.0, lambda _s: 1.0, lambda _s: 1.0),
-            shapes=((sl.scalar_field(tor64, bad), sl.scalar_field(tor64, zero),
-                     sl.scalar_field(tor64, zero),
-                     sl.scalar_field(tor64, zero)),))
+            shapes=((sl.ScalarField(tor64, bad), sl.ScalarField(tor64, zero),
+                     sl.ScalarField(tor64, zero),
+                     sl.ScalarField(tor64, zero)),))
 
 
 def test_noise_eval_rejects_non_finite(tor64):
@@ -173,14 +174,57 @@ def test_noise_eval_rejects_non_finite(tor64):
 
 @pytest.mark.parametrize("geom", ["torus", "square"])
 def test_em_off_equals_euler_bitwise(geom):
-    # a zero increment adds exactly zero to every drift value
+    # a zero increment adds exactly zero to every drift value: the step is
+    # the explicit Euler step of the drift, plain or truncated, of one path
+    # or of a batch
     g = (sl.make_grid("torus", 64, 64, 2 * np.pi, 2 * np.pi)
          if geom == "torus" else sl.make_grid("square", 64, 64, np.pi, np.pi))
     s = sl.random_state(g, seed=3, max_mode=4, amplitude=0.5)
+    batch = stacked_state([sl.random_state(g, seed=k, max_mode=4,
+                                           amplitude=0.5) for k in range(3)])
     p = sl.Params()
-    a = st.step_em(s, p, 1e-3, 0.0, st.LinearMultiplicative(alpha=0.7))
-    b = dyn.step_euler(s, p, 1e-3)
-    assert state_max_abs_diff(a, b) == 0.0
+    model = st.LinearMultiplicative(alpha=0.7)
+    radius = 0.5 * max(s.w1inf)  # some cut-offs strictly between 0 and 1
+    for state, dw in ((s, 0.0), (batch, np.zeros((1, 3)))):
+        for r in (math.inf, radius):
+            got = st.step_em(state, p, 1e-3, dw, model, r)
+            y = state.coefs
+            drift = dyn._rhs_arrays(g, p, *y, radius=r)
+            want = dyn._finish_step(state, dyn._axpy(y, drift, 1e-3), 1e-3)
+            assert [a.tobytes() for a in got.coefs] == [
+                b.tobytes() for b in want.coefs], (np.ndim(dw), r)
+
+
+@pytest.mark.parametrize("geom", ["torus", "square"])
+def test_em_takes_a_scalar_or_one_increment_per_mode_and_path(geom):
+    # a single path takes a scalar, (1,) or (modes,) increments and a batch
+    # (modes, B); each gives the bytes of the drift step plus each mode's
+    # diffusion times its increment, the increment as a Python float for a
+    # single path and as a (B, 1, 1) scale for a batch
+    side = 2 * np.pi if geom == "torus" else np.pi
+    g = sl.make_grid(geom, 16, 16, side, side)
+    states = [sl.random_state(g, seed=k, max_mode=3, amplitude=0.4)
+              for k in range(3)]
+    p = sl.Params(s=0.3)
+    lin = st.LinearMultiplicative(alpha=0.7)
+    nem = st.PointwiseNemytskii(
+        gains=(lambda _s: 0.3, lambda _s: 1.1, lambda _s: -0.4),
+        shapes=_two_mode_shapes(g))
+    two = np.array([0.021, -0.013])
+    cases = [(states[0], 0.0123, lin, [0.0123]),
+             (states[0], np.array([0.0123]), lin, [0.0123]),
+             (states[0], two, nem, [0.021, -0.013]),
+             (stacked_state(states), np.array([two, -two, 0 * two]).T, nem,
+              [np.array([w, -w, 0.0]).reshape(3, 1, 1) for w in two])]
+    for state, dw, model, scales in cases:
+        got = st.step_em(state, p, 1e-3, dw, model)
+        y = state.coefs
+        y1 = dyn._axpy(y, dyn._rhs_arrays(g, p, *y), 1e-3)
+        for w_j, d in zip(scales, st.noise_eval(model, state)):
+            y1 = dyn._axpy(y1, d, w_j)
+        want = dyn._finish_step(state, y1, 1e-3)
+        assert [a.tobytes() for a in got.coefs] == [
+            b.tobytes() for b in want.coefs], np.shape(dw)
 
 
 def _coefs(g, arrays):
@@ -219,7 +263,7 @@ def _two_mode_shapes(g):
     # shares u_x's, theta_S u_z's); the torus ignores the bases
     trig = {"sin": np.sin, "cos": np.cos}
     return tuple(
-        tuple(sl.scalar_field(g, trig[bx](c * g.x_mesh)
+        tuple(sl.ScalarField(g, trig[bx](c * g.x_mesh)
                               * trig[bz]((3 - c) * g.z_mesh), (bx, bz))
               for bx, bz in (VX_BASIS, VZ_BASIS, VX_BASIS, VZ_BASIS))
         for c in (1, 2))

@@ -32,8 +32,10 @@ max |a - b| / max(max |a|, max |b|), so a changed layout with the same
 state reads as a small number; ``inf`` marks a file that a revision cannot
 decode or arrays whose shapes differ.
 Then prints each revision's size: the line count of ``src/slicelab/*.py``
-(as ``wc -l`` counts) and the length of ``slicelab.__all__``.  Exits 0
-when every status and every file agree.
+(as ``wc -l`` counts) and the length of ``slicelab.__all__``, and under
+those the names in one revision's ``__all__`` and not the other's, as
+``exports only A: ...`` and ``exports only B: ...`` (``none`` when there
+are none).  Exits 0 when every status and every file agree.
 """
 
 from __future__ import annotations
@@ -195,18 +197,30 @@ def run_all(tree: str, work: str) -> dict:
 
 
 def tree_size(tree: str) -> tuple:
-    """(lines of src/slicelab/*.py, number of public exports) of a tree."""
+    """(lines of src/slicelab/*.py, sorted names in slicelab.__all__) of a
+    tree."""
     pkg = os.path.join(tree, "src", "slicelab")
     lines = 0
     for name in os.listdir(pkg):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
                 lines += fh.read().count(b"\n")
-    script = "import slicelab; print(len(slicelab.__all__))"
+    script = "import slicelab; print(*sorted(slicelab.__all__))"
     exports = subprocess.run([sys.executable, "-c", script], env=_env(tree),
                              capture_output=True, text=True,
                              check=True).stdout
-    return lines, int(exports)
+    return lines, exports.split()
+
+
+def print_sizes(revs, sizes) -> None:
+    """The size line of each revision, then the exports only one has."""
+    for label, rev, (lines, exports) in zip("AB", revs, sizes):
+        print(f"size     {label} {rev}: {lines} lines in src/slicelab/*.py, "
+              f"{len(exports)} exports")
+    (_, names_a), (_, names_b) = sizes
+    for label, only in (("A", set(names_a) - set(names_b)),
+                        ("B", set(names_b) - set(names_a))):
+        print(f"exports only {label}: {', '.join(sorted(only)) or 'none'}")
 
 
 def _files(top: str) -> set:
@@ -358,9 +372,7 @@ def main(argv=None) -> int:
             trees.append(tree)
             sizes.append(tree_size(tree))
         differences = compare(*works, *statuses, *trees)
-    for label, rev, (lines, exports) in zip("AB", argv, sizes):
-        print(f"size     {label} {rev}: {lines} lines in src/slicelab/*.py, "
-              f"{exports} exports")
+    print_sizes(argv, sizes)
     print(f"{differences} difference(s) between {argv[0]} and {argv[1]}")
     return 1 if differences else 0
 
