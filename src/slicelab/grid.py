@@ -20,7 +20,8 @@ flattening gives index iz*nx + ix.  A stack of fields of shape
 and projection act on the last two axes only, bit for bit as on each
 slice alone, which is how the Monte Carlo harness steps its paths
 together.  Square coefficients live in the raw DST-II/DCT-II layout,
-shape (nz, nx), from scipy.fft, which only a square grid imports.  Torus
+shape (nz, nx), from scipy's compiled pocketfft kernels, which only a
+square grid loads, and without the scipy.fft package around them.  Torus
 coefficients are the rfft2 half spectrum, shape (nz, nx//2 + 1), from
 numpy.fft, part of numpy itself: rows are the signed z modes
 0..nz/2-1, -nz/2..-1 and columns the x modes 0..nx/2.  The columns of
@@ -40,7 +41,7 @@ an (x-parity, z-parity) pair; the torus ignores it.
 * `k2(basis, odd)`: |k|^2; with odd, the symbol of div.grad;
 * `laplacian_symbol(basis, odd)`: -|k|^2 with inf where it vanishes, the
   divisor that inverts the Laplacian (or div.grad) off its null modes;
-* `keep(basis)`: the 2/3-rule mask;
+* `keep(basis)`: the 2/3-rule mask, 1s and 0s in the coefficients' dtype;
 * `sobolev_weight(basis, k)`: the discrete Parseval weights of W^{k,2};
 * `sup_weight(basis)`: per-axis sup weights, which bound a field's and its
   first derivatives' max norms from its coefficients;
@@ -52,6 +53,9 @@ The coefficient-space maps never need the analytic normalisation factors.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,11 +63,35 @@ import numpy as np
 
 from .errors import ConfigError
 
-#: scipy.fft, imported when the first square Grid is built, for the
-#: DST-II/DCT-II that numpy lacks: torus runs and the scalar Monte Carlo
-#: modes never load it, and the transforms pay nothing per call for the
-#: deferral
-sfft = None
+#: scipy's compiled pocketfft extension, loaded when the first square Grid
+#: is built, for the DST-II/DCT-II that numpy lacks.  Only that one module
+#: loads, never the scipy.fft package around it, whose import would about
+#: double a square run's set-up and whose dispatch adds about 5 us to each
+#: kernel call.  Torus runs and the scalar Monte Carlo modes never load it.
+pocketfft = None
+
+
+def _load_pocketfft():
+    """scipy's ``fft/_pocketfft/pypocketfft`` extension, loaded by file
+    path as ``slicelab.grid.pypocketfft`` and kept out of sys.modules: no
+    code of the scipy package runs.  There is no other source of the
+    kernels, so a missing file raises ImportError naming its path."""
+    spec = importlib.util.find_spec("scipy")  # locates it, imports nothing
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("square transforms need scipy's pocketfft, and "
+                          "scipy is not installed", name="scipy")
+    path = os.path.join(spec.submodule_search_locations[0], "fft",
+                        "_pocketfft", "pypocketfft"
+                        + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"square transforms need scipy's compiled "
+                          f"pocketfft, and there is no {path}", path=path)
+    # the extension's init function is named after the last component
+    spec = importlib.util.spec_from_file_location(f"{__name__}.pypocketfft",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 SIN = "sin"
 COS = "cos"
@@ -98,9 +126,9 @@ class Grid:
     lz: float
 
     def __post_init__(self):
-        global sfft
-        if sfft is None and self.geometry is Geometry.SQUARE:
-            import scipy.fft as sfft
+        global pocketfft
+        if pocketfft is None and self.geometry is Geometry.SQUARE:
+            pocketfft = _load_pocketfft()
 
     # -- sample coordinates -------------------------------------------------
     @cached_property
@@ -226,11 +254,16 @@ class Grid:
         return self._cached(("lap", *self._parities(basis), odd), build)
 
     def keep(self, basis) -> np.ndarray:
-        """2/3-rule keep-mask: |m_x| <= nx/3 and |m_z| <= nz/3."""
+        """2/3-rule keep-mask: 1 where |m_x| <= nx/3 and |m_z| <= nz/3,
+        else 0, in the coefficients' dtype (complex on the torus): a
+        product with it has the bits of one with the bool mask, without
+        casting the mask on each call."""
         def build():
             mx, mz = self.modes(basis)
-            return ((np.abs(mz) <= self.nz / 3.0)[:, None]
+            mask = ((np.abs(mz) <= self.nz / 3.0)[:, None]
                     & (np.abs(mx) <= self.nx / 3.0)[None, :])
+            return mask.astype(complex if self.geometry is Geometry.TORUS
+                               else float)
         return self._cached(("keep", *self._parities(basis)), build)
 
     def sobolev_weight(self, basis, k: int) -> np.ndarray:
@@ -380,15 +413,23 @@ def vector_field(grid: Grid, x_values, z_values) -> VectorField:
 # C-ordered first and outputs are C-ordered as scipy's are (a copy only for
 # strided inputs, such as the broadcast `z_mesh`); the argument is never
 # written, as it may be a state's cached coefficients.
+#
+# The square calls pocketfft's dst/dct with the arguments scipy.fft's
+# dst/dct/idst/idct pass them, so the bits are scipy's: (values, type,
+# axes, norm, out, workers), forward type 2 with norm 0, inverse type 3
+# with norm 2 (scipy's "backward" convention), a new output array (out
+# None: the argument is never written) and one worker.  The kernels take
+# native float64 only, so other inputs are cast first, as scipy does.
 
 def to_modes(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
     if grid.geometry is Geometry.TORUS:
         coef = np.fft.rfft(np.ascontiguousarray(values), axis=-1)
         return np.fft.fft(coef, axis=-2, out=coef)
-    coef = values
+    coef = np.asarray(values, dtype=np.float64)
     # the last axis is x, the one before it z; any leading axes are batch
-    coef = sfft.dst(coef, type=2, axis=-1) if basis[0] == SIN else sfft.dct(coef, type=2, axis=-1)
-    coef = sfft.dst(coef, type=2, axis=-2) if basis[1] == SIN else sfft.dct(coef, type=2, axis=-2)
+    for axis, parity in ((-1, basis[0]), (-2, basis[1])):
+        kernel = pocketfft.dst if parity == SIN else pocketfft.dct
+        coef = kernel(coef, 2, (axis,), 0, None, 1)
     return coef
 
 
@@ -396,9 +437,10 @@ def from_modes(grid: Grid, coef: np.ndarray, basis) -> np.ndarray:
     if grid.geometry is Geometry.TORUS:
         return np.fft.irfft(np.fft.ifft(np.ascontiguousarray(coef), axis=-2),
                             grid.nx, axis=-1)
-    vals = coef
-    vals = sfft.idst(vals, type=2, axis=-2) if basis[1] == SIN else sfft.idct(vals, type=2, axis=-2)
-    vals = sfft.idst(vals, type=2, axis=-1) if basis[0] == SIN else sfft.idct(vals, type=2, axis=-1)
+    vals = np.asarray(coef, dtype=np.float64)
+    for axis, parity in ((-2, basis[1]), (-1, basis[0])):
+        kernel = pocketfft.dst if parity == SIN else pocketfft.dct
+        vals = kernel(vals, 3, (axis,), 2, None, 1)
     return vals
 
 

@@ -407,8 +407,8 @@ def _run_python(script, *args):
 
 
 def test_scalar_modes_never_import_scipy_fft():
-    # scipy.fft loads with the first square Grid, for its DST/DCT; a
-    # hitting-law run builds no grid and a torus grid takes numpy.fft
+    # a hitting-law run builds no grid, a torus grid takes numpy.fft and a
+    # square grid loads scipy's compiled pocketfft only, not scipy.fft
     script = ("import sys, slicelab\n"
               "slicelab.mc_hitting(1.0, 2.0, 1.0, 0.01, 100, 1)\n"
               "slicelab.stopped_lambda_mean(1.0, 2.0, 1.0, 0.01, 100, 1)\n"
@@ -417,7 +417,7 @@ def test_scalar_modes_never_import_scipy_fft():
               "print('scipy.fft' in sys.modules)\n"
               "slicelab.make_grid('square', 8, 8, 1.0, 1.0)\n"
               "print('scipy.fft' in sys.modules)\n")
-    assert _run_python(script).split() == ["False", "False", "True"]
+    assert _run_python(script).split() == ["False", "False", "False"]
 
 
 @pytest.mark.parametrize("mode,config", [
@@ -442,6 +442,35 @@ def test_torus_cli_runs_never_import_scipy(tmp_path, mode, config):
                       "--out-dir", str(tmp_path / "out"))
     assert out.split("\n")[-2] == "0 []"
     assert (tmp_path / "out").is_dir()
+
+
+def test_square_cli_run_never_imports_scipy(tmp_path):
+    # the square transforms are scipy's compiled pocketfft, loaded by file
+    # path: a whole CLI run loads no scipy module, and scipy.fft, imported
+    # after it in the same process, still loads and gives the same bits
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\ngeometry = square\nnx = 16\n[params]\ns = 0\n"
+                   "[time]\ndt = 1e-3\nt_final = 4e-3\n[data]\n"
+                   "amplitude = 0.25\nmax_mode = 4\nseed = 3\n")
+    script = ("import sys, numpy as np, slicelab.cli\n"
+              "from slicelab.grid import make_grid, to_modes, from_modes\n"
+              "status = slicelab.cli.main(sys.argv[1:])\n"
+              "print(status, sorted(m for m in sys.modules\n"
+              "                     if m.split('.')[0] == 'scipy'))\n"
+              "import scipy.fft as sfft\n"
+              "g = make_grid('square', 16, 8, 1.0, 1.0)\n"
+              "x = np.random.default_rng(0).standard_normal((8, 16))\n"
+              "c = to_modes(g, x, ('sin', 'cos'))\n"
+              "want = sfft.dct(sfft.dst(x, type=2, axis=-1), type=2, axis=-2)\n"
+              "back = sfft.idst(sfft.idct(c, type=2, axis=-2), type=2,\n"
+              "                 axis=-1)\n"
+              "print(c.tobytes() == want.tobytes(),\n"
+              "      from_modes(g, c, ('sin', 'cos')).tobytes()\n"
+              "      == back.tobytes())\n")
+    out = _run_python(script, "sim-det", "--config", str(cfg), "--seed", "5",
+                      "--out-dir", str(tmp_path / "out"))
+    assert out.split("\n")[-3:] == ["0 []", "True True", ""]
+    assert (tmp_path / "out" / "diagnostics.csv").is_file()
 
 
 # ---------------------------------------------------------------------------

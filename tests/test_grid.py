@@ -1,9 +1,13 @@
+import importlib.machinery
+import importlib.util
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
 from hypothesis import given
 from hypothesis import strategies as st
 
+import slicelab.grid as grid_module
 from slicelab.dynamics import mollify
 from slicelab.errors import ConfigError
 from slicelab.grid import (COS, SIN, Geometry, ScalarField, dealias,
@@ -311,6 +315,71 @@ def test_torus_transforms_equal_scipy_rfft2_bitwise(nz, nx, batch):
             assert back.tobytes() == sfft.irfft2(c, s=(nz, nx)).tobytes(), name
             assert back.flags.c_contiguous, name
             assert np.array_equal(c, c_before), name
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("batch", [None, 3])
+def test_square_transforms_equal_scipy_dst_dct_bitwise(basis, batch):
+    # pocketfft's kernels, called directly, against scipy.fft's public
+    # dst/dct/idst/idct (scipy.fft is only this test's oracle): same bits
+    # whatever the input's memory order or dtype, the argument left as it
+    # was
+    nz, nx = 16, 32
+    g = make_grid("square", nx, nz, PI, 1.0)
+    lead = () if batch is None else (batch,)
+    rng = np.random.default_rng([nz, nx, batch or 0])
+    fwd = {SIN: sfft.dst, COS: sfft.dct}
+    inv = {SIN: sfft.idst, COS: sfft.idct}
+    inputs = {
+        "c-ordered": rng.standard_normal(lead + (nz, nx)),
+        "transposed": rng.standard_normal(lead + (nx, nz)).swapaxes(-1, -2),
+        "zero-stride": np.broadcast_to(g.z_weight, lead + (nz, nx)),
+        "x-mesh": np.broadcast_to(g.x_mesh, lead + (nz, nx)),
+    }
+    for name, values in inputs.items():
+        before = values.copy()
+        coef = to_modes(g, values, basis)
+        want = fwd[basis[1]](fwd[basis[0]](values, type=2, axis=-1),
+                             type=2, axis=-2)
+        assert coef.tobytes() == want.tobytes(), name
+        assert np.array_equal(values, before), name
+        for c in (coef, np.asfortranarray(coef),
+                  np.broadcast_to(coef[..., :1, :], coef.shape)):
+            c_before = c.copy()
+            back = from_modes(g, c, basis)
+            want = inv[basis[0]](inv[basis[1]](c, type=2, axis=-2),
+                                 type=2, axis=-1)
+            assert back.tobytes() == want.tobytes(), name
+            assert np.array_equal(c, c_before), name
+    # the kernels take native float64 only: other dtypes are cast first
+    for other in (rng.integers(-9, 9, lead + (nz, nx)),
+                  inputs["c-ordered"].astype(">f8")):
+        cast = other.astype(np.float64)
+        assert (to_modes(g, other, basis).tobytes()
+                == to_modes(g, cast, basis).tobytes()), other.dtype
+        assert (from_modes(g, other, basis).tobytes()
+                == from_modes(g, cast, basis).tobytes()), other.dtype
+
+
+def test_square_grid_without_pocketfft_raises(monkeypatch, tmp_path):
+    # the kernels have no other source: with scipy's directory empty, the
+    # first square grid fails, naming the file it looked for there
+    find_spec = importlib.util.find_spec
+
+    def empty_scipy(name, *args):
+        if name != "scipy":
+            return find_spec(name, *args)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations.append(str(tmp_path))
+        return spec
+    monkeypatch.setattr(importlib.util, "find_spec", empty_scipy)
+    monkeypatch.setattr(grid_module, "pocketfft", None)
+    with pytest.raises(ImportError) as err:
+        make_grid("square", 8, 8, 1.0, 1.0)
+    assert err.value.path.startswith(str(tmp_path / "fft" / "_pocketfft"
+                                         / "pypocketfft"))
+    assert err.value.path in str(err.value)
+    assert grid_module.pocketfft is None
 
 
 def test_odd_x_derivatives_of_nyquist_column_vanish(tor64):
