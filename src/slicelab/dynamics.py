@@ -157,7 +157,7 @@ def _in_band(grid: Grid, cx, cz) -> bool:
         energy = np.abs(c)
         energy *= energy
         total = total + energy.sum(axis=(-2, -1))
-        out = out + energy.sum(axis=(-2, -1), where=grid.keep(basis) == 0)
+        out = out + energy.sum(axis=(-2, -1), where=grid._outside_band(basis))
     return not np.any(out > BAND_TOLERANCE ** 2 * total)
 
 

@@ -19,16 +19,15 @@ flattening gives index iz*nx + ix.  A stack of fields of shape
 (B, nz, nx) is B independent fields: the transforms, derivatives, dealias
 and projection act on the last two axes only, bit for bit as on each
 slice alone, which is how the Monte Carlo harness steps its paths
-together.  Square coefficients live in the raw DST-II/DCT-II layout,
-shape (nz, nx), from scipy's compiled pocketfft kernels, which only a
-square grid loads, and without the scipy.fft package around them.  Torus
-coefficients are the rfft2 half spectrum, shape (nz, nx//2 + 1), from
-numpy.fft, part of numpy itself: rows are the signed z modes
-0..nz/2-1, -nz/2..-1 and columns the x modes 0..nx/2.  The columns of
-negative x modes are not stored: for real fields, mode (-m_z, -m_x) is the
-complex conjugate of mode (m_z, m_x).  The Nyquist mode of each
-axis (x column nx/2, z row -nz/2) is its own conjugate partner, so its
-sampled odd derivatives are zero.
+together.  Both geometries transform with scipy's compiled pocketfft,
+loaded with the first grid; no run imports scipy.fft or numpy.fft.
+Square coefficients live in the raw DST-II/DCT-II layout, shape (nz, nx).
+Torus coefficients are the rfft2 half spectrum, shape (nz, nx//2 + 1):
+rows are the signed z modes 0..nz/2-1, -nz/2..-1 and columns the x modes
+0..nx/2.  The columns of negative x modes are not stored: for real
+fields, mode (-m_z, -m_x) is the complex conjugate of mode (m_z, m_x).
+The Nyquist mode of each axis (x column nx/2, z row -nz/2) is its own
+conjugate partner, so its sampled odd derivatives are zero.
 
 This module owns these layouts: every other module reaches them through
 the per-basis tables of `Grid`, built once per grid and basis.  A basis is
@@ -63,11 +62,10 @@ import numpy as np
 
 from .errors import ConfigError
 
-#: scipy's compiled pocketfft extension, loaded when the first square Grid
-#: is built, for the DST-II/DCT-II that numpy lacks.  Only that one module
-#: loads, never the scipy.fft package around it, whose import would about
-#: double a square run's set-up and whose dispatch adds about 5 us to each
-#: kernel call.  Torus runs and the scalar Monte Carlo modes never load it.
+#: scipy's compiled pocketfft extension, loaded with the first Grid, for
+#: both geometries' transforms: never the scipy.fft package around it,
+#: whose import would about double a run's set-up, nor numpy.fft, whose
+#: per-line wrappers make a 2-D transform two passes.
 pocketfft = None
 
 
@@ -78,13 +76,13 @@ def _load_pocketfft():
     kernels, so a missing file raises ImportError naming its path."""
     spec = importlib.util.find_spec("scipy")  # locates it, imports nothing
     if spec is None or not spec.submodule_search_locations:
-        raise ImportError("square transforms need scipy's pocketfft, and "
-                          "scipy is not installed", name="scipy")
+        raise ImportError("slicelab's transforms need scipy's pocketfft, "
+                          "and scipy is not installed", name="scipy")
     path = os.path.join(spec.submodule_search_locations[0], "fft",
                         "_pocketfft", "pypocketfft"
                         + importlib.machinery.EXTENSION_SUFFIXES[0])
     if not os.path.isfile(path):
-        raise ImportError(f"square transforms need scipy's compiled "
+        raise ImportError(f"slicelab's transforms need scipy's compiled "
                           f"pocketfft, and there is no {path}", path=path)
     # the extension's init function is named after the last component
     spec = importlib.util.spec_from_file_location(f"{__name__}.pypocketfft",
@@ -127,7 +125,7 @@ class Grid:
 
     def __post_init__(self):
         global pocketfft
-        if pocketfft is None and self.geometry is Geometry.SQUARE:
+        if pocketfft is None:
             pocketfft = _load_pocketfft()
 
     # -- sample coordinates -------------------------------------------------
@@ -208,7 +206,7 @@ class Grid:
         def build():
             if self.geometry is Geometry.TORUS:
                 return (np.arange(self.nx // 2 + 1),
-                        np.rint(np.fft.fftfreq(self.nz) * self.nz).astype(int))
+                        np.r_[0:self.nz // 2, -(self.nz // 2):0])
             return tuple(np.arange(1, n + 1) if p == SIN else np.arange(n)
                          for n, p in ((self.nx, px), (self.nz, pz)))
         return self._cached(("modes", px, pz), build)
@@ -265,6 +263,11 @@ class Grid:
             return mask.astype(complex if self.geometry is Geometry.TORUS
                                else float)
         return self._cached(("keep", *self._parities(basis)), build)
+
+    def _outside_band(self, basis) -> np.ndarray:
+        """True where `keep` is 0, cached for the out-of-band `where=`."""
+        return self._cached(("outside", *self._parities(basis)),
+                            lambda: self.keep(basis) == 0)
 
     def sobolev_weight(self, basis, k: int) -> np.ndarray:
         """Parseval weights: sum(weight * |c|^2) is the sum over |a| <= k
@@ -406,26 +409,20 @@ def vector_field(grid: Grid, x_values, z_values) -> VectorField:
 # ---------------------------------------------------------------------------
 # transforms (raw coefficient layout; torus: rfft2 half spectrum)
 # ---------------------------------------------------------------------------
-# The torus takes its rfft2 as two 1-D passes, x then z, the second in
-# place: numpy's n-D rfft2 runs the z pass out of place and is about twice
-# as slow, and the two passes are bitwise equal to scipy's rfft2/irfft2.
-# numpy's passes keep their input's memory order, so inputs are made
-# C-ordered first and outputs are C-ordered as scipy's are (a copy only for
-# strided inputs, such as the broadcast `z_mesh`); the argument is never
-# written, as it may be a state's cached coefficients.
-#
-# The square calls pocketfft's dst/dct with the arguments scipy.fft's
-# dst/dct/idst/idct pass them, so the bits are scipy's: (values, type,
-# axes, norm, out, workers), forward type 2 with norm 0, inverse type 3
-# with norm 2 (scipy's "backward" convention), a new output array (out
-# None: the argument is never written) and one worker.  The kernels take
-# native float64 only, so other inputs are cast first, as scipy does.
+# Both geometries call pocketfft's kernels with the arguments scipy.fft
+# passes them, so the bits are scipy's: the torus's rfft2 half spectrum by
+# r2c(values, axes, forward, norm, out, workers) over both axes, back by
+# c2r(coef, axes, nx, ...); the square's DST-II/DCT-II by dst/dct(values,
+# type, axes, norm, out, workers) per axis, forward type 2 with norm 0,
+# inverse type 3 with norm 2 (1/N, scipy's "backward").  Out is None: the
+# output is new and C-ordered, and the argument, which may be a state's
+# coefficients, is never written.  The kernels take native float64 or
+# complex128 only, so other inputs are cast first, as scipy does.
 
 def to_modes(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
-    if grid.geometry is Geometry.TORUS:
-        coef = np.fft.rfft(np.ascontiguousarray(values), axis=-1)
-        return np.fft.fft(coef, axis=-2, out=coef)
     coef = np.asarray(values, dtype=np.float64)
+    if grid.geometry is Geometry.TORUS:
+        return pocketfft.r2c(coef, (-2, -1), True, 0, None, 1)
     # the last axis is x, the one before it z; any leading axes are batch
     for axis, parity in ((-1, basis[0]), (-2, basis[1])):
         kernel = pocketfft.dst if parity == SIN else pocketfft.dct
@@ -435,8 +432,8 @@ def to_modes(grid: Grid, values: np.ndarray, basis) -> np.ndarray:
 
 def from_modes(grid: Grid, coef: np.ndarray, basis) -> np.ndarray:
     if grid.geometry is Geometry.TORUS:
-        return np.fft.irfft(np.fft.ifft(np.ascontiguousarray(coef), axis=-2),
-                            grid.nx, axis=-1)
+        return pocketfft.c2r(np.asarray(coef, dtype=np.complex128), (-2, -1),
+                             grid.nx, False, 2, None, 1)
     vals = np.asarray(coef, dtype=np.float64)
     for axis, parity in ((-2, basis[1]), (-1, basis[0])):
         kernel = pocketfft.dst if parity == SIN else pocketfft.dct

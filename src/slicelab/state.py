@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import grid as grid_module
 from .errors import ConfigError
 from .grid import (Grid, Geometry, SCALAR_BASIS, ScalarField, VectorField,
                    VX_BASIS, VZ_BASIS, differentiate, from_modes,
@@ -152,16 +153,17 @@ def random_scalar_values(grid: Grid, rng: np.random.Generator, max_mode: int,
     """Random smooth field supported on modes with |m| <= max_mode,
     normalised to the requested max amplitude.  Mean-free on the torus."""
     if grid.geometry is Geometry.TORUS:
-        # full-spectrum draw, independent of the transform layout, so the
-        # values of a seed never change
+        # full-spectrum draw, independent of the transform layout, inverted
+        # over x, then z, as numpy's ifft2 does: the values of a seed never
+        # change
         coef = np.zeros((grid.nz, grid.nx), dtype=complex)
-        mx = np.rint(np.fft.fftfreq(grid.nx) * grid.nx).astype(int)
-        mz = np.rint(np.fft.fftfreq(grid.nz) * grid.nz).astype(int)
+        mx, mz = (np.r_[0:n // 2, -(n // 2):0] for n in (grid.nx, grid.nz))
         box = ((np.abs(mz)[:, None] <= max_mode)
                & (np.abs(mx)[None, :] <= max_mode))
         box[0, 0] = False  # mean-free
         coef[box] = rng.standard_normal(box.sum()) + 1j * rng.standard_normal(box.sum())
-        vals = np.real(np.fft.ifft2(coef))
+        vals = np.real(grid_module.pocketfft.c2c(coef, (-1, -2), False, 2,
+                                                 None, 1))
     else:
         basis = basis or SCALAR_BASIS
         mx, mz = grid.modes(basis)

@@ -319,6 +319,22 @@ def oracle_k2(grid, basis):
     return kx[None, :] ** 2 + kz[:, None] ** 2
 
 
+def torus_scalar_values_oracle(grid, rng, max_mode: int, amplitude: float,
+                               basis=None):
+    """The torus draw of `state.random_scalar_values` as numpy.fft made it:
+    the full-spectrum box of fftfreq modes, inverted by ifft2."""
+    coef = np.zeros((grid.nz, grid.nx), dtype=complex)
+    mx = np.rint(np.fft.fftfreq(grid.nx) * grid.nx).astype(int)
+    mz = np.rint(np.fft.fftfreq(grid.nz) * grid.nz).astype(int)
+    box = ((np.abs(mz)[:, None] <= max_mode)
+           & (np.abs(mx)[None, :] <= max_mode))
+    box[0, 0] = False
+    coef[box] = rng.standard_normal(box.sum()) + 1j * rng.standard_normal(box.sum())
+    vals = np.real(np.fft.ifft2(coef))
+    peak = np.max(np.abs(vals))
+    return vals * (amplitude / peak) if peak > 0 else vals
+
+
 def oracle_gaussian_lowpass(grid, values, basis, j: float):
     coef = to_modes(grid, values, basis) * np.exp(
         -oracle_k2(grid, basis) / float(j) ** 2)

@@ -407,8 +407,8 @@ def _run_python(script, *args):
 
 
 def test_scalar_modes_never_import_scipy_fft():
-    # a hitting-law run builds no grid, a torus grid takes numpy.fft and a
-    # square grid loads scipy's compiled pocketfft only, not scipy.fft
+    # a hitting-law run builds no grid, and a grid of either geometry
+    # loads scipy's compiled pocketfft only, not scipy.fft
     script = ("import sys, slicelab\n"
               "slicelab.mc_hitting(1.0, 2.0, 1.0, 0.01, 100, 1)\n"
               "slicelab.stopped_lambda_mean(1.0, 2.0, 1.0, 0.01, 100, 1)\n"
@@ -430,17 +430,19 @@ def test_scalar_modes_never_import_scipy_fft():
                   "c_tilde = 1.0\n[data]\namplitude = 0.5\nmax_mode = 2\n"
                   "seed = 3\n[mc]\nn_paths = 2\n")])
 def test_torus_cli_runs_never_import_scipy(tmp_path, mode, config):
-    # the torus transforms are numpy.fft's: a whole CLI run, from its
-    # imports to its outputs, loads no scipy module
+    # the torus transforms are scipy's compiled pocketfft, loaded by file
+    # path: a whole CLI run, from its imports to its outputs, loads no
+    # scipy module, and numpy.fft neither
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     script = ("import sys, slicelab.cli\n"
               "status = slicelab.cli.main(sys.argv[1:])\n"
               "print(status, sorted(m for m in sys.modules\n"
-              "                     if m.split('.')[0] == 'scipy'))\n")
+              "                     if m.split('.')[0] == 'scipy'))\n"
+              "print('numpy.fft' in sys.modules)\n")
     out = _run_python(script, mode, "--config", str(cfg), "--seed", "5",
                       "--out-dir", str(tmp_path / "out"))
-    assert out.split("\n")[-2] == "0 []"
+    assert out.split("\n")[-3:] == ["0 []", "False", ""]
     assert (tmp_path / "out").is_dir()
 
 

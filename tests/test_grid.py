@@ -289,9 +289,10 @@ def test_torus_half_spectrum_matches_full_fft(nx, nz, lz):
 @pytest.mark.parametrize("nz,nx", [(8, 64), (64, 8), (256, 256)])
 @pytest.mark.parametrize("batch", [None, 3])
 def test_torus_transforms_equal_scipy_rfft2_bitwise(nz, nx, batch):
-    # numpy.fft's two 1-D passes against scipy's n-D rfft2/irfft2 (scipy
-    # is only this test's oracle): same bits, C-ordered outputs, whatever
-    # the input's memory order, and the argument left as it was
+    # pocketfft's r2c/c2r, called directly, against scipy.fft's public
+    # rfft2/irfft2 (scipy.fft is only this test's oracle): same bits,
+    # C-ordered outputs, whatever the input's memory order, and the
+    # argument left as it was
     g = make_grid("torus", nx, nz, 2 * PI, 1.0)
     lead = () if batch is None else (batch,)
     rng = np.random.default_rng([nz, nx, batch or 0])
@@ -361,9 +362,11 @@ def test_square_transforms_equal_scipy_dst_dct_bitwise(basis, batch):
                 == from_modes(g, cast, basis).tobytes()), other.dtype
 
 
-def test_square_grid_without_pocketfft_raises(monkeypatch, tmp_path):
+@pytest.mark.parametrize("geometry", ["torus", "square"])
+def test_grid_without_pocketfft_raises(monkeypatch, tmp_path, geometry):
     # the kernels have no other source: with scipy's directory empty, the
-    # first square grid fails, naming the file it looked for there
+    # first grid of either geometry fails, naming the file it looked for
+    # there
     find_spec = importlib.util.find_spec
 
     def empty_scipy(name, *args):
@@ -375,7 +378,7 @@ def test_square_grid_without_pocketfft_raises(monkeypatch, tmp_path):
     monkeypatch.setattr(importlib.util, "find_spec", empty_scipy)
     monkeypatch.setattr(grid_module, "pocketfft", None)
     with pytest.raises(ImportError) as err:
-        make_grid("square", 8, 8, 1.0, 1.0)
+        make_grid(geometry, 8, 8, 1.0, 1.0)
     assert err.value.path.startswith(str(tmp_path / "fft" / "_pocketfft"
                                          / "pypocketfft"))
     assert err.value.path in str(err.value)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import slicelab.state as state_module
 from slicelab.errors import ConfigError
-from slicelab.grid import COS, SIN
+from slicelab.grid import COS, SIN, make_grid
 from slicelab.incompressible import max_divergence
-from slicelab.state import (Params, SimState, make_state, random_state,
-                            scale_state, state_is_finite, zero_state)
+from slicelab.state import (Params, SimState, make_state, random_scalar_values,
+                            random_state, scale_state, state_is_finite,
+                            zero_state)
 
-from helpers import state_max_abs_diff, states_close, with_time
+from helpers import (state_max_abs_diff, states_close,
+                     torus_scalar_values_oracle, with_time)
 
 
 def test_params_defaults():
@@ -141,6 +144,30 @@ def test_random_state_band_limit(tor64):
     assert np.max(np.abs(c[far])) <= 1e-10 * np.max(np.abs(c))
 
 
+@pytest.mark.parametrize("nz,nx", [(8, 8), (16, 32), (64, 64)])
+def test_torus_draws_keep_their_bits(nz, nx, monkeypatch):
+    # the draw's c2c, x axis first, has the bits of numpy.fft's ifft2, and
+    # the grid's signed rows are fftfreq's integers, so a seed's torus
+    # data are what they were when numpy.fft made them
+    g = make_grid("torus", nx, nz, 2 * np.pi, 1.0)
+    assert np.array_equal(g.modes(None)[1],
+                          np.rint(np.fft.fftfreq(nz) * nz).astype(int))
+    for seed in (0, 5, 42):
+        for max_mode, amplitude in ((3, 1.0), (nx, 0.25)):
+            got = random_scalar_values(g, np.random.default_rng(seed),
+                                       max_mode, amplitude)
+            want = torus_scalar_values_oracle(
+                g, np.random.default_rng(seed), max_mode, amplitude)
+            assert got.tobytes() == want.tobytes(), (seed, max_mode)
+        st = random_state(g, seed)
+        with monkeypatch.context() as m:
+            m.setattr(state_module, "random_scalar_values",
+                      torus_scalar_values_oracle)
+            old = random_state(g, seed)
+        for a, b in zip(st.coefs, old.coefs):
+            assert a.tobytes() == b.tobytes(), seed
+
+
 def _reads_back_its_coefficients(st, monkeypatch):
     # the state's values are from_modes of its coefficients byte for byte,
     # inverse-transformed once, on first read
@@ -165,7 +192,6 @@ def _reads_back_its_coefficients(st, monkeypatch):
 def test_a_carried_state_derives_its_values_once(geometry, monkeypatch):
     # a stepped state is the coefficients the step ends with
     from slicelab.dynamics import step_rk4
-    from slicelab.grid import make_grid
     g = make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
     st = step_rk4(random_state(g, seed=2), Params(s=0.0), 1e-3)
     _reads_back_its_coefficients(st, monkeypatch)
@@ -176,7 +202,7 @@ def test_a_value_made_state_reads_back_its_coefficients(geometry,
                                                          monkeypatch):
     # make_state transforms its arrays forward once, and only that: the
     # values it gives back are the coefficients' inverse transforms
-    from slicelab.grid import make_grid, to_modes
+    from slicelab.grid import to_modes
     from slicelab.state import STATE_BASES
     g = make_grid(geometry, 16, 8, 2 * np.pi, np.pi)
     arrays = random_state(g, seed=2).values
