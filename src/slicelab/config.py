@@ -9,11 +9,12 @@ the same format, and the runner drops that echo next to every output.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, replace
 
 from .diagnostics import MaterialLoop, circle_loop
 from .errors import ConfigError
-from .grid import Grid, make_grid
+from .grid import Grid, check_size, make_grid
 from .norms import NormSpec
 from .state import Params
 
@@ -105,42 +106,28 @@ def step_count(span: float, dt: float, name: str) -> int:
     return n
 
 
-# (section, key) -> (python type, attribute name)
+#: section -> its keys, in the order `render_config` echoes them; a key
+#: sets the `RunConfig` field of its name, and has that field's type,
+#: except [data] seed, which sets data_seed
 _SCHEMA = {
-    ("", "mode"): (str, "mode"),
-    ("", "seed"): (int, "seed"),
-    ("grid", "geometry"): (str, "geometry"),
-    ("grid", "nx"): (int, "nx"),
-    ("grid", "nz"): (int, "nz"),
-    ("grid", "lx"): (float, "lx"),
-    ("grid", "lz"): (float, "lz"),
-    ("params", "f"): (float, "f"),
-    ("params", "g"): (float, "g"),
-    ("params", "theta0"): (float, "theta0"),
-    ("params", "s"): (float, "s"),
-    ("noise", "alpha"): (float, "alpha"),
-    ("time", "dt"): (float, "dt"),
-    ("time", "t_final"): (float, "t_final"),
-    ("time", "restart"): (str, "restart"),
-    ("monitor", "radius"): (float, "radius"),
-    ("monitor", "threshold"): (float, "threshold"),
-    ("monitor", "c_tilde"): (float, "c_tilde"),
-    ("monitor", "k"): (int, "k"),
-    ("monitor", "p"): (float, "p"),
-    ("data", "amplitude"): (float, "amplitude"),
-    ("data", "seed"): (int, "data_seed"),
-    ("data", "max_mode"): (int, "max_mode"),
-    ("mc", "n_paths"): (int, "n_paths"),
-    ("mc", "levels"): (int, "levels"),
-    ("output", "out_dir"): (str, "out_dir"),
-    ("output", "stride"): (int, "stride"),
-    ("output", "loop_radius"): (float, "loop_radius"),
-    ("output", "loop_cx"): (float, "loop_cx"),
-    ("output", "loop_cz"): (float, "loop_cz"),
-    ("output", "loop_points"): (int, "loop_points"),
+    "": ("mode", "seed"),
+    "grid": ("geometry", "nx", "nz", "lx", "lz"),
+    "params": ("f", "g", "theta0", "s"),
+    "noise": ("alpha",),
+    "time": ("dt", "t_final", "restart"),
+    "monitor": ("radius", "threshold", "c_tilde", "k", "p"),
+    "data": ("amplitude", "seed", "max_mode"),
+    "mc": ("n_paths", "levels"),
+    "output": ("out_dir", "stride", "loop_radius", "loop_cx", "loop_cz",
+               "loop_points"),
 }
+# field -> python type, `int | None` read as int
+_TYPES = {attr: (typing.get_args(t) or (t,))[0]
+          for attr, t in typing.get_type_hints(RunConfig).items()}
 
-_SECTIONS = tuple(dict.fromkeys(s for s, _ in _SCHEMA))
+
+def _field(section: str, key: str) -> str:
+    return "data_seed" if (section, key) == ("data", "seed") else key
 
 
 def _parse_lines(text: str):
@@ -154,7 +141,7 @@ def _parse_lines(text: str):
                 raise ConfigError(f"malformed section header at line "
                                   f"{lineno}: {raw.strip()!r}")
             section = line[1:-1].strip().lower()
-            if section not in _SECTIONS:
+            if section not in _SCHEMA:
                 raise ConfigError(
                     f"unknown section [{section}] at line {lineno}")
             continue
@@ -165,7 +152,7 @@ def _parse_lines(text: str):
         yield section, key.strip().lower(), value.strip(), lineno
 
 
-def _coerce(section, key, value, lineno, typ):
+def _coerce(key, value, lineno, typ):
     try:
         if typ is int:
             return int(value)
@@ -191,7 +178,7 @@ def parse_config(text: str, *, mode: str | None = None,
     """
     seen: dict[tuple[str, str], tuple[str, int]] = {}
     for section, key, value, lineno in _parse_lines(text):
-        if (section, key) not in _SCHEMA:
+        if key not in _SCHEMA[section]:
             where = f"[{section}] " if section else ""
             raise ConfigError(
                 f"unknown key {where}{key!r} at line {lineno}")
@@ -203,14 +190,10 @@ def parse_config(text: str, *, mode: str | None = None,
 
     fields = {}
     for (section, key), (value, lineno) in seen.items():
-        typ, attr = _SCHEMA[(section, key)]
-        fields[attr] = _coerce(section, key, value, lineno, typ)
+        attr = _field(section, key)
+        fields[attr] = _coerce(key, value, lineno, _TYPES[attr])
         if key in ("nx", "nz"):
-            n = fields[attr]
-            if n < 8 or n & (n - 1):
-                raise ConfigError(
-                    f"{key} = {n} at line {lineno}: grid sizes must be "
-                    f"powers of two >= 8")
+            check_size(key, fields[attr], f" at line {lineno}")
 
     file_mode = fields.pop("mode", None)
     if file_mode is not None and mode is not None and file_mode != mode:
@@ -266,6 +249,13 @@ def _require(cfg: RunConfig, attr: str, key: str):
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    # numpy's seed sequences take no negative entropy, and a checkpoint
+    # stores the seed as an int64
+    if not 0 <= cfg.seed < 2 ** 63:
+        raise ConfigError(f"seed must be in [0, 2^63), got {cfg.seed}")
+    if cfg.data_seed < 0:
+        raise ConfigError(f"[data] seed must be nonnegative, "
+                          f"got {cfg.data_seed}")
     if cfg.geometry not in ("torus", "square"):
         raise ConfigError(f"geometry must be torus or square, "
                           f"got {cfg.geometry!r}")
@@ -277,11 +267,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if needs_time:
         _require(cfg, "dt", "[time] dt")
         _require(cfg, "t_final", "[time] t_final")
-        if cfg.dt <= 0 or not math.isfinite(cfg.dt):
-            raise ConfigError(f"dt must be positive and finite, got {cfg.dt}")
-        if cfg.t_final <= 0 or not math.isfinite(cfg.t_final):
-            raise ConfigError(f"t_final must be positive and finite, "
-                              f"got {cfg.t_final}")
         cfg.n_steps()
     if cfg.mode == "diag" and cfg.restart is None:
         raise ConfigError("diag mode needs [time] restart pointing at a "
@@ -327,19 +312,11 @@ def _fmt(value) -> str:
 
 def render_config(cfg: RunConfig) -> str:
     """The resolved configuration, parseable by :func:`parse_config`."""
-    out = [f"mode = {cfg.mode}", f"seed = {cfg.seed}"]
-    by_section: dict[str, list[str]] = {}
-    for (section, key), (_, attr) in _SCHEMA.items():
-        if not section:
-            continue
-        value = getattr(cfg, attr)
-        if value is None:
-            continue
-        by_section.setdefault(section, []).append(
-            f"{key} = {_fmt(value)}")
-    for section in _SECTIONS:
-        if section in by_section:
-            out.append("")
-            out.append(f"[{section}]")
-            out.extend(by_section[section])
+    out = []
+    for section, keys in _SCHEMA.items():
+        values = [(key, getattr(cfg, _field(section, key))) for key in keys]
+        lines = [f"{key} = {_fmt(v)}" for key, v in values if v is not None]
+        if section and lines:
+            out += ["", f"[{section}]"]
+        out += lines
     return "\n".join(out) + "\n"

@@ -30,16 +30,12 @@ from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, OnlineMonitor,
                          LinearMultiplicative, refine_path, sample_wiener,
                          step_em, step_transformed, transform_backward,
                          transform_forward)
+# one stream per Monte Carlo path, keyed by (seed, path index)
+from .stochastic import _stream as _path_rng
 
 
 class AmplitudeBudgetWarning(UserWarning):
     """Initial data exceeds the amplitude budget of the hitting-law bound."""
-
-
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    # per-path stream keyed by (seed, index): nothing is drawn from a shared
-    # generator, so results do not depend on the order in which paths run
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
 def _phi(x: float) -> float:

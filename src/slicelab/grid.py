@@ -38,8 +38,9 @@ an (x-parity, z-parity) pair; the torus ignores it.
 * `wavenumbers(basis, odd)`: the angular wavenumbers, with the torus
   Nyquist k = 0 for odd derivatives;
 * `k2(basis, odd)`: |k|^2; with odd, the symbol of div.grad;
-* `laplacian_symbol(basis, odd)`: -|k|^2 with inf where it vanishes, the
-  divisor that inverts the Laplacian (or div.grad) off its null modes;
+* `laplacian_symbol(basis)`: the symbol of div.grad, -|k|^2 with odd
+  wavenumbers and inf where it vanishes, the divisor that inverts div.grad
+  off its null modes;
 * `keep(basis)`: the 2/3-rule mask, 1s and 0s in the coefficients' dtype;
 * `sobolev_weight(basis, k)`: the discrete Parseval weights of W^{k,2};
 * `sup_weight(basis)`: per-axis sup weights, which bound a field's and its
@@ -109,8 +110,11 @@ class Geometry(enum.Enum):
     SQUARE = "square"
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def check_size(name: str, n: int, where: str = "") -> None:
+    """The grid-size rule: `n` points on an axis are a power of two, at
+    least 8 (fast-transform friendliness); `where` places a refused size."""
+    if n < 8 or n & (n - 1):
+        raise ConfigError(f"{name} = {n}{where} is not a power of two >= 8")
 
 
 @dataclass(frozen=True)
@@ -242,14 +246,14 @@ class Grid:
             return kx[None, :] ** 2 + kz[:, None] ** 2
         return self._cached(("k2", *self._parities(basis), odd), build)
 
-    def laplacian_symbol(self, basis, odd: bool = False) -> np.ndarray:
-        """-|k|^2 with +inf where it vanishes: dividing coefficients by it
-        inverts the Laplacian (div.grad when odd) and zeroes its null
-        modes."""
+    def laplacian_symbol(self, basis) -> np.ndarray:
+        """The symbol of div.grad, -|k|^2 of `k2(basis, odd=True)`, with +inf
+        where it vanishes: dividing coefficients by it inverts div.grad and
+        zeroes its null modes."""
         def build():
-            k2 = self.k2(basis, odd)
+            k2 = self.k2(basis, True)
             return np.where(k2 > 0, -k2, np.inf)
-        return self._cached(("lap", *self._parities(basis), odd), build)
+        return self._cached(("lap", *self._parities(basis)), build)
 
     def keep(self, basis) -> np.ndarray:
         """2/3-rule keep-mask: 1 where |m_x| <= nx/3 and |m_z| <= nz/3,
@@ -333,18 +337,15 @@ def make_grid(geometry: Geometry | str, nx: int, nz: int,
               lx: float, lz: float) -> Grid:
     """Validate and build a grid.
 
-    nx, nz must be powers of two >= 8 (fast-transform friendliness);
-    extents must be positive.
+    nx, nz must pass `check_size`; extents must be positive.
     """
     if isinstance(geometry, str):
         try:
             geometry = Geometry(geometry)
         except ValueError:
             raise ConfigError(f"unknown geometry {geometry!r}") from None
-    for name, n in (("nx", nx), ("nz", nz)):
-        if not (_is_pow2(n) and n >= 8):
-            raise ConfigError(
-                f"{name} = {n} is not a power of two >= 8")
+    check_size("nx", nx)
+    check_size("nz", nz)
     if not (lx > 0 and lz > 0):
         raise ConfigError(f"domain extents must be positive (got {lx}, {lz})")
     return Grid(geometry, int(nx), int(nz), float(lx), float(lz))

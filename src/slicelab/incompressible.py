@@ -46,7 +46,7 @@ def _project_modes(grid: Grid, cx, cz):
     """Project velocity coefficients in the (VX_BASIS, VZ_BASIS) bases."""
     div, basis = divergence_modes(grid, cx, cz)
     # dividing (not multiplying by a reciprocal) keeps the square bitwise
-    phi = div / grid.laplacian_symbol(basis, odd=True)
+    phi = div / grid.laplacian_symbol(basis)
     gx, _ = axis_derivative_modes(grid, phi, basis, "x")
     gz, _ = axis_derivative_modes(grid, phi, basis, "z")
     return cx - gx, cz - gz

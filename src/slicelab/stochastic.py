@@ -32,11 +32,14 @@ EXP_GUARD = 700.0
 # Wiener paths
 # ---------------------------------------------------------------------------
 
-def _stream(seed: int, level: int) -> np.random.Generator:
-    # (seed, level) keyed streams: the base path draws from level 0 and each
-    # bridge refinement from the next level, so a refined path is a pure
-    # function of the original seed
-    return np.random.default_rng(np.random.SeedSequence([int(seed), level]))
+def _stream(seed: int, key: int) -> np.random.Generator:
+    # the stream keyed by (seed, key), drawn from no shared generator: a
+    # Wiener path draws from level 0 and each bridge refinement from the
+    # next level, so a refined path is a pure function of the original
+    # seed; a Monte Carlo path draws from its index, so results do not
+    # depend on the order in which paths run
+    return np.random.default_rng(
+        np.random.SeedSequence([int(seed), int(key)]))
 
 
 @dataclass(frozen=True)
@@ -330,10 +333,6 @@ class OnlineMonitor:
             self._value = value
             return True
         return False
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
 
     def record(self) -> StoppingRecord:
         if self._triggered:

@@ -13,9 +13,8 @@ and steppers that the coefficient-space stages replaced (their cut-off
 norms taken with transforms of their own) and the value-space noise of
 their EM step, the coefficient-space first stage with
 its cut-offs through state_component_norms(..., W1INF) (in the rotational
-form where u_S lies in the 2/3 band), the stacking of
-states into one batch state, and the quadrature W^{k,2} norm that discrete
-Parseval replaced."""
+form where u_S lies in the 2/3 band), and the quadrature W^{k,2} norm
+that discrete Parseval replaced."""
 
 import math
 from dataclasses import replace
@@ -58,13 +57,6 @@ def state_max_abs_diff(a: SimState, b: SimState) -> float:
 
 def with_time(state: SimState, t: float) -> SimState:
     return replace(state, t=float(t))
-
-
-def stacked_state(states) -> SimState:
-    """One batch state whose path i is states[i], coefficient for
-    coefficient."""
-    return SimState(states[0].grid, states[0].t, tuple(
-        np.stack(c) for c in zip(*(s.coefs for s in states))))
 
 
 def zero_scalar(grid, basis=None) -> ScalarField:

@@ -56,6 +56,47 @@ def test_config_echo_round_trips():
     assert parse_config(render_config(cfg)) == cfg
 
 
+# a value other than the default for every (section, key)
+_EVERY_KEY = {
+    ("", "mode"): "mc-global", ("", "seed"): 5,
+    ("grid", "geometry"): "square", ("grid", "nx"): 16, ("grid", "nz"): 32,
+    ("grid", "lx"): 2.0, ("grid", "lz"): 3.0,
+    ("params", "f"): 0.5, ("params", "g"): 2.0, ("params", "theta0"): 1.5,
+    ("params", "s"): 0.0,
+    ("noise", "alpha"): 0.7,
+    ("time", "dt"): 0.01, ("time", "t_final"): 0.05,
+    ("time", "restart"): "ck.bin",
+    ("monitor", "radius"): 2.5, ("monitor", "threshold"): 3.0,
+    ("monitor", "c_tilde"): 0.5, ("monitor", "k"): 2, ("monitor", "p"): 3.0,
+    ("data", "amplitude"): 0.2, ("data", "seed"): 9,
+    ("data", "max_mode"): 3,
+    ("mc", "n_paths"): 8, ("mc", "levels"): 3,
+    ("output", "out_dir"): "out", ("output", "stride"): 2,
+    ("output", "loop_radius"): 0.4, ("output", "loop_cx"): 1.0,
+    ("output", "loop_cz"): 1.2, ("output", "loop_points"): 64,
+}
+
+
+def test_every_key_round_trips_with_its_field_type():
+    import dataclasses
+    import typing
+    from slicelab.config import _SCHEMA, RunConfig
+    assert set(_EVERY_KEY) == {(s, k) for s, keys in _SCHEMA.items()
+                               for k in keys}
+    text = "\n".join(f"{'[' + s + ']' if s else ''}\n{k} = {v}"
+                     for (s, k), v in _EVERY_KEY.items())
+    cfg = parse_config(text)
+    assert parse_config(render_config(cfg)) == cfg
+    got = {("data_seed" if (s, k) == ("data", "seed") else k): v
+           for (s, k), v in _EVERY_KEY.items()}
+    hints = typing.get_type_hints(RunConfig)
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(cfg, field.name)
+        assert value == got[field.name] != field.default, field.name
+        assert type(value) in typing.get_args(hints[field.name]) + (
+            hints[field.name],), field.name
+
+
 def test_power_of_two_rule_names_key_and_line():
     with pytest.raises(sl.ConfigError, match=r"nx = 7 at line 2.*power"):
         parse_config("[grid]\nnx = 7\n[time]\ndt = 1e-2\nt_final = 0.1\n",
@@ -784,6 +825,26 @@ def test_cli_unwritable_out_dir_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("slicelab: cannot write to output directory")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode,seed,extra,key", [
+    ("mc-hitting", "-1", "", "seed"),
+    ("sim-det", None, "[data]\nseed = -2\n", "[data] seed"),
+    ("sim-det", str(2 ** 63), "", "seed")])
+def test_cli_seed_out_of_range_is_usage_error(tmp_path, capsys, mode, seed,
+                                              extra, key):
+    # numpy refuses a negative seed at the first stream, and a seed of
+    # 2^63 or more would run to the end and then not fit the checkpoint
+    out = tmp_path / "out"
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[grid]\nnx = 16\n[params]\ns = 0\n[time]\ndt = 1e-2\n"
+                   "t_final = 0.02\n[monitor]\nthreshold = 2\n" + extra)
+    argv = [mode, "--config", str(cfg), "--out-dir", str(out)]
+    assert cli_main(argv + (["--seed", seed] if seed else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"slicelab: {key} must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_convergence_writes_table(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from slicelab import dynamics as dyn
 from slicelab.errors import ConfigError, DivergedError
+from slicelab.experiments import _batch_state
 from slicelab.grid import (ScalarField, from_modes, make_grid, to_modes,
                            vector_field)
 from slicelab.incompressible import (_project_modes, max_divergence,
@@ -18,8 +19,7 @@ from slicelab.stochastic import (LinearMultiplicative, PointwiseNemytskii,
                                  step_em, step_transformed)
 
 from helpers import (curl, l2, rhs_arrays_oracle, rhs_norm_oracle,
-                     rhs_vorticity,
-                     stacked_state, state_max_abs_diff, step_em_oracle,
+                     rhs_vorticity, state_max_abs_diff, step_em_oracle,
                      step_rk4_oracle, step_rk4_vorticity,
                      step_transformed_oracle, zero_scalar)
 
@@ -631,7 +631,7 @@ def test_the_rotational_tendency_agrees_with_the_value_space_oracle(
     p = Params(f=1.2, g=0.9, theta0=1.1, s=s)
     states = [random_state(g, seed=k, max_mode=4, amplitude=0.5)
               for k in range(3)]
-    for st in (*states, stacked_state(states)):
+    for st in (*states, _batch_state(states)):
         assert dyn._in_band(g, *st.coefs[:2])
         got = [from_modes(g, c, b) for c, b in zip(
             dyn._rhs_arrays(g, p, *st.coefs), STATE_BASES)]
@@ -644,8 +644,8 @@ def test_the_rotational_tendency_agrees_with_the_value_space_oracle(
 def test_a_batched_step_agrees_with_the_value_space_oracle(geometry):
     # the rotational form on a batch, within 1e-13 relative per step
     g = make_grid(geometry, 32, 32, 2 * PI, PI)
-    batch = stacked_state([random_state(g, seed=k, max_mode=4,
-                                        amplitude=0.5) for k in range(3)])
+    batch = _batch_state([random_state(g, seed=k, max_mode=4,
+                                       amplitude=0.5) for k in range(3)])
     w = np.array([[0.0, 0.2, -0.1], [0.1, 0.1, -0.3]])
     for step, oracle in (
             (lambda st: dyn.step_rk4(st, P_S0, 5e-3),
@@ -884,7 +884,7 @@ def test_batched_transformed_step_equals_serial_steps(geometry):
               for s in range(4)]
     w0 = np.array([0.0, 0.3, -0.2, 0.05])
     w1 = np.array([0.1, 0.25, -0.4, 0.0])
-    batch = stacked_state(states)
+    batch = _batch_state(states)
     out = step_transformed(batch, P_S0, 1e-2, 3.0, w0, w1)
     for i, s in enumerate(states):
         want = step_transformed(s, P_S0, 1e-2, 3.0, w0[i], w1[i])
@@ -909,7 +909,7 @@ def test_batched_truncated_step_at_an_uncertified_radius(geometry):
     cuts = [dyn.cutoff_factors(s, radius) for s in states]
     assert cuts[0] == (1.0, 1.0, 1.0)
     assert any(0.0 < c < 1.0 for c in cuts[1] + cuts[2])
-    batch = stacked_state(states)
+    batch = _batch_state(states)
     assert not dyn._certified(g, batch.coefs, radius)
     out = dyn.step_rk4(batch, P_S0, 1e-3, radius)
     for i, s in enumerate(states):

@@ -6,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slicelab.errors import ConfigError
+from slicelab.experiments import _batch_state
 from slicelab.norms import (W1INF, ZKP_DEFAULT, NormSpec, combine, norm,
                             state_component_norms, w1inf_bound)
 from slicelab.grid import Geometry, ScalarField, make_grid, vector_field
 from slicelab.state import STATE_BASES, SimState, make_state, random_state
 
-from helpers import l2, stacked_state
+from helpers import l2
 
 PI = np.pi
 
@@ -195,12 +196,11 @@ def test_w1inf_from_derivatives_equals_the_field_norm(geometry):
     # the result is norm(..., W1INF)'s of the values they come from, 2-D
     # and stacked, and, from a batch state's gradient pass, each path's
     # state_component_norms(..., W1INF)
-    from helpers import stacked_state
     from slicelab.grid import make_grid
     from slicelab.norms import _w1inf
     g = make_grid(geometry, 64, 32, 2 * PI, PI)
     paths = [random_state(g, seed=s, max_mode=5) for s in range(3)]
-    batch = stacked_state(paths)
+    batch = _batch_state(paths)
     for state in (*paths, batch):
         for field, values, grads in _w1inf_inputs(g, state):
             got = _w1inf(g, values, grads)
@@ -313,7 +313,7 @@ def test_w1inf_bound_is_at_least_the_norms(geometry):
         bound = w1inf_bound(g, state.coefs)
         assert bound.shape == (3,)
         assert (bound >= np.array(state.w1inf) * (1.0 - 1e-12)).all()
-    stacked = stacked_state(states)
+    stacked = _batch_state(states)
     bound = w1inf_bound(g, stacked.coefs)
     assert bound.shape == (3, len(states))
     assert (bound.T >= np.array(stacked.w1inf) * (1.0 - 1e-12)).all()

@@ -9,12 +9,12 @@ from hypothesis import given, strategies as hyp_st
 import slicelab as sl
 from slicelab import dynamics as dyn
 from slicelab import stochastic as st
+from slicelab.experiments import _batch_state
 from slicelab.grid import VX_BASIS, VZ_BASIS, from_modes, to_modes
 from slicelab.incompressible import _project_modes
 from slicelab.state import STATE_BASES
 
-from helpers import (l2, path_times, stacked_state, state_max_abs_diff,
-                     stopping_monitor)
+from helpers import l2, path_times, state_max_abs_diff, stopping_monitor
 
 # identical-arithmetic contracts are asserted exactly (== 0.0); everything
 # else gets a few ulp of slack
@@ -180,8 +180,8 @@ def test_em_off_equals_euler_bitwise(geom):
     g = (sl.make_grid("torus", 64, 64, 2 * np.pi, 2 * np.pi)
          if geom == "torus" else sl.make_grid("square", 64, 64, np.pi, np.pi))
     s = sl.random_state(g, seed=3, max_mode=4, amplitude=0.5)
-    batch = stacked_state([sl.random_state(g, seed=k, max_mode=4,
-                                           amplitude=0.5) for k in range(3)])
+    batch = _batch_state([sl.random_state(g, seed=k, max_mode=4,
+                                          amplitude=0.5) for k in range(3)])
     p = sl.Params()
     model = st.LinearMultiplicative(alpha=0.7)
     radius = 0.5 * max(s.w1inf)  # some cut-offs strictly between 0 and 1
@@ -214,7 +214,7 @@ def test_em_takes_a_scalar_or_one_increment_per_mode_and_path(geom):
     cases = [(states[0], 0.0123, lin, [0.0123]),
              (states[0], np.array([0.0123]), lin, [0.0123]),
              (states[0], two, nem, [0.021, -0.013]),
-             (stacked_state(states), np.array([two, -two, 0 * two]).T, nem,
+             (_batch_state(states), np.array([two, -two, 0 * two]).T, nem,
               [np.array([w, -w, 0.0]).reshape(3, 1, 1) for w in two])]
     for state, dw, model, scales in cases:
         got = st.step_em(state, p, 1e-3, dw, model)
@@ -342,7 +342,7 @@ def test_batched_em_step_equals_serial_steps(geom, noise):
             shapes=_two_mode_shapes(g))
         dw = np.array([[0.02, -0.013, 0.0], [0.005, 0.011, -0.03]])
     p = sl.Params(s=0.0)
-    out = st.step_em(stacked_state(states), p, 1e-3, dw, model)
+    out = st.step_em(_batch_state(states), p, 1e-3, dw, model)
     for i, s in enumerate(states):
         want = st.step_em(s, p, 1e-3, dw[:, i], model)
         for got, ref in zip(out.coefs, want.coefs):
@@ -352,8 +352,8 @@ def test_batched_em_step_equals_serial_steps(geom, noise):
 @pytest.mark.parametrize("dw_shape", [(3,), (1, 2), (3, 1), (1, 3, 1)])
 def test_em_refuses_a_batch_increment_array_of_the_wrong_shape(dw_shape):
     g = sl.make_grid("torus", 16, 16, 2 * np.pi, 2 * np.pi)
-    batch = stacked_state([sl.random_state(g, seed=k, max_mode=3)
-                           for k in range(3)])
+    batch = _batch_state([sl.random_state(g, seed=k, max_mode=3)
+                          for k in range(3)])
     with pytest.raises(sl.ConfigError) as exc:
         st.step_em(batch, sl.Params(), 1e-3, np.zeros(dw_shape),
                    st.LinearMultiplicative(alpha=0.5))
