@@ -282,6 +282,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("mc-global requires s = 0 (the regularization "
                           "statement assumes no steady shear source); set "
                           "[params] s = 0")
+    if not math.isfinite(cfg.alpha):
+        raise ConfigError(f"[noise] alpha must be finite, got {cfg.alpha}")
     if cfg.radius <= 0:
         raise ConfigError(f"radius must be positive, got {cfg.radius}")
     if cfg.c_tilde <= 0:

@@ -6,10 +6,11 @@ computable first-passage law, which makes it the sharp end of the test
 suite.  The regularity experiment couples the same path functional to the
 transformed PDE solver.  Every MC routine derives one RNG stream per path
 from (seed, path index), so results do not depend on how paths are
-scheduled or batched.  A hitting-law path is drawn in blocks of steps: one
-normal per block gives the series at the block ends, and only the blocks
-whose Brownian bridge may reach the barrier draw their steps, so the
-kernel samples the grid maximum's law at a fraction of the draws.
+scheduled or batched.  A hitting-law path draws two numbers: the log
+process at the horizon, and a uniform that decides, with the Brownian
+bridge's exact crossing probability, whether it reached the barrier
+before.  So the harnesses sample the continuous law, and dt sets only the
+horizon, a whole number of steps.
 """
 
 from __future__ import annotations
@@ -91,102 +92,45 @@ class McSummary:
     dt: float
 
 
-#: Steps per block of a hitting-law path (the last block may be shorter).
-#: A path draws one normal per block for the series at the block ends, and
-#: the steps inside a block only where the barrier may be reached.  Fixed:
-#: the layout sets which normal of a path's stream feeds which step.  Of
-#: 64, 128 and 256, 256 drew paths of 5,000 to 10^6 steps fastest (fewer
-#: normals and numpy calls at the block ends outweigh the longer refined
-#: blocks), and 100-step paths are one block at 128 or more.
-_BLOCK = 256
-
-#: Half of 54 ln 2.  A block whose gaps g_a, g_b below the barrier at its
-#: two ends give g_a g_b >= _SKIP alpha^2 L dt has a Brownian bridge that
-#: reaches the barrier with probability exp(-2 g_a g_b / (alpha^2 L dt)) at
-#: most 2^-54, and is skipped.
-_SKIP = 27.0 * math.log(2.0)
-
-
-def _path_blocks(alpha: float, dt: float, n_steps: int) -> tuple:
-    """Block tables of a path of n_steps: per block the scale
-    alpha sqrt(L dt) and the drift -(alpha^2/32) L dt of its end's
-    increment, its skip bound `_SKIP` alpha^2 L dt and its length L."""
-    lengths = np.full(-(-n_steps // _BLOCK), _BLOCK)
-    lengths[-1] = n_steps - _BLOCK * (lengths.size - 1)
-    span = lengths * dt
-    return (alpha * np.sqrt(span), -(alpha * alpha) / 32.0 * span,
-            _SKIP * alpha * alpha * span, lengths)
-
-
-def _first_crossing(rng: np.random.Generator, alpha: float, log_r: float,
-                    sqrt_dt: float, blocks: tuple,
-                    buf: np.ndarray) -> tuple[bool, float]:
-    """First grid step k >= 0 at which alpha W - (alpha^2/32) t reaches
-    log_r on the path drawn from rng: (True, the series there), or (False,
-    the series at the last step).  With log_r <= 0 that is k = 0, where
-    the series is 0, and nothing is drawn.
-
-    blocks holds `_path_blocks`'s tables.  The series at the block ends is
-    drawn first, one normal per block, and summed from 0 in buf (one value
-    more than there are blocks).  A block is refined when its end reaches
-    log_r or when its gaps g_a, g_b below log_r give g_a g_b < `_SKIP`
-    alpha^2 L dt; any other block reaches log_r with probability below
-    2^-54.  Refined blocks, in order, draw their L steps from the same
-    stream as a discrete Brownian bridge between their ends a and b:
-    a + alpha sqrt(dt) S_i + (i/L)(b - a - alpha sqrt(dt) S_L) for the
-    partial sums S of L normals, with the last step set to b exactly.  The
-    path stops at the first step that reaches log_r.
-    """
-    if log_r <= 0.0:
-        return True, 0.0
-    scale, drift, bound, lengths = blocks
-    ends = buf[1:]
-    buf[0] = 0.0
-    rng.standard_normal(out=ends)
-    np.multiply(ends, scale, out=ends)
-    np.add(ends, drift, out=ends)
-    np.cumsum(buf, out=buf)
-    gaps = log_r - buf
-    refine = gaps[:-1] * gaps[1:] < bound
-    refine |= gaps[1:] <= 0.0
-    c = alpha * sqrt_dt
-    for j in np.flatnonzero(refine):
-        n = int(lengths[j])
-        a, b = float(buf[j]), float(buf[j + 1])
-        x = rng.standard_normal(n)
-        np.cumsum(x, out=x)
-        np.multiply(x, c, out=x)
-        slope = b - a - float(x[-1])
-        np.add(x, a, out=x)
-        x += np.arange(1, n + 1) / n * slope
-        x[-1] = b
-        hit = x >= log_r
-        k = int(hit.argmax())
-        if hit[k]:
-            return True, float(x[k])
-    return False, float(buf[-1])
-
-
 def _path_crossings(alpha: float, r: float, horizon: float, dt: float,
                     n_paths: int, seed: int) -> list:
-    """`_first_crossing` of log r on each path (seed, index), in index
-    order, with one set of block tables and one buffer."""
-    n_steps = step_count(horizon, dt, "horizon")
+    """(crossed, stopped log value) of the log process alpha W -
+    (alpha^2/32) t against a = log r by T = n dt, for each path (seed,
+    index) in index order.
+
+    A path draws z, a standard normal, then u, a uniform, from its stream:
+    x = -(alpha^2/32) T + alpha sqrt(T) z is the process at T, and the
+    path crosses if x >= a or u < exp(-2 a (a - x) / (alpha^2 T)), the
+    exact probability that a Brownian bridge from 0 to x of variance
+    alpha^2 T reaches a.  Its stopped log value is a if it crosses, x
+    otherwise.  With r <= 1 every path crosses at t = 0, stopped at 0.
+    """
+    big_t = step_count(horizon, dt, "horizon") * dt
     log_r = math.log(r) if r > 0 else -math.inf
-    blocks = _path_blocks(alpha, dt, n_steps)
-    buf = np.empty(blocks[0].size + 1)
-    sqrt_dt = math.sqrt(dt)
-    return [_first_crossing(_path_rng(seed, idx), alpha, log_r, sqrt_dt,
-                            blocks, buf) for idx in range(n_paths)]
+    drift = -(alpha * alpha) / 32.0 * big_t
+    scale = alpha * math.sqrt(big_t)
+    out = []
+    for idx in range(n_paths):
+        rng = _path_rng(seed, idx)
+        if log_r <= 0.0:
+            out.append((True, 0.0))
+            continue
+        z = rng.standard_normal()
+        u = rng.random()
+        x = drift + scale * z
+        crossed = x >= log_r or (alpha != 0.0 and u < math.exp(
+            -2.0 * log_r * (log_r - x) / (alpha * alpha * big_t)))
+        out.append((True, log_r) if crossed else (False, x))
+    return out
 
 
 def mc_hitting(alpha: float, r: float, horizon: float, dt: float,
                n_paths: int, seed: int) -> McSummary:
-    """Empirical frequency of the discrete-grid maximum of Lambda reaching r.
+    """Empirical frequency of Lambda reaching r on [0, horizon].
 
-    The reported dt lets the caller assess discrete-maximum bias: the grid
-    max undershoots the continuous max, so the frequency sits slightly
-    below the closed-form law and rises as dt shrinks.
+    Each path samples the continuous law exactly (`_path_crossings`), so
+    the frequency scatters about `gbm_max_oracle` by sampling noise only;
+    dt sets only the horizon, a whole number n of steps of dt.
     """
     if n_paths < 100:
         raise ConfigError(f"need at least 100 paths for a meaningful "
@@ -202,9 +146,11 @@ def stopped_lambda_mean(alpha: float, r: float, horizon: float, dt: float,
                         n_paths: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of Lambda(horizon ^ hitting time)^{1/16}.
 
-    Lambda^{1/16} is a positive martingale, and stopping at the first grid
-    crossing of r keeps the mean at exactly 1 (discrete optional stopping);
-    only sampling noise remains.  With r <= 1 every path stops at t = 0.
+    Lambda^{1/16} is a positive continuous martingale, and stopping at
+    the first crossing of r keeps the mean at exactly 1 (optional
+    stopping); only sampling noise remains.  A path stops at r^{1/16} if
+    it crosses and at Lambda(n dt)^{1/16} otherwise: dt sets only the
+    horizon.  With r <= 1 every path stops at t = 0.
     """
     if n_paths < 100:
         raise ConfigError(f"need at least 100 paths, got {n_paths}")

@@ -337,7 +337,7 @@ def make_grid(geometry: Geometry | str, nx: int, nz: int,
               lx: float, lz: float) -> Grid:
     """Validate and build a grid.
 
-    nx, nz must pass `check_size`; extents must be positive.
+    nx, nz must pass `check_size`; extents must be finite and positive.
     """
     if isinstance(geometry, str):
         try:
@@ -346,8 +346,9 @@ def make_grid(geometry: Geometry | str, nx: int, nz: int,
             raise ConfigError(f"unknown geometry {geometry!r}") from None
     check_size("nx", nx)
     check_size("nz", nz)
-    if not (lx > 0 and lz > 0):
-        raise ConfigError(f"domain extents must be positive (got {lx}, {lz})")
+    if not (0 < lx < np.inf and 0 < lz < np.inf):
+        raise ConfigError(f"domain extents must be finite and positive "
+                          f"(got {lx}, {lz})")
     return Grid(geometry, int(nx), int(nz), float(lx), float(lz))
 
 

@@ -29,7 +29,7 @@ from slicelab.grid import (SIN, Geometry, ScalarField, VectorField,
                            VX_BASIS, VZ_BASIS, axis_derivative_modes,
                            derivative_values, from_modes, gradient_values,
                            to_modes, vector_field)
-from slicelab.experiments import _BLOCK, _path_rng
+from slicelab.experiments import _path_rng
 from slicelab.incompressible import _project_modes, curl_modes, project_values
 from slicelab.norms import (W1INF, ZKP_DEFAULT, NormSpec, _multi_indices,
                             _reduce, combine, norm, state_component_norms)
@@ -427,14 +427,14 @@ def serial_strong_convergence(grid, params, state0, alpha, horizon,
     return entries, float(np.polyfit(np.log(dts), np.log(rms), 1)[0])
 
 
-# -- the allocating hitting-law path loops --------------------------------------
+# -- hitting-law paths, one at a time ------------------------------------------
 
 def path_hits_oracle(rng, alpha: float, log_r: float, n_steps: int,
                      dt: float):
     """Does max over the discrete grid of alpha W - (alpha^2/32) t reach
     log_r?  Draws every step, in growing chunks, and exits on the first
     crossing: (hit, number of chunks drawn), (True, 0) at the t = 0 grid
-    point.  The per-step reference for the law the block kernel samples."""
+    point.  The per-step reference for the grid maximum's law."""
     if 0.0 >= log_r:
         return True, 0
     mu = -(alpha * alpha) / 32.0
@@ -456,62 +456,21 @@ def path_hits_oracle(rng, alpha: float, log_r: float, n_steps: int,
     return False, n_chunks
 
 
-def block_ends_oracle(rng, alpha: float, log_r: float, n_steps: int,
-                      dt: float):
-    """The first level of the block kernel, every array allocated: the
-    block lengths, the series at the block ends from 0 (one normal per
-    block, all drawn at once) and which blocks are refined (the end
-    reaches log_r, or the gaps below it give a bridge crossing probability
-    exp(-2 g_a g_b / (alpha^2 L dt)) above 2^-54)."""
-    lengths = np.array([min(_BLOCK, n_steps - start)
-                        for start in range(0, n_steps, _BLOCK)])
-    span = lengths * dt
-    incr = (rng.standard_normal(lengths.size) * (alpha * np.sqrt(span))
-            + -(alpha * alpha) / 32.0 * span)
-    ends = np.concatenate(([0.0], np.cumsum(incr)))
-    gaps = log_r - ends
-    refine = ((gaps[:-1] * gaps[1:] < 27.0 * math.log(2.0) * alpha * alpha
-               * span) | (gaps[1:] <= 0.0))
-    return lengths, ends, refine
-
-
-def bridge_oracle(rng, alpha: float, dt: float, a: float, b: float,
-                  n: int) -> np.ndarray:
-    """The n steps of a block from a to b: alpha sqrt(dt) times a discrete
-    Brownian bridge of n normals, plus the line from a to b, the last step
-    set to b."""
-    cs = alpha * math.sqrt(dt) * np.cumsum(rng.standard_normal(n))
-    x = a + cs + np.arange(1, n + 1) / n * (b - a - cs[-1])
-    x[-1] = b
-    return x
-
-
-def block_crossing_oracle(rng, alpha: float, log_r: float, n_steps: int,
-                          dt: float) -> tuple[bool, float]:
-    """`_first_crossing` with every array allocated: the block ends at
-    once, then the refined blocks in order from the same stream, each a
-    bridge between its ends; (True, the series at the first step reaching
-    log_r) or (False, the series at the last step)."""
+def crossing_oracle(rng, alpha: float, log_r: float,
+                    horizon: float) -> tuple[bool, float]:
+    """One hitting-law path: z then u from rng, the log process x at the
+    horizon from z, and a crossing if x reaches log_r or u falls below
+    the Brownian bridge's crossing probability; (True, log_r) or (False,
+    x), and (True, 0.0) from log_r <= 0 with nothing drawn."""
     if log_r <= 0.0:
         return True, 0.0
-    lengths, ends, refine = block_ends_oracle(rng, alpha, log_r, n_steps, dt)
-    for j in np.flatnonzero(refine):
-        x = bridge_oracle(rng, alpha, dt, float(ends[j]), float(ends[j + 1]),
-                          int(lengths[j]))
-        crossed = np.flatnonzero(x >= log_r)
-        if crossed.size:
-            return True, float(x[crossed[0]])
-    return False, float(ends[-1])
-
-
-def stopped_lambda_oracle(alpha: float, r: float, horizon: float, dt: float,
-                          n_paths: int, seed: int) -> np.ndarray:
-    """Lambda(horizon ^ hitting time)^{1/16} of each path (seed, index),
-    from `block_crossing_oracle`."""
-    n_steps = int(round(horizon / dt))
-    return np.array([math.exp(block_crossing_oracle(
-        _path_rng(seed, idx), alpha, math.log(r), n_steps, dt)[1] / 16.0)
-        for idx in range(n_paths)])
+    z = rng.standard_normal()
+    u = rng.random()
+    x = -(alpha * alpha) / 32.0 * horizon + alpha * math.sqrt(horizon) * z
+    if x >= log_r or (alpha != 0.0 and u < math.exp(
+            -2.0 * log_r * (log_r - x) / (alpha * alpha * horizon))):
+        return True, log_r
+    return False, x
 
 
 def hitting_fraction_on_paths(paths, alpha: float, r: float) -> float:

@@ -847,6 +847,37 @@ def test_cli_seed_out_of_range_is_usage_error(tmp_path, capsys, mode, seed,
     assert not out.exists()
 
 
+def test_cli_infinite_extent_is_usage_error(tmp_path, capsys):
+    # an infinite domain has no grid spacing: the run wrote nan and inf rows
+    out = tmp_path / "out"
+    cfg = tmp_path / "lx.cfg"
+    cfg.write_text("[grid]\nnx = 16\nlx = inf\n[time]\ndt = 1e-2\n"
+                   "t_final = 0.02\n")
+    assert cli_main(["sim-det", "--config", str(cfg), "--out-dir",
+                     str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slicelab: domain extents must be finite and "
+                          "positive (got inf, ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["mc-global", "mc-hitting"])
+def test_cli_infinite_alpha_is_usage_error(tmp_path, capsys, mode):
+    # mc-global ran every path to divergence and mc-hitting would draw its
+    # paths from inf times a normal
+    out = tmp_path / "out"
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("[grid]\nnx = 16\n[params]\ns = 0\n[noise]\n"
+                   "alpha = inf\n[time]\ndt = 1e-2\nt_final = 0.02\n"
+                   "[monitor]\nthreshold = 2\n[mc]\nn_paths = 100\n"
+                   "[data]\namplitude = 0.1\n")
+    assert cli_main([mode, "--config", str(cfg), "--out-dir",
+                     str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slicelab: [noise] alpha must be finite, got inf")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_cli_convergence_writes_table(tmp_path):
     cfg = tmp_path / "cv.cfg"
     cfg.write_text("[grid]\nnx = 16\n[params]\ns = 0\n[noise]\n"

@@ -14,10 +14,9 @@ from slicelab import experiments as ex
 from slicelab import stochastic as st
 from slicelab.config import step_count
 
-from helpers import (block_crossing_oracle, block_ends_oracle, bridge_oracle,
-                     decay_rate_fit, hitting_fraction_on_paths, l2,
-                     path_hits_oracle, serial_mc_global,
-                     serial_strong_convergence, stopped_lambda_oracle)
+from helpers import (crossing_oracle, decay_rate_fit,
+                     hitting_fraction_on_paths, l2, path_hits_oracle,
+                     serial_mc_global, serial_strong_convergence)
 
 # the closed-form oracle is exact arithmetic; MC comparisons carry their
 # own SE-based bands
@@ -148,8 +147,7 @@ def test_mc_hitting_threshold_one():
 def test_mc_hitting_matches_oracle_at_desk_scale():
     s = ex.mc_hitting(1.0, 2.0, 100.0, 0.05, 400, seed=3)
     oracle = ex.gbm_max_oracle(1.0, 2.0, 100.0)
-    # 3 SE plus an allowance for discrete-maximum bias at this dt
-    assert abs(s.fraction - oracle) <= 3.0 * s.standard_error + 0.02
+    assert abs(s.fraction - oracle) <= 3.0 * s.standard_error
 
 
 def test_mc_hitting_deterministic():
@@ -185,61 +183,61 @@ def test_stopped_lambda_mean_is_one():
         ex.stopped_lambda_mean(1.0, 2.0, 1.0, 0.01, 50, seed=5)
 
 
-# -- the block kernel against its allocating form ----------------------------
+# -- each path against the two-draw oracle ------------------------------------
+
+def _oracle_paths(alpha, r, horizon, dt, n_paths, seed):
+    # crossing_oracle on each path (seed, index), at the horizon n dt
+    big_t = step_count(horizon, dt, "horizon") * dt
+    log_r = math.log(r) if r > 0 else -math.inf
+    return [crossing_oracle(ex._path_rng(seed, idx), alpha, log_r, big_t)
+            for idx in range(n_paths)]
+
 
 @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 100, 255, 256, 257, 1024,
                                      1025, 3072, 5000, 100_000])
 @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.0])
 def test_first_crossing_decides_as_the_allocating_loop(alpha, n_steps):
-    # same decision and bit for bit the same stopped value; 1025 steps end
-    # in a block of one step
+    # every path decides as crossing_oracle, with bit for bit the same
+    # stopped value, at horizons of 0.01 to 1000; alpha = 0 never crosses
     dt, seed, n_paths = 0.01, 4, 40
-    blocks = ex._path_blocks(alpha, dt, n_steps)
-    buf = np.empty(blocks[0].size + 1)
     results = set()
     for log_r in (0.05, 0.5, 3.0, 8.0):
-        for idx in range(n_paths):
-            want = block_crossing_oracle(ex._path_rng(seed, idx), alpha,
-                                         log_r, n_steps, dt)
-            got = ex._first_crossing(ex._path_rng(seed, idx), alpha, log_r,
-                                     math.sqrt(dt), blocks, buf)
-            assert got == want, (log_r, idx)
-            results.add(got[0])
+        args = (alpha, math.exp(log_r), n_steps * dt, dt, n_paths, seed)
+        got = ex._path_crossings(*args)
+        assert got == _oracle_paths(*args), log_r
+        results |= {crossed for crossed, _ in got}
     assert results == ({False} if alpha == 0.0 else {False, True})
 
 
 def test_mc_hitting_equals_the_allocating_loop_at_the_benchmark_sizing():
     # the mc-hitting benchmark workload: alpha 0.5, log r = 20, horizon
     # 1000 at dt 0.01 (100,000 steps), 750 paths, seed 1
-    alpha, r, horizon, dt, n_paths, seed = (0.5, math.exp(20.0), 1000.0,
-                                            0.01, 750, 1)
-    hits = sum(block_crossing_oracle(ex._path_rng(seed, idx), alpha,
-                                     math.log(r), 100_000, dt)[0]
-               for idx in range(n_paths))
-    s = ex.mc_hitting(alpha, r, horizon, dt, n_paths, seed)
-    assert s.hits == hits and s.fraction == hits / n_paths
+    args = (0.5, math.exp(20.0), 1000.0, 0.01, 750, 1)
+    hits = sum(crossed for crossed, _ in _oracle_paths(*args))
+    s = ex.mc_hitting(*args)
+    assert s.hits == hits and s.fraction == hits / 750
 
 
 @pytest.mark.parametrize("args", [
     (1.0, 2.0, 1.0, 0.01, 500, 5), (1.0, 2.0, 10.24, 0.01, 500, 5),
     (-1.0, math.exp(3.0), 50.0, 0.01, 200, 21)], ids=["100", "1024", "5000"])
 def test_stopped_lambda_mean_equals_the_allocating_loop(args):
-    # 100, 1024 and 5000 steps: one block, four full ones, and twenty with
-    # a short last one
+    # horizons of 100, 1024 and 5000 steps
     n_paths = args[4]
-    vals = stopped_lambda_oracle(*args)
+    vals = np.array([math.exp(stopped / 16.0)
+                     for _, stopped in _oracle_paths(*args)])
     assert ex.stopped_lambda_mean(*args) == (
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths)))
 
 
 @pytest.mark.parametrize("r", [1.0, 0.5, 0.0])
-def test_threshold_at_most_one_is_reached_at_t0(r):
+def test_threshold_at_most_one_is_reached_at_t0(r, monkeypatch):
     # Lambda_0 = 1 >= r: every path hits and stops there, drawing nothing
     assert ex.mc_hitting(-1.0, r, 10.0, 0.1, 100, seed=2).hits == 100
     assert ex.stopped_lambda_mean(-1.0, r, 10.0, 0.1, 100, seed=2) == (
         1.0, 0.0)
-    assert ex._first_crossing(None, -1.0, math.log(r) if r else -math.inf,
-                              0.1, (), np.empty(0)) == (True, 0.0)
+    monkeypatch.setattr(ex, "_path_rng", lambda seed, idx: None)
+    assert ex._path_crossings(-1.0, r, 10.0, 0.1, 3, 2) == [(True, 0.0)] * 3
 
 
 @pytest.mark.parametrize("horizon, dt", [
@@ -265,76 +263,33 @@ def test_harness_horizons_are_whole_numbers_of_steps():
         assert run(1.2 * (1 + 1e-12)) == run(1.2)
 
 
-# -- the law the block kernel samples -----------------------------------------
+# -- the law the paths sample ---------------------------------------------------
 
-@pytest.mark.parametrize("dt", [0.5, 0.1, 0.01])
-def test_block_kernel_samples_the_grid_law(dt):
-    # 20 and 100 steps in one block, 1000 in four: the fraction is the
-    # per-step grid maximum's, within 4 combined standard errors.  At dt
-    # 0.5 and 0.1 the continuous law (gbm_max_oracle), where a kernel that
-    # crossed on the bridges' continuous maxima would land, is more than
-    # twice that far; a kernel that looked only at the block ends would
-    # land farther still, below.
+@pytest.mark.parametrize("dt", [0.5, 0.1])
+def test_hitting_paths_sample_the_continuous_law(dt):
+    # the fraction is the continuous law's (gbm_max_oracle) within 5
+    # standard errors; the per-step grid maximum's law, which the paths
+    # sampled before they crossed on the bridge, lies more than 8 combined
+    # standard errors below it at these steps
     alpha, r, horizon, n_paths = 1.0, 2.0, 10.0, 20_000
     s = ex.mc_hitting(alpha, r, horizon, dt, n_paths, seed=11)
+    law = ex.gbm_max_oracle(alpha, r, horizon)
+    assert abs(s.fraction - law) <= 5.0 * s.standard_error, (s.fraction, law)
     rng = np.random.default_rng(12)
     n_steps = int(round(horizon / dt))
     grid = sum(path_hits_oracle(rng, alpha, math.log(r), n_steps, dt)[0]
                for _ in range(n_paths)) / n_paths
     se = math.hypot(s.standard_error,
                     math.sqrt(grid * (1.0 - grid) / n_paths))
-    assert abs(s.fraction - grid) <= 4.0 * se, (s.fraction, grid, se)
-    if dt >= 0.1:
-        assert ex.gbm_max_oracle(alpha, r, horizon) - grid > 8.0 * se
-
-
-def test_skipped_blocks_do_not_reach_the_barrier():
-    # every block that 300 paths skip, with both ends below log r, is
-    # refined once from a stream of its own: none reaches log r, also the
-    # half of them within twice the skip bound (a kernel that refined only
-    # the blocks whose end reaches log r would skip 4547, and 247 of them
-    # would reach it)
-    alpha, log_r, n_steps, dt = 1.0, 3.0, 5000, 0.01
-    rng = np.random.default_rng(99)
-    skipped = []
-    for idx in range(300):
-        lengths, ends, refine = block_ends_oracle(
-            ex._path_rng(21, idx), alpha, log_r, n_steps, dt)
-        for j in np.flatnonzero(~refine & (ends[1:] < log_r)
-                                & (ends[:-1] < log_r)):
-            skipped.append((float(ends[j]), float(ends[j + 1]),
-                            int(lengths[j])))
-    near = 0
-    for a, b, n in skipped:
-        x = bridge_oracle(rng, alpha, dt, a, b, n)
-        assert x.max() < log_r, (a, b, n)
-        near += (log_r - a) * (log_r - b) < 2.0 * ex._SKIP * n * dt
-    assert len(skipped) > 1000 and near > 500
-
-
-def test_skip_bound_is_a_bridge_crossing_probability_of_2_to_minus_54():
-    # at its edge g_a g_b = bound, a block's Brownian bridge reaches the
-    # barrier with probability exp(-2 g_a g_b / (alpha^2 L dt)) = 2^-54
-    for alpha, dt, n_steps in ((1.0, 0.01, 5000), (-0.5, 0.1, 300),
-                               (3.0, 1e-3, 256)):
-        scale, drift, bound, lengths = ex._path_blocks(alpha, dt, n_steps)
-        assert int(lengths.sum()) == n_steps and lengths.max() == ex._BLOCK
-        assert (lengths[:-1] == ex._BLOCK).all() and lengths[-1] >= 1
-        span = lengths * dt
-        assert scale == pytest.approx(alpha * np.sqrt(span), rel=1e-15,
-                                      abs=0.0)
-        assert drift == pytest.approx(-alpha ** 2 / 32.0 * span, rel=1e-15,
-                                      abs=0.0)
-        assert np.exp(-2.0 * bound / (alpha ** 2 * span)) == pytest.approx(
-            2.0 ** -54, rel=1e-12, abs=0.0)
+    assert law - grid > 8.0 * se, (law, grid, se)
 
 
 # -- paths in any order --------------------------------------------------------
 
 HITTING_CASES = {
-    # tools/compare_runs.py's mc-hitting-blocks sizing: 5000 steps in 20
-    # blocks; paths first cross in 19 of them, the short last one among
-    # them, or never, so they stop at uneven lengths
+    # "blocks" is tools/compare_runs.py's mc-hitting run at alpha < 0, 200
+    # paths to a horizon of 5000 steps, of which some cross and some do
+    # not; "one-block" is a horizon of 100 steps
     "blocks": (-1.0, math.exp(3.0), 50.0, 0.01, 200, 21),
     "one-block": (1.0, 2.0, 1.0, 0.01, 150, 9),
     "threshold-one": (1.0, 1.0, 10.0, 0.1, 100, 0),
@@ -344,12 +299,10 @@ HITTING_CASES = {
 @pytest.mark.parametrize("case", sorted(HITTING_CASES))
 def test_hitting_paths_do_not_depend_on_the_path_order(case):
     alpha, r, horizon, dt, n_paths, seed = args = HITTING_CASES[case]
-    n_steps = step_count(horizon, dt, "horizon")
-    blocks = ex._path_blocks(alpha, dt, n_steps)
-    buf = np.empty(blocks[0].size + 1)
+    big_t = step_count(horizon, dt, "horizon") * dt
     log_r = math.log(r)
-    backwards = {idx: ex._first_crossing(ex._path_rng(seed, idx), alpha,
-                                         log_r, math.sqrt(dt), blocks, buf)
+    backwards = {idx: crossing_oracle(ex._path_rng(seed, idx), alpha, log_r,
+                                      big_t)
                  for idx in reversed(range(n_paths))}
     paths = [backwards[idx] for idx in range(n_paths)]
     assert ex._path_crossings(*args) == paths
@@ -363,40 +316,40 @@ def test_hitting_paths_do_not_depend_on_the_path_order(case):
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths)))
 
 
-@pytest.mark.parametrize("n_blocks", [2, 5])
-def test_path_streams_are_built_one_at_a_time(n_blocks, monkeypatch):
-    # once for each index, in index order, each just before its path runs
-    # and after the one before it returned; the path's two levels both draw
-    # from that one stream.  The benchmark's set-up hook and its per-path
-    # span sit on _path_rng.
-    args = (1.0, math.exp(3.0), n_blocks * ex._BLOCK * 0.01, 0.01, 60, 3)
-    real_rng, real_kernel = ex._path_rng, ex._first_crossing
-    events, streams, want = [], {}, []
+@pytest.mark.parametrize("seed", [2, 5])
+def test_path_streams_are_built_one_at_a_time(seed, monkeypatch):
+    # once for each index, in index order, each just before its path's two
+    # draws and after the path before it drew; the draws come from that
+    # one stream.  The benchmark's set-up hook and its per-path span sit on
+    # _path_rng.
+    args = (1.0, math.exp(1.0), 5.0, 0.01, 60, seed)
+    real_rng = ex._path_rng
+    events = []
 
-    def counted_rng(seed, idx):
+    class Counted:
+        def __init__(self, idx):
+            self.rng, self.idx = real_rng(seed, idx), idx
+
+        def standard_normal(self):
+            events.append(("z", self.idx))
+            return self.rng.standard_normal()
+
+        def random(self):
+            events.append(("u", self.idx))
+            return self.rng.random()
+
+    def counted_rng(seed_, idx):
+        assert seed_ == seed
         events.append(("stream", idx))
-        streams[idx] = rng = real_rng(seed, idx)
-        want.append(real_kernel(real_rng(seed, idx), *rest[0]))
-        return rng
+        return Counted(idx)
 
-    def counted_kernel(rng, *more):
-        idx = rng.bit_generator.seed_seq.entropy[1]
-        assert rng is streams[idx]
-        events.append(("path", idx))
-        out = real_kernel(rng, *more)
-        events.append(("done", idx))
-        return out
-
-    n_steps = step_count(args[2], args[3], "horizon")
-    blocks = ex._path_blocks(args[0], args[3], n_steps)
-    rest = [(args[0], math.log(args[1]), math.sqrt(args[3]), blocks,
-             np.empty(blocks[0].size + 1))]
     monkeypatch.setattr(ex, "_path_rng", counted_rng)
-    monkeypatch.setattr(ex, "_first_crossing", counted_kernel)
     got = ex._path_crossings(*args)
     assert events == [(step, idx) for idx in range(60)
-                      for step in ("stream", "path", "done")]
-    assert got == want and {crossed for crossed, _ in got} == {False, True}
+                      for step in ("stream", "z", "u")]
+    monkeypatch.setattr(ex, "_path_rng", real_rng)
+    assert got == _oracle_paths(*args)
+    assert {crossed for crossed, _ in got} == {False, True}
 
 
 def _run_python(script, *args):

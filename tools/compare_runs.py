@@ -12,11 +12,11 @@ loop, a square ``convergence`` run, a square ``mc-global`` run and a torus
 one whose low threshold stops paths at different steps (all three at 32^2,
 16 paths to a batch, with a part-filled last batch of paths), a torus
 ``mc-global`` run monitoring W^{1,inf} and a square one monitoring
-W^{2,3}, an ``mc-hitting`` run at alpha < 0 whose paths first cross in 19
-of its 20 blocks (the short last one among them) or never, and a ``diag``
-run with a ``[grid]`` section on the ``sim-sde`` checkpoint.  Every run works in the same relative directory under its
-tree's run root, so the configs and echoes of the two revisions name the
-same paths.
+W^{2,3}, an ``mc-hitting`` run at alpha < 0 of which some paths cross and
+some do not, and a ``diag`` run with a ``[grid]`` section on the
+``sim-sde`` checkpoint.  Every run works in the same relative directory
+under its tree's run root, so the configs and echoes of the two revisions
+name the same paths.
 
 Prints one line per output file: ``same``, ``DIFFERS`` or ``ONLY A``/``ONLY
 B``, ignoring the ``out_dir`` line of ``config.txt``, and one line per run
@@ -139,10 +139,9 @@ EXTRA_RUNS = {
         "data": {"seed": 17, "amplitude": 20.0, "max_mode": 2},
         "mc": {"n_paths": 6},
     }),
-    # 5000 steps in 19 blocks of 256 and one of 136 at alpha < 0: of the
-    # 200 paths, 84 never cross, and the others first cross in 19 of the
-    # 20 blocks (48 in the first three, 2 in the short last one)
-    "mc-hitting-blocks": ("mc-hitting", {
+    # alpha < 0, which enters the log process at the horizon and the
+    # bridge's crossing probability with its sign and its square
+    "mc-hitting-negative-alpha": ("mc-hitting", {
         "": {"seed": 21},
         "noise": {"alpha": -1.0},
         "time": {"dt": 0.01, "t_final": 50.0},
