@@ -106,6 +106,28 @@ def step_count(span: float, dt: float, name: str) -> int:
     return n
 
 
+def check_paths(n_paths: int, where: str = "") -> None:
+    """The hitting-law floor: an estimate needs at least 100 paths."""
+    if n_paths < 100:
+        raise ConfigError(f"need at least 100 paths for a meaningful "
+                          f"estimate, got {n_paths}{where}")
+
+
+def check_levels(levels: int, where: str = "") -> None:
+    """The convergence floor: a slope needs at least 4 dyadic levels."""
+    if levels < 4:
+        raise ConfigError(f"need at least 4 dyadic levels, "
+                          f"got {levels}{where}")
+
+
+def check_hypothesis(alpha: float, c_tilde: float, where: str = "") -> None:
+    """The hitting-law hypothesis |alpha| > 16 C."""
+    if abs(alpha) / (16.0 * c_tilde) <= 1.0:
+        raise ConfigError(f"|alpha| = {abs(alpha)} must exceed 16 C = "
+                          f"{16.0 * c_tilde} for the hitting-law "
+                          f"hypothesis{where}")
+
+
 #: section -> its keys, in the order `render_config` echoes them; a key
 #: sets the `RunConfig` field of its name, and has that field's type,
 #: except [data] seed, which sets data_seed
@@ -290,6 +312,14 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"c_tilde must be positive, got {cfg.c_tilde}")
     if cfg.n_paths < 1:
         raise ConfigError(f"n_paths must be positive, got {cfg.n_paths}")
+    # the harnesses' floors, refused before the run makes its directory
+    if cfg.mode == "mc-hitting":
+        check_paths(cfg.n_paths, " ([mc] n_paths)")
+    if cfg.mode == "convergence":
+        check_levels(cfg.levels, " ([mc] levels)")
+    if cfg.mode == "mc-global":
+        check_hypothesis(cfg.alpha, cfg.c_tilde,
+                         " ([noise] alpha, [monitor] c_tilde)")
     if cfg.stride < 1:
         raise ConfigError(f"stride must be positive, got {cfg.stride}")
     if cfg.amplitude < 0:

@@ -4,13 +4,16 @@ The hitting-law experiments are scalar-path computations (no PDE): the
 geometric Brownian motion exp{alpha W_t - alpha^2 t/32} has an exactly
 computable first-passage law, which makes it the sharp end of the test
 suite.  The regularity experiment couples the same path functional to the
-transformed PDE solver.  Every MC routine derives one RNG stream per path
-from (seed, path index), so results do not depend on how paths are
-scheduled or batched.  A hitting-law path draws two numbers: the log
-process at the horizon, and a uniform that decides, with the Brownian
-bridge's exact crossing probability, whether it reached the barrier
-before.  So the harnesses sample the continuous law, and dt sets only the
-horizon, a whole number of steps.
+transformed PDE solver.  A regularity path draws its W from one RNG
+stream per path, keyed by (seed, path index).  A hitting-law path draws
+two numbers: the log process at the horizon, and a uniform that decides,
+with the Brownian bridge's exact crossing probability, whether it reached
+the barrier before.  Its normal is draw `index` of stream (seed, 0) and
+its uniform draw `index` of stream (seed, 1), two streams per run.  A
+generator fills a vector in stream order, so either way a path depends on
+(seed, path index) only, and results do not depend on how paths are
+scheduled or batched.  So the hitting harnesses sample the continuous
+law, and dt sets only the horizon, a whole number of steps.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import step_count
+from .config import check_hypothesis, check_levels, check_paths, step_count
 from .dynamics import mollify, step_rk4
 from .errors import ConfigError, DivergedError
 from .grid import Grid
@@ -31,7 +34,8 @@ from .stochastic import (AMPLITUDE_THRESHOLD, GBM_THRESHOLD, OnlineMonitor,
                          LinearMultiplicative, refine_path, sample_wiener,
                          step_em, step_transformed, transform_backward,
                          transform_forward)
-# one stream per Monte Carlo path, keyed by (seed, path index)
+# the stream keyed by (seed, key): a regularity path's W, keyed by its
+# index, or the hitting-law paths' normals (key 0) and uniforms (key 1)
 from .stochastic import _stream as _path_rng
 
 
@@ -95,28 +99,28 @@ class McSummary:
 def _path_crossings(alpha: float, r: float, horizon: float, dt: float,
                     n_paths: int, seed: int) -> list:
     """(crossed, stopped log value) of the log process alpha W -
-    (alpha^2/32) t against a = log r by T = n dt, for each path (seed,
-    index) in index order.
+    (alpha^2/32) t against a = log r by T = n dt, for each path index in
+    index order.
 
-    A path draws z, a standard normal, then u, a uniform, from its stream:
-    x = -(alpha^2/32) T + alpha sqrt(T) z is the process at T, and the
-    path crosses if x >= a or u < exp(-2 a (a - x) / (alpha^2 T)), the
-    exact probability that a Brownian bridge from 0 to x of variance
-    alpha^2 T reaches a.  Its stopped log value is a if it crosses, x
-    otherwise.  With r <= 1 every path crosses at t = 0, stopped at 0.
+    Path idx takes z, draw idx of the standard normals of stream (seed, 0),
+    and u, draw idx of the uniforms of stream (seed, 1); both streams are
+    built before any draw.  x = -(alpha^2/32) T + alpha sqrt(T) z is the
+    process at T, and the path crosses if x >= a or u < exp(-2 a (a - x) /
+    (alpha^2 T)), the exact probability that a Brownian bridge from 0 to x
+    of variance alpha^2 T reaches a.  Its stopped log value is a if it
+    crosses, x otherwise.  With r <= 1 every path crosses at t = 0,
+    stopped at 0, and nothing is drawn.
     """
     big_t = step_count(horizon, dt, "horizon") * dt
     log_r = math.log(r) if r > 0 else -math.inf
+    if log_r <= 0.0:
+        return [(True, 0.0)] * n_paths
+    normals, uniforms = _path_rng(seed, 0), _path_rng(seed, 1)
     drift = -(alpha * alpha) / 32.0 * big_t
     scale = alpha * math.sqrt(big_t)
     out = []
-    for idx in range(n_paths):
-        rng = _path_rng(seed, idx)
-        if log_r <= 0.0:
-            out.append((True, 0.0))
-            continue
-        z = rng.standard_normal()
-        u = rng.random()
+    for z, u in zip(normals.standard_normal(n_paths).tolist(),
+                    uniforms.random(n_paths).tolist()):
         x = drift + scale * z
         crossed = x >= log_r or (alpha != 0.0 and u < math.exp(
             -2.0 * log_r * (log_r - x) / (alpha * alpha * big_t)))
@@ -130,11 +134,11 @@ def mc_hitting(alpha: float, r: float, horizon: float, dt: float,
 
     Each path samples the continuous law exactly (`_path_crossings`), so
     the frequency scatters about `gbm_max_oracle` by sampling noise only;
-    dt sets only the horizon, a whole number n of steps of dt.
+    dt sets only the horizon, a whole number n of steps of dt.  The run
+    draws from two streams, (seed, 0) and (seed, 1), and path idx takes
+    draw idx of each, so a path depends on (seed, idx) only.
     """
-    if n_paths < 100:
-        raise ConfigError(f"need at least 100 paths for a meaningful "
-                          f"frequency, got {n_paths}")
+    check_paths(n_paths)
     hits = sum(crossed for crossed, _ in _path_crossings(
         alpha, r, horizon, dt, n_paths, seed))
     frac = hits / n_paths
@@ -150,10 +154,10 @@ def stopped_lambda_mean(alpha: float, r: float, horizon: float, dt: float,
     the first crossing of r keeps the mean at exactly 1 (optional
     stopping); only sampling noise remains.  A path stops at r^{1/16} if
     it crosses and at Lambda(n dt)^{1/16} otherwise: dt sets only the
-    horizon.  With r <= 1 every path stops at t = 0.
+    horizon.  The paths are `mc_hitting`'s, drawn from the same two
+    streams.  With r <= 1 every path stops at t = 0.
     """
-    if n_paths < 100:
-        raise ConfigError(f"need at least 100 paths, got {n_paths}")
+    check_paths(n_paths)
     vals = np.array([math.exp(stopped / 16.0) for _, stopped in
                      _path_crossings(alpha, r, horizon, dt, n_paths,
                                      seed)])
@@ -182,10 +186,8 @@ def amplitude_threshold(alpha: float, r: float, c_tilde: float = 1.0) -> float:
         raise ConfigError(f"constant budget must be positive, got {c_tilde}")
     if r < 1.0:
         raise ConfigError(f"threshold r must be >= 1, got {r}")
+    check_hypothesis(alpha, c_tilde)
     base = abs(alpha) / (16.0 * c_tilde)
-    if base <= 1.0:
-        raise ConfigError(f"|alpha| = {abs(alpha)} must exceed 16 C = "
-                          f"{16.0 * c_tilde} for the hitting-law hypothesis")
     t4 = 4.0 * c_tilde * r
     if t4 > 700.0:
         return 0.0  # exp{4Cr} alone leaves double range
@@ -426,8 +428,7 @@ def strong_convergence_study(grid: Grid, params: Params, state0: SimState,
     from its own slice and added in path order, so the results equal the
     path-by-path loop's bit for bit.
     """
-    if levels < 4:
-        raise ConfigError(f"need at least 4 dyadic levels, got {levels}")
+    check_levels(levels)
     if n_paths < 1:
         raise ConfigError(f"need at least one path, got {n_paths}")
     n_coarse = step_count(horizon, coarse_dt, "horizon")

@@ -63,10 +63,11 @@ import numpy as np
 
 from .errors import ConfigError
 
-#: scipy's compiled pocketfft extension, loaded with the first Grid, for
-#: both geometries' transforms: never the scipy.fft package around it,
-#: whose import would about double a run's set-up, nor numpy.fft, whose
-#: per-line wrappers make a 2-D transform two passes.
+#: scipy's compiled pocketfft extension, loaded and checked (`_checked`)
+#: with the first Grid, for both geometries' transforms: never the
+#: scipy.fft package around it, whose import would about double a run's
+#: set-up, nor numpy.fft, whose per-line wrappers make a 2-D transform two
+#: passes.
 pocketfft = None
 
 
@@ -91,6 +92,43 @@ def _load_pocketfft():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _checked(module):
+    """`module` if each kernel, called as the transforms call it, takes a
+    tiny fixed array to its closed-form transform and back; ImportError
+    naming scipy's version and the extension's path if one does not, so
+    a build whose argument meanings moved cannot mis-scale a run."""
+    n = np.arange(4.0)
+    wave = np.cos(0.5 * np.pi * n) + 2.0 * np.arange(2.0)[:, None]
+    half = np.zeros((2, 3), complex)  # wave's rfft2: its mean, z and x waves
+    half[0, 0], half[1, 0], half[0, 1] = 8.0, -8.0, 4.0
+    sine = np.sin(np.pi * (2.0 * n + 1.0) / 4.0)    # DST-II slot 1
+    cosine = np.cos(np.pi * (2.0 * n + 1.0) / 8.0)  # DCT-II slot 1
+    spike = np.array([0.0, 4.0, 0.0, 0.0])
+    circle = np.exp(0.5j * np.pi * n) * np.ones((2, 1))
+    peak = np.zeros((2, 4), complex)
+    peak[0, 1] = 8.0
+    cases = [
+        ("r2c", module.r2c(wave, (-2, -1), True, 0, None, 1), half),
+        ("c2r", module.c2r(half, (-2, -1), 4, False, 2, None, 1), wave),
+        ("dst", module.dst(sine, 2, (-1,), 0, None, 1), spike),
+        ("dst", module.dst(spike, 3, (-1,), 2, None, 1), sine),
+        ("dct", module.dct(cosine, 2, (-1,), 0, None, 1), spike),
+        ("dct", module.dct(spike, 3, (-1,), 2, None, 1), cosine),
+        ("c2c", module.c2c(peak, (-1, -2), False, 2, None, 1), circle),
+        ("c2c", module.c2c(circle, (-1, -2), True, 0, None, 1), peak)]
+    bad = sorted({name for name, got, want in cases
+                  if np.max(np.abs(got - want)) > 1e-12})
+    if bad:
+        from importlib.metadata import version
+        raise ImportError(
+            f"scipy {version('scipy')}'s compiled pocketfft at "
+            f"{module.__file__} does not reproduce the closed-form "
+            f"transforms ({', '.join(bad)}); slicelab's transforms need "
+            f"its arguments as scipy 1.17.1 reads them", path=module.__file__)
+    return module
+
 
 SIN = "sin"
 COS = "cos"
@@ -130,7 +168,7 @@ class Grid:
     def __post_init__(self):
         global pocketfft
         if pocketfft is None:
-            pocketfft = _load_pocketfft()
+            pocketfft = _checked(_load_pocketfft())
 
     # -- sample coordinates -------------------------------------------------
     @cached_property

@@ -4,8 +4,9 @@ stepper, the batch oracle of the online stopping monitor, the
 stopping-record reader, per-geometry oracles of the spectral operators
 that the grid's per-basis tables now serve with one body, the
 path-by-path loops that the regularity experiment and the strong
-convergence study batch, the allocating hitting-law path loops (the per-step reference for the grid
-law and the block kernel with its arrays allocated), the hitting fraction
+convergence study batch, the hitting-law path references (the per-step
+loop of the grid law and the two-draw path, its normal and its uniform
+drawn as scalars from two streams), the hitting fraction
 of supplied (refined) paths and a path's grid times, the decay-rate
 fit, the value shells `curl` and `leray_project`, the l2 norm, the
 diagnostics CSV reader, the value-space tendency
@@ -456,16 +457,17 @@ def path_hits_oracle(rng, alpha: float, log_r: float, n_steps: int,
     return False, n_chunks
 
 
-def crossing_oracle(rng, alpha: float, log_r: float,
+def crossing_oracle(normals, uniforms, alpha: float, log_r: float,
                     horizon: float) -> tuple[bool, float]:
-    """One hitting-law path: z then u from rng, the log process x at the
-    horizon from z, and a crossing if x reaches log_r or u falls below
-    the Brownian bridge's crossing probability; (True, log_r) or (False,
-    x), and (True, 0.0) from log_r <= 0 with nothing drawn."""
+    """One hitting-law path: z, the next scalar normal of `normals`, and
+    u, the next scalar uniform of `uniforms`, the log process x at the
+    horizon from z, and a crossing if x reaches log_r or u falls below the
+    Brownian bridge's crossing probability; (True, log_r) or (False, x),
+    and (True, 0.0) from log_r <= 0 with nothing drawn."""
     if log_r <= 0.0:
         return True, 0.0
-    z = rng.standard_normal()
-    u = rng.random()
+    z = normals.standard_normal()
+    u = uniforms.random()
     x = -(alpha * alpha) / 32.0 * horizon + alpha * math.sqrt(horizon) * z
     if x >= log_r or (alpha != 0.0 and u < math.exp(
             -2.0 * log_r * (log_r - x) / (alpha * alpha * horizon))):

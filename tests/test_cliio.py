@@ -63,7 +63,7 @@ _EVERY_KEY = {
     ("grid", "lx"): 2.0, ("grid", "lz"): 3.0,
     ("params", "f"): 0.5, ("params", "g"): 2.0, ("params", "theta0"): 1.5,
     ("params", "s"): 0.0,
-    ("noise", "alpha"): 0.7,
+    ("noise", "alpha"): 20.0,
     ("time", "dt"): 0.01, ("time", "t_final"): 0.05,
     ("time", "restart"): "ck.bin",
     ("monitor", "radius"): 2.5, ("monitor", "threshold"): 3.0,
@@ -137,8 +137,8 @@ def test_mode_conflict_is_an_error():
 
 
 def test_mc_global_refuses_nonzero_s():
-    text = ("[grid]\nnx = 16\n[time]\ndt = 1e-2\nt_final = 0.1\n"
-            "[monitor]\nthreshold = 2\n")
+    text = ("[grid]\nnx = 16\n[noise]\nalpha = 20\n[time]\ndt = 1e-2\n"
+            "t_final = 0.1\n[monitor]\nthreshold = 2\n")
     with pytest.raises(sl.ConfigError, match="s = 0"):
         parse_config(text, mode="mc-global")
     # and the same text passes once s is zeroed
@@ -876,6 +876,29 @@ def test_cli_infinite_alpha_is_usage_error(tmp_path, capsys, mode):
     err = capsys.readouterr().err
     assert err.startswith("slicelab: [noise] alpha must be finite, got inf")
     assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("mode,extra,key", [
+    ("mc-hitting", "[monitor]\nthreshold = 2\n[mc]\nn_paths = 50\n",
+     "[mc] n_paths"),
+    ("convergence", "[mc]\nlevels = 2\n", "[mc] levels"),
+    ("mc-global", "[noise]\nalpha = 10\n[monitor]\nthreshold = 2\n"
+                  "c_tilde = 1\n", "[noise] alpha, [monitor] c_tilde")],
+    ids=["mc-hitting", "convergence", "mc-global"])
+def test_cli_harness_floor_is_usage_error(tmp_path, capsys, mode, extra,
+                                          key):
+    # the harnesses refused these only after the run had made its output
+    # directory and written its config echo there
+    out = tmp_path / "out"
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("[grid]\nnx = 16\n[params]\ns = 0\n[time]\ndt = 1e-2\n"
+                   "t_final = 0.02\n" + extra)
+    assert cli_main([mode, "--config", str(cfg), "--out-dir",
+                     str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slicelab: ") and f"({key})" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_convergence_writes_table(tmp_path):

@@ -186,11 +186,14 @@ def test_stopped_lambda_mean_is_one():
 # -- each path against the two-draw oracle ------------------------------------
 
 def _oracle_paths(alpha, r, horizon, dt, n_paths, seed):
-    # crossing_oracle on each path (seed, index), at the horizon n dt
+    # crossing_oracle on each path in index order, at the horizon n dt, its
+    # normal and uniform drawn one scalar at a time from streams (seed, 0)
+    # and (seed, 1)
     big_t = step_count(horizon, dt, "horizon") * dt
     log_r = math.log(r) if r > 0 else -math.inf
-    return [crossing_oracle(ex._path_rng(seed, idx), alpha, log_r, big_t)
-            for idx in range(n_paths)]
+    normals, uniforms = ex._path_rng(seed, 0), ex._path_rng(seed, 1)
+    return [crossing_oracle(normals, uniforms, alpha, log_r, big_t)
+            for _ in range(n_paths)]
 
 
 @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 100, 255, 256, 257, 1024,
@@ -296,13 +299,22 @@ HITTING_CASES = {
 }
 
 
+def _path_alone(alpha, log_r, big_t, seed, idx):
+    # path idx from fresh streams, past the idx scalar draws before it
+    normals, uniforms = ex._path_rng(seed, 0), ex._path_rng(seed, 1)
+    for _ in range(idx):
+        normals.standard_normal()
+        uniforms.random()
+    return crossing_oracle(normals, uniforms, alpha, log_r, big_t)
+
+
 @pytest.mark.parametrize("case", sorted(HITTING_CASES))
 def test_hitting_paths_do_not_depend_on_the_path_order(case):
+    # each path drawn alone, in reverse index order, is the kernel's
     alpha, r, horizon, dt, n_paths, seed = args = HITTING_CASES[case]
     big_t = step_count(horizon, dt, "horizon") * dt
     log_r = math.log(r)
-    backwards = {idx: crossing_oracle(ex._path_rng(seed, idx), alpha, log_r,
-                                      big_t)
+    backwards = {idx: _path_alone(alpha, log_r, big_t, seed, idx)
                  for idx in reversed(range(n_paths))}
     paths = [backwards[idx] for idx in range(n_paths)]
     assert ex._path_crossings(*args) == paths
@@ -316,40 +328,57 @@ def test_hitting_paths_do_not_depend_on_the_path_order(case):
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths)))
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (40, 1), (99, 101), (500, 3000)])
+def test_fewer_paths_are_a_prefix_of_more(n, k):
+    # a path depends on (seed, index), not on how many paths the run draws
+    for args in ((1.0, 2.0, 1.0, 0.01), (-1.0, math.exp(3.0), 50.0, 0.01)):
+        more = ex._path_crossings(*args, n + k, 7)
+        assert ex._path_crossings(*args, n, 7) == more[:n]
+        if n + k > 100:
+            assert {crossed for crossed, _ in more} == {False, True}
+
+
 @pytest.mark.parametrize("seed", [2, 5])
-def test_path_streams_are_built_one_at_a_time(seed, monkeypatch):
-    # once for each index, in index order, each just before its path's two
-    # draws and after the path before it drew; the draws come from that
-    # one stream.  The benchmark's set-up hook and its per-path span sit on
-    # _path_rng.
-    args = (1.0, math.exp(1.0), 5.0, 0.01, 60, seed)
+def test_two_streams_per_call_built_before_any_draw(seed, monkeypatch):
+    # (seed, 0), then (seed, 1), then the draws, whatever the number of
+    # paths: one vector of normals from the first stream and one of
+    # uniforms from the second.  Nothing is built or drawn at r <= 1.  The
+    # benchmark's set-up hook and its stream span sit on _path_rng.
     real_rng = ex._path_rng
     events = []
 
     class Counted:
-        def __init__(self, idx):
-            self.rng, self.idx = real_rng(seed, idx), idx
+        def __init__(self, key):
+            self.rng, self.key = real_rng(seed, key), key
 
-        def standard_normal(self):
-            events.append(("z", self.idx))
-            return self.rng.standard_normal()
+        def standard_normal(self, size):
+            events.append(("z", self.key, size))
+            return self.rng.standard_normal(size)
 
-        def random(self):
-            events.append(("u", self.idx))
-            return self.rng.random()
+        def random(self, size):
+            events.append(("u", self.key, size))
+            return self.rng.random(size)
 
-    def counted_rng(seed_, idx):
+    def counted_rng(seed_, key):
         assert seed_ == seed
-        events.append(("stream", idx))
-        return Counted(idx)
+        events.append(("stream", key))
+        return Counted(key)
 
     monkeypatch.setattr(ex, "_path_rng", counted_rng)
-    got = ex._path_crossings(*args)
-    assert events == [(step, idx) for idx in range(60)
-                      for step in ("stream", "z", "u")]
-    monkeypatch.setattr(ex, "_path_rng", real_rng)
-    assert got == _oracle_paths(*args)
-    assert {crossed for crossed, _ in got} == {False, True}
+    for n_paths in (1, 60, 1000):
+        args = (1.0, math.exp(1.0), 5.0, 0.01, n_paths, seed)
+        events.clear()
+        got = ex._path_crossings(*args)
+        assert events == [("stream", 0), ("stream", 1),
+                          ("z", 0, n_paths), ("u", 1, n_paths)]
+        monkeypatch.setattr(ex, "_path_rng", real_rng)
+        assert got == _oracle_paths(*args)
+        monkeypatch.setattr(ex, "_path_rng", counted_rng)
+    for r in (1.0, 0.5):
+        events.clear()
+        assert ex._path_crossings(1.0, r, 5.0, 0.01, 60, seed) == [
+            (True, 0.0)] * 60
+        assert events == []
 
 
 def _run_python(script, *args):

@@ -1,4 +1,5 @@
 import importlib.machinery
+import importlib.metadata
 import importlib.util
 
 import numpy as np
@@ -382,6 +383,41 @@ def test_grid_without_pocketfft_raises(monkeypatch, tmp_path, geometry):
     assert err.value.path.startswith(str(tmp_path / "fft" / "_pocketfft"
                                          / "pypocketfft"))
     assert err.value.path in str(err.value)
+    assert grid_module.pocketfft is None
+
+
+@pytest.mark.parametrize("kernel", ["r2c", "c2r", "dst", "dct", "c2c"])
+def test_grid_with_misnormalised_pocketfft_raises(monkeypatch, kernel):
+    # a build that reads the normalisation code otherwise would mis-scale
+    # every transform: the first grid refuses it, naming scipy's version,
+    # the extension's path and the kernel
+    real = grid_module._load_pocketfft()
+    at = 4 if kernel == "c2r" else 3  # the index of its inorm argument
+
+    class Misnormalised:
+        __file__ = real.__file__
+
+        def __getattr__(self, name):
+            orig = getattr(real, name)
+            if name != kernel:
+                return orig
+
+            def call(*args):
+                args = list(args)
+                args[at] = 2 - args[at]  # no scaling for 1/n, and back
+                return orig(*args)
+            return call
+
+    monkeypatch.setattr(grid_module, "_load_pocketfft",
+                        lambda: Misnormalised())
+    monkeypatch.setattr(grid_module, "pocketfft", None)
+    with pytest.raises(ImportError) as err:
+        make_grid("torus", 8, 8, 1.0, 1.0)
+    assert str(err.value).startswith(
+        f"scipy {importlib.metadata.version('scipy')}'s compiled pocketfft "
+        f"at {real.__file__} ")
+    assert f"transforms ({kernel})" in str(err.value)
+    assert err.value.path == real.__file__
     assert grid_module.pocketfft is None
 
 
